@@ -3,16 +3,18 @@ Dirichlet-energy minimization.
 
 The capacitary potential solves the discrete Laplace equation with V = 1 on
 the compact K (arcs of the circle r = r1, one grid ring thick) and V = 0 on
-the outer circle.  The discrete energy
+the outer circle.  Grid and stencil are those of the fully open one-sector
+disk (n = 1, ell = 0) of `discretize`: scaled by its node weights,
+L = dr*dtheta*diag(w)*A is the weighted graph Laplacian with conductances
+r_{i+1/2} dtheta/dr on radial edges and dr/(r_i dtheta) on angular edges, so
 
-    E(V) = sum over radial edges   r_{i+1/2} dtheta/dr * (dV)^2
-         + sum over angular edges  dr/(r_i dtheta)    * (dV)^2
+    E(V) = V^T L V = sum over edges of conductance * (dV)^2
 
-is the quadratic form of the same weighted graph Laplacian that the solve
-uses, so the reported capacity equals the boundary-flux value to round-off.
-The center r = 0 is a single unknown tied to ring 1 through the radial edges
-(it must not be grounded: for K the full circle the potential is identically
-1 inside, with zero energy contribution).
+is the quadratic form of the same matrix that the solve uses, and the
+reported capacity equals the boundary-flux value to round-off.  The center
+r = 0 is a single unknown tied to ring 1 through the regularity stencil (it
+must not be grounded: for K the full circle the potential is identically 1
+inside, with zero energy contribution).
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .discretize import MIN_CELLS, PolarGrid, assemble
+from .domain import CrackedDiskSpec, SectorProblem
 
 __all__ = [
     "CapacityProblem",
@@ -39,8 +44,8 @@ _RESIDUAL_BOUND = 1e-10
 @dataclass(frozen=True)
 class CapacityProblem:
     """Arcs {r = r1, theta in [a, b]} inside the disk of radius r2, on an
-    m x m polar grid (angular step 2*pi/m).  Arc endpoints snap to grid rays
-    and are reported via `snapped_arcs`."""
+    m x m polar grid (angular step 2*pi/m).  r1 snaps to a ring and the arc
+    ends to rays of `grid`, which reports both."""
 
     r1: float
     r2: float
@@ -50,8 +55,8 @@ class CapacityProblem:
     def __post_init__(self) -> None:
         if not (0.0 < self.r1 < self.r2):
             raise ValueError(f"need 0 < r1 < r2, got r1={self.r1!r}, r2={self.r2!r}")
-        if self.m < 8:
-            raise ValueError(f"grid needs at least 8 cells, got m={self.m}")
+        if self.m < MIN_CELLS:
+            raise ValueError(f"grid needs at least {MIN_CELLS} cells, got m={self.m}")
         for a, b in self.arcs:
             if b < a:
                 raise ValueError(f"arc ({a!r}, {b!r}) has negative width")
@@ -59,35 +64,14 @@ class CapacityProblem:
                 raise ValueError(f"arc ({a!r}, {b!r}) wraps more than the full circle")
 
     @property
-    def dr(self) -> float:
-        return self.r2 / self.m
+    def disk(self) -> SectorProblem:
+        """The fully open one-sector disk whose operator the potential solves."""
+        return SectorProblem(kind="floquet",
+                             geometry=CrackedDiskSpec(1, math.pi, self.r1, self.r2))
 
     @property
-    def dtheta(self) -> float:
-        return 2 * math.pi / self.m
-
-    @property
-    def r1_ring(self) -> int:
-        ring = int(round(self.r1 / self.dr))
-        if ring < 1 or ring > self.m - 1:
-            raise ValueError(f"r1={self.r1!r} snaps outside the open disk")
-        return ring
-
-    @property
-    def snapped_arcs(self) -> tuple[tuple[float, float], ...]:
-        dth = self.dtheta
-        return tuple((round(a / dth) * dth, round(b / dth) * dth) for a, b in self.arcs)
-
-    def constraint_columns(self) -> np.ndarray:
-        """Column indices (0..m-1) carrying the V = 1 constraint."""
-        dth = self.dtheta
-        cols = np.zeros(self.m, dtype=bool)
-        for a, b in self.snapped_arcs:
-            lo = int(round(a / dth))
-            hi = int(round(b / dth))
-            for j in range(lo, hi + 1):
-                cols[j % self.m] = True
-        return np.nonzero(cols)[0]
+    def grid(self) -> PolarGrid:
+        return PolarGrid.for_problem(self.disk, self.m)
 
 
 @dataclass(frozen=True)
@@ -96,62 +80,16 @@ class CapacityResult:
     energy_residual: float
 
 
-def _disk_edges(problem: CapacityProblem):
-    """Conductance list of the polar grid graph: (node_a, node_b, c).
-
-    Nodes: rings i = 1..m-1 times columns j = 0..m-1 (index (i-1)*m + j),
-    then the center (index n_ring), then a virtual outer ground handled by
-    the diagonal only.
-    """
-    m = problem.m
-    dr, dth = problem.dr, problem.dtheta
-    n_ring = (m - 1) * m
-    center = n_ring
-
-    def node(i: int, j: int) -> int:
-        return (i - 1) * m + (j % m)
-
-    edges_a, edges_b, cond = [], [], []
-    ground_node, ground_c = [], []
-    for i in range(1, m):
-        c_rad = (i + 0.5) * dr * dth / dr
-        for j in range(m):
-            if i + 1 <= m - 1:
-                edges_a.append(node(i, j))
-                edges_b.append(node(i + 1, j))
-                cond.append(c_rad)
-            else:  # edge to the grounded outer circle
-                ground_node.append(node(i, j))
-                ground_c.append(c_rad)
-            c_ang = dr / (i * dr * dth)
-            edges_a.append(node(i, j))
-            edges_b.append(node(i, (j + 1) % m))
-            cond.append(c_ang)
-    c_center = 0.5 * dr * dth / dr
-    for j in range(m):
-        edges_a.append(center)
-        edges_b.append(node(1, j))
-        cond.append(c_center)
-    return (np.array(edges_a), np.array(edges_b), np.array(cond),
-            np.array(ground_node), np.array(ground_c), center)
-
-
-def _build_system(problem: CapacityProblem):
-    m = problem.m
-    ea, eb, c, gnode, gc, center = _disk_edges(problem)
-    n = center + 1
-    lap = sp.coo_matrix(
-        (np.concatenate([c, c, -c, -c]),
-         (np.concatenate([ea, eb, ea, eb]), np.concatenate([ea, eb, eb, ea]))),
-        shape=(n, n)).tocsr()
-    diag_ground = np.zeros(n)
-    np.add.at(diag_ground, gnode, gc)
-    lap = lap + sp.diags(diag_ground)
-    fixed = np.zeros(n, dtype=bool)
-    ring = problem.r1_ring
-    for j in problem.constraint_columns():
-        fixed[(ring - 1) * m + j] = True
-    return lap, fixed, (ea, eb, c, gnode, gc)
+def _energy_system(problem: CapacityProblem):
+    """The weighted graph Laplacian of the disk operator and the mask of the
+    unknowns on the arcs, which carry V = 1."""
+    op = assemble(problem.disk, problem.m)
+    grid = op.grid
+    lap = (grid.dr * grid.dtheta * sp.diags(op.row_weights) @ op.matrix).tocsr()
+    fixed = np.zeros(op.n, dtype=bool)
+    on_ring = op.node_ring == grid.r1_ring
+    fixed[on_ring] = grid.ring_mask(problem.arcs, op.node_col[on_ring], wrap=True)
+    return lap, fixed
 
 
 @dataclass(frozen=True)
@@ -167,7 +105,7 @@ def capacitary_potential(problem: CapacityProblem):
     harmonic elsewhere; returns (CapacitaryPotential, CapacityResult) with the
     capacity as the discrete Dirichlet energy of the minimizer."""
     m = problem.m
-    lap, fixed, (ea, eb, c, gnode, gc) = _build_system(problem)
+    lap, fixed = _energy_system(problem)
     n = lap.shape[0]
     v = np.zeros(n)
     if fixed.sum() == 0:  # empty compact: zero potential, zero capacity
@@ -188,7 +126,10 @@ def capacitary_potential(problem: CapacityProblem):
         raise RuntimeError(
             f"capacitary solve left harmonicity residual {residual:.3e} "
             f"above {_RESIDUAL_BOUND:.0e}")
-    energy = float(np.sum(c * (v[ea] - v[eb]) ** 2) + np.sum(gc * v[gnode] ** 2))
+    # np.sum, not a BLAS dot: a dot this long wakes OpenBLAS worker threads,
+    # whose spin-wait then added a third to the CPU time of the next splu
+    energy = float(np.sum(v * (lap @ v)))
+    # the fully open disk numbers its unknowns ring by ring, center last
     field = v[:(m - 1) * m].reshape(m - 1, m)
     return CapacitaryPotential(field, float(v[-1])), CapacityResult(energy, residual)
 

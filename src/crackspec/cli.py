@@ -207,10 +207,10 @@ def _cmd_sweep(args) -> None:
             for idx in range(args.k):
                 value = curve.values[tag.label][ie, idx]
                 if math.isfinite(value):
-                    rows.append([eps, tag.label, idx + 1, value, curve.residual_max])
-    r1_snapped = round(r1 / (args.r2 / args.grid)) * (args.r2 / args.grid)
+                    rows.append([eps, tag.label, idx + 1, value,
+                                 curve.residuals[tag.label][ie, idx]])
     meta = {"command": "sweep", "n": args.n, "r1_requested": r1,
-            "r1": r1_snapped, "r2": args.r2,
+            "r1": curve.r1, "r2": args.r2,
             "m": args.grid, "k": args.k, "steps": args.steps, "tol": args.tol,
             "epsilon_min": curve.epsilons[0], "epsilon_max": curve.epsilons[-1]}
     _write_csv(args, meta, ["epsilon", "sector", "index", "lambda", "residual"], rows)
@@ -228,9 +228,8 @@ def _cmd_crossings(args) -> None:
     events = detect_crossings(curve, args.rank, tol=args.tol)
     rows = [[e.epsilon_star, e.lambda_star, e.rank, e.total_multiplicity,
              e.sector_a.label, e.sector_b.label] for e in events]
-    r1_snapped = round(r1 / (args.r2 / args.grid)) * (args.r2 / args.grid)
     _write_csv(args, {"command": "crossings", "n": args.n, "r1_requested": r1,
-                      "r1": r1_snapped, "r2": args.r2, "m": args.grid,
+                      "r1": curve.r1, "r2": args.r2, "m": args.grid,
                       "k": args.k, "steps": args.steps, "rank": args.rank,
                       "tol": args.tol},
                ["epsilon_star", "lambda_star", "rank", "multiplicity",

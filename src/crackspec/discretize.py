@@ -37,18 +37,17 @@ Neumann rays, a matched weight for the center).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .domain import CrackedDiskSpec, SectorProblem, SectorTag
+from .domain import SectorProblem, SectorTag, crack_arcs
 
 __all__ = [
     "PolarGrid",
     "AssembledOperator",
     "assemble",
-    "apply",
     "center_policy",
     "dump_operator",
 ]
@@ -58,18 +57,55 @@ MIN_CELLS = 8
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Grid metadata, including the reported r1 / epsilon snaps."""
+    """The m x m polar grid of one problem, r_i = i*dr and theta_j = j*dtheta.
+
+    It is the one place where requested values snap to the grid: r1 to the
+    nearest ring and angles (epsilon, arc ends) to the nearest ray.  The
+    requested values are kept, so every snap is reported."""
 
     m: int
     r2: float
     theta_extent: float
-    dr: float
-    dtheta: float
     r1_requested: float
-    r1: float
-    r1_ring: int
     eps_requested: float
-    eps: float
+
+    def __post_init__(self) -> None:
+        if self.m < MIN_CELLS:
+            raise ValueError(
+                f"grid needs at least {MIN_CELLS} cells per direction, got m={self.m}")
+        if self.r1_ring < 1 or self.r1_ring > self.m - 1:
+            raise ValueError(
+                f"r1={self.r1_requested!r} snaps to ring {self.r1_ring} of {self.m}, "
+                "degenerating the geometry")
+
+    @classmethod
+    def for_problem(cls, problem: SectorProblem, m: int) -> PolarGrid:
+        """Grid of a sector problem: theta in [0, pi/2] for the quarter
+        problems, [0, 2*pi/n) for the Floquet sectors."""
+        spec = problem.geometry
+        extent = math.pi / 2 if problem.kind == "quarter" else 2 * math.pi / spec.n
+        return cls(m=m, r2=spec.r2, theta_extent=extent,
+                   r1_requested=spec.r1, eps_requested=spec.epsilon)
+
+    @property
+    def dr(self) -> float:
+        return self.r2 / self.m
+
+    @property
+    def dtheta(self) -> float:
+        return self.theta_extent / self.m
+
+    @property
+    def r1_ring(self) -> int:
+        return int(round(self.r1_requested / self.dr))
+
+    @property
+    def r1(self) -> float:
+        return self.r1_ring * self.dr
+
+    @property
+    def eps(self) -> float:
+        return self.snap_angle(self.eps_requested)
 
     @property
     def r1_snap_error(self) -> float:
@@ -78,6 +114,28 @@ class PolarGrid:
     @property
     def eps_snap_error(self) -> float:
         return abs(self.eps - self.eps_requested)
+
+    def ray(self, theta: float) -> int:
+        """Index of the grid ray nearest to the angle theta."""
+        return int(round(theta / self.dtheta))
+
+    def snap_angle(self, theta: float) -> float:
+        return self.ray(theta) * self.dtheta
+
+    def ring_mask(self, arcs, cols: np.ndarray, wrap: bool) -> np.ndarray:
+        """Mask over the ray indices `cols` of the r1-ring nodes on the closed
+        angular arcs `arcs`.
+
+        Each arc end snaps to its nearest ray, and that ray is covered: a node
+        exactly at an arc end is Dirichlet.  When the columns wrap round, ray
+        indices count mod m, so an arc may cross theta = 0 and every rotated
+        copy of a Floquet crack lands on the sector's own columns."""
+        covered = np.zeros(cols.shape, dtype=bool)
+        for a, b in arcs:
+            lo, hi = self.ray(a), self.ray(b)
+            offset = (cols - lo) % self.m if wrap else cols - lo
+            covered |= (offset >= 0) & (offset <= hi - lo)
+        return covered
 
 
 @dataclass
@@ -96,7 +154,6 @@ class AssembledOperator:
     node_copy: np.ndarray     # per unknown: copy 0 or 1
     center_row: int | None
     wrap: bool
-    symmetric: bool = field(default=False)
 
     @property
     def n(self) -> int:
@@ -112,59 +169,20 @@ def center_policy(problem: SectorProblem) -> str:
     return "regularity_stencil" if problem.ell == 0 else "dirichlet_at_center"
 
 
-def _make_grid(spec: CrackedDiskSpec, m: int, theta_extent: float) -> PolarGrid:
-    if m < MIN_CELLS:
-        raise ValueError(f"grid needs at least {MIN_CELLS} cells per direction, got m={m}")
-    dr = spec.r2 / m
-    ring = int(round(spec.r1 / dr))
-    if ring < 1 or ring > m - 1:
-        raise ValueError(
-            f"r1={spec.r1!r} snaps to ring {ring} of {m}, degenerating the geometry")
-    dtheta = theta_extent / m
-    eps_idx = int(round(spec.epsilon / dtheta))
-    return PolarGrid(
-        m=m, r2=spec.r2, theta_extent=theta_extent, dr=dr, dtheta=dtheta,
-        r1_requested=spec.r1, r1=ring * dr, r1_ring=ring,
-        eps_requested=spec.epsilon, eps=eps_idx * dtheta)
-
-
-def _crack_columns(grid: PolarGrid, cols: np.ndarray, wrap: bool) -> np.ndarray:
-    """Boolean mask over `cols` of crack (Dirichlet) nodes on the r1 ring.
-
-    Arcs are closed: a node exactly at an arc endpoint is a crack node.  In
-    sector coordinates the crack is [eps, extent - eps] (Floquet, hole
-    centered on the seam) or [eps, extent] (quarter problems).  A requested
-    epsilon at the fully-open endpoint stays fully open even when the angular
-    grid cannot represent extent/2 exactly (odd m)."""
-    eps_idx = int(round(grid.eps / grid.dtheta))
-    m = grid.m
-    if wrap:
-        # fully open at eps = extent/2 (= pi/n), which odd grids cannot snap to
-        if grid.eps_requested >= grid.theta_extent / 2 - 1e-12 or 2 * eps_idx >= m:
-            return np.zeros(cols.shape, dtype=bool)
-        return (cols >= eps_idx) & (cols <= m - eps_idx)
-    # quarter problems: crack [eps, extent], gone only at eps = extent
-    if grid.eps_requested >= grid.theta_extent - 1e-12 or eps_idx >= m:
-        return np.zeros(cols.shape, dtype=bool)
-    return cols >= eps_idx
-
-
 def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     """Assemble the polar FD operator for a sector problem on an m x m grid."""
     spec = problem.geometry
     quarter = problem.kind == "quarter"
     if quarter:
-        extent = math.pi / 2
         case = problem.quarter_case
         bc_lo, bc_hi = case[0], case[1]
         weight = 1
         label = case
     else:
-        extent = 2 * math.pi / spec.n
         bc_lo = bc_hi = ""
         weight = 2 if 0 < problem.ell < spec.n / 2 else 1
         label = f"ell={problem.ell}"
-    grid = _make_grid(spec, m, extent)
+    grid = PolarGrid.for_problem(problem, m)
     dr, dth = grid.dr, grid.dtheta
 
     if quarter:
@@ -179,9 +197,14 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     n_cols = cols.size
     ri = dr * np.arange(1, m)
 
+    # The crack arcs of the geometry at the snapped opening, in full-circle
+    # angles: the sector sees the first arc (the quarter its part in
+    # [eps, pi/2]), and the rotated copies fold onto it mod m.  A requested
+    # opening at the fully open end stays open even where the grid has no ray
+    # at pi/n (odd m).
+    arcs = [] if spec.fully_open else crack_arcs(replace(spec, epsilon=grid.eps))
     active = np.ones((n_rings, n_cols), dtype=bool)
-    crack = _crack_columns(grid, cols, wrap)
-    active[grid.r1_ring - 1, crack] = False
+    active[grid.r1_ring - 1, grid.ring_mask(arcs, cols, wrap)] = False
 
     ids = -np.ones((n_rings, n_cols), dtype=np.int64)
     ids[active] = np.arange(int(active.sum()))
@@ -328,14 +351,6 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
         problem=problem, row_weights=row_weights, copies=copies, cols=cols,
         node_ring=node_ring, node_col=node_col, node_copy=node_copy,
         center_row=center_row, wrap=wrap)
-
-
-def apply(op: AssembledOperator, v: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product of the assembled operator."""
-    v = np.asarray(v)
-    if v.shape != (op.n,):
-        raise ValueError(f"vector of shape {v.shape} does not match operator size {op.n}")
-    return op.matrix @ v
 
 
 def dump_operator(op: AssembledOperator, path: str) -> None:

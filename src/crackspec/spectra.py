@@ -22,9 +22,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .domain import CrackedDiskSpec, SectorProblem, SectorTag, quarter_problems, reduce_to_sectors
-from .discretize import AssembledOperator, assemble
+from .discretize import AssembledOperator, PolarGrid, assemble
 from .eigensolve import Spectrum, lowest_eigenpairs
 
 __all__ = [
@@ -155,7 +156,14 @@ class EigenvalueCurve:
     requested: np.ndarray
     sectors: list[SectorTag]
     values: dict[str, np.ndarray]        # label -> (n_eps, k) distinct values
-    residual_max: float
+    residuals: dict[str, np.ndarray]     # label -> (n_eps, k) their certificates
+    r1: float                            # snapped interface radius
+
+    @property
+    def residual_max(self) -> float:
+        """Largest residual certificate over the whole sweep."""
+        return max((float(np.nanmax(r)) for r in self.residuals.values()
+                    if np.isfinite(r).any()), default=0.0)
 
     @property
     def max_slope(self) -> float:
@@ -173,10 +181,31 @@ class EigenvalueCurve:
         return worst
 
 
-def _snap_epsilons(spec: CrackedDiskSpec, epsilon_list, m: int) -> np.ndarray:
-    dtheta = (2 * math.pi / spec.n) / m
-    snapped = np.array([round(e / dtheta) * dtheta for e in epsilon_list])
-    return snapped
+def _run_sweep(grid: PolarGrid, spec: CrackedDiskSpec, epsilon_list, problems,
+               k: int, tol: float, jobs: int | None, method: str):
+    """Solve `problems(geometry)` at every distinct opening of `epsilon_list`
+    snapped to the rays of `grid`, on a bounded thread pool.
+
+    Returns the snapped openings and, per problem label, the (n_eps, k)
+    arrays of eigenvalues and of their residual certificates (NaN where a
+    sector has fewer values)."""
+    eps_grid = np.unique([grid.snap_angle(e) for e in epsilon_list])
+    tasks = [(ie, p) for ie, eps in enumerate(eps_grid)
+             for p in problems(dataclasses.replace(spec, epsilon=float(eps)))]
+    workers = jobs or min(4, os.cpu_count() or 1)
+    if workers > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futs = [pool.submit(solve_sector, p, grid.m, k, tol, method) for _, p in tasks]
+            sols = [fut.result() for fut in futs]
+    else:
+        sols = [solve_sector(p, grid.m, k, tol, method) for _, p in tasks]
+    values = {p.label: np.full((len(eps_grid), k), np.nan) for p in problems(spec)}
+    residuals = {label: arr.copy() for label, arr in values.items()}
+    for (ie, p), sol in zip(tasks, sols):
+        nv = min(k, len(sol.values))
+        values[p.label][ie, :nv] = sol.values[:nv]
+        residuals[p.label][ie, :nv] = sol.residuals[:nv]
+    return eps_grid, values, residuals
 
 
 def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
@@ -196,35 +225,14 @@ def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
         raise ValueError("epsilon_list must not be empty")
     if (np.diff(requested) < 0).any():
         raise ValueError("epsilon_list must be ascending")
-    snapped = _snap_epsilons(spec, requested, m)
-    eps_grid = np.unique(snapped)
-    sectors = [tag for _, tag in reduce_to_sectors(spec)]
-    tasks = []
-    for ie, eps in enumerate(eps_grid):
-        geo = dataclasses.replace(spec, epsilon=float(eps))
-        for problem, tag in reduce_to_sectors(geo):
-            tasks.append((ie, tag.label, problem))
-    results: dict[tuple[int, str], SectorSolve] = {}
-    workers = jobs or min(4, os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(solve_sector, p, m, k, tol, method): (ie, lb)
-                    for ie, lb, p in tasks}
-            for fut, key in futs.items():
-                results[key] = fut.result()
-    else:
-        for ie, lb, p in tasks:
-            results[(ie, lb)] = solve_sector(p, m, k, tol, method)
-    values = {tag.label: np.full((len(eps_grid), k), np.nan) for tag in sectors}
-    resmax = 0.0
-    for (ie, lb), sol in results.items():
-        nv = min(k, len(sol.values))
-        values[lb][ie, :nv] = sol.values[:nv]
-        if len(sol.residuals):
-            resmax = max(resmax, float(np.max(sol.residuals)))
+    sectors = reduce_to_sectors(spec)
+    grid = PolarGrid.for_problem(sectors[0][0], m)
+    eps_grid, values, residuals = _run_sweep(
+        grid, spec, requested, lambda geo: [p for p, _ in reduce_to_sectors(geo)],
+        k, tol, jobs, method)
     curve = EigenvalueCurve(geometry=spec, m=m, k=k, epsilons=eps_grid,
-                            requested=requested, sectors=sectors, values=values,
-                            residual_max=resmax)
+                            requested=requested, sectors=[tag for _, tag in sectors],
+                            values=values, residuals=residuals, r1=grid.r1)
     if lipschitz_bound is not None and curve.max_slope > lipschitz_bound:
         raise ValueError(
             f"adjacent-point slope {curve.max_slope:.3g} exceeds the "
@@ -237,28 +245,11 @@ def sweep_quarter(spec: CrackedDiskSpec, cases, epsilon_list, m: int, k: int,
                   method: str = "auto"):
     """Quarter-disk eigenvalue curves (n = 2): dict case -> (n_eps, k) plus
     the snapped epsilon grid."""
-    requested = np.asarray(list(epsilon_list), dtype=float)
-    dtheta = (math.pi / 2) / m
-    eps_grid = np.unique(np.array([round(e / dtheta) * dtheta for e in requested]))
-    by_case = {c: np.full((len(eps_grid), k), np.nan) for c in cases}
-    tasks = []
-    for ie, eps in enumerate(eps_grid):
-        geo = dataclasses.replace(spec, epsilon=float(eps))
-        for p in quarter_problems(geo):
-            if p.quarter_case in cases:
-                tasks.append((ie, p))
-    workers = jobs or min(4, os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(solve_sector, p, m, k, tol, method): (ie, p.quarter_case)
-                    for ie, p in tasks}
-            for fut, (ie, case) in futs.items():
-                sol = fut.result()
-                by_case[case][ie, :len(sol.values)] = sol.values[:k]
-    else:
-        for ie, p in tasks:
-            sol = solve_sector(p, m, k, tol, method)
-            by_case[p.quarter_case][ie, :len(sol.values)] = sol.values[:k]
+    grid = PolarGrid.for_problem(quarter_problems(spec)[0], m)
+    eps_grid, by_case, _ = _run_sweep(
+        grid, spec, epsilon_list,
+        lambda geo: [p for c in cases for p in quarter_problems(geo) if p.quarter_case == c],
+        k, tol, jobs, method)
     return eps_grid, by_case
 
 
@@ -308,7 +299,7 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
     if len(curve.epsilons) < 2:
         raise ValueError("need at least two sweep points to detect crossings")
     spec = curve.geometry
-    m = curve.m
+    grid = PolarGrid.for_problem(reduce_to_sectors(spec)[0][0], curve.m)
     labels = [t.label for t in curve.sectors]
     events: list[CrossingEvent] = []
     for ia_lab in range(len(labels)):
@@ -325,7 +316,7 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
                         if d[t] == 0.0 or d[t] * d[t + 1] >= 0.0:
                             continue
                         ev = _refine_crossing(
-                            spec, m, curve, la, lb, ca, cb,
+                            spec, grid, curve, la, lb, ca, cb,
                             curve.epsilons[t], curve.epsilons[t + 1],
                             d[t], tol, refine, method)
                         if ev.rank <= rank_of_interest:
@@ -334,10 +325,10 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
     return events
 
 
-def _refine_crossing(spec, m, curve, la, lb, ca, cb, e_lo, e_hi, d_lo_sign,
+def _refine_crossing(spec, grid, curve, la, lb, ca, cb, e_lo, e_hi, d_lo_sign,
                      tol, refine, method) -> CrossingEvent:
     tags = {t.label: t for t in curve.sectors}
-    dtheta = (2 * math.pi / spec.n) / m
+    m, dtheta = grid.m, grid.dtheta
 
     def curve_gap(eps: float) -> tuple[float, float, float]:
         geo = dataclasses.replace(spec, epsilon=float(eps))
@@ -348,8 +339,7 @@ def _refine_crossing(spec, m, curve, la, lb, ca, cb, e_lo, e_hi, d_lo_sign,
                 byl[tag.label] = sol.values
         return byl[la][ca], byl[lb][cb], byl[la][ca] - byl[lb][cb]
 
-    lo_idx = int(round(e_lo / dtheta))
-    hi_idx = int(round(e_hi / dtheta))
+    lo_idx, hi_idx = grid.ray(e_lo), grid.ray(e_hi)
     sign_lo = d_lo_sign > 0
     if refine:
         while hi_idx - lo_idx > 1:
@@ -383,26 +373,6 @@ class NodalCount:
     zero_tol: float
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.count = size
-
-    def find(self, a: int) -> int:
-        p = a
-        while p != self.parent[p]:
-            p = self.parent[p]
-        while a != p:  # path compression
-            self.parent[a], a = p, self.parent[a]
-        return p
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.count -= 1
-
-
 def nodal_domains(field: np.ndarray, wrap: bool, zero_tol: float = 1e-6) -> NodalCount:
     """Count sign domains of a grid eigenfunction.
 
@@ -411,6 +381,9 @@ def nodal_domains(field: np.ndarray, wrap: bool, zero_tol: float = 1e-6) -> Noda
     as separators.  Adjacency is 4-neighbor, restricted to equal signs;
     columns wrap when `wrap` is true.
     """
+    # imported here: csgraph adds about 25 ms that `import crackspec` skips
+    from scipy.sparse.csgraph import connected_components
+
     field = np.asarray(field, dtype=float)
     finite = np.isfinite(field)
     if not finite.any():
@@ -422,41 +395,31 @@ def nodal_domains(field: np.ndarray, wrap: bool, zero_tol: float = 1e-6) -> Noda
     act = finite & (np.abs(field) > thr)
     if not act.any():
         raise ValueError("all nodes below the zero threshold: degenerate vector")
-    nr, nc = field.shape
-    ids = -np.ones((nr, nc), dtype=np.int64)
-    ids[act] = np.arange(int(act.sum()))
-    uf = _UnionFind(int(act.sum()))
-    sgn = np.sign(field)
-
-    def link(ai, aj, bi, bj):
-        if act[ai, aj] and act[bi, bj] and sgn[ai, aj] == sgn[bi, bj]:
-            uf.union(int(ids[ai, aj]), int(ids[bi, bj]))
-
-    for i in range(nr):
-        for j in range(nc):
-            if not act[i, j]:
-                continue
-            if i + 1 < nr:
-                link(i, j, i + 1, j)
-            if j + 1 < nc:
-                link(i, j, i, j + 1)
-            elif wrap:
-                link(i, j, i, 0)
-    roots = {uf.find(int(ids[i, j])) for i in range(nr) for j in range(nc) if act[i, j]}
-    return NodalCount(mu=len(roots), zero_tol=zero_tol)
+    n_act = int(act.sum())
+    ids = -np.ones(field.shape, dtype=np.int64)
+    ids[act] = np.arange(n_act)
+    sgn = np.where(act, np.sign(field), 0.0)   # 0 off the active nodes
+    heads, tails = [], []
+    neighbours = [(np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])]
+    if wrap:
+        neighbours.append((np.s_[:, -1], np.s_[:, 0]))
+    for a, b in neighbours:
+        linked = (sgn[a] != 0.0) & (sgn[a] == sgn[b])
+        heads.append(ids[a][linked])
+        tails.append(ids[b][linked])
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    graph = sp.coo_matrix((np.ones(heads.size), (heads, tails)), shape=(n_act, n_act))
+    mu, _ = connected_components(graph, directed=False)
+    return NodalCount(mu=int(mu), zero_tol=zero_tol)
 
 
 def sector_field(op: AssembledOperator, vector: np.ndarray,
                  copy: int = 0) -> np.ndarray:
     """Map a solution vector onto the (ring, column) grid of one copy;
     eliminated nodes are NaN, the center unknown is dropped."""
-    m = op.grid.m
-    n_cols = len(op.cols)
-    out = np.full((m - 1, n_cols), np.nan)
-    col_pos = {int(c): t for t, c in enumerate(op.cols)}
+    out = np.full((op.grid.m - 1, len(op.cols)), np.nan)
     sel = (op.node_copy == copy) & (op.node_ring > 0)
-    for row in np.nonzero(sel)[0]:
-        out[op.node_ring[row] - 1, col_pos[int(op.node_col[row])]] = vector[row]
+    out[op.node_ring[sel] - 1, np.searchsorted(op.cols, op.node_col[sel])] = vector[sel]
     return out
 
 

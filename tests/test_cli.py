@@ -78,6 +78,23 @@ def test_sweep_with_plot(tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
+def test_sweep_rows_carry_their_own_residuals(tmp_path):
+    from crackspec.cli import _fmt
+    from crackspec.domain import build_cracked_disk, reduce_to_sectors
+    from crackspec.spectra import solve_sector
+    code, out = run(tmp_path, "sweep", "--n", "3", "--r1", "0.4356", "--steps", "3",
+                    "--eps-min", "0.3", "--eps-max", "0.9", "-M", "16", "-k", "2")
+    assert code == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()
+            if l and not l.startswith("#")][1:]
+    for eps, label, index, _, residual in rows:
+        spec = build_cracked_disk(3, float(eps), 0.4356, 1.0)
+        problem = next(p for p, tag in reduce_to_sectors(spec) if tag.label == label)
+        sol = solve_sector(problem, 16, 2, tol=1e-8)
+        assert residual == _fmt(float(sol.residuals[int(index) - 1]))
+    assert len({row[4] for row in rows}) > 1
+
+
 def test_crossings_header(tmp_path):
     code, out = run(tmp_path, "crossings", "--n", "2", "--r1", "0.4356",
                     "--steps", "3", "--eps-min", "0.3", "--eps-max", "1.2",

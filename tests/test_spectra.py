@@ -203,6 +203,58 @@ def test_nodal_domain_wrap_matters():
     assert nodal_domains(field, wrap=False).mu == 3
 
 
+def _nodal_count_by_flood_fill(field, wrap, zero_tol=1e-6):
+    """Reference count: breadth-first flood fill over equal-sign neighbours."""
+    act = np.isfinite(field) & (np.abs(field) > zero_tol * np.nanmax(np.abs(field)))
+    nr, nc = field.shape
+    seen = np.zeros_like(act)
+    count = 0
+    for i0 in range(nr):
+        for j0 in range(nc):
+            if not act[i0, j0] or seen[i0, j0]:
+                continue
+            count += 1
+            seen[i0, j0] = True
+            queue = [(i0, j0)]
+            while queue:
+                i, j = queue.pop()
+                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    a, b = i + di, j + dj
+                    if wrap:
+                        b %= nc
+                    if (0 <= a < nr and 0 <= b < nc and act[a, b] and not seen[a, b]
+                            and np.sign(field[a, b]) == np.sign(field[i, j])):
+                        seen[a, b] = True
+                        queue.append((a, b))
+    return count
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nodal_count_matches_flood_fill(seed):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 9)), int(rng.integers(1, 12)))
+    field = rng.standard_normal(shape)
+    field[rng.random(shape) < 0.2] = np.nan
+    field[rng.random(shape) < 0.1] = 0.0
+    if not (np.isfinite(field) & (field != 0.0)).any():
+        field[0, 0] = 1.0
+    for wrap in (False, True):
+        assert nodal_domains(field, wrap=wrap).mu == _nodal_count_by_flood_fill(field, wrap)
+
+
+def test_sector_field_places_every_unknown():
+    for case in ("NND", "DDD"):
+        spec = build_cracked_disk(2, 0.8, 0.4356, 1.0)
+        op = assemble(next(p for p in quarter_problems(spec) if p.quarter_case == case), 12)
+        vector = np.arange(1.0, op.n + 1.0)
+        field = sector_field(op, vector)
+        for row in range(op.n):
+            if op.node_ring[row] > 0:
+                col = list(op.cols).index(op.node_col[row])
+                assert field[op.node_ring[row] - 1, col] == vector[row]
+        assert np.isfinite(field).sum() == np.count_nonzero(op.node_ring > 0)
+
+
 def test_nodal_degenerate_inputs():
     with pytest.raises(ValueError):
         nodal_domains(np.full((3, 3), np.nan), wrap=False)
