@@ -19,9 +19,12 @@ Conventions (all encoded in the assembled matrix, no constraint rows):
 * Neumann rays use mirror ghosts u_{i,-1} = u_{i,1}, which doubles the
   interior angular neighbor.
 * Floquet sectors on theta in [0, 2*pi/n) couple the seam columns with the
-  phase exp(2*pi*i*ell/n); for 0 < ell < n/2 the problem is kept real by
-  stacking two copies (Re, Im) coupled through the rotation block, so every
-  sector eigenvalue shows up twice and carries weight 2 downstream.
+  phase exp(i*alpha), alpha = 2*pi*ell/n: the continuation past the last
+  column is u(theta + 2*pi/n) = exp(i*alpha) u(theta).  The sectors ell = 0
+  and ell = n/2 have the real phases +1 and -1.  For 0 < ell < n/2 the
+  operator is complex, with c_ang*exp(+i*alpha) on the forward seam (column
+  m-1 to column 0) and c_ang*exp(-i*alpha) on the backward seam; each of its
+  eigenvalues carries weight 2 downstream (sector n - ell is the conjugate).
 * r = 0: problems whose eigenfunctions vanish there (any Dirichlet ray
   reaching the origin, Floquet ell != 0) simply drop the center.  For the
   axisymmetric-capable problems (NND, Floquet ell = 0) a Dirichlet pin at the
@@ -29,13 +32,15 @@ Conventions (all encoded in the assembled matrix, no constraint rows):
   single center unknown with the polar regularity stencil
   -lap u(0) ~ (4/dr^2) (u(0) - mean of ring 1) is used instead.
 
-The operator is nonsymmetric but similar to a symmetric matrix through
-diag(sqrt(w)) with the node weights w stored on the operator (r_i, halved on
-Neumann rays, a matched weight for the center).
+The operator is non-Hermitian but similar to a Hermitian matrix (real
+symmetric outside the complex sectors) through diag(sqrt(w)) with the node
+weights w stored on the operator (r_i, halved on Neumann rays, a matched
+weight for the center).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -147,11 +152,9 @@ class AssembledOperator:
     sector: SectorTag
     problem: SectorProblem
     row_weights: np.ndarray
-    copies: int
     cols: np.ndarray          # angular indices present on the grid
     node_ring: np.ndarray     # per unknown: ring index i (0 for the center)
     node_col: np.ndarray      # per unknown: angular index j (-1 for center)
-    node_copy: np.ndarray     # per unknown: copy 0 or 1
     center_row: int | None
     wrap: bool
 
@@ -199,7 +202,7 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
 
     # The crack arcs of the geometry at the snapped opening, in full-circle
     # angles: the sector sees the first arc (the quarter its part in
-    # [eps, pi/2]), and the rotated copies fold onto it mod m.  A requested
+    # [eps, pi/2]), and the rotated cracks fold onto it mod m.  A requested
     # opening at the fully open end stays open even where the grid has no ray
     # at pi/n (odd m).
     arcs = [] if spec.fully_open else crack_arcs(replace(spec, epsilon=grid.eps))
@@ -213,9 +216,7 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     policy = center_policy(problem)
     has_center = policy == "regularity_stencil"
 
-    coupled = (not quarter) and (0 < problem.ell < spec.n / 2)
-    copies = 2 if coupled else 1
-    n = n1 * copies + (1 if has_center else 0)
+    n = n1 + (1 if has_center else 0)
     center_row = n - 1 if has_center else None
 
     c_diag = 2.0 / dr**2 + 2.0 / (ri**2 * dth**2)      # per ring
@@ -230,7 +231,7 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     def add(r, c, v):
         rows.append(np.asarray(r, dtype=np.int64))
         colix.append(np.asarray(c, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=np.float64))
+        vals.append(np.asarray(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64))
 
     ring_of = np.repeat(np.arange(n_rings), n_cols).reshape(n_rings, n_cols)
 
@@ -253,7 +254,6 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     add(a, b, c_ang[t])
     add(b, a, c_ang[t])
 
-    seam_entries: list[tuple[np.ndarray, np.ndarray, np.ndarray, str]] = []
     if quarter:
         # Neumann mirror ghosts double the interior angular neighbor
         if bc_lo == "N":
@@ -263,37 +263,18 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
             both = active[:, -1] & active[:, -2]
             add(ids[:, -1][both], ids[:, -2][both], c_ang[np.arange(n_rings)[both]])
     else:
+        # seam: column m-1 sees exp(i*alpha) times column 0, and column 0
+        # sees exp(-i*alpha) times column m-1
+        if weight == 2:
+            phase = cmath.exp(2j * math.pi * problem.ell / spec.n)
+        else:
+            phase = 1.0 if problem.ell == 0 else -1.0
         both = active[:, -1] & active[:, 0]
         hi = ids[:, -1][both]
         lo = ids[:, 0][both]
         t = np.arange(n_rings)[both]
-        if not coupled:
-            sigma = 1.0 if problem.ell == 0 else -1.0
-            add(hi, lo, sigma * c_ang[t])
-            add(lo, hi, sigma * c_ang[t])
-        else:
-            seam_entries.append((hi, lo, c_ang[t], "forward"))
-            seam_entries.append((lo, hi, c_ang[t], "backward"))
-
-    if coupled:
-        # replicate the single-copy pattern for the imaginary copy, then add
-        # the rotation-block seam: continuation w(theta + extent) =
-        # exp(i*alpha) w(theta) with w = u + i v.
-        alpha = 2.0 * math.pi * problem.ell / spec.n
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        base_r = np.concatenate(rows)
-        base_c = np.concatenate(colix)
-        base_v = np.concatenate(vals)
-        rows = [base_r, base_r + n1]
-        colix = [base_c, base_c + n1]
-        vals = [base_v, base_v]
-        for a, b, cang_t, direction in seam_entries:
-            s = -sa if direction == "forward" else sa
-            # u-row: ca * u_b + s * v_b ; v-row: -s * u_b + ca * v_b
-            add(a, b, ca * cang_t)
-            add(a, b + n1, s * cang_t)
-            add(a + n1, b, -s * cang_t)
-            add(a + n1, b + n1, ca * cang_t)
+        add(hi, lo, phase * c_ang[t])
+        add(lo, hi, np.conj(phase) * c_ang[t])
 
     mu_total = 0.0
     if has_center:
@@ -317,7 +298,7 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(colix))),
         shape=(n, n)).tocsr()
 
-    # similarity weights making diag(sqrt(w)) A diag(1/sqrt(w)) symmetric
+    # similarity weights making diag(sqrt(w)) A diag(1/sqrt(w)) Hermitian
     w1 = np.empty(n1)
     ring_flat = ring_of[active]
     w1[ids[active]] = ri[ring_flat]
@@ -328,35 +309,36 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
         if bc_hi == "N":
             sel = active[:, -1]
             w1[ids[:, -1][sel]] *= 0.5
-    row_weights = np.concatenate([w1] * copies)
+    row_weights = w1
     if has_center:
         row_weights = np.concatenate([row_weights, [dr * mu_total / 8.0]])
 
     node_ring = np.empty(n, dtype=np.int64)
     node_col = np.empty(n, dtype=np.int64)
-    node_copy = np.empty(n, dtype=np.int64)
     ring_idx = np.repeat(np.arange(1, m), n_cols).reshape(n_rings, n_cols)
     col_idx = np.tile(cols, (n_rings, 1))
-    for copy in range(copies):
-        node_ring[ids[active] + copy * n1] = ring_idx[active]
-        node_col[ids[active] + copy * n1] = col_idx[active]
-        node_copy[ids[active] + copy * n1] = copy
+    node_ring[ids[active]] = ring_idx[active]
+    node_col[ids[active]] = col_idx[active]
     if has_center:
         node_ring[center_row] = 0
         node_col[center_row] = -1
-        node_copy[center_row] = 0
 
     return AssembledOperator(
         matrix=matrix, grid=grid, sector=SectorTag(label=label, weight=weight),
-        problem=problem, row_weights=row_weights, copies=copies, cols=cols,
-        node_ring=node_ring, node_col=node_col, node_copy=node_copy,
+        problem=problem, row_weights=row_weights, cols=cols,
+        node_ring=node_ring, node_col=node_col,
         center_row=center_row, wrap=wrap)
 
 
 def dump_operator(op: AssembledOperator, path: str) -> None:
-    """Write the operator as `i j value` text (1-based, matrix-market style)."""
+    """Write the operator as `i j value` text (1-based, matrix-market style);
+    a complex operator writes `i j re im` and says so in the header."""
     coo = op.matrix.tocoo()
+    is_complex = np.iscomplexobj(coo.data)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"% crackspec operator n={op.n}\n")
+        fh.write(f"% crackspec operator n={op.n}{' complex' if is_complex else ''}\n")
         for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {v:.16g}\n")
+            if is_complex:
+                fh.write(f"{i + 1} {j + 1} {v.real:.16g} {v.imag:.16g}\n")
+            else:
+                fh.write(f"{i + 1} {j + 1} {v:.16g}\n")

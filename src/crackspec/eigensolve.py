@@ -1,17 +1,20 @@
 """Lowest eigenpairs of an assembled operator, with residual certificates.
 
-The discrete operator is real nonsymmetric but similar to a symmetric matrix
-through diag(sqrt(w)) with the node weights carried by the operator.  The
-sparse path therefore runs shift-invert Lanczos (ARPACK through
-`scipy.sparse.linalg.eigsh`, shift 0, sparse LU inside) on the symmetrized
-matrix and maps the eigenvectors back; if the symmetrization residual is ever
-out of tolerance it falls back to nonsymmetric shift-invert Arnoldi (`eigs`).
-Small problems use the dense QR path (LAPACK *geev*), which also serves as
-the independent oracle in the tests.
+The discrete operator is non-Hermitian but similar to a Hermitian matrix
+through diag(sqrt(w)) with the node weights carried by the operator: real
+symmetric for the scalar sectors and quarter problems, complex Hermitian for
+the complex Floquet sectors.  The sparse path therefore runs shift-invert
+Lanczos (ARPACK through `scipy.sparse.linalg.eigsh`, shift 0, sparse LU
+inside; scipy hands a complex Hermitian matrix to complex ARPACK) on the
+Hermitian part of the symmetrized matrix and maps the eigenvectors back; if
+the symmetrization residual is ever out of tolerance it falls back to
+non-Hermitian shift-invert Arnoldi (`eigs`).  Small problems use the dense QR
+path (LAPACK *geev*), which also serves as the independent oracle in the
+tests.  Eigenvectors of a complex operator stay complex.
 
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||
-computed on the original nonsymmetric matrix, and eigenvalues are accepted
-only if their imaginary part is negligible.
+computed on the original matrix, and eigenvalues are accepted only if their
+imaginary part is negligible.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .discretize import AssembledOperator
 
 __all__ = ["SolverError", "Spectrum", "lowest_eigenpairs", "group_multiplicities"]
 
-DENSE_CUTOFF = 600          # n at or below which the dense path is the default
+DENSE_CUTOFF = 600          # real unknowns (a complex one counts two) at or below
+                            # which the dense path is the default
 _IMAG_TOL = 1e-8            # |Im lambda| <= tol * max(1, |lambda|)
 _ASYM_TOL = 1e-9            # relative symmetrization residual
 _SEED = 20230921            # deterministic ARPACK start vector
@@ -68,39 +72,45 @@ def _accept_real(lam: np.ndarray, where: str) -> np.ndarray:
     if bad.any():
         worst = np.abs(lam.imag)[bad].max()
         raise SolverError(
-            f"{where}: complex eigenvalue pair beyond tolerance "
+            f"{where}: non-real eigenvalue beyond tolerance "
             f"(max |Im| = {worst:.3e}); this signals an assembly bug")
     return lam.real
+
+
+def _real_if_real(op: AssembledOperator, vecs: np.ndarray) -> np.ndarray:
+    """Eigenvectors in the field of the operator: real for a real matrix."""
+    return vecs if np.iscomplexobj(op.matrix) else np.real(vecs)
 
 
 def _dense_path(op: AssembledOperator, k: int):
     lam, vecs = sla.eig(op.matrix.toarray())
     lam = _accept_real(lam, "dense path")
     order = np.argsort(lam)[:k]
-    return lam[order], np.real(vecs[:, order])
+    return lam[order], _real_if_real(op, vecs[:, order])
 
 
 def _sparse_path(op: AssembledOperator, k: int):
     d = np.sqrt(op.row_weights)
     dinv = 1.0 / d
     s = sp.diags(d) @ op.matrix @ sp.diags(dinv)
+    s_adj = s.conj().T
     scale = abs(s).max()
-    asym = abs(s - s.T).max() / scale
+    asym = abs(s - s_adj).max() / scale
     rng = np.random.default_rng(_SEED)
-    v0 = rng.standard_normal(op.n)
+    v0 = rng.standard_normal(op.n).astype(s.dtype)
     ncv = min(op.n - 1, max(4 * k + 1, 24))
     maxiter = _MAX_RESTARTS * ncv
     try:
         if asym <= _ASYM_TOL:
-            s_sym = (s + s.T) * 0.5
-            lam, w = spla.eigsh(s_sym.tocsc(), k=k, sigma=0.0, which="LM",
+            s_herm = (s + s_adj) * 0.5
+            lam, w = spla.eigsh(s_herm.tocsc(), k=k, sigma=0.0, which="LM",
                                 v0=v0, ncv=ncv, maxiter=maxiter, tol=0)
             vecs = w * dinv[:, np.newaxis]
         else:
             lam, w = spla.eigs(op.matrix.tocsc(), k=k, sigma=0.0, which="LM",
                                v0=v0, ncv=ncv, maxiter=maxiter, tol=0)
             lam = _accept_real(lam, "sparse path")
-            vecs = np.real(w)
+            vecs = _real_if_real(op, w)
     except spla.ArpackNoConvergence as exc:
         partial = getattr(exc, "eigenvalues", None)
         raise SolverError(f"shift-invert iteration did not converge: {exc}",
@@ -122,7 +132,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
     tol : float
         Residual certificate bound ||A v - lam v|| / ||v|| per pair (>= 1e-12).
     method : str
-        "auto" (dense below DENSE_CUTOFF), "dense", or "sparse".
+        "auto" (dense up to DENSE_CUTOFF real unknowns), "dense", or "sparse".
     """
     n = op.n
     if not 1 <= k <= max(1, n // 4):
@@ -131,7 +141,8 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
         raise ValueError(f"tol={tol} below the 1e-12 floor")
     if method not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
+    real_size = 2 * n if np.iscomplexobj(op.matrix) else n
+    if method == "dense" or (method == "auto" and real_size <= DENSE_CUTOFF):
         lam, vecs = _dense_path(op, k)
     else:
         lam, vecs = _sparse_path(op, k)

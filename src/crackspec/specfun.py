@@ -237,11 +237,14 @@ class BesselZero:
 class _ZeroCache:
     """Versioned on-disk cache of Bessel zeros, one `ell,k,value` line each.
 
+    Values are written with `repr`, so a warm cache gives back the computed
+    zeros bit for bit (version 1 files kept 15 digits and are not read).
+
     The in-memory table is replaced wholesale under a lock, so concurrent
     readers always see a consistent snapshot.
     """
 
-    FILENAME = "bessel_zeros_v1.txt"
+    FILENAME = "bessel_zeros_v2.txt"
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -286,7 +289,7 @@ class _ZeroCache:
             tmp = path + ".tmp"
             with open(tmp, "w", encoding="ascii") as fh:
                 for (ell, k) in sorted(self._table):
-                    fh.write(f"{ell},{k},{self._table[(ell, k)]:.15g}\n")
+                    fh.write(f"{ell},{k},{self._table[(ell, k)]!r}\n")
             os.replace(tmp, path)
         except OSError:
             pass  # cache is best-effort only

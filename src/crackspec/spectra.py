@@ -1,12 +1,14 @@
 """Sector orchestration: merged spectra, epsilon sweeps, crossing detection,
 nodal-domain counting and the NDD/DND gap scan.
 
-Coupled Floquet sectors (weight 2) return every eigenvalue twice from the
-realified operator; `solve_sector` collapses those exact pairs so each
-distinct sector eigenvalue is reported once and carries its weight.  Crossing
-locations are refined by bisection on re-solves over the angular grid of
-rays (epsilon only takes snapped values, so the bracket bottoms out at one
-grid step; the event stores the final bracket).
+A complex Floquet sector (0 < ell < n/2, weight 2) is one complex operator,
+so `solve_sector` reports each of its eigenvalues once and the weight
+carries the conjugate sector n - ell.  Crossing locations are refined by
+bisection on re-solves over the angular grid of rays (epsilon only takes
+snapped values, so the bracket bottoms out at one grid step; the event
+stores the final bracket).  A crossing through an exact zero of the gap at a
+sweep point is bracketed across that point, and a crossing's re-solves are
+shared by ray index, so no opening is solved twice with the same k.
 
 The `rank` of a crossing labels the eigenvalue by counting distinct
 eigenvalue levels of the merged spectrum strictly below the crossing, at the
@@ -15,6 +17,7 @@ sweep point just below it, plus one.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import os
@@ -48,13 +51,10 @@ __all__ = [
     "ndd_dnd_gap",
 ]
 
-_PAIR_RTOL = 5e-6  # relative gap under which coupled-sector values are twins
-
-
 @dataclass
 class SectorSolve:
-    """Distinct eigenvalues of one sector (pairs of the realified coupled
-    problem already collapsed), with the operator kept for nodal analysis."""
+    """The k lowest eigenvalues of one sector, each once, with the operator
+    kept for nodal analysis."""
 
     tag: SectorTag
     problem: SectorProblem
@@ -64,35 +64,14 @@ class SectorSolve:
     operator: AssembledOperator
 
 
-def _collapse_pairs(lam: np.ndarray, res: np.ndarray, want: int):
-    """Collapse the exact twin pairs of a realified coupled sector."""
-    values, residuals = [], []
-    i = 0
-    while i < len(lam):
-        if i + 1 < len(lam) and lam[i + 1] - lam[i] <= _PAIR_RTOL * max(1.0, abs(lam[i])):
-            values.append(0.5 * (lam[i] + lam[i + 1]))
-            residuals.append(max(res[i], res[i + 1]))
-            i += 2
-        else:
-            values.append(lam[i])
-            residuals.append(res[i])
-            i += 1
-    return np.array(values[:want]), np.array(residuals[:want])
-
-
 def solve_sector(problem: SectorProblem, m: int, k: int, tol: float = 1e-8,
                  method: str = "auto") -> SectorSolve:
-    """Solve one sector for its k lowest distinct eigenvalues."""
+    """Solve one sector for its k lowest eigenvalues (fewer on a grid with
+    fewer than 4k unknowns)."""
     op = assemble(problem, m)
-    raw = 2 * k + 2 if op.copies == 2 else k
-    raw = min(raw, max(1, op.n // 4))
-    spec = lowest_eigenpairs(op, raw, tol=tol, method=method)
-    if op.copies == 2:
-        values, residuals = _collapse_pairs(spec.eigenvalues, spec.residuals, k)
-    else:
-        values, residuals = spec.eigenvalues[:k], spec.residuals[:k]
-    return SectorSolve(tag=op.sector, problem=problem, values=values,
-                       residuals=residuals, spectrum=spec, operator=op)
+    spec = lowest_eigenpairs(op, min(k, max(1, op.n // 4)), tol=tol, method=method)
+    return SectorSolve(tag=op.sector, problem=problem, values=spec.eigenvalues,
+                       residuals=spec.residuals, spectrum=spec, operator=op)
 
 
 @dataclass
@@ -287,20 +266,39 @@ def _rank_below(curve: EigenvalueCurve, ie: int, pair_min: float,
     return levels + 1
 
 
+def _sign_changes(d: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, where the finite gap `d` changes sign: d[a]
+    and d[b] are nonzero with opposite signs and every point between them is
+    an exact zero.  A NaN breaks the run; a zero at either end of the sweep,
+    or one the gap leaves with the sign it came with, is no sign change."""
+    pairs = []
+    last = None
+    for t, x in enumerate(d):
+        if not np.isfinite(x):
+            last = None
+        elif x != 0.0:
+            if last is not None and (d[last] > 0) != (x > 0):
+                pairs.append((last, t))
+            last = t
+    return pairs
+
+
 def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
                      tol: float = 1e-8, refine: bool = True,
                      method: str = "auto") -> list[CrossingEvent]:
     """Locate crossings between curves of different sectors, bisect them down
     to one angular grid step, and annotate rank and total multiplicity.
 
-    Events with rank above `rank_of_interest` are dropped.  Curves of the
-    same sector never cross transversally and are not compared.
+    A sign change through exact zeros at sweep points is bracketed across
+    those points.  Events with rank above `rank_of_interest` are dropped.
+    Curves of the same sector never cross transversally and are not compared.
     """
     if len(curve.epsilons) < 2:
         raise ValueError("need at least two sweep points to detect crossings")
     spec = curve.geometry
     grid = PolarGrid.for_problem(reduce_to_sectors(spec)[0][0], curve.m)
     labels = [t.label for t in curve.sectors]
+    solved: dict[tuple[str, int, int], np.ndarray] = {}
     events: list[CrossingEvent] = []
     for ia_lab in range(len(labels)):
         for ib_lab in range(ia_lab + 1, len(labels)):
@@ -309,16 +307,11 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
             for ca in range(va.shape[1]):
                 for cb in range(vb.shape[1]):
                     d = va[:, ca] - vb[:, cb]
-                    ok = np.isfinite(d)
-                    for t in range(len(d) - 1):
-                        if not (ok[t] and ok[t + 1]):
-                            continue
-                        if d[t] == 0.0 or d[t] * d[t + 1] >= 0.0:
-                            continue
+                    for t0, t1 in _sign_changes(d):
                         ev = _refine_crossing(
                             spec, grid, curve, la, lb, ca, cb,
-                            curve.epsilons[t], curve.epsilons[t + 1],
-                            d[t], tol, refine, method)
+                            curve.epsilons[t0], curve.epsilons[t1],
+                            d[t0], tol, refine, method, solved)
                         if ev.rank <= rank_of_interest:
                             events.append(ev)
     events.sort(key=lambda e: e.epsilon_star)
@@ -326,31 +319,37 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
 
 
 def _refine_crossing(spec, grid, curve, la, lb, ca, cb, e_lo, e_hi, d_lo_sign,
-                     tol, refine, method) -> CrossingEvent:
+                     tol, refine, method, solved) -> CrossingEvent:
+    """Bisect one bracket over the rays.  `solved` maps (label, ray, k) to
+    sector values and is shared by the brackets of one curve: the solver is
+    deterministic, so a repeated solve would return the same values."""
     tags = {t.label: t for t in curve.sectors}
     m, dtheta = grid.m, grid.dtheta
+    k = max(ca, cb) + 1
 
-    def curve_gap(eps: float) -> tuple[float, float, float]:
-        geo = dataclasses.replace(spec, epsilon=float(eps))
-        byl = {}
-        for problem, tag in reduce_to_sectors(geo):
-            if tag.label in (la, lb):
-                sol = solve_sector(problem, m, max(ca, cb) + 1, tol, method)
-                byl[tag.label] = sol.values
-        return byl[la][ca], byl[lb][cb], byl[la][ca] - byl[lb][cb]
+    def sector_values(label: str, ray: int) -> np.ndarray:
+        if (label, ray, k) not in solved:
+            geo = dataclasses.replace(spec, epsilon=float(ray * dtheta))
+            problem = next(p for p, tag in reduce_to_sectors(geo) if tag.label == label)
+            solved[label, ray, k] = solve_sector(problem, m, k, tol, method).values
+        return solved[label, ray, k]
+
+    def curve_gap(ray: int) -> tuple[float, float, float]:
+        a, b = sector_values(la, ray)[ca], sector_values(lb, ray)[cb]
+        return a, b, a - b
 
     lo_idx, hi_idx = grid.ray(e_lo), grid.ray(e_hi)
     sign_lo = d_lo_sign > 0
     if refine:
         while hi_idx - lo_idx > 1:
             mid_idx = (lo_idx + hi_idx) // 2
-            _, _, gap = curve_gap(mid_idx * dtheta)
+            _, _, gap = curve_gap(mid_idx)
             if (gap > 0) == sign_lo:
                 lo_idx = mid_idx
             else:
                 hi_idx = mid_idx
     e_lo_f, e_hi_f = lo_idx * dtheta, hi_idx * dtheta
-    va, vb, _ = curve_gap(e_lo_f)
+    va, vb, _ = curve_gap(lo_idx)
     lam_star = 0.5 * (va + vb)
     ie_below = int(np.searchsorted(curve.epsilons, e_lo_f, side="right") - 1)
     ie_below = max(ie_below, 0)
@@ -413,34 +412,33 @@ def nodal_domains(field: np.ndarray, wrap: bool, zero_tol: float = 1e-6) -> Noda
     return NodalCount(mu=int(mu), zero_tol=zero_tol)
 
 
-def sector_field(op: AssembledOperator, vector: np.ndarray,
-                 copy: int = 0) -> np.ndarray:
-    """Map a solution vector onto the (ring, column) grid of one copy;
-    eliminated nodes are NaN, the center unknown is dropped."""
-    out = np.full((op.grid.m - 1, len(op.cols)), np.nan)
-    sel = (op.node_copy == copy) & (op.node_ring > 0)
+def sector_field(op: AssembledOperator, vector: np.ndarray) -> np.ndarray:
+    """Map a solution vector onto the (ring, column) grid of the sector;
+    eliminated nodes are NaN, the center unknown is dropped.  A complex
+    vector gives a complex field."""
+    out = np.full((op.grid.m - 1, len(op.cols)), np.nan, dtype=np.result_type(vector, float))
+    sel = op.node_ring > 0
     out[op.node_ring[sel] - 1, np.searchsorted(op.cols, op.node_col[sel])] = vector[sel]
     return out
 
 
 def recombine_full_domain(op: AssembledOperator, vector: np.ndarray) -> np.ndarray:
-    """Extend a Floquet sector eigenvector to the full circle.
+    """Extend a Floquet sector eigenvector w to the full circle.
 
-    Copy c of the sector carries cos(c*alpha) u - sin(c*alpha) v for coupled
-    sectors (w = u + iv, continuation w(theta+extent) = e^{i alpha} w(theta)),
-    and sigma^c u for the scalar sectors (sigma = +1 / -1)."""
+    Copy c of the sector carries Re(exp(i*c*alpha) w), alpha = 2*pi*ell/n:
+    the continuation w(theta + extent) = exp(i*alpha) w(theta) taken round the
+    circle.  The scalar sectors have the real phases +1 (ell = 0) and -1
+    (ell = n/2)."""
     if op.wrap is False:
         raise ValueError("recombination is defined for Floquet sectors only")
-    spec = op.problem.geometry
-    n = spec.n
-    u = sector_field(op, vector, copy=0)
-    if op.copies == 2:
-        v = sector_field(op, vector, copy=1)
+    n = op.problem.geometry.n
+    w = sector_field(op, vector)
+    if np.iscomplexobj(w):
         alpha = 2 * math.pi * op.problem.ell / n
-        parts = [math.cos(c * alpha) * u - math.sin(c * alpha) * v for c in range(n)]
+        parts = [np.real(cmath.exp(1j * c * alpha) * w) for c in range(n)]
     else:
         sigma = 1.0 if op.problem.ell == 0 else -1.0
-        parts = [(sigma ** c) * u for c in range(n)]
+        parts = [(sigma ** c) * w for c in range(n)]
     return np.concatenate(parts, axis=1)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from crackspec import specfun
 from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
@@ -162,15 +164,53 @@ def test_gershgorin_positivity():
 
 
 def test_floquet_open_sector_matches_disk_harmonics():
-    # fully open n=3, ell=1 sector carries the m = 1, 2, 4, ... disk modes
+    # fully open n=3, ell=1 sector carries the angular orders 1, -2, 4, -5,
+    # ... of the disk, each once
     op = _floquet(3, 1, math.pi / 3, 48)
     lam = lowest_eigenpairs(op, 4, method="sparse").eigenvalues
-    j11 = specfun.bessel_zero(1, 1).value ** 2
-    j21 = specfun.bessel_zero(2, 1).value ** 2
-    assert lam[0] == pytest.approx(j11, rel=5e-3)
-    assert lam[1] == pytest.approx(j11, rel=5e-3)  # realified pair
-    assert lam[2] == pytest.approx(j21, rel=5e-3)
-    assert lam[3] == pytest.approx(j21, rel=5e-3)
+    exact = [specfun.bessel_zero(l, k).value ** 2 for l, k in ((1, 1), (2, 1), (1, 2), (4, 1))]
+    assert lam == pytest.approx(exact, rel=5e-3)
+
+
+def test_coupled_operator_is_complex_with_conjugate_seams():
+    op = _floquet(3, 1, 0.4, 12)
+    assert np.iscomplexobj(op.matrix.data)
+    # one copy of the sector's nodes: the ell=0 sector has them plus a center
+    assert op.n == _floquet(3, 0, 0.4, 12).n - 1
+    alpha = 2 * math.pi / 3
+    dr, dth = op.grid.dr, op.grid.dtheta
+    i = 7
+    hi = np.nonzero((op.node_ring == i) & (op.node_col == 11))[0][0]
+    lo = np.nonzero((op.node_ring == i) & (op.node_col == 0))[0][0]
+    cang = -1.0 / ((i * dr) ** 2 * dth**2)
+    assert op.matrix[hi, lo] == pytest.approx(cang * np.exp(1j * alpha), rel=1e-15)
+    assert op.matrix[lo, hi] == pytest.approx(cang * np.exp(-1j * alpha), rel=1e-15)
+    for ell in (0, 1):
+        assert not np.iscomplexobj(_floquet(2, ell, 0.4, 12).matrix.data)
+
+
+def test_symmetrized_complex_operator_is_hermitian():
+    for n, ell in ((3, 1), (4, 1), (5, 2), (6, 2)):
+        op = _floquet(n, ell, 0.3, 20)
+        d = np.sqrt(op.row_weights)
+        s = (sp.diags(d) @ op.matrix @ sp.diags(1.0 / d)).toarray()
+        assert np.abs(s - s.conj().T).max() <= 1e-14 * np.abs(s).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 6), data=st.data())
+def test_complex_sector_matches_realified_stack(n, data):
+    # the complex sector has a real spectrum which, each value doubled, is
+    # the spectrum of its real form [[Re A, -Im A], [Im A, Re A]]
+    ell = data.draw(st.integers(1, (n - 1) // 2), label="ell")
+    eps = data.draw(st.floats(0.0, math.pi / n), label="eps")
+    m = data.draw(st.integers(12, 24), label="m")
+    a = _floquet(n, ell, eps, m).matrix.toarray()
+    real_form = np.block([[a.real, -a.imag], [a.imag, a.real]])
+    lam = np.linalg.eigvals(a)
+    stacked = np.sort(np.linalg.eigvals(real_form).real)
+    assert np.abs(lam.imag).max() <= 1e-9 * stacked.max()
+    assert np.abs(np.repeat(np.sort(lam.real), 2) - stacked).max() <= 1e-9 * stacked.max()
 
 
 def test_antiperiodic_sector_matches_odd_harmonics():
@@ -199,3 +239,17 @@ def test_dump_operator(tmp_path):
     i, j, v = lines[1].split()
     assert int(i) >= 1 and int(j) >= 1
     assert len(lines) - 1 == op.matrix.nnz
+
+
+def test_dump_complex_operator_reads_back(tmp_path):
+    op = _floquet(3, 1, 0.4, 12)
+    path = tmp_path / "op.txt"
+    dump_operator(op, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"% crackspec operator n={op.n} complex"
+    entries = np.array([[float(x) for x in line.split()] for line in lines[1:]])
+    assert entries.shape == (op.matrix.nnz, 4)
+    back = sp.coo_matrix((entries[:, 2] + 1j * entries[:, 3],
+                          (entries[:, 0].astype(int) - 1, entries[:, 1].astype(int) - 1)),
+                         shape=(op.n, op.n))
+    assert abs(back - op.matrix).max() <= 1e-15 * abs(op.matrix).max()

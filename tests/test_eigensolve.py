@@ -7,7 +7,12 @@ import scipy.sparse as sp
 
 from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
 from crackspec.discretize import assemble
-from crackspec.eigensolve import SolverError, group_multiplicities, lowest_eigenpairs
+from crackspec.eigensolve import (
+    DENSE_CUTOFF,
+    SolverError,
+    group_multiplicities,
+    lowest_eigenpairs,
+)
 
 
 def _toy_op(case="DDD", m=10, eps=0.9):
@@ -87,13 +92,39 @@ def test_deterministic_repeat():
 
 def test_annulus_sector_value():
     # eps=0 splits off the annulus; the ell=1 sector of n=4 starts at the
-    # m=1 annulus eigenvalue 32.53.  m=101 keeps the r1 snap at 4e-5.
+    # m=1 annulus eigenvalue 32.53, once, and goes on to the m=3 value 48.78.
+    # m=101 keeps the r1 snap at 4e-5.
     spec = build_cracked_disk(4, 0.0, 0.4356, 1.0)
     problem = next(p for p, t in reduce_to_sectors(spec) if p.ell == 1)
     op = assemble(problem, 101)
     s = lowest_eigenpairs(op, 2, method="sparse")
     assert s.eigenvalues[0] == pytest.approx(32.53, rel=5e-3)
-    assert s.eigenvalues[1] == pytest.approx(32.53, rel=5e-3)  # realified pair
+    assert s.eigenvalues[1] == pytest.approx(48.78, rel=5e-3)
+
+
+def _coupled_op(n=3, ell=1, eps=0.4, m=16):
+    spec = build_cracked_disk(n, eps, 0.4356, 1.0)
+    return assemble(next(p for p, t in reduce_to_sectors(spec) if p.ell == ell), m)
+
+
+def test_dense_and_sparse_paths_agree_on_complex_operator():
+    op = _coupled_op()
+    dense = lowest_eigenpairs(op, 6, method="dense")
+    sparse = lowest_eigenpairs(op, 6, method="sparse")
+    assert np.allclose(dense.eigenvalues, sparse.eigenvalues, rtol=1e-10, atol=1e-10)
+    for s in (dense, sparse):
+        assert np.iscomplexobj(s.vectors)
+        assert (s.residuals <= 1e-8 * s.eigenvalues).all()
+
+
+def test_complex_operator_counts_double_for_the_dense_cutoff():
+    # 229 complex unknowns are 458 real ones: dense; 367 are 734: sparse
+    small, large = _coupled_op(m=16), _coupled_op(n=4, eps=0.3, m=20)
+    assert 2 * small.n <= DENSE_CUTOFF < 2 * large.n
+    assert np.array_equal(lowest_eigenpairs(small, 3).eigenvalues,
+                          lowest_eigenpairs(small, 3, method="dense").eigenvalues)
+    assert np.array_equal(lowest_eigenpairs(large, 3).eigenvalues,
+                          lowest_eigenpairs(large, 3, method="sparse").eigenvalues)
 
 
 # ---------------------------------------------------------------------------

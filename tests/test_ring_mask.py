@@ -32,7 +32,7 @@ def _opening(draw, top: float, dtheta: float, m_top: int) -> float:
 def _crack_columns(op) -> set[int]:
     """Columns of the r1 ring that the operator eliminated."""
     ring = op.grid.r1_ring
-    present = set(op.node_col[(op.node_ring == ring) & (op.node_copy == 0)].tolist())
+    present = set(op.node_col[op.node_ring == ring].tolist())
     return set(op.cols.tolist()) - present
 
 

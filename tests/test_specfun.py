@@ -174,10 +174,19 @@ def test_zero_cache_roundtrip(tmp_path, monkeypatch):
     assert path.exists()
     lines = [l for l in path.read_text().splitlines() if l]
     assert any(l.startswith("2,3,") for l in lines)
-    # a fresh cache instance reads the value back; the file keeps 15
-    # significant digits, so the round trip matches to that precision
+    # a fresh cache instance reads the value back bit for bit
     cache2 = sf._ZeroCache()
-    assert cache2.get(2, 3) == pytest.approx(z.value, abs=1e-12)
+    assert cache2.get(2, 3) == z.value
+
+
+def test_choose_r1_same_on_cold_and_warm_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("CRACKSPEC_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(sf, "_zero_cache", sf._ZeroCache())
+    cold = sf.choose_r1(1.0)
+    assert (tmp_path / sf._ZeroCache.FILENAME).exists()
+    monkeypatch.setattr(sf, "_zero_cache", sf._ZeroCache())   # reads the file
+    warm = sf.choose_r1(1.0)
+    assert warm == cold
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,33 @@ def test_open_disk_multiplicities_via_two_sectors():
     assert labels[0] == "ell=0" and labels[1] == "ell=1"
 
 
-def test_coupled_sector_pairs_collapse():
+def test_coupled_sector_gives_k_distinct_values():
     spec = build_cracked_disk(3, 0.4, 0.4356, 1.0)
     problem = next(p for p, t in reduce_to_sectors(spec) if p.ell == 1)
     sol = solve_sector(problem, 24, 3)
-    assert len(sol.values) == 3
-    assert (np.diff(sol.values) > 1e-6).all()  # distinct after collapsing
+    assert len(sol.values) == len(sol.spectrum.eigenvalues) == 3
+    assert (np.diff(sol.values) > 1e-6).all()
+
+
+# solve_sector values of coupled sectors computed by the two-copy real form
+# of these sectors, (n, ell, eps, m, k) -> values; m = 16 runs the dense
+# path, the others the sparse one
+REALIFIED_VALUES = {
+    (3, 1, 0.4, 16, 3): [29.427957536616898, 36.98570478068516, 59.49535359678747],
+    (3, 1, 0.29, 36, 4): [31.581199031249632, 38.364167302183965, 61.638361760485566,
+                          69.32398954484347],
+    (4, 1, 0.3, 20, 4): [31.42298977671969, 47.91145317495278, 65.39533535951617,
+                         79.19535680235812],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REALIFIED_VALUES))
+def test_coupled_sector_values_match_realified_form(case):
+    n, ell, eps, m, k = case
+    spec = build_cracked_disk(n, eps, 0.4356, 1.0)
+    problem = next(p for p, t in reduce_to_sectors(spec) if p.ell == ell)
+    values = solve_sector(problem, m, k).values
+    assert values == pytest.approx(REALIFIED_VALUES[case], rel=1e-10)
 
 
 def test_sweep_single_point_consistency():
@@ -148,6 +169,56 @@ def test_detect_crossings_n3_coarse():
     assert first.bracket_hi - first.bracket_lo <= (2 * math.pi / 3) / 48 + 1e-12
     second = [e for e in events if e.rank == 3]
     assert second and second[0].epsilon_star == pytest.approx(0.96, abs=0.1)
+
+
+def _hand_set_curve(ell0, ell1):
+    """A three-point n = 3 curve on rays 4, 5, 6 of the m = 12 grid, with the
+    sector values replaced by the given ones (one value per point)."""
+    spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
+    dtheta = (2 * math.pi / 3) / 12
+    curve = sweep(spec, [4 * dtheta, 5 * dtheta, 6 * dtheta], 12, 1)
+    curve.values = {"ell=0": np.array(ell0, dtype=float)[:, None],
+                    "ell=1": np.array(ell1, dtype=float)[:, None]}
+    return curve, dtheta
+
+
+def test_crossing_through_a_sweep_point_is_bracketed_across_it():
+    curve, dtheta = _hand_set_curve([10.0, 9.0, 8.0], [9.5, 9.0, 8.5])
+    events = detect_crossings(curve, 10, refine=False)
+    assert len(events) == 1
+    ev = events[0]
+    assert (ev.bracket_lo, ev.bracket_hi) == (4 * dtheta, 6 * dtheta)
+    assert {ev.sector_a.label, ev.sector_b.label} == {"ell=0", "ell=1"}
+    assert ev.total_multiplicity == 3
+    # bisection over the re-solved gap narrows it to one grid step
+    refined = detect_crossings(curve, 10)
+    assert len(refined) == 1
+    assert refined[0].bracket_hi - refined[0].bracket_lo == pytest.approx(dtheta)
+    assert 4 * dtheta <= refined[0].bracket_lo < refined[0].bracket_hi <= 6 * dtheta
+
+
+def test_touching_curves_are_no_crossing():
+    # the gap reaches zero and returns with its sign: no sign change
+    curve, _ = _hand_set_curve([10.0, 9.0, 10.0], [9.5, 9.0, 9.5])
+    assert detect_crossings(curve, 10, refine=False) == []
+
+
+def test_refinement_solves_each_opening_once(monkeypatch):
+    from crackspec import spectra
+    spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
+    curve = sweep(spec, np.linspace(0.05, math.pi / 3 - 0.02, 6), 24, 3)
+    calls = []
+    solve = spectra.solve_sector
+
+    def counting(problem, m, k, *args):
+        calls.append((problem.ell, round(problem.geometry.epsilon / curve_dtheta), k))
+        return solve(problem, m, k, *args)
+
+    curve_dtheta = (2 * math.pi / 3) / 24
+    monkeypatch.setattr(spectra, "solve_sector", counting)
+    events = detect_crossings(curve, 3)
+    assert events and calls
+    assert len(calls) == len(set(calls))
 
 
 def test_detect_crossings_requires_two_points():
@@ -271,7 +342,30 @@ def test_recombined_field_shape():
     assert full.shape == (15, 3 * len(op.cols))
     part = sector_field(op, sol.spectrum.vectors[:, 0])
     assert np.allclose(full[:, :len(op.cols)][np.isfinite(part)],
-                       part[np.isfinite(part)])
+                       part[np.isfinite(part)].real)
+
+
+def test_recombined_coupled_eigenvector_solves_full_circle_stencil():
+    # the circle assembled from the n rotated copies carries the polar
+    # five-point stencil across every seam, with zero at the center, on
+    # the outer circle and on the crack nodes
+    for n, ell in ((3, 1), (5, 2)):
+        spec = build_cracked_disk(n, 0.3, 0.4356, 1.0)
+        problem = next(p for p, t in reduce_to_sectors(spec) if p.ell == ell)
+        sol = solve_sector(problem, 16, 2)
+        op = sol.operator
+        for idx in range(2):
+            lam = sol.values[idx]
+            field = recombine_full_domain(op, sol.spectrum.vectors[:, idx])
+            inside = np.isfinite(field)
+            u = np.pad(np.where(inside, field, 0.0), ((1, 1), (0, 0)))
+            dr, dth = op.grid.dr, op.grid.dtheta
+            r = dr * np.arange(1, op.grid.m)[:, None]
+            lap = ((u[2:] - 2 * u[1:-1] + u[:-2]) / dr**2 + (u[2:] - u[:-2]) / (2 * r * dr)
+                   + (np.roll(u[1:-1], -1, 1) - 2 * u[1:-1] + np.roll(u[1:-1], 1, 1))
+                   / (r * dth) ** 2)
+            resid = (-lap - lam * u[1:-1])[inside]
+            assert np.abs(resid).max() <= 1e-8 * lam * np.abs(u).max()
 
 
 def test_quarter_has_no_recombination():
