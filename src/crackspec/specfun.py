@@ -8,7 +8,7 @@ Y_1 use the logarithmic series for small argument and the Hankel asymptotic
 expansion beyond x = 12, with stable upward recurrence supplying higher
 orders.  Zeros are located by a counting scan (consecutive zeros of J_l are
 separated by more than the scan step) followed by a bisection-safeguarded
-Newton refinement down to |J_l| <= 1e-12.
+Newton refinement down to |J_l| <= 1e-12; they are kept in memory only.
 
 The reference spectra are the usual separable solutions: disk eigenvalues are
 (j_{l,k}/R)^2 with multiplicity 2 for l > 0, annulus eigenvalues are the
@@ -20,8 +20,6 @@ squared roots k of the cross-product
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 __all__ = [
@@ -234,79 +232,9 @@ class BesselZero:
     value: float
 
 
-class _ZeroCache:
-    """Versioned on-disk cache of Bessel zeros, one `ell,k,value` line each.
-
-    Values are written with `repr`, so a warm cache gives back the computed
-    zeros bit for bit (version 1 files kept 15 digits and are not read).
-
-    The in-memory table is replaced wholesale under a lock, so concurrent
-    readers always see a consistent snapshot.
-    """
-
-    FILENAME = "bessel_zeros_v2.txt"
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._table: dict[tuple[int, int], float] = {}
-        self._loaded = False
-
-    def _path(self) -> str | None:
-        root = os.environ.get("CRACKSPEC_CACHE_DIR")
-        if root is None:
-            home = os.path.expanduser("~")
-            if not home or home == "/nonexistent":
-                return None
-            root = os.path.join(home, ".cache", "crackspec")
-        return os.path.join(root, self.FILENAME)
-
-    def _load(self) -> None:
-        if self._loaded:
-            return
-        self._loaded = True
-        path = self._path()
-        if path is None or not os.path.exists(path):
-            return
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                table = {}
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    ell_s, k_s, val_s = line.split(",")
-                    table[(int(ell_s), int(k_s))] = float(val_s)
-            self._table.update(table)
-        except (OSError, ValueError):
-            pass  # unreadable cache: recompute
-
-    def _flush(self) -> None:
-        path = self._path()
-        if path is None:
-            return
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="ascii") as fh:
-                for (ell, k) in sorted(self._table):
-                    fh.write(f"{ell},{k},{self._table[(ell, k)]!r}\n")
-            os.replace(tmp, path)
-        except OSError:
-            pass  # cache is best-effort only
-
-    def get(self, ell: int, k: int):
-        with self._lock:
-            self._load()
-            return self._table.get((ell, k))
-
-    def put(self, ell: int, k: int, value: float) -> None:
-        with self._lock:
-            self._load()
-            self._table[(ell, k)] = value
-            self._flush()
-
-
-_zero_cache = _ZeroCache()
+# Every zero found so far, keyed by (ell, k).  A key's value is deterministic,
+# so two threads racing on one key can only store the same float twice.
+_zeros: dict[tuple[int, int], float] = {}
 
 
 def _refine_zero(ell: int, lo: float, hi: float) -> float:
@@ -335,16 +263,17 @@ def _refine_zero(ell: int, lo: float, hi: float) -> float:
 
 def bessel_zero(ell: int, k: int) -> BesselZero:
     """k-th positive zero j_{l,k} of J_l, found by scan-and-count plus
-    safeguarded Newton refinement.  Results are cached on disk."""
+    safeguarded Newton refinement.  Results are kept in memory for the
+    life of the process."""
     _check_order(ell)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > MAX_ZERO_INDEX:
         raise ValueError(f"zero index {k} outside supported range [1, {MAX_ZERO_INDEX}]")
-    cached = _zero_cache.get(ell, k)
-    if cached is not None:
-        return BesselZero(ell, k, cached)
+    known = _zeros.get((ell, k))
+    if known is not None:
+        return BesselZero(ell, k, known)
     # J_l > 0 on (0, j_{l,1}) and consecutive zeros are separated by more
     # than the step below, so counting sign changes is exact.  Every zero
-    # encountered on the way to the k-th is refined and cached.
+    # encountered on the way to the k-th is refined and stored.
     x = 0.5 if ell == 0 else ell + 0.25
     step = 1.0
     f_prev = bessel_j(ell, x)
@@ -356,7 +285,7 @@ def bessel_zero(ell: int, k: int) -> BesselZero:
         if (f_prev > 0) != (f_next > 0) or f_prev == 0.0:
             found += 1
             root = x if f_prev == 0.0 else _refine_zero(ell, x, x_next)
-            _zero_cache.put(ell, found, root)
+            _zeros[(ell, found)] = root
             if found == k:
                 return BesselZero(ell, k, root)
         x, f_prev = x_next, f_next

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from crackspec import specfun
-from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
+from crackspec.domain import (
+    QUARTER_CASES, build_cracked_disk, quarter_problems, reduce_to_sectors)
 from crackspec.discretize import assemble, center_policy, dump_operator
 from crackspec.eigensolve import lowest_eigenpairs
 
@@ -221,13 +222,39 @@ def test_antiperiodic_sector_matches_odd_harmonics():
     assert lam[1] == pytest.approx(j11, rel=5e-3)  # cos and sin partners
 
 
-def test_monotone_in_epsilon():
-    vals = []
-    for eps in (0.2, 0.5, 0.9):
-        op = _floquet(3, 0, eps, 20)
-        vals.append(lowest_eigenpairs(op, 2, method="dense").eigenvalues)
-    for a, b in zip(vals, vals[1:]):
-        assert (b <= a + 1e-9).all()
+def _symmetrized_spectrum(op):
+    d = np.sqrt(op.row_weights)
+    s = (sp.diags(d) @ op.matrix @ sp.diags(1.0 / d)).toarray()
+    return np.linalg.eigvalsh(0.5 * (s + s.conj().T))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_monotone_in_epsilon(n, data):
+    # a crack node closed at eps1 and open at eps2 is a row and column of the
+    # eps2 operator that eps1 eliminates, so by Cauchy interlacing the
+    # symmetrized spectrum can only fall as the holes open
+    sectors = [("floquet", ell) for ell in range(n // 2 + 1)]
+    if n == 2:
+        sectors += [("quarter", case) for case in QUARTER_CASES]
+    kind, which = data.draw(st.sampled_from(sectors), label="sector")
+    eps1, eps2 = sorted(data.draw(st.lists(st.floats(0.0, math.pi / n),
+                                           min_size=2, max_size=2), label="eps"))
+    r1 = data.draw(st.floats(0.3, 0.7), label="r1")
+    m = data.draw(st.integers(12, 22), label="m")
+    spectra = []
+    for eps in (eps1, eps2):
+        spec = build_cracked_disk(n, eps, r1, 1.0)
+        tagged = reduce_to_sectors(spec)
+        assert sum(tag.weight for _, tag in tagged) == n
+        if kind == "floquet":
+            problem = tagged[which][0]
+        else:
+            problem = next(p for p in quarter_problems(spec) if p.quarter_case == which)
+        spectra.append(_symmetrized_spectrum(assemble(problem, m)))
+    lam1, lam2 = spectra
+    top = min(lam1.size, lam2.size)
+    assert (lam2[:top] <= lam1[:top] * (1 + 1e-12)).all()
 
 
 def test_dump_operator(tmp_path):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,28 +169,28 @@ def test_zero_range_errors():
         sf.bessel_zero(0, 65)
 
 
-def test_zero_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("CRACKSPEC_CACHE_DIR", str(tmp_path))
-    cache = sf._ZeroCache()
-    monkeypatch.setattr(sf, "_zero_cache", cache)
-    z = sf.bessel_zero(2, 3)
-    path = tmp_path / sf._ZeroCache.FILENAME
-    assert path.exists()
-    lines = [l for l in path.read_text().splitlines() if l]
-    assert any(l.startswith("2,3,") for l in lines)
-    # a fresh cache instance reads the value back bit for bit
-    cache2 = sf._ZeroCache()
-    assert cache2.get(2, 3) == z.value
+def test_zero_table_matches_scipy_across_orders(monkeypatch):
+    monkeypatch.setattr(sf, "_zeros", {})
+    for ell in range(31):
+        ref = special.jn_zeros(ell, 10)
+        assert sf.bessel_zero(ell, 10).value == pytest.approx(ref[9], rel=1e-12)
+        # the scan stored every zero it passed; those are read back here
+        assert all((ell, k) in sf._zeros for k in range(1, 10))
+        for k in (3, 1):
+            assert sf.bessel_zero(ell, k).value == pytest.approx(ref[k - 1], rel=1e-12)
 
 
-def test_choose_r1_same_on_cold_and_warm_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("CRACKSPEC_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(sf, "_zero_cache", sf._ZeroCache())
-    cold = sf.choose_r1(1.0)
-    assert (tmp_path / sf._ZeroCache.FILENAME).exists()
-    monkeypatch.setattr(sf, "_zero_cache", sf._ZeroCache())   # reads the file
-    warm = sf.choose_r1(1.0)
-    assert warm == cold
+def test_zeros_same_in_fresh_processes_and_nothing_written(tmp_path):
+    src = str(Path(sf.__file__).resolve().parents[1])
+    env = {"HOME": str(tmp_path), "PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
+    script = ("from crackspec.specfun import bessel_zero, choose_r1; "
+              "print(repr(choose_r1(1.0)), repr(bessel_zero(3, 4).value))")
+    outs = [subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, check=True).stdout
+            for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert outs[0].split() == [repr(sf.choose_r1(1.0)), repr(sf.bessel_zero(3, 4).value)]
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
