@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .discretize import MIN_CELLS, PolarGrid, assemble
 from .domain import CrackedDiskSpec, SectorProblem
+from .eigensolve import _factor_hpd
 
 __all__ = [
     "CapacityProblem",
@@ -115,7 +115,7 @@ def capacitary_potential(problem: CapacityProblem):
     free = ~fixed
     lap_ff = lap[free][:, free].tocsc()
     rhs = -(lap[free][:, fixed] @ v[fixed])
-    lu = spla.splu(lap_ff)
+    lu = _factor_hpd(lap_ff)
     v_free = lu.solve(rhs)
     # one step of iterative refinement keeps the harmonicity residual tiny
     resid = rhs - lap_ff @ v_free

@@ -3,13 +3,16 @@
 The discrete operator is non-Hermitian but similar to a Hermitian matrix
 through diag(sqrt(w)) with the node weights carried by the operator: real
 symmetric for the scalar sectors and quarter problems, complex Hermitian for
-the complex Floquet sectors.  The sparse path therefore runs shift-invert
-Lanczos (ARPACK through `scipy.sparse.linalg.eigsh`, shift 0, sparse LU
-inside; scipy hands a complex Hermitian matrix to complex ARPACK) on the
-Hermitian part of the symmetrized matrix and maps the eigenvectors back; if
-the symmetrization residual is ever out of tolerance it falls back to
-non-Hermitian shift-invert Arnoldi (`eigs`).  Small problems use the dense QR
-path (LAPACK *geev*), which also serves as the independent oracle in the
+the complex Floquet sectors.  There is one solve path: shift-invert Lanczos
+(ARPACK through `scipy.sparse.linalg.eigsh`, shift 0; scipy hands a complex
+Hermitian matrix to complex ARPACK) on the Hermitian part of the symmetrized
+matrix, with the eigenvectors mapped back.  Its inverse is one sparse LU in
+SuperLU's symmetric mode (minimum-degree ordering of A + A^T, no pivoting),
+which is stable because every operator is Hermitian positive definite at
+shift 0; the same factorization solves the capacitary potential.  A
+symmetrization residual out of tolerance, or a factor that pivoted or has a
+non-positive pivot, is an assembly bug and raises `SolverError`.  The dense
+QR path (LAPACK *geev*, `method="dense"`) is the independent oracle of the
 tests.  Eigenvectors of a complex operator stay complex.
 
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||
@@ -30,8 +33,6 @@ from .discretize import AssembledOperator
 
 __all__ = ["SolverError", "Spectrum", "lowest_eigenpairs", "group_multiplicities"]
 
-DENSE_CUTOFF = 600          # real unknowns (a complex one counts two) at or below
-                            # which the dense path is the default
 _IMAG_TOL = 1e-8            # |Im lambda| <= tol * max(1, |lambda|)
 _ASYM_TOL = 1e-9            # relative symmetrization residual
 _SEED = 20230921            # deterministic ARPACK start vector
@@ -89,38 +90,52 @@ def _dense_path(op: AssembledOperator, k: int):
     return lam[order], _real_if_real(op, vecs[:, order])
 
 
+def _factor_hpd(matrix: sp.spmatrix):
+    """Sparse LU of a Hermitian positive definite matrix in SuperLU's
+    symmetric mode: minimum-degree ordering on the pattern of A + A^T and no
+    pivoting, so the factor is L D L^H with D = diag(U).  Raises SolverError
+    if SuperLU pivoted anyway or a pivot is not positive real, which no
+    Hermitian positive definite matrix gives."""
+    lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    pivots = lu.U.diagonal()
+    if (not np.array_equal(lu.perm_r, lu.perm_c) or not (pivots.real > 0).all()
+            or (np.abs(pivots.imag) > _IMAG_TOL * pivots.real).any()):
+        raise SolverError(
+            f"symmetric-mode LU pivoted or has a pivot that is not positive real "
+            f"(min real part {pivots.real.min():.3e}); the matrix is not Hermitian "
+            f"positive definite, which signals an assembly bug")
+    return lu
+
+
 def _sparse_path(op: AssembledOperator, k: int):
     d = np.sqrt(op.row_weights)
     dinv = 1.0 / d
     s = sp.diags(d) @ op.matrix @ sp.diags(dinv)
     s_adj = s.conj().T
-    scale = abs(s).max()
-    asym = abs(s - s_adj).max() / scale
+    asym = abs(s - s_adj).max() / abs(s).max()
+    if asym > _ASYM_TOL:
+        raise SolverError(f"symmetrized operator is not Hermitian (relative "
+                          f"residual {asym:.3e}); this signals an assembly bug")
+    s_herm = ((s + s_adj) * 0.5).tocsc()
+    lu = _factor_hpd(s_herm)
+    opinv = spla.LinearOperator(s_herm.shape, matvec=lu.solve, dtype=s_herm.dtype)
     rng = np.random.default_rng(_SEED)
     v0 = rng.standard_normal(op.n).astype(s.dtype)
     ncv = min(op.n - 1, max(4 * k + 1, 24))
-    maxiter = _MAX_RESTARTS * ncv
     try:
-        if asym <= _ASYM_TOL:
-            s_herm = (s + s_adj) * 0.5
-            lam, w = spla.eigsh(s_herm.tocsc(), k=k, sigma=0.0, which="LM",
-                                v0=v0, ncv=ncv, maxiter=maxiter, tol=0)
-            vecs = w * dinv[:, np.newaxis]
-        else:
-            lam, w = spla.eigs(op.matrix.tocsc(), k=k, sigma=0.0, which="LM",
-                               v0=v0, ncv=ncv, maxiter=maxiter, tol=0)
-            lam = _accept_real(lam, "sparse path")
-            vecs = _real_if_real(op, w)
+        lam, w = spla.eigsh(s_herm, k=k, sigma=0.0, which="LM", OPinv=opinv, v0=v0,
+                            ncv=ncv, maxiter=_MAX_RESTARTS * ncv, tol=0)
     except spla.ArpackNoConvergence as exc:
         partial = getattr(exc, "eigenvalues", None)
         raise SolverError(f"shift-invert iteration did not converge: {exc}",
                           residuals=partial) from exc
     order = np.argsort(lam)
-    return lam[order], vecs[:, order]
+    return lam[order], w[:, order] * dinv[:, np.newaxis]
 
 
 def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
-                      method: str = "auto") -> Spectrum:
+                      method: str = "sparse") -> Spectrum:
     """k smallest eigenvalues of the assembled operator with eigenvectors and
     certified residuals.
 
@@ -132,17 +147,17 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
     tol : float
         Residual certificate bound ||A v - lam v|| / ||v|| per pair (>= 1e-12).
     method : str
-        "auto" (dense up to DENSE_CUTOFF real unknowns), "dense", or "sparse".
+        "sparse" (shift-invert Lanczos), or "dense" (QR on the full matrix,
+        the test oracle).
     """
     n = op.n
     if not 1 <= k <= max(1, n // 4):
         raise ValueError(f"k={k} outside [1, n/4] for n={n}")
     if tol < 1e-12:
         raise ValueError(f"tol={tol} below the 1e-12 floor")
-    if method not in ("auto", "dense", "sparse"):
+    if method not in ("dense", "sparse"):
         raise ValueError(f"unknown method {method!r}")
-    real_size = 2 * n if np.iscomplexobj(op.matrix) else n
-    if method == "dense" or (method == "auto" and real_size <= DENSE_CUTOFF):
+    if method == "dense":
         lam, vecs = _dense_path(op, k)
     else:
         lam, vecs = _sparse_path(op, k)

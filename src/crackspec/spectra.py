@@ -65,7 +65,7 @@ class SectorSolve:
 
 
 def solve_sector(problem: SectorProblem, m: int, k: int, tol: float = 1e-8,
-                 method: str = "auto") -> SectorSolve:
+                 method: str = "sparse") -> SectorSolve:
     """Solve one sector for its k lowest eigenvalues (fewer on a grid with
     fewer than 4k unknowns)."""
     op = assemble(problem, m)
@@ -103,7 +103,7 @@ class MergedSpectrum:
 
 
 def solve_full_spectrum(spec: CrackedDiskSpec, m: int, k: int,
-                        tol: float = 1e-8, method: str = "auto") -> MergedSpectrum:
+                        tol: float = 1e-8, method: str = "sparse") -> MergedSpectrum:
     """Solve all Floquet sectors and merge the weighted union, sorted."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
@@ -189,7 +189,7 @@ def _run_sweep(grid: PolarGrid, spec: CrackedDiskSpec, epsilon_list, problems,
 
 def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
           tol: float = 1e-8, jobs: int | None = None,
-          method: str = "auto",
+          method: str = "sparse",
           lipschitz_bound: float | None = None) -> EigenvalueCurve:
     """Per-sector eigenvalue curves of the cracked disk over an epsilon grid.
 
@@ -221,7 +221,7 @@ def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
 
 def sweep_quarter(spec: CrackedDiskSpec, cases, epsilon_list, m: int, k: int,
                   tol: float = 1e-8, jobs: int | None = None,
-                  method: str = "auto"):
+                  method: str = "sparse"):
     """Quarter-disk eigenvalue curves (n = 2): dict case -> (n_eps, k) plus
     the snapped epsilon grid."""
     grid = PolarGrid.for_problem(quarter_problems(spec)[0], m)
@@ -285,7 +285,7 @@ def _sign_changes(d: np.ndarray) -> list[tuple[int, int]]:
 
 def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
                      tol: float = 1e-8, refine: bool = True,
-                     method: str = "auto") -> list[CrossingEvent]:
+                     method: str = "sparse") -> list[CrossingEvent]:
     """Locate crossings between curves of different sectors, bisect them down
     to one angular grid step, and annotate rank and total multiplicity.
 
@@ -471,7 +471,7 @@ class GapScan:
 
 def ndd_dnd_gap(spec: CrackedDiskSpec, epsilon_list, m: int,
                 tol: float = 1e-8, jobs: int | None = None,
-                method: str = "auto") -> GapScan:
+                method: str = "sparse") -> GapScan:
     """Scan the NDD/DND ground-energy gap over epsilon (n = 2 geometry)."""
     if spec.n != 2:
         raise ValueError("the NDD/DND gap is defined for n = 2")

@@ -151,7 +151,7 @@ def test_grid_convergence_second_order():
     errs = []
     for m in (16, 32, 64):
         op = _floquet(1, 0, math.pi, m)
-        lam = lowest_eigenpairs(op, 1, method="auto" if op.n <= 600 else "sparse")
+        lam = lowest_eigenpairs(op, 1)
         errs.append(abs(lam.eigenvalues[0] - exact))
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0

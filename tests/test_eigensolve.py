@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
+from crackspec.domain import (
+    QUARTER_CASES,
+    build_cracked_disk,
+    quarter_problems,
+    reduce_to_sectors,
+)
 from crackspec.discretize import assemble
 from crackspec.eigensolve import (
-    DENSE_CUTOFF,
     SolverError,
+    _factor_hpd,
     group_multiplicities,
     lowest_eigenpairs,
 )
@@ -117,14 +123,57 @@ def test_dense_and_sparse_paths_agree_on_complex_operator():
         assert (s.residuals <= 1e-8 * s.eigenvalues).all()
 
 
-def test_complex_operator_counts_double_for_the_dense_cutoff():
-    # 229 complex unknowns are 458 real ones: dense; 367 are 734: sparse
-    small, large = _coupled_op(m=16), _coupled_op(n=4, eps=0.3, m=20)
-    assert 2 * small.n <= DENSE_CUTOFF < 2 * large.n
-    assert np.array_equal(lowest_eigenpairs(small, 3).eigenvalues,
-                          lowest_eigenpairs(small, 3, method="dense").eigenvalues)
-    assert np.array_equal(lowest_eigenpairs(large, 3).eigenvalues,
-                          lowest_eigenpairs(large, 3, method="sparse").eigenvalues)
+def _symmetrized(op):
+    d = np.sqrt(op.row_weights)
+    s = sp.diags(d) @ op.matrix @ sp.diags(1.0 / d)
+    return 0.5 * (s + s.conj().T)
+
+
+@pytest.mark.parametrize("op", [_toy_op("NDD", m=12), _coupled_op()],
+                         ids=["real", "complex"])
+def test_factorization_refuses_an_indefinite_matrix(op):
+    # no pivoting is stable only for a positive definite matrix; shifted
+    # above lambda_1 the symmetrized operator has a negative pivot
+    lam1 = np.linalg.eigvalsh(_symmetrized(op).toarray())[0]
+    assert (_factor_hpd(_symmetrized(op)).U.diagonal().real > 0).all()
+    shift = (1.0 + 1e-3) * lam1 * sp.identity(op.n)
+    with pytest.raises(SolverError, match="positive definite"):
+        _factor_hpd(_symmetrized(op) - shift)
+    with pytest.raises(SolverError, match="positive definite"):  # non-real pivots
+        _factor_hpd(_symmetrized(op) + 1e-3j * shift)
+    shifted = dataclasses.replace(op, matrix=(op.matrix - shift).tocsr())
+    with pytest.raises(SolverError, match="positive definite"):
+        lowest_eigenpairs(shifted, 2)
+
+
+def test_asymmetric_symmetrization_raises_on_the_sparse_path():
+    op = _toy_op("DND", m=12)
+    weights = op.row_weights * np.random.default_rng(5).uniform(0.9, 1.1, op.n)
+    skewed = dataclasses.replace(op, row_weights=weights)
+    with pytest.raises(SolverError, match="symmetrized operator is not Hermitian"):
+        lowest_eigenpairs(skewed, 3, method="sparse")
+    assert lowest_eigenpairs(skewed, 3, method="dense").eigenvalues.size == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_sparse_path_matches_dense_oracle(n, data):
+    sectors = [("floquet", ell) for ell in range(n // 2 + 1)]
+    if n == 2:
+        sectors += [("quarter", case) for case in QUARTER_CASES]
+    kind, which = data.draw(st.sampled_from(sectors), label="sector")
+    eps = data.draw(st.floats(0.0, math.pi / n), label="eps")
+    m = data.draw(st.integers(12, 22), label="m")
+    spec = build_cracked_disk(n, eps, 0.4356, 1.0)
+    if kind == "floquet":
+        problem = reduce_to_sectors(spec)[which][0]
+    else:
+        problem = next(p for p in quarter_problems(spec) if p.quarter_case == which)
+    op = assemble(problem, m)
+    dense = lowest_eigenpairs(op, 3, method="dense")
+    sparse = lowest_eigenpairs(op, 3, method="sparse")
+    assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
+    assert (sparse.residuals <= 1e-8 * np.maximum(1.0, sparse.eigenvalues)).all()
 
 
 # ---------------------------------------------------------------------------
