@@ -7,8 +7,12 @@ configuration: solver seeds are fixed and timestamps are off unless
 --timestamps is given.  Exit codes: 0 ok, 1 validation error, 2 solver
 failure, 3 I/O error.
 
-A flat `key = value` config file can predefine any long option of the chosen
-command (hyphens may be written as underscores); explicit flags win.
+A flat `key = value` config file can predefine any option of the chosen
+command (hyphens may be written as underscores; `true`/`false` for switches).
+Its entries become flags placed before the explicit ones, so they are
+validated like flags and explicit flags win; keys that name no option of the
+command are ignored.  Options are spelled out in full (no abbreviations).
+Sweeps run on up to min(4, cores) threads.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ class CliError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # validation problems exit 1, not argparse's 2
         raise CliError(message)
 
@@ -51,17 +58,6 @@ def _read_config(path: str) -> dict[str, str]:
             key, value = line.split("=", 1)
             out[key.strip().replace("-", "_")] = value.strip()
     return out
-
-
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
 
 
 def _resolve_r1(args) -> float:
@@ -199,8 +195,7 @@ def _epsilon_grid(args) -> np.ndarray:
 def _cmd_sweep(args) -> None:
     r1 = _resolve_r1(args)
     spec = build_cracked_disk(args.n, 0.0, r1, args.r2)
-    curve = sweep(spec, _epsilon_grid(args), args.grid, args.k,
-                  tol=args.tol, jobs=args.jobs)
+    curve = sweep(spec, _epsilon_grid(args), args.grid, args.k, tol=args.tol)
     rows = []
     for ie, eps in enumerate(curve.epsilons):
         for tag in curve.sectors:
@@ -223,8 +218,7 @@ def _cmd_sweep(args) -> None:
 def _cmd_crossings(args) -> None:
     r1 = _resolve_r1(args)
     spec = build_cracked_disk(args.n, 0.0, r1, args.r2)
-    curve = sweep(spec, _epsilon_grid(args), args.grid, args.k,
-                  tol=args.tol, jobs=args.jobs)
+    curve = sweep(spec, _epsilon_grid(args), args.grid, args.k, tol=args.tol)
     events = detect_crossings(curve, args.rank, tol=args.tol)
     rows = [[e.epsilon_star, e.lambda_star, e.rank, e.total_multiplicity,
              e.sector_a.label, e.sector_b.label] for e in events]
@@ -309,20 +303,6 @@ def _cmd_capacity(args) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-# options a command cannot run without; they may come from the flags or from
-# the config file, so argparse itself does not mark them required
-_REQUIRED = {
-    "disk-ref": ("radius", "count"),
-    "annulus-ref": ("ell", "count"),
-    "solve": ("n", "epsilon"),
-    "sweep": ("n",),
-    "crossings": ("n",),
-    "quarter": ("case", "epsilon"),
-    "asymptotics": ("case",),
-    "capacity": (),
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="crackspec", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="store_true",
@@ -344,29 +324,27 @@ def _build_parser() -> _Parser:
             p.add_argument("-k", type=int, default=6, help="eigenvalues per sector")
             p.add_argument("--tol", type=float, default=1e-8,
                            help="residual certificate bound")
-            p.add_argument("--jobs", type=int, default=None,
-                           help="sweep worker threads (default: up to 4)")
 
     p = sub.add_parser("disk-ref", help="closed-form disk spectrum")
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--count", type=int, required=True)
     common(p, geometry=False, grid=False)
     p.set_defaults(func=_cmd_disk_ref)
 
     p = sub.add_parser("annulus-ref", help="closed-form annulus spectrum per ell")
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--count", type=int, required=True)
     common(p, grid=False)
     p.set_defaults(func=_cmd_annulus_ref)
 
     p = sub.add_parser("solve", help="merged spectrum of the cracked disk")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--epsilon", type=float, required=True)
     common(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep", help="eigenvalue curves over epsilon")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps-min", type=float, default=None)
     p.add_argument("--eps-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=30)
@@ -375,7 +353,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("crossings", help="sweep and locate sector crossings")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps-min", type=float, default=None)
     p.add_argument("--eps-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=30)
@@ -384,13 +362,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_crossings)
 
     p = sub.add_parser("quarter", help="one quarter-disk problem")
-    p.add_argument("--case", choices=QUARTER_CASES, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--case", choices=QUARTER_CASES, required=True)
+    p.add_argument("--epsilon", type=float, required=True)
     common(p)
     p.set_defaults(func=_cmd_quarter)
 
     p = sub.add_parser("asymptotics", help="two-term crack asymptotics")
-    p.add_argument("--case", choices=QUARTER_CASES, default=None)
+    p.add_argument("--case", choices=QUARTER_CASES, required=True)
     p.add_argument("--fit", help="curve CSV with epsilon and lambda columns")
     common(p, grid=False)
     p.set_defaults(func=_cmd_asymptotics)
@@ -401,34 +379,49 @@ def _build_parser() -> _Parser:
     p.add_argument("-M", "--grid", type=int, default=180)
     p.set_defaults(func=_cmd_capacity)
 
+    parser.commands = sub.choices
     return parser
+
+
+def _with_config(parser: _Parser, argv: list[str]) -> list[str]:
+    """`argv` with the entries of the chosen command's --config file turned
+    into flags just after the command name.  argparse keeps the last value of
+    an option, so the explicit flags that follow win."""
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    if at is None or argv[at] not in parser.commands:
+        return argv
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[at + 1:])[0].config
+    if path is None:
+        return argv
+    config = _read_config(path)
+    tokens = []
+    for action in parser.commands[argv[at]]._actions:
+        if action.dest not in config or action.dest in ("help", "config"):
+            continue
+        value = config[action.dest]
+        flag = max(action.option_strings, key=len)
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}" if flag.startswith("--") else flag + value)
+        elif value.lower() not in ("true", "false"):
+            raise CliError(f"{path}: {action.dest} must be true or false, got {value!r}")
+        elif value.lower() == "true":
+            tokens.append(flag)
+    return argv[:at + 1] + tokens + argv[at + 1:]
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        if "--config" in argv:
-            idx = argv.index("--config")
-            config = _read_config(argv[idx + 1])
-            args = parser.parse_args(argv)
-            for key, value in config.items():
-                if hasattr(args, key) and _flag_absent(argv, key):
-                    setattr(args, key, _coerce(value))
-        else:
-            args = parser.parse_args(argv)
+        argv = list(sys.argv[1:] if argv is None else argv)
+        args = parser.parse_args(_with_config(parser, argv))
         if args.version:
             print(f"crackspec {__version__} (file-format schema {SCHEMA_VERSION})")
             return 0
         if not getattr(args, "command", None):
             parser.print_help()
             return 0
-        missing = [name for name in _REQUIRED.get(args.command, ())
-                   if getattr(args, name, None) is None]
-        if missing:
-            flags = ", ".join("--" + m.replace("_", "-") for m in missing)
-            raise CliError(f"{args.command}: missing required option(s): {flags}")
         args.func(args)
         return 0
     except CliError as exc:
@@ -443,14 +436,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"crackspec: i/o error: {exc}", file=sys.stderr)
         return 3
-
-
-_SHORT_ALIASES = {"grid": ("-M",), "k": ("-k",), "output": ("-o",)}
-
-
-def _flag_absent(argv, key: str) -> bool:
-    flags = ["--" + key.replace("_", "-"), *_SHORT_ALIASES.get(key, ())]
-    return not any(a == f or a.startswith(f + "=") for a in argv for f in flags)
 
 
 if __name__ == "__main__":

@@ -176,15 +176,7 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     """Assemble the polar FD operator for a sector problem on an m x m grid."""
     spec = problem.geometry
     quarter = problem.kind == "quarter"
-    if quarter:
-        case = problem.quarter_case
-        bc_lo, bc_hi = case[0], case[1]
-        weight = 1
-        label = case
-    else:
-        bc_lo = bc_hi = ""
-        weight = 2 if 0 < problem.ell < spec.n / 2 else 1
-        label = f"ell={problem.ell}"
+    bc_lo, bc_hi = problem.quarter_case[:2] if quarter else ("", "")
     grid = PolarGrid.for_problem(problem, m)
     dr, dth = grid.dr, grid.dtheta
 
@@ -265,7 +257,7 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     else:
         # seam: column m-1 sees exp(i*alpha) times column 0, and column 0
         # sees exp(-i*alpha) times column m-1
-        if weight == 2:
+        if problem.weight == 2:
             phase = cmath.exp(2j * math.pi * problem.ell / spec.n)
         else:
             phase = 1.0 if problem.ell == 0 else -1.0
@@ -324,7 +316,7 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
         node_col[center_row] = -1
 
     return AssembledOperator(
-        matrix=matrix, grid=grid, sector=SectorTag(label=label, weight=weight),
+        matrix=matrix, grid=grid, sector=problem.tag,
         problem=problem, row_weights=row_weights, cols=cols,
         node_ring=node_ring, node_col=node_col,
         center_row=center_row, wrap=wrap)

@@ -69,6 +69,14 @@ class CrackedDiskSpec:
 
 
 @dataclass(frozen=True)
+class SectorTag:
+    """Sector label plus its contribution weight when recombining spectra."""
+
+    label: str
+    weight: int
+
+
+@dataclass(frozen=True)
 class SectorProblem:
     """One symmetry-reduced eigenvalue problem.
 
@@ -99,13 +107,15 @@ class SectorProblem:
     def label(self) -> str:
         return f"ell={self.ell}" if self.kind == "floquet" else self.quarter_case
 
+    @property
+    def weight(self) -> int:
+        """2 for a complex Floquet sector (0 < ell < n/2), which also stands
+        for its conjugate n - ell; 1 otherwise."""
+        return 2 if self.kind == "floquet" and 0 < self.ell < self.geometry.n / 2 else 1
 
-@dataclass(frozen=True)
-class SectorTag:
-    """Sector label plus its contribution weight when recombining spectra."""
-
-    label: str
-    weight: int
+    @property
+    def tag(self) -> SectorTag:
+        return SectorTag(label=self.label, weight=self.weight)
 
 
 def build_cracked_disk(n: int, epsilon: float, r1: float, r2: float) -> CrackedDiskSpec:
@@ -120,12 +130,9 @@ def reduce_to_sectors(spec: CrackedDiskSpec) -> list[tuple[SectorProblem, Sector
     The weighted union of the sector spectra is the full spectrum; sectors
     with 0 < ell < n/2 carry weight 2.
     """
-    out = []
-    for ell in range(spec.n // 2 + 1):
-        weight = 2 if 0 < ell < spec.n / 2 else 1
-        problem = SectorProblem(kind="floquet", geometry=spec, ell=ell)
-        out.append((problem, SectorTag(label=f"ell={ell}", weight=weight)))
-    return out
+    problems = [SectorProblem(kind="floquet", geometry=spec, ell=ell)
+                for ell in range(spec.n // 2 + 1)]
+    return [(p, p.tag) for p in problems]
 
 
 def quarter_problems(spec: CrackedDiskSpec) -> list[SectorProblem]:

@@ -64,12 +64,11 @@ class SectorSolve:
     operator: AssembledOperator
 
 
-def solve_sector(problem: SectorProblem, m: int, k: int, tol: float = 1e-8,
-                 method: str = "sparse") -> SectorSolve:
+def solve_sector(problem: SectorProblem, m: int, k: int, tol: float = 1e-8) -> SectorSolve:
     """Solve one sector for its k lowest eigenvalues (fewer on a grid with
     fewer than 4k unknowns)."""
     op = assemble(problem, m)
-    spec = lowest_eigenpairs(op, min(k, max(1, op.n // 4)), tol=tol, method=method)
+    spec = lowest_eigenpairs(op, min(k, max(1, op.n // 4)), tol=tol)
     return SectorSolve(tag=op.sector, problem=problem, values=spec.eigenvalues,
                        residuals=spec.residuals, spectrum=spec, operator=op)
 
@@ -103,14 +102,14 @@ class MergedSpectrum:
 
 
 def solve_full_spectrum(spec: CrackedDiskSpec, m: int, k: int,
-                        tol: float = 1e-8, method: str = "sparse") -> MergedSpectrum:
+                        tol: float = 1e-8) -> MergedSpectrum:
     """Solve all Floquet sectors and merge the weighted union, sorted."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     levels: list[MergedLevel] = []
     eps_s = r1_s = None
     for problem, tag in reduce_to_sectors(spec):
-        sol = solve_sector(problem, m, k, tol=tol, method=method)
+        sol = solve_sector(problem, m, k, tol=tol)
         eps_s, r1_s = sol.operator.grid.eps, sol.operator.grid.r1
         for v, r in zip(sol.values, sol.residuals):
             levels.append(MergedLevel(value=float(v), label=tag.label,
@@ -161,9 +160,10 @@ class EigenvalueCurve:
 
 
 def _run_sweep(grid: PolarGrid, spec: CrackedDiskSpec, epsilon_list, problems,
-               k: int, tol: float, jobs: int | None, method: str):
+               k: int, tol: float):
     """Solve `problems(geometry)` at every distinct opening of `epsilon_list`
-    snapped to the rays of `grid`, on a bounded thread pool.
+    snapped to the rays of `grid`, on up to min(4, cores) threads (serial
+    for one task or one core).
 
     Returns the snapped openings and, per problem label, the (n_eps, k)
     arrays of eigenvalues and of their residual certificates (NaN where a
@@ -171,13 +171,13 @@ def _run_sweep(grid: PolarGrid, spec: CrackedDiskSpec, epsilon_list, problems,
     eps_grid = np.unique([grid.snap_angle(e) for e in epsilon_list])
     tasks = [(ie, p) for ie, eps in enumerate(eps_grid)
              for p in problems(dataclasses.replace(spec, epsilon=float(eps)))]
-    workers = jobs or min(4, os.cpu_count() or 1)
+    workers = min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(solve_sector, p, grid.m, k, tol, method) for _, p in tasks]
+            futs = [pool.submit(solve_sector, p, grid.m, k, tol) for _, p in tasks]
             sols = [fut.result() for fut in futs]
     else:
-        sols = [solve_sector(p, grid.m, k, tol, method) for _, p in tasks]
+        sols = [solve_sector(p, grid.m, k, tol) for _, p in tasks]
     values = {p.label: np.full((len(eps_grid), k), np.nan) for p in problems(spec)}
     residuals = {label: arr.copy() for label, arr in values.items()}
     for (ie, p), sol in zip(tasks, sols):
@@ -188,13 +188,13 @@ def _run_sweep(grid: PolarGrid, spec: CrackedDiskSpec, epsilon_list, problems,
 
 
 def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
-          tol: float = 1e-8, jobs: int | None = None,
-          method: str = "sparse",
+          tol: float = 1e-8,
           lipschitz_bound: float | None = None) -> EigenvalueCurve:
     """Per-sector eigenvalue curves of the cracked disk over an epsilon grid.
 
     Requested epsilons snap to the angular grid of rays; duplicates after
-    snapping are solved once.  Sweep points run on a bounded thread pool.
+    snapping are solved once.  Sweep points run on up to min(4, cores)
+    threads.
     `lipschitz_bound` (per unit epsilon) is a continuity sanity check: a
     larger jump between adjacent points raises, flagging an under-resolved
     grid or a mistracked curve.
@@ -208,7 +208,7 @@ def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
     grid = PolarGrid.for_problem(sectors[0][0], m)
     eps_grid, values, residuals = _run_sweep(
         grid, spec, requested, lambda geo: [p for p, _ in reduce_to_sectors(geo)],
-        k, tol, jobs, method)
+        k, tol)
     curve = EigenvalueCurve(geometry=spec, m=m, k=k, epsilons=eps_grid,
                             requested=requested, sectors=[tag for _, tag in sectors],
                             values=values, residuals=residuals, r1=grid.r1)
@@ -220,15 +220,14 @@ def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
 
 
 def sweep_quarter(spec: CrackedDiskSpec, cases, epsilon_list, m: int, k: int,
-                  tol: float = 1e-8, jobs: int | None = None,
-                  method: str = "sparse"):
+                  tol: float = 1e-8):
     """Quarter-disk eigenvalue curves (n = 2): dict case -> (n_eps, k) plus
     the snapped epsilon grid."""
     grid = PolarGrid.for_problem(quarter_problems(spec)[0], m)
     eps_grid, by_case, _ = _run_sweep(
         grid, spec, epsilon_list,
         lambda geo: [p for c in cases for p in quarter_problems(geo) if p.quarter_case == c],
-        k, tol, jobs, method)
+        k, tol)
     return eps_grid, by_case
 
 
@@ -284,8 +283,7 @@ def _sign_changes(d: np.ndarray) -> list[tuple[int, int]]:
 
 
 def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
-                     tol: float = 1e-8, refine: bool = True,
-                     method: str = "sparse") -> list[CrossingEvent]:
+                     tol: float = 1e-8) -> list[CrossingEvent]:
     """Locate crossings between curves of different sectors, bisect them down
     to one angular grid step, and annotate rank and total multiplicity.
 
@@ -311,7 +309,7 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
                         ev = _refine_crossing(
                             spec, grid, curve, la, lb, ca, cb,
                             curve.epsilons[t0], curve.epsilons[t1],
-                            d[t0], tol, refine, method, solved)
+                            d[t0], tol, solved)
                         if ev.rank <= rank_of_interest:
                             events.append(ev)
     events.sort(key=lambda e: e.epsilon_star)
@@ -319,7 +317,7 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
 
 
 def _refine_crossing(spec, grid, curve, la, lb, ca, cb, e_lo, e_hi, d_lo_sign,
-                     tol, refine, method, solved) -> CrossingEvent:
+                     tol, solved) -> CrossingEvent:
     """Bisect one bracket over the rays.  `solved` maps (label, ray, k) to
     sector values and is shared by the brackets of one curve: the solver is
     deterministic, so a repeated solve would return the same values."""
@@ -331,7 +329,7 @@ def _refine_crossing(spec, grid, curve, la, lb, ca, cb, e_lo, e_hi, d_lo_sign,
         if (label, ray, k) not in solved:
             geo = dataclasses.replace(spec, epsilon=float(ray * dtheta))
             problem = next(p for p, tag in reduce_to_sectors(geo) if tag.label == label)
-            solved[label, ray, k] = solve_sector(problem, m, k, tol, method).values
+            solved[label, ray, k] = solve_sector(problem, m, k, tol).values
         return solved[label, ray, k]
 
     def curve_gap(ray: int) -> tuple[float, float, float]:
@@ -340,14 +338,13 @@ def _refine_crossing(spec, grid, curve, la, lb, ca, cb, e_lo, e_hi, d_lo_sign,
 
     lo_idx, hi_idx = grid.ray(e_lo), grid.ray(e_hi)
     sign_lo = d_lo_sign > 0
-    if refine:
-        while hi_idx - lo_idx > 1:
-            mid_idx = (lo_idx + hi_idx) // 2
-            _, _, gap = curve_gap(mid_idx)
-            if (gap > 0) == sign_lo:
-                lo_idx = mid_idx
-            else:
-                hi_idx = mid_idx
+    while hi_idx - lo_idx > 1:
+        mid_idx = (lo_idx + hi_idx) // 2
+        _, _, gap = curve_gap(mid_idx)
+        if (gap > 0) == sign_lo:
+            lo_idx = mid_idx
+        else:
+            hi_idx = mid_idx
     e_lo_f, e_hi_f = lo_idx * dtheta, hi_idx * dtheta
     va, vb, _ = curve_gap(lo_idx)
     lam_star = 0.5 * (va + vb)
@@ -470,12 +467,10 @@ class GapScan:
 
 
 def ndd_dnd_gap(spec: CrackedDiskSpec, epsilon_list, m: int,
-                tol: float = 1e-8, jobs: int | None = None,
-                method: str = "sparse") -> GapScan:
+                tol: float = 1e-8) -> GapScan:
     """Scan the NDD/DND ground-energy gap over epsilon (n = 2 geometry)."""
     if spec.n != 2:
         raise ValueError("the NDD/DND gap is defined for n = 2")
-    eps_grid, by_case = sweep_quarter(spec, ("NDD", "DND"), epsilon_list, m, 1,
-                                      tol=tol, jobs=jobs, method=method)
+    eps_grid, by_case = sweep_quarter(spec, ("NDD", "DND"), epsilon_list, m, 1, tol=tol)
     return GapScan(epsilons=eps_grid, lam_ndd=by_case["NDD"][:, 0],
                    lam_dnd=by_case["DND"][:, 0])

@@ -25,6 +25,7 @@ import pytest
 from crackspec import specfun
 from crackspec.asymptotics import fit_coefficient, law_competition, model
 from crackspec.capacity import additivity_ratio, capacitary_potential, CapacityProblem
+from crackspec.discretize import assemble
 from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
 from crackspec.eigensolve import group_multiplicities, lowest_eigenpairs
 from crackspec.spectra import (
@@ -56,7 +57,7 @@ def disk_sector():
     spec = build_cracked_disk(1, math.pi, R1, R2)
     problem = reduce_to_sectors(spec)[0][0]
     t0 = time.time()
-    sol = solve_sector(problem, M, 6, method="sparse")
+    sol = solve_sector(problem, M, 6)
     return sol, time.time() - t0
 
 
@@ -64,21 +65,21 @@ def disk_sector():
 def quarter_endpoints():
     """All four quarter problems at the fully open endpoint, k=3, M=180."""
     spec = build_cracked_disk(2, math.pi / 2, R1, R2)
-    return {p.quarter_case: solve_sector(p, M, 3, method="sparse")
+    return {p.quarter_case: solve_sector(p, M, 3)
             for p in quarter_problems(spec)}
 
 
 @pytest.fixture(scope="session")
 def n3_events():
     spec = build_cracked_disk(3, 0.0, R1, R2)
-    curve = sweep(spec, np.linspace(0.02, math.pi / 3, 30), M, 6, jobs=4)
+    curve = sweep(spec, np.linspace(0.02, math.pi / 3, 30), M, 6)
     return curve, detect_crossings(curve, 3)
 
 
 @pytest.fixture(scope="session")
 def n4_events():
     spec = build_cracked_disk(4, 0.0, R1, R2)
-    curve = sweep(spec, np.linspace(0.02, math.pi / 4, 30), M, 6, jobs=4)
+    curve = sweep(spec, np.linspace(0.02, math.pi / 4, 30), M, 6)
     return curve, detect_crossings(curve, 6)
 
 
@@ -86,7 +87,7 @@ def n4_events():
 def gap_scan():
     spec = build_cracked_disk(2, 0.0, R1, R2)
     eps = np.arange(0.1, math.pi / 2 - 0.05 + 1e-9, 0.1)
-    return ndd_dnd_gap(spec, eps, M, jobs=4)
+    return ndd_dnd_gap(spec, eps, M)
 
 
 @pytest.fixture(scope="session")
@@ -96,7 +97,7 @@ def quarter_tails():
     deltas = np.array([0.30, 0.21, 0.15, 0.105, 0.075, 0.0525, 0.0375])
     eps = np.sort(math.pi / 2 - deltas)
     grid, by_case = sweep_quarter(spec, ("NND", "DND", "DDD", "NDD"),
-                                  eps, M, 1, jobs=4)
+                                  eps, M, 1)
     return grid, {c: v[:, 0] for c, v in by_case.items()}
 
 
@@ -131,7 +132,7 @@ def test_criterion_2_annulus_oracle():
     # first odd annulus eigenvalue (m=202 keeps the r1 snap negligible)
     spec = build_cracked_disk(4, 0.0, R1, R2)
     problem = next(p for p, t in reduce_to_sectors(spec) if p.ell == 1)
-    fd = solve_sector(problem, 202, 1, method="sparse").values[0]
+    fd = solve_sector(problem, 202, 1).values[0]
     fd_rel = abs(fd - 32.53) / 32.53
     ok = worst <= 0.005 and fd_rel <= 0.005
     _report(2, ok, f"closed-form table worst rel {worst:.2e}, "
@@ -185,11 +186,11 @@ def test_criterion_3_ddd_third_mode_convergence():
     spec = build_cracked_disk(2, math.pi / 2, R1, R2)
     problem = next(p for p in quarter_problems(spec) if p.quarter_case == "DDD")
     exact = specfun.bessel_zero(2, 2).value ** 2
-    errs = [abs(solve_sector(problem, m, 3, method="sparse").values[2] - exact)
+    errs = [abs(solve_sector(problem, m, 3).values[2] - exact)
             for m in (45, 90, 180)]
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
-    dense = solve_sector(problem, 20, 4, method="dense").values
+    dense = lowest_eigenpairs(assemble(problem, 20), 4, method="dense").eigenvalues
     below = int((dense < 68.89 * 1.005).sum())
     ok = 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0 and below == 2
     _report(3, ok, f"DDD third mode convergence factors {r1:.2f}, {r2:.2f}; "
@@ -310,7 +311,7 @@ def test_criterion_8_grid_convergence():
     exact = specfun.bessel_zero(0, 1).value ** 2
     errs = []
     for m in (45, 90, 180):
-        lam = solve_sector(problem, m, 1, method="sparse").values[0]
+        lam = solve_sector(problem, m, 1).values[0]
         errs.append(abs(lam - exact))
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]

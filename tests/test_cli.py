@@ -193,3 +193,54 @@ def test_exit_code_solver_failure(monkeypatch):
 
     monkeypatch.setattr(climod, "_cmd_disk_ref", boom)
     assert climod.main(["disk-ref", "--radius", "1", "--count", "1"]) == 2
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("count = 3\n")
+    code, out = run(tmp_path, "disk-ref", "--radius", "1", f"--config={cfg}")
+    assert code == 0
+    assert "# count = 3" in out.read_text()
+
+
+def test_config_flag_without_path_is_a_validation_error(capsys):
+    assert main(["disk-ref", "--radius", "1", "--count", "1", "--config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("crackspec: error:") and "Traceback" not in err
+
+
+def test_config_value_is_checked_against_choices(tmp_path, capsys):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("case = QQQ\n")
+    assert main(["quarter", "--epsilon", "0.3", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("crackspec: error:") and "QQQ" in err
+
+
+def test_config_value_keeps_the_option_type(tmp_path):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("delta_list = 0.4\n")
+    code, out = run(tmp_path, "capacity", "--r1", "0.4356", "-M", "24",
+                    "--config", str(cfg))
+    assert code == 0
+    rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")][1:]
+    assert len(rows) == 1 and rows[0].startswith("0.4,")
+
+
+def test_config_keys_naming_no_option_are_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = solve\nfunc = x\nsteps = 9\nradius = 2.0\ncount = 1\n")
+    code, out = run(tmp_path, "disk-ref", "--config", str(cfg))
+    assert code == 0
+    assert "# radius = 2.0" in out.read_text()
+
+
+def test_config_switch_takes_true_or_false(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("timestamps = maybe\n")
+    assert main(["disk-ref", "--radius", "1", "--count", "1",
+                 "--config", str(cfg)]) == 1
+    cfg.write_text("timestamps = True\n")
+    code, out = run(tmp_path, "disk-ref", "--radius", "1", "--count", "1",
+                    "--config", str(cfg))
+    assert code == 0 and "# generated = " in out.read_text()

@@ -111,6 +111,16 @@ def test_crack_tie_goes_to_dirichlet():
     assert (m - 4) not in cols_on_ring and (m - 3) in cols_on_ring
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_operator_sector_is_the_problem_tag(n):
+    spec = build_cracked_disk(n, 0.1 / n, 0.4356, 1.0)
+    tagged = reduce_to_sectors(spec)
+    if n == 2:
+        tagged += [(p, p.tag) for p in quarter_problems(spec)]
+    for problem, tag in tagged:
+        assert assemble(problem, 12).sector == tag == problem.tag
+
+
 def test_center_policy_table():
     spec = build_cracked_disk(2, 0.7, 0.4356, 1.0)
     policies = {p.quarter_case: center_policy(p) for p in quarter_problems(spec)}

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from crackspec import specfun
 from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
 from crackspec.discretize import assemble
 from crackspec.spectra import (
+    _sign_changes,
     count_nodal_domains,
     detect_crossings,
     ndd_dnd_gap,
@@ -131,11 +133,31 @@ def test_sweep_single_point_consistency():
 def test_sweep_monotone_and_snapped():
     spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
     eps = np.linspace(0.15, 0.95, 5)
-    curve = sweep(spec, eps, 24, 2, jobs=2)
+    curve = sweep(spec, eps, 24, 2)
     dtheta = (2 * math.pi / 3) / 24
     assert np.allclose(np.mod(curve.epsilons / dtheta, 1.0), 0.0, atol=1e-9)
     for label, arr in curve.values.items():
         assert (np.diff(arr, axis=0) <= 1e-7).all(), label
+
+
+def test_pooled_sweep_equals_serial_sweep(monkeypatch):
+    # the worker count follows os.cpu_count: 4 cores give the pool, 1 core
+    # the serial loop; both must return the same bits
+    n3 = build_cracked_disk(3, 0.0, 0.4356, 1.0)
+    n2 = build_cracked_disk(2, 0.0, 0.4356, 1.0)
+    runs = []
+    for cores in (4, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        curve = sweep(n3, [0.2, 0.5, 0.9], 24, 3)
+        _, by_case = sweep_quarter(n2, ("NND", "DND"), [0.7, 1.2], 24, 2)
+        runs.append((curve, by_case))
+    (pooled, q_pooled), (serial, q_serial) = runs
+    assert "ell=1" in serial.values  # the complex sector is covered
+    for label in serial.values:
+        np.testing.assert_array_equal(pooled.values[label], serial.values[label])
+        np.testing.assert_array_equal(pooled.residuals[label], serial.residuals[label])
+    for case in q_serial:
+        np.testing.assert_array_equal(q_pooled[case], q_serial[case])
 
 
 def test_sweep_validation():
@@ -158,7 +180,7 @@ def test_sweep_lipschitz_sanity_bound():
 def test_detect_crossings_n3_coarse():
     spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
     eps = np.linspace(0.05, math.pi / 3 - 0.02, 14)
-    curve = sweep(spec, eps, 48, 3, jobs=2)
+    curve = sweep(spec, eps, 48, 3)
     events = detect_crossings(curve, 3)
     assert events, "expected at least the rank-2 crossing"
     first = events[0]
@@ -183,24 +205,33 @@ def _hand_set_curve(ell0, ell1):
 
 
 def test_crossing_through_a_sweep_point_is_bracketed_across_it():
+    # the gap 0.5, 0, -0.5 changes sign across the middle point
+    assert _sign_changes(np.array([0.5, 0.0, -0.5])) == [(0, 2)]
     curve, dtheta = _hand_set_curve([10.0, 9.0, 8.0], [9.5, 9.0, 8.5])
-    events = detect_crossings(curve, 10, refine=False)
-    assert len(events) == 1
-    ev = events[0]
-    assert (ev.bracket_lo, ev.bracket_hi) == (4 * dtheta, 6 * dtheta)
-    assert {ev.sector_a.label, ev.sector_b.label} == {"ell=0", "ell=1"}
-    assert ev.total_multiplicity == 3
     # bisection over the re-solved gap narrows it to one grid step
     refined = detect_crossings(curve, 10)
     assert len(refined) == 1
-    assert refined[0].bracket_hi - refined[0].bracket_lo == pytest.approx(dtheta)
-    assert 4 * dtheta <= refined[0].bracket_lo < refined[0].bracket_hi <= 6 * dtheta
+    ev = refined[0]
+    assert {ev.sector_a.label, ev.sector_b.label} == {"ell=0", "ell=1"}
+    assert ev.total_multiplicity == 3
+    assert ev.bracket_hi - ev.bracket_lo == pytest.approx(dtheta)
+    assert 4 * dtheta <= ev.bracket_lo < ev.bracket_hi <= 6 * dtheta
 
 
 def test_touching_curves_are_no_crossing():
     # the gap reaches zero and returns with its sign: no sign change
+    assert _sign_changes(np.array([0.5, 0.0, 0.5])) == []
     curve, _ = _hand_set_curve([10.0, 9.0, 10.0], [9.5, 9.0, 9.5])
-    assert detect_crossings(curve, 10, refine=False) == []
+    assert detect_crossings(curve, 10) == []
+
+
+def test_sign_changes_break_at_nan_and_ignore_end_zeros():
+    assert _sign_changes(np.array([1.0, np.nan, -1.0])) == []
+    assert _sign_changes(np.array([1.0, 0.0, np.nan, 0.0, -1.0])) == []
+    assert _sign_changes(np.array([1.0, np.nan, 1.0, -1.0])) == [(2, 3)]
+    assert _sign_changes(np.array([0.0, 1.0, 2.0])) == []
+    assert _sign_changes(np.array([1.0, 2.0, 0.0])) == []
+    assert _sign_changes(np.array([0.0, 0.0])) == []
 
 
 def test_refinement_solves_each_opening_once(monkeypatch):
@@ -396,7 +427,7 @@ def test_ndd_dnd_gap_requires_n2():
 
 def test_sweep_quarter_cases():
     spec = build_cracked_disk(2, 0.0, 0.4356, 1.0)
-    eps, by_case = sweep_quarter(spec, ("NND", "DDD"), [0.7, 1.2], 24, 2, jobs=2)
+    eps, by_case = sweep_quarter(spec, ("NND", "DDD"), [0.7, 1.2], 24, 2)
     assert set(by_case) == {"NND", "DDD"}
     assert by_case["NND"].shape == (2, 2)
     assert (by_case["DDD"][:, 0] > by_case["NND"][:, 0]).all()
