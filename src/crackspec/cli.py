@@ -175,10 +175,9 @@ def _cmd_solve(args) -> None:
     merged = solve_full_spectrum(spec, args.grid, args.k, tol=args.tol)
     rows = []
     index_by_label: dict[str, int] = {}
-    for value, label in zip(merged.values, merged.labels):
+    for value, label, residual in zip(merged.values, merged.labels, merged.residuals):
         index_by_label[label] = index_by_label.get(label, 0) + 1
-        level = next(lv for lv in merged.levels if lv.value == value)
-        rows.append([merged.eps, label, index_by_label[label], value, level.residual])
+        rows.append([merged.eps, label, index_by_label[label], value, residual])
     _write_csv(args, {"command": "solve", "n": args.n,
                       "epsilon_requested": args.epsilon, "epsilon": merged.eps,
                       "r1_requested": r1, "r1": merged.r1, "r2": args.r2,

@@ -6,9 +6,11 @@ so `solve_sector` reports each of its eigenvalues once and the weight
 carries the conjugate sector n - ell.  Crossing locations are refined by
 bisection on re-solves over the angular grid of rays (epsilon only takes
 snapped values, so the bracket bottoms out at one grid step; the event
-stores the final bracket).  A crossing through an exact zero of the gap at a
-sweep point is bracketed across that point, and a crossing's re-solves are
-shared by ray index, so no opening is solved twice with the same k.
+stores the final bracket).  Bisection reads one table of sector rows keyed by
+(sector, ray) that starts as the sweep's own rows, so each (sector, ray) is
+solved at most once per curve, at the curve's k, and a sweep ray is never
+solved again.  A crossing through an exact zero of the gap at a sweep point
+is bracketed across that point.
 
 The `rank` of a crossing labels the eigenvalue by counting distinct
 eigenvalue levels of the merged spectrum strictly below the crossing, at the
@@ -19,8 +21,10 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import itertools
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +33,7 @@ import scipy.sparse as sp
 
 from .domain import CrackedDiskSpec, SectorProblem, SectorTag, quarter_problems, reduce_to_sectors
 from .discretize import AssembledOperator, PolarGrid, assemble
-from .eigensolve import Spectrum, lowest_eigenpairs
+from .eigensolve import Spectrum, group_multiplicities, lowest_eigenpairs
 
 __all__ = [
     "SectorSolve",
@@ -87,6 +91,7 @@ class MergedSpectrum:
 
     values: np.ndarray          # weight-expanded, truncated to k
     labels: list[str]
+    residuals: np.ndarray       # the certificate of each entry of `values`
     levels: list[MergedLevel]   # distinct levels, ascending, not truncated
     eps: float
     r1: float
@@ -95,7 +100,6 @@ class MergedSpectrum:
 
     def multiplicities(self, cluster_tol: float) -> list[tuple[float, int]]:
         """Cluster the weighted values and report (value, multiplicity)."""
-        from .eigensolve import group_multiplicities
         return group_multiplicities(
             [lv.value for lv in self.levels], cluster_tol,
             weights=[lv.weight for lv in self.levels])
@@ -115,11 +119,10 @@ def solve_full_spectrum(spec: CrackedDiskSpec, m: int, k: int,
             levels.append(MergedLevel(value=float(v), label=tag.label,
                                       weight=tag.weight, residual=float(r)))
     levels.sort(key=lambda lv: lv.value)
-    values, labels = [], []
-    for lv in levels:
-        values.extend([lv.value] * lv.weight)
-        labels.extend([lv.label] * lv.weight)
-    return MergedSpectrum(values=np.array(values[:k]), labels=labels[:k],
+    expanded = [lv for lv in levels for _ in range(lv.weight)][:k]
+    return MergedSpectrum(values=np.array([lv.value for lv in expanded]),
+                          labels=[lv.label for lv in expanded],
+                          residuals=np.array([lv.residual for lv in expanded]),
                           levels=levels, eps=eps_s, r1=r1_s, m=m, k=k)
 
 
@@ -131,7 +134,6 @@ class EigenvalueCurve:
     m: int
     k: int
     epsilons: np.ndarray                 # snapped, unique, ascending
-    requested: np.ndarray
     sectors: list[SectorTag]
     values: dict[str, np.ndarray]        # label -> (n_eps, k) distinct values
     residuals: dict[str, np.ndarray]     # label -> (n_eps, k) their certificates
@@ -159,26 +161,31 @@ class EigenvalueCurve:
         return worst
 
 
-def _run_sweep(grid: PolarGrid, spec: CrackedDiskSpec, epsilon_list, problems,
-               k: int, tol: float):
-    """Solve `problems(geometry)` at every distinct opening of `epsilon_list`
-    snapped to the rays of `grid`, on up to min(4, cores) threads (serial
-    for one task or one core).
+def _at(problem: SectorProblem, eps: float) -> SectorProblem:
+    """The same sector problem at the opening `eps`."""
+    return dataclasses.replace(
+        problem, geometry=dataclasses.replace(problem.geometry, epsilon=float(eps)))
+
+
+def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int, tol: float):
+    """Solve every problem of `problems` at every distinct opening of
+    `epsilon_list` snapped to the rays of their grid, on up to min(4, cores)
+    threads (serial for one task or one core).
 
     Returns the snapped openings and, per problem label, the (n_eps, k)
     arrays of eigenvalues and of their residual certificates (NaN where a
     sector has fewer values)."""
+    grid = PolarGrid.for_problem(problems[0], m)
     eps_grid = np.unique([grid.snap_angle(e) for e in epsilon_list])
-    tasks = [(ie, p) for ie, eps in enumerate(eps_grid)
-             for p in problems(dataclasses.replace(spec, epsilon=float(eps)))]
+    tasks = [(ie, _at(p, eps)) for ie, eps in enumerate(eps_grid) for p in problems]
     workers = min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(solve_sector, p, grid.m, k, tol) for _, p in tasks]
+            futs = [pool.submit(solve_sector, p, m, k, tol) for _, p in tasks]
             sols = [fut.result() for fut in futs]
     else:
-        sols = [solve_sector(p, grid.m, k, tol) for _, p in tasks]
-    values = {p.label: np.full((len(eps_grid), k), np.nan) for p in problems(spec)}
+        sols = [solve_sector(p, m, k, tol) for _, p in tasks]
+    values = {p.label: np.full((len(eps_grid), k), np.nan) for p in problems}
     residuals = {label: arr.copy() for label, arr in values.items()}
     for (ie, p), sol in zip(tasks, sols):
         nv = min(k, len(sol.values))
@@ -204,14 +211,11 @@ def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
         raise ValueError("epsilon_list must not be empty")
     if (np.diff(requested) < 0).any():
         raise ValueError("epsilon_list must be ascending")
-    sectors = reduce_to_sectors(spec)
-    grid = PolarGrid.for_problem(sectors[0][0], m)
-    eps_grid, values, residuals = _run_sweep(
-        grid, spec, requested, lambda geo: [p for p, _ in reduce_to_sectors(geo)],
-        k, tol)
+    problems = [p for p, _ in reduce_to_sectors(spec)]
+    eps_grid, values, residuals = _run_sweep(problems, requested, m, k, tol)
     curve = EigenvalueCurve(geometry=spec, m=m, k=k, epsilons=eps_grid,
-                            requested=requested, sectors=[tag for _, tag in sectors],
-                            values=values, residuals=residuals, r1=grid.r1)
+                            sectors=[p.tag for p in problems], values=values,
+                            residuals=residuals, r1=PolarGrid.for_problem(problems[0], m).r1)
     if lipschitz_bound is not None and curve.max_slope > lipschitz_bound:
         raise ValueError(
             f"adjacent-point slope {curve.max_slope:.3g} exceeds the "
@@ -223,11 +227,8 @@ def sweep_quarter(spec: CrackedDiskSpec, cases, epsilon_list, m: int, k: int,
                   tol: float = 1e-8):
     """Quarter-disk eigenvalue curves (n = 2): dict case -> (n_eps, k) plus
     the snapped epsilon grid."""
-    grid = PolarGrid.for_problem(quarter_problems(spec)[0], m)
-    eps_grid, by_case, _ = _run_sweep(
-        grid, spec, epsilon_list,
-        lambda geo: [p for c in cases for p in quarter_problems(geo) if p.quarter_case == c],
-        k, tol)
+    problems = [p for c in cases for p in quarter_problems(spec) if p.quarter_case == c]
+    eps_grid, by_case, _ = _run_sweep(problems, epsilon_list, m, k, tol)
     return eps_grid, by_case
 
 
@@ -245,24 +246,6 @@ class CrossingEvent:
     lambda_star: float
     total_multiplicity: int
     rank: int
-
-
-def _rank_below(curve: EigenvalueCurve, ie: int, pair_min: float,
-                cluster_tol: float) -> int:
-    """Distinct merged levels strictly below the crossing at grid point ie."""
-    vals = []
-    for label in curve.values:
-        row = curve.values[label][ie]
-        vals.extend([v for v in row if np.isfinite(v)])
-    vals = np.sort(np.array(vals))
-    below = vals[vals < pair_min - cluster_tol]
-    if len(below) == 0:
-        return 1
-    levels = 1
-    for a, b in zip(below[:-1], below[1:]):
-        if b - a > cluster_tol:
-            levels += 1
-    return levels + 1
 
 
 def _sign_changes(d: np.ndarray) -> list[tuple[int, int]]:
@@ -293,87 +276,67 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
     """
     if len(curve.epsilons) < 2:
         raise ValueError("need at least two sweep points to detect crossings")
-    spec = curve.geometry
-    grid = PolarGrid.for_problem(reduce_to_sectors(spec)[0][0], curve.m)
-    labels = [t.label for t in curve.sectors]
-    solved: dict[tuple[str, int, int], np.ndarray] = {}
+    problems = {p.label: p for p, _ in reduce_to_sectors(curve.geometry)}
+    grid = PolarGrid.for_problem(next(iter(problems.values())), curve.m)
+    rays = [grid.ray(e) for e in curve.epsilons]
+    # (label, ray) -> sector values at curve.k; the sweep's rows come first
+    rows = {(label, ray): arr[ie] for label, arr in curve.values.items()
+            for ie, ray in enumerate(rays)}
+
+    def row(label: str, ray: int) -> np.ndarray:
+        if (label, ray) not in rows:
+            problem = _at(problems[label], ray * grid.dtheta)
+            rows[label, ray] = solve_sector(problem, curve.m, curve.k, tol).values
+        return rows[label, ray]
+
     events: list[CrossingEvent] = []
-    for ia_lab in range(len(labels)):
-        for ib_lab in range(ia_lab + 1, len(labels)):
-            la, lb = labels[ia_lab], labels[ib_lab]
-            va, vb = curve.values[la], curve.values[lb]
-            for ca in range(va.shape[1]):
-                for cb in range(vb.shape[1]):
-                    d = va[:, ca] - vb[:, cb]
-                    for t0, t1 in _sign_changes(d):
-                        ev = _refine_crossing(
-                            spec, grid, curve, la, lb, ca, cb,
-                            curve.epsilons[t0], curve.epsilons[t1],
-                            d[t0], tol, solved)
-                        if ev.rank <= rank_of_interest:
-                            events.append(ev)
+    for sa, sb in itertools.combinations(curve.sectors, 2):
+        va, vb = curve.values[sa.label], curve.values[sb.label]
+        for ca, cb in itertools.product(range(va.shape[1]), range(vb.shape[1])):
+            d = va[:, ca] - vb[:, cb]
+            for t0, t1 in _sign_changes(d):
+                lo, hi = rays[t0], rays[t1]
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if (row(sa.label, mid)[ca] - row(sb.label, mid)[cb] > 0) == (d[t0] > 0):
+                        lo = mid
+                    else:
+                        hi = mid
+                a, b = row(sa.label, lo)[ca], row(sb.label, lo)[cb]
+                lam_star = 0.5 * (a + b)
+                cluster_tol = max(1e-3, 1e-3 * abs(lam_star))
+                ie = bisect_right(rays, lo) - 1
+                levels = np.concatenate([arr[ie] for arr in curve.values.values()])
+                rank = len(group_multiplicities(levels[levels < min(a, b) - cluster_tol],
+                                                cluster_tol)) + 1
+                if rank <= rank_of_interest:
+                    e_lo, e_hi = lo * grid.dtheta, hi * grid.dtheta
+                    events.append(CrossingEvent(
+                        epsilon_star=0.5 * (e_lo + e_hi), bracket_lo=e_lo, bracket_hi=e_hi,
+                        sector_a=sa, sector_b=sb, index_a=ca, index_b=cb,
+                        lambda_star=float(lam_star),
+                        total_multiplicity=sa.weight + sb.weight, rank=rank))
     events.sort(key=lambda e: e.epsilon_star)
     return events
-
-
-def _refine_crossing(spec, grid, curve, la, lb, ca, cb, e_lo, e_hi, d_lo_sign,
-                     tol, solved) -> CrossingEvent:
-    """Bisect one bracket over the rays.  `solved` maps (label, ray, k) to
-    sector values and is shared by the brackets of one curve: the solver is
-    deterministic, so a repeated solve would return the same values."""
-    tags = {t.label: t for t in curve.sectors}
-    m, dtheta = grid.m, grid.dtheta
-    k = max(ca, cb) + 1
-
-    def sector_values(label: str, ray: int) -> np.ndarray:
-        if (label, ray, k) not in solved:
-            geo = dataclasses.replace(spec, epsilon=float(ray * dtheta))
-            problem = next(p for p, tag in reduce_to_sectors(geo) if tag.label == label)
-            solved[label, ray, k] = solve_sector(problem, m, k, tol).values
-        return solved[label, ray, k]
-
-    def curve_gap(ray: int) -> tuple[float, float, float]:
-        a, b = sector_values(la, ray)[ca], sector_values(lb, ray)[cb]
-        return a, b, a - b
-
-    lo_idx, hi_idx = grid.ray(e_lo), grid.ray(e_hi)
-    sign_lo = d_lo_sign > 0
-    while hi_idx - lo_idx > 1:
-        mid_idx = (lo_idx + hi_idx) // 2
-        _, _, gap = curve_gap(mid_idx)
-        if (gap > 0) == sign_lo:
-            lo_idx = mid_idx
-        else:
-            hi_idx = mid_idx
-    e_lo_f, e_hi_f = lo_idx * dtheta, hi_idx * dtheta
-    va, vb, _ = curve_gap(lo_idx)
-    lam_star = 0.5 * (va + vb)
-    ie_below = int(np.searchsorted(curve.epsilons, e_lo_f, side="right") - 1)
-    ie_below = max(ie_below, 0)
-    cluster_tol = max(1e-3, 1e-3 * abs(lam_star))
-    rank = _rank_below(curve, ie_below, min(va, vb), cluster_tol)
-    return CrossingEvent(
-        epsilon_star=0.5 * (e_lo_f + e_hi_f), bracket_lo=e_lo_f, bracket_hi=e_hi_f,
-        sector_a=tags[la], sector_b=tags[lb], index_a=ca, index_b=cb,
-        lambda_star=float(lam_star),
-        total_multiplicity=tags[la].weight + tags[lb].weight, rank=rank)
 
 
 # ---------------------------------------------------------------------------
 # nodal domains
 # ---------------------------------------------------------------------------
 
+_ZERO_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class NodalCount:
     mu: int
-    zero_tol: float
 
 
-def nodal_domains(field: np.ndarray, wrap: bool, zero_tol: float = 1e-6) -> NodalCount:
+def nodal_domains(field: np.ndarray, wrap: bool) -> NodalCount:
     """Count sign domains of a grid eigenfunction.
 
     `field` is a 2-D array over (ring, column); NaN marks nodes outside the
-    domain (Dirichlet / eliminated).  Nodes with |u| <= zero_tol * max|u| act
+    domain (Dirichlet / eliminated).  Nodes with |u| <= _ZERO_TOL * max|u| act
     as separators.  Adjacency is 4-neighbor, restricted to equal signs;
     columns wrap when `wrap` is true.
     """
@@ -387,8 +350,7 @@ def nodal_domains(field: np.ndarray, wrap: bool, zero_tol: float = 1e-6) -> Noda
     peak = np.nanmax(np.abs(field))
     if peak == 0.0:
         raise ValueError("field vanishes everywhere: degenerate vector")
-    thr = zero_tol * peak
-    act = finite & (np.abs(field) > thr)
+    act = finite & (np.abs(field) > _ZERO_TOL * peak)
     if not act.any():
         raise ValueError("all nodes below the zero threshold: degenerate vector")
     n_act = int(act.sum())
@@ -406,7 +368,7 @@ def nodal_domains(field: np.ndarray, wrap: bool, zero_tol: float = 1e-6) -> Noda
     heads, tails = np.concatenate(heads), np.concatenate(tails)
     graph = sp.coo_matrix((np.ones(heads.size), (heads, tails)), shape=(n_act, n_act))
     mu, _ = connected_components(graph, directed=False)
-    return NodalCount(mu=int(mu), zero_tol=zero_tol)
+    return NodalCount(mu=int(mu))
 
 
 def sector_field(op: AssembledOperator, vector: np.ndarray) -> np.ndarray:
@@ -439,23 +401,24 @@ def recombine_full_domain(op: AssembledOperator, vector: np.ndarray) -> np.ndarr
     return np.concatenate(parts, axis=1)
 
 
-def count_nodal_domains(op: AssembledOperator, vector: np.ndarray,
-                        zero_tol: float = 1e-6) -> NodalCount:
+def count_nodal_domains(op: AssembledOperator, vector: np.ndarray) -> NodalCount:
     """Nodal domains of one eigenvector on its natural domain (fully
     recombined circle for Floquet sectors, the quarter itself otherwise)."""
     if op.wrap:
-        field = recombine_full_domain(op, vector)
-        return nodal_domains(field, wrap=True, zero_tol=zero_tol)
-    return nodal_domains(sector_field(op, vector), wrap=False, zero_tol=zero_tol)
+        return nodal_domains(recombine_full_domain(op, vector), wrap=True)
+    return nodal_domains(sector_field(op, vector), wrap=False)
 
 
 @dataclass
 class GapScan:
-    """lambda_1^NDD - lambda_1^DND over an epsilon grid."""
+    """lambda_1^NDD - lambda_1^DND over an epsilon grid, with the residual
+    certificate of each ground energy."""
 
     epsilons: np.ndarray
     lam_ndd: np.ndarray
     lam_dnd: np.ndarray
+    residual_ndd: np.ndarray
+    residual_dnd: np.ndarray
 
     @property
     def gaps(self) -> np.ndarray:
@@ -471,6 +434,7 @@ def ndd_dnd_gap(spec: CrackedDiskSpec, epsilon_list, m: int,
     """Scan the NDD/DND ground-energy gap over epsilon (n = 2 geometry)."""
     if spec.n != 2:
         raise ValueError("the NDD/DND gap is defined for n = 2")
-    eps_grid, by_case = sweep_quarter(spec, ("NDD", "DND"), epsilon_list, m, 1, tol=tol)
-    return GapScan(epsilons=eps_grid, lam_ndd=by_case["NDD"][:, 0],
-                   lam_dnd=by_case["DND"][:, 0])
+    problems = [p for p in quarter_problems(spec) if p.quarter_case in ("NDD", "DND")]
+    eps_grid, lam, res = _run_sweep(problems, epsilon_list, m, 1, tol)
+    return GapScan(epsilons=eps_grid, lam_ndd=lam["NDD"][:, 0], lam_dnd=lam["DND"][:, 0],
+                   residual_ndd=res["NDD"][:, 0], residual_dnd=res["DND"][:, 0])

@@ -37,6 +37,7 @@ def test_single_sector_geometry_is_trivial_merge():
     merged = solve_full_spectrum(spec, 24, 4)
     sol = solve_sector(reduce_to_sectors(spec)[0][0], 24, 4)
     assert np.allclose(merged.values, sol.values[:4], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(merged.residuals, sol.residuals[:4])
 
 
 def test_closed_interface_matches_disjoint_union():
@@ -193,6 +194,36 @@ def test_detect_crossings_n3_coarse():
     assert second and second[0].epsilon_star == pytest.approx(0.96, abs=0.1)
 
 
+# detect_crossings events computed before refinement read the sweep's rows,
+# (n, m, openings, k, rank) -> (bracket rays lo, hi, rank, multiplicity,
+# sector_a, sector_b, index_a, index_b, lambda_star)
+PINNED_EVENTS = {
+    (3, 48, 14, 3, 3): [
+        (7, 8, 2, 3, "ell=0", "ell=1", 1, 0, 30.554379182136067),
+        (22, 23, 3, 3, "ell=0", "ell=1", 1, 1, 30.64785225278965)],
+    (4, 60, 20, 6, 6): [
+        (10, 11, 2, 3, "ell=0", "ell=1", 1, 0, 30.5297117579926),
+        (18, 19, 3, 2, "ell=0", "ell=2", 1, 0, 30.520233968504414),
+        (29, 30, 4, 2, "ell=0", "ell=2", 1, 1, 31.42026737474964)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EVENTS))
+def test_crossing_events_match_pinned_answers(case):
+    n, m, steps, k, rank = case
+    lo = 0.05 if n == 3 else 0.02
+    hi = math.pi / 3 - 0.02 if n == 3 else math.pi / 4
+    curve = sweep(build_cracked_disk(n, 0.0, 0.4356, 1.0), np.linspace(lo, hi, steps), m, k)
+    dtheta = (2 * math.pi / n) / m
+    events = detect_crossings(curve, rank)
+    got = [(round(e.bracket_lo / dtheta), round(e.bracket_hi / dtheta), e.rank,
+            e.total_multiplicity, e.sector_a.label, e.sector_b.label, e.index_a, e.index_b)
+           for e in events]
+    assert got == [want[:-1] for want in PINNED_EVENTS[case]]
+    assert [e.lambda_star for e in events] == pytest.approx(
+        [want[-1] for want in PINNED_EVENTS[case]], rel=1e-12)
+
+
 def _hand_set_curve(ell0, ell1):
     """A three-point n = 3 curve on rays 4, 5, 6 of the m = 12 grid, with the
     sector values replaced by the given ones (one value per point)."""
@@ -235,6 +266,8 @@ def test_sign_changes_break_at_nan_and_ignore_end_zeros():
 
 
 def test_refinement_solves_each_opening_once(monkeypatch):
+    # bisection reads the sweep's rows and solves only rays between them,
+    # each once per sector and at the curve's k
     from crackspec import spectra
     spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
     curve = sweep(spec, np.linspace(0.05, math.pi / 3 - 0.02, 6), 24, 3)
@@ -246,10 +279,13 @@ def test_refinement_solves_each_opening_once(monkeypatch):
         return solve(problem, m, k, *args)
 
     curve_dtheta = (2 * math.pi / 3) / 24
+    sweep_rays = {round(e / curve_dtheta) for e in curve.epsilons}
     monkeypatch.setattr(spectra, "solve_sector", counting)
     events = detect_crossings(curve, 3)
     assert events and calls
     assert len(calls) == len(set(calls))
+    assert not [c for c in calls if c[1] in sweep_rays]
+    assert {k for _, _, k in calls} == {curve.k}
 
 
 def test_detect_crossings_requires_two_points():
@@ -418,6 +454,10 @@ def test_ndd_dnd_gap_sign_and_endpoint():
     assert abs(scan.gaps[-1]) < 1e-8       # isospectral mirror problems at pi/2
     assert scan.all_negative is bool((scan.gaps < 0).all())
     assert scan.epsilons[-1] == pytest.approx(math.pi / 2)
+    for lam, res in ((scan.lam_ndd, scan.residual_ndd), (scan.lam_dnd, scan.residual_dnd)):
+        assert res.shape == lam.shape
+        assert np.isfinite(res).all()
+        assert (res <= 1e-8 * np.maximum(1.0, lam)).all()
 
 
 def test_ndd_dnd_gap_requires_n2():
