@@ -15,7 +15,7 @@ from .domain import (
     quarter_problems,
     reduce_to_sectors,
 )
-from .discretize import AssembledOperator, PolarGrid, assemble, center_policy
+from .discretize import AssembledOperator, PolarGrid, assemble
 from .eigensolve import SolverError, Spectrum, group_multiplicities, lowest_eigenpairs
 from .spectra import (
     CrossingEvent,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CrackedDiskSpec", "SectorProblem", "SectorTag", "build_cracked_disk",
     "crack_arcs", "quarter_problems", "reduce_to_sectors",
-    "AssembledOperator", "PolarGrid", "assemble", "center_policy",
+    "AssembledOperator", "PolarGrid", "assemble",
     "SolverError", "Spectrum", "group_multiplicities", "lowest_eigenpairs",
     "CrossingEvent", "EigenvalueCurve", "MergedSpectrum", "NodalCount",
     "detect_crossings", "ndd_dnd_gap", "nodal_domains", "solve_full_spectrum",

@@ -36,6 +36,7 @@ _CASE_PARAMS = {
 }
 
 DEFAULT_WINDOWS = (0.3, 0.15, 0.075)
+_COMPETITION_TAIL = 0.3     # delta_max of the law competition
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,9 @@ class FitReport:
 
 
 def fit_coefficient(epsilons, lambdas, mod: AsymptoticModel,
-                    windows=DEFAULT_WINDOWS,
                     lambda_limit: float | None = None) -> FitReport:
     """Least-squares slope of lambda(eps) - lambda_limit against the law
-    factor, over nested delta windows.
+    factor, over the nested delta windows DEFAULT_WINDOWS.
 
     `lambda_limit` overrides the model limit (pass the computed endpoint of a
     discrete curve to cancel its discretization bias).  The report states
@@ -120,12 +120,12 @@ def fit_coefficient(epsilons, lambdas, mod: AsymptoticModel,
     lim = mod.lambda_limit if lambda_limit is None else float(lambda_limit)
     y = lam - lim
     g = np.array([_law_factor(mod.law, d) if 0 < d < 1 else np.nan for d in delta])
-    if int((delta <= windows[0]).sum()) < 4:
+    if int((delta <= DEFAULT_WINDOWS[0]).sum()) < 4:
         raise ValueError(
-            f"need at least 4 points with pi/2 - eps <= {windows[0]}, "
-            f"got {int((delta <= windows[0]).sum())}")
+            f"need at least 4 points with pi/2 - eps <= {DEFAULT_WINDOWS[0]}, "
+            f"got {int((delta <= DEFAULT_WINDOWS[0]).sum())}")
     report = []
-    for w in windows:
+    for w in DEFAULT_WINDOWS:
         sel = (delta > 0) & (delta <= w) & np.isfinite(g)
         npts = int(sel.sum())
         if npts < 2:
@@ -142,14 +142,13 @@ def fit_coefficient(epsilons, lambdas, mod: AsymptoticModel,
                      toward_one=toward_one)
 
 
-def law_competition(epsilons, lambdas, lambda_limit: float,
-                    delta_max: float = 0.3) -> dict[str, float]:
+def law_competition(epsilons, lambdas, lambda_limit: float) -> dict[str, float]:
     """Residual sum of squares of the through-origin fit under each law,
-    over the tail delta <= delta_max (model-selection check)."""
+    over the tail delta <= 0.3 (model-selection check)."""
     eps = np.asarray(list(epsilons), dtype=float)
     lam = np.asarray(list(lambdas), dtype=float)
     delta = math.pi / 2 - eps
-    sel = (delta > 0) & (delta < 1.0) & (delta <= delta_max)
+    sel = (delta > 0) & (delta < 1.0) & (delta <= _COMPETITION_TAIL)
     if int(sel.sum()) < 4:
         raise ValueError("need at least 4 tail points for the law competition")
     y = lam[sel] - lambda_limit

@@ -16,8 +16,9 @@ Conventions (all encoded in the assembled matrix, no constraint rows):
 * Dirichlet nodes (outer circle i=m, crack nodes on the snapped r1 ring,
   Dirichlet rays of quarter problems) are eliminated; their stencil
   contribution is zero.
-* Neumann rays use mirror ghosts u_{i,-1} = u_{i,1}, which doubles the
-  interior angular neighbor.
+* A Neumann ray is a half cell, the only Neumann rule: each angular link
+  out of it is doubled (the mirror ghost u_{i,-1} = u_{i,1}), and its nodes
+  carry half a node weight and half a share of the center's ring-1 average.
 * Floquet sectors on theta in [0, 2*pi/n) couple the seam columns with the
   phase exp(i*alpha), alpha = 2*pi*ell/n: the continuation past the last
   column is u(theta + 2*pi/n) = exp(i*alpha) u(theta).  The sectors ell = 0
@@ -34,8 +35,8 @@ Conventions (all encoded in the assembled matrix, no constraint rows):
 
 The operator is non-Hermitian but similar to a Hermitian matrix (real
 symmetric outside the complex sectors) through diag(sqrt(w)) with the node
-weights w stored on the operator (r_i, halved on Neumann rays, a matched
-weight for the center).
+weights w stored on the operator (r_i times the cell, a matched weight for
+the center).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "PolarGrid",
     "AssembledOperator",
     "assemble",
-    "center_policy",
     "dump_operator",
 ]
 
@@ -163,33 +163,25 @@ class AssembledOperator:
         return self.matrix.shape[0]
 
 
-def center_policy(problem: SectorProblem) -> str:
-    """Treatment of r = 0: "regularity_stencil" keeps one center unknown with
-    the polar averaging row, "dirichlet_at_center" drops the node (exact
-    whenever the eigenfunctions vanish at the origin)."""
-    if problem.kind == "quarter":
-        return "regularity_stencil" if problem.quarter_case == "NND" else "dirichlet_at_center"
-    return "regularity_stencil" if problem.ell == 0 else "dirichlet_at_center"
-
-
 def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     """Assemble the polar FD operator for a sector problem on an m x m grid."""
     spec = problem.geometry
-    quarter = problem.kind == "quarter"
-    bc_lo, bc_hi = problem.quarter_case[:2] if quarter else ("", "")
     grid = PolarGrid.for_problem(problem, m)
     dr, dth = grid.dr, grid.dtheta
-
-    if quarter:
-        jlo = 0 if bc_lo == "N" else 1
-        jhi = m if bc_hi == "N" else m - 1
-        cols = np.arange(jlo, jhi + 1)
-        wrap = False
+    wrap = problem.kind == "floquet"
+    if wrap:
+        cols = np.arange(m)
+        cell = np.ones(m)
+        # the eigenfunctions vanish at the origin unless the phase is trivial
+        has_center = problem.ell == 0
     else:
-        cols = np.arange(0, m)
-        wrap = True
+        bc_lo, bc_hi = problem.quarter_case[:2]
+        cols = np.arange(0 if bc_lo == "N" else 1, m + 1 if bc_hi == "N" else m)
+        # a Neumann ray is a half cell
+        cell = np.where((cols == 0) | (cols == m), 0.5, 1.0)
+        # a Dirichlet ray through the origin makes the eigenfunctions vanish there
+        has_center = problem.quarter_case == "NND"
     n_rings = m - 1
-    n_cols = cols.size
     ri = dr * np.arange(1, m)
 
     # The crack arcs of the geometry at the snapped opening, in full-circle
@@ -198,18 +190,15 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     # opening at the fully open end stays open even where the grid has no ray
     # at pi/n (odd m).
     arcs = [] if spec.fully_open else crack_arcs(replace(spec, epsilon=grid.eps))
-    active = np.ones((n_rings, n_cols), dtype=bool)
+    active = np.ones((n_rings, cols.size), dtype=bool)
     active[grid.r1_ring - 1, grid.ring_mask(arcs, cols, wrap)] = False
 
-    ids = -np.ones((n_rings, n_cols), dtype=np.int64)
-    ids[active] = np.arange(int(active.sum()))
     n1 = int(active.sum())
-
-    policy = center_policy(problem)
-    has_center = policy == "regularity_stencil"
-
-    n = n1 + (1 if has_center else 0)
-    center_row = n - 1 if has_center else None
+    ids = -np.ones(active.shape, dtype=np.int64)
+    ids[active] = np.arange(n1)
+    ring, col = np.indices(active.shape)     # ring t holds r = (t + 1) * dr
+    n = n1 + int(has_center)
+    center_row = n1 if has_center else None
 
     c_diag = 2.0 / dr**2 + 2.0 / (ri**2 * dth**2)      # per ring
     c_out = -(1.0 / dr**2 + 1.0 / (2.0 * ri * dr))
@@ -225,36 +214,28 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
         colix.append(np.asarray(c, dtype=np.int64))
         vals.append(np.asarray(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64))
 
-    ring_of = np.repeat(np.arange(n_rings), n_cols).reshape(n_rings, n_cols)
-
     # diagonal
-    add(ids[active], ids[active], c_diag[ring_of[active]])
+    add(ids[active], ids[active], c_diag[ring[active]])
 
     # radial neighbors between rings t and t+1
     both = active[:-1, :] & active[1:, :]
     a = ids[:-1, :][both]
     b = ids[1:, :][both]
-    t = ring_of[:-1, :][both]
+    t = ring[:-1, :][both]
     add(a, b, c_out[t])
     add(b, a, c_in[t + 1])
 
-    # angular neighbors inside the column range
+    # angular neighbors inside the column range; a link out of a half cell
+    # is doubled, which is its mirror ghost u_{i,-1} = u_{i,1}
     both = active[:, :-1] & active[:, 1:]
     a = ids[:, :-1][both]
     b = ids[:, 1:][both]
-    t = ring_of[:, :-1][both]
-    add(a, b, c_ang[t])
-    add(b, a, c_ang[t])
+    t = ring[:, :-1][both]
+    j = col[:, :-1][both]
+    add(a, b, c_ang[t] / cell[j])
+    add(b, a, c_ang[t] / cell[j + 1])
 
-    if quarter:
-        # Neumann mirror ghosts double the interior angular neighbor
-        if bc_lo == "N":
-            both = active[:, 0] & active[:, 1]
-            add(ids[:, 0][both], ids[:, 1][both], c_ang[np.arange(n_rings)[both]])
-        if bc_hi == "N":
-            both = active[:, -1] & active[:, -2]
-            add(ids[:, -1][both], ids[:, -2][both], c_ang[np.arange(n_rings)[both]])
-    else:
+    if wrap:
         # seam: column m-1 sees exp(i*alpha) times column 0, and column 0
         # sees exp(-i*alpha) times column m-1
         if problem.weight == 2:
@@ -264,56 +245,32 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
         both = active[:, -1] & active[:, 0]
         hi = ids[:, -1][both]
         lo = ids[:, 0][both]
-        t = np.arange(n_rings)[both]
+        t = ring[:, 0][both]
         add(hi, lo, phase * c_ang[t])
         add(lo, hi, np.conj(phase) * c_ang[t])
 
-    mu_total = 0.0
     if has_center:
-        # ring-1 rows couple to the center through the inner radial neighbor
+        # ring-1 rows couple to the center through the inner radial neighbor;
+        # the center row is the polar regularity stencil over the ring-1
+        # average with cell weights
         sel = active[0, :]
-        add(ids[0, :][sel], np.full(int(sel.sum()), center_row), np.full(int(sel.sum()), c_in[0]))
-        # center row: polar regularity stencil, ring-1 average with trapezoid
-        # weights (Neumann-axis columns count half: they are shared mirror images)
-        mu = np.ones(n_cols)
-        if quarter:
-            if bc_lo == "N":
-                mu[0] = 0.5
-            if bc_hi == "N":
-                mu[-1] = 0.5
-        mu_total = float(mu.sum())
+        first = ids[0, :][sel]
+        add(first, np.full(first.size, center_row), np.full(first.size, c_in[0]))
         add([center_row], [center_row], [4.0 / dr**2])
-        add(np.full(int(sel.sum()), center_row), ids[0, :][sel],
-            -(4.0 / dr**2) * mu[sel] / mu_total)
+        add(np.full(first.size, center_row), first, -(4.0 / dr**2) * cell[sel] / cell.sum())
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(colix))),
         shape=(n, n)).tocsr()
 
     # similarity weights making diag(sqrt(w)) A diag(1/sqrt(w)) Hermitian
-    w1 = np.empty(n1)
-    ring_flat = ring_of[active]
-    w1[ids[active]] = ri[ring_flat]
-    if quarter:
-        if bc_lo == "N":
-            sel = active[:, 0]
-            w1[ids[:, 0][sel]] *= 0.5
-        if bc_hi == "N":
-            sel = active[:, -1]
-            w1[ids[:, -1][sel]] *= 0.5
-    row_weights = w1
+    row_weights = ri[ring[active]] * cell[col[active]]
+    node_ring = np.zeros(n, dtype=np.int64)
+    node_col = np.full(n, -1, dtype=np.int64)
+    node_ring[:n1] = ring[active] + 1
+    node_col[:n1] = cols[col[active]]
     if has_center:
-        row_weights = np.concatenate([row_weights, [dr * mu_total / 8.0]])
-
-    node_ring = np.empty(n, dtype=np.int64)
-    node_col = np.empty(n, dtype=np.int64)
-    ring_idx = np.repeat(np.arange(1, m), n_cols).reshape(n_rings, n_cols)
-    col_idx = np.tile(cols, (n_rings, 1))
-    node_ring[ids[active]] = ring_idx[active]
-    node_col[ids[active]] = col_idx[active]
-    if has_center:
-        node_ring[center_row] = 0
-        node_col[center_row] = -1
+        row_weights = np.concatenate([row_weights, [dr * cell.sum() / 8.0]])
 
     return AssembledOperator(
         matrix=matrix, grid=grid, sector=problem.tag,

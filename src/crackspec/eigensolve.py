@@ -40,26 +40,17 @@ _MAX_RESTARTS = 50
 
 
 class SolverError(RuntimeError):
-    """Eigensolver failure; carries the best residuals seen, if any."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
+    """Eigensolver failure."""
 
 
 @dataclass
 class Spectrum:
-    """Certified lowest eigenvalues of one sector operator."""
+    """Certified lowest eigenvalues of one sector operator, with their unit
+    eigenvectors."""
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
-    sector: object
-    eps: float
-    r1: float
-    vectors: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.eigenvalues)
+    vectors: np.ndarray
 
 
 def _certify(matrix: sp.csr_matrix, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -127,9 +118,7 @@ def _sparse_path(op: AssembledOperator, k: int):
         lam, w = spla.eigsh(s_herm, k=k, sigma=0.0, which="LM", OPinv=opinv, v0=v0,
                             ncv=ncv, maxiter=_MAX_RESTARTS * ncv, tol=0)
     except spla.ArpackNoConvergence as exc:
-        partial = getattr(exc, "eigenvalues", None)
-        raise SolverError(f"shift-invert iteration did not converge: {exc}",
-                          residuals=partial) from exc
+        raise SolverError(f"shift-invert iteration did not converge: {exc}") from exc
     order = np.argsort(lam)
     return lam[order], w[:, order] * dinv[:, np.newaxis]
 
@@ -166,24 +155,18 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
     if (residuals > tol * lamscale).any():
         raise SolverError(
             f"residual certificate failed: max {residuals.max():.3e} "
-            f"against tol {tol:.1e}", residuals=residuals)
+            f"against tol {tol:.1e}")
     vecs = vecs / np.linalg.norm(vecs, axis=0)[np.newaxis, :]
-    return Spectrum(eigenvalues=lam, residuals=residuals, sector=op.sector,
-                    eps=op.grid.eps, r1=op.grid.r1, vectors=vecs)
+    return Spectrum(eigenvalues=lam, residuals=residuals, vectors=vecs)
 
 
 def group_multiplicities(values, cluster_tol: float,
                          weights=None) -> list[tuple[float, int]]:
     """Cluster adjacent eigenvalues within `cluster_tol` and report
-    (mean value, total multiplicity) per cluster.  `values` may be a Spectrum
-    (then its sector weight applies to every entry) or a sequence; `weights`
-    supplies per-entry multiplicities otherwise (default 1)."""
+    (mean value, total multiplicity) per cluster; `weights` supplies
+    per-entry multiplicities (default 1)."""
     if cluster_tol <= 0:
         raise ValueError(f"cluster_tol must be positive, got {cluster_tol!r}")
-    if isinstance(values, Spectrum):
-        weight = getattr(values.sector, "weight", 1)
-        weights = [weight] * len(values.eigenvalues)
-        values = values.eigenvalues
     vals = np.asarray(values, dtype=float)
     if weights is None:
         weights = np.ones(len(vals), dtype=int)

@@ -145,21 +145,6 @@ class EigenvalueCurve:
         return max((float(np.nanmax(r)) for r in self.residuals.values()
                     if np.isfinite(r).any()), default=0.0)
 
-    @property
-    def max_slope(self) -> float:
-        """Largest |d lambda / d eps| between adjacent sweep points."""
-        worst = 0.0
-        de = np.diff(self.epsilons)
-        if len(de) == 0:
-            return 0.0
-        for arr in self.values.values():
-            dl = np.abs(np.diff(arr, axis=0))
-            with np.errstate(invalid="ignore"):
-                slopes = dl / de[:, None]
-            if np.isfinite(slopes).any():
-                worst = max(worst, float(np.nanmax(slopes)))
-        return worst
-
 
 def _at(problem: SectorProblem, eps: float) -> SectorProblem:
     """The same sector problem at the opening `eps`."""
@@ -168,16 +153,22 @@ def _at(problem: SectorProblem, eps: float) -> SectorProblem:
 
 
 def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int, tol: float):
-    """Solve every problem of `problems` at every distinct opening of
-    `epsilon_list` snapped to the rays of their grid, on up to min(4, cores)
-    threads (serial for one task or one core).
+    """Solve every problem of `problems` once per distinct ray that the
+    openings of `epsilon_list` snap to, on up to min(4, cores) threads
+    (serial for one task or one core).  A ray's problem is built from the
+    first requested opening that snaps to it, so a request at the fully open
+    end stays open on a grid without a ray at pi/n, as in `solve_sector`.
 
     Returns the snapped openings and, per problem label, the (n_eps, k)
     arrays of eigenvalues and of their residual certificates (NaN where a
     sector has fewer values)."""
     grid = PolarGrid.for_problem(problems[0], m)
-    eps_grid = np.unique([grid.snap_angle(e) for e in epsilon_list])
-    tasks = [(ie, _at(p, eps)) for ie, eps in enumerate(eps_grid) for p in problems]
+    first: dict[int, float] = {}
+    for eps in epsilon_list:
+        first.setdefault(grid.ray(eps), eps)
+    rays = sorted(first)
+    eps_grid = np.array([ray * grid.dtheta for ray in rays])
+    tasks = [(ie, _at(p, first[ray])) for ie, ray in enumerate(rays) for p in problems]
     workers = min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -195,16 +186,12 @@ def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int, tol:
 
 
 def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
-          tol: float = 1e-8,
-          lipschitz_bound: float | None = None) -> EigenvalueCurve:
+          tol: float = 1e-8) -> EigenvalueCurve:
     """Per-sector eigenvalue curves of the cracked disk over an epsilon grid.
 
     Requested epsilons snap to the angular grid of rays; duplicates after
     snapping are solved once.  Sweep points run on up to min(4, cores)
     threads.
-    `lipschitz_bound` (per unit epsilon) is a continuity sanity check: a
-    larger jump between adjacent points raises, flagging an under-resolved
-    grid or a mistracked curve.
     """
     requested = np.asarray(list(epsilon_list), dtype=float)
     if len(requested) < 1:
@@ -213,14 +200,9 @@ def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
         raise ValueError("epsilon_list must be ascending")
     problems = [p for p, _ in reduce_to_sectors(spec)]
     eps_grid, values, residuals = _run_sweep(problems, requested, m, k, tol)
-    curve = EigenvalueCurve(geometry=spec, m=m, k=k, epsilons=eps_grid,
-                            sectors=[p.tag for p in problems], values=values,
-                            residuals=residuals, r1=PolarGrid.for_problem(problems[0], m).r1)
-    if lipschitz_bound is not None and curve.max_slope > lipschitz_bound:
-        raise ValueError(
-            f"adjacent-point slope {curve.max_slope:.3g} exceeds the "
-            f"continuity bound {lipschitz_bound:.3g}; refine the epsilon grid")
-    return curve
+    return EigenvalueCurve(geometry=spec, m=m, k=k, epsilons=eps_grid,
+                           sectors=[p.tag for p in problems], values=values,
+                           residuals=residuals, r1=PolarGrid.for_problem(problems[0], m).r1)
 
 
 def sweep_quarter(spec: CrackedDiskSpec, cases, epsilon_list, m: int, k: int,

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from crackspec import specfun
 from crackspec.domain import (
     QUARTER_CASES, build_cracked_disk, quarter_problems, reduce_to_sectors)
-from crackspec.discretize import assemble, center_policy, dump_operator
+from crackspec.discretize import assemble, dump_operator
 from crackspec.eigensolve import lowest_eigenpairs
 
 
@@ -123,13 +123,13 @@ def test_operator_sector_is_the_problem_tag(n):
 
 def test_center_policy_table():
     spec = build_cracked_disk(2, 0.7, 0.4356, 1.0)
-    policies = {p.quarter_case: center_policy(p) for p in quarter_problems(spec)}
-    assert policies == {"NND": "regularity_stencil", "DDD": "dirichlet_at_center",
-                        "NDD": "dirichlet_at_center", "DND": "dirichlet_at_center"}
+    centers = {p.quarter_case: assemble(p, 12).center_row is not None
+               for p in quarter_problems(spec)}
+    assert centers == {"NND": True, "DDD": False, "NDD": False, "DND": False}
     spec3 = build_cracked_disk(3, 0.3, 0.4356, 1.0)
     probs = dict((p.ell, p) for p, _ in reduce_to_sectors(spec3))
-    assert center_policy(probs[0]) == "regularity_stencil"
-    assert center_policy(probs[1]) == "dirichlet_at_center"
+    assert assemble(probs[0], 12).center_row is not None
+    assert assemble(probs[1], 12).center_row is None
 
 
 def test_center_row_structure():

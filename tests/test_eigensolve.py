@@ -59,13 +59,10 @@ def test_shift_invariance():
     assert np.allclose(moved, base + c, rtol=0, atol=1e-10)
 
 
-def test_eigenvalues_sorted_and_snapped_echoes():
+def test_eigenvalues_sorted():
     op = _toy_op("DDD", m=14, eps=0.7)
     s = lowest_eigenpairs(op, 5)
     assert (np.diff(s.eigenvalues) >= 0).all()
-    assert s.eps == op.grid.eps
-    assert s.r1 == op.grid.r1
-    assert s.sector.label == "DDD"
 
 
 def test_complex_pair_detection():

@@ -141,6 +141,19 @@ def test_sweep_monotone_and_snapped():
         assert (np.diff(arr, axis=0) <= 1e-7).all(), label
 
 
+@pytest.mark.parametrize("m", [31, 33, 35])
+def test_sweep_ending_fully_open_on_odd_grid_matches_solve(m):
+    # an odd grid has no ray at pi/3: the last sweep point must still be the
+    # open disk that `solve_full_spectrum` gives for the same request
+    r1 = specfun.choose_r1(1.0)
+    curve = sweep(build_cracked_disk(3, 0.0, r1, 1.0), [0.5, math.pi / 3], m, 2)
+    merged = solve_full_spectrum(build_cracked_disk(3, math.pi / 3, r1, 1.0), m, 2)
+    assert curve.epsilons[-1] == merged.eps
+    for tag in curve.sectors:
+        want = [lv.value for lv in merged.levels if lv.label == tag.label]
+        np.testing.assert_allclose(curve.values[tag.label][-1], want, rtol=1e-12, atol=0)
+
+
 def test_pooled_sweep_equals_serial_sweep(monkeypatch):
     # the worker count follows os.cpu_count: 4 cores give the pool, 1 core
     # the serial loop; both must return the same bits
@@ -167,15 +180,8 @@ def test_sweep_validation():
         sweep(spec, [], 24, 2)
     with pytest.raises(ValueError):
         sweep(spec, [0.5, 0.3], 24, 2)
-
-
-def test_sweep_lipschitz_sanity_bound():
-    spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
-    eps = [0.2, 0.6, 1.0]
-    curve = sweep(spec, eps, 24, 2, lipschitz_bound=1e3)  # generous: passes
-    assert curve.max_slope > 0
-    with pytest.raises(ValueError):
-        sweep(spec, eps, 24, 2, lipschitz_bound=1e-3)
+    with pytest.raises(ValueError):  # beyond pi/3, even though it snaps to the ray at pi/3
+        sweep(spec, [0.5, math.pi / 3 + 0.01], 24, 2)
 
 
 def test_detect_crossings_n3_coarse():
