@@ -18,14 +18,25 @@ tests.  Eigenvectors of a complex operator stay complex.
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||
 computed on the original matrix, and eigenvalues are accepted only if their
 imaginary part is negligible.
+
+Every solve runs on one BLAS thread: `lowest_eigenpairs` holds
+`one_blas_thread`, which sets scipy's OpenBLAS (the library that ARPACK,
+SuperLU and LAPACK *geev* call) to one thread while any solve is inside and
+restores the caller's count when the last one leaves.  The sweep's thread
+pool is then the only parallelism, OpenBLAS threads do not spin against it,
+and the result does not depend on the machine's core count.  Against a BLAS
+other than OpenBLAS the scope does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.linalg.cython_blas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -37,6 +48,59 @@ _IMAG_TOL = 1e-8            # |Im lambda| <= tol * max(1, |lambda|)
 _ASYM_TOL = 1e-9            # relative symmetrization residual
 _SEED = 20230921            # deterministic ARPACK start vector
 _MAX_RESTARTS = 50
+
+
+def _openblas_thread_controls():
+    """The (get, set) thread-count functions of the OpenBLAS that scipy links,
+    found through scipy's Cython BLAS module: `scipy_openblas_*` in scipy's
+    wheels, `openblas_*` in a system OpenBLAS, None for any other BLAS."""
+    lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads")
+            set_ = getattr(lib, f"{prefix}_set_num_threads")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Re-entrant, thread-safe scope that holds OpenBLAS at one thread while
+    any holder is inside and restores the count found on first entry when the
+    last holder leaves.  The count is process-global (so is
+    `openblas_set_num_threads_local` in scipy's build: set from one thread,
+    every thread reads it), so the holders share one counter.  Without
+    OpenBLAS controls it does nothing."""
+
+    def __init__(self, controls):
+        self._controls = controls
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = 1
+
+    def __enter__(self):
+        if self._controls is not None:
+            get, set_ = self._controls
+            with self._lock:
+                if self._users == 0:
+                    self._saved = get()
+                    set_(1)
+                self._users += 1
+        return self
+
+    def __exit__(self, *exc):
+        if self._controls is not None:
+            _, set_ = self._controls
+            with self._lock:
+                self._users -= 1
+                if self._users == 0:
+                    set_(self._saved)
+
+
+one_blas_thread = _OneBlasThread(_openblas_thread_controls())
 
 
 class SolverError(RuntimeError):
@@ -146,11 +210,12 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
         raise ValueError(f"tol={tol} below the 1e-12 floor")
     if method not in ("dense", "sparse"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense":
-        lam, vecs = _dense_path(op, k)
-    else:
-        lam, vecs = _sparse_path(op, k)
-    residuals = _certify(op.matrix, lam, vecs)
+    with one_blas_thread:
+        if method == "dense":
+            lam, vecs = _dense_path(op, k)
+        else:
+            lam, vecs = _sparse_path(op, k)
+        residuals = _certify(op.matrix, lam, vecs)
     lamscale = np.maximum(1.0, np.abs(lam))
     if (residuals > tol * lamscale).any():
         raise SolverError(

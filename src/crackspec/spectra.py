@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .domain import CrackedDiskSpec, SectorProblem, SectorTag, quarter_problems, reduce_to_sectors
 from .discretize import AssembledOperator, PolarGrid, assemble
-from .eigensolve import Spectrum, group_multiplicities, lowest_eigenpairs
+from .eigensolve import Spectrum, group_multiplicities, lowest_eigenpairs, one_blas_thread
 
 __all__ = [
     "SectorSolve",
@@ -155,9 +155,10 @@ def _at(problem: SectorProblem, eps: float) -> SectorProblem:
 def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int, tol: float):
     """Solve every problem of `problems` once per distinct ray that the
     openings of `epsilon_list` snap to, on up to min(4, cores) threads
-    (serial for one task or one core).  A ray's problem is built from the
-    first requested opening that snaps to it, so a request at the fully open
-    end stays open on a grid without a ray at pi/n, as in `solve_sector`.
+    (serial for one task or one core), each solve on one BLAS thread.  A
+    ray's problem is built from the first requested opening that snaps to it,
+    so a request at the fully open end stays open on a grid without a ray at
+    pi/n, as in `solve_sector`.
 
     Returns the snapped openings and, per problem label, the (n_eps, k)
     arrays of eigenvalues and of their residual certificates (NaN where a
@@ -171,7 +172,8 @@ def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int, tol:
     tasks = [(ie, _at(p, first[ray])) for ie, ray in enumerate(rays) for p in problems]
     workers = min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # held across the pool, so the BLAS count does not flip between tasks
+        with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(solve_sector, p, m, k, tol) for _, p in tasks]
             sols = [fut.result() for fut in futs]
     else:
@@ -191,7 +193,7 @@ def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
 
     Requested epsilons snap to the angular grid of rays; duplicates after
     snapping are solved once.  Sweep points run on up to min(4, cores)
-    threads.
+    threads, each solve on one BLAS thread.
     """
     requested = np.asarray(list(epsilon_list), dtype=float)
     if len(requested) < 1:

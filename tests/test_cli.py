@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crackspec
 from crackspec.cli import main
 
 
@@ -64,6 +69,23 @@ def test_solve_command_and_determinism(tmp_path):
     rows = [l for l in body1.splitlines() if l and not l.startswith("#")]
     assert rows[0] == "epsilon,sector,index,lambda,residual"
     assert len(rows) == 5
+
+
+def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
+    # each solve runs on one BLAS thread, so the machine's core count, which
+    # sets OpenBLAS's default, does not reach the residual columns
+    src = str(Path(crackspec.__file__).resolve().parents[1])
+    args = ["solve", "--n", "3", "--epsilon", "0.29", "--r1", "auto", "--r2", "1",
+            "-M", "36", "-k", "6"]
+    outs = []
+    for threads in ("1", "2"):
+        env = {"HOME": str(tmp_path), "PYTHONPATH": src, "PATH": os.environ.get("PATH", ""),
+               "OPENBLAS_NUM_THREADS": threads}
+        outs.append(subprocess.run([sys.executable, "-m", "crackspec.cli", *args], env=env,
+                                   cwd=tmp_path, capture_output=True, text=True,
+                                   check=True).stdout)
+    assert "ell=1" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_sweep_with_plot(tmp_path):

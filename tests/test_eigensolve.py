@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,13 +15,16 @@ from crackspec.domain import (
     quarter_problems,
     reduce_to_sectors,
 )
+from crackspec import eigensolve
 from crackspec.discretize import assemble
 from crackspec.eigensolve import (
     SolverError,
     _factor_hpd,
     group_multiplicities,
     lowest_eigenpairs,
+    one_blas_thread,
 )
+from crackspec.spectra import sweep
 
 
 def _toy_op(case="DDD", m=10, eps=0.9):
@@ -171,6 +177,94 @@ def test_sparse_path_matches_dense_oracle(n, data):
     sparse = lowest_eigenpairs(op, 3, method="sparse")
     assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
     assert (sparse.residuals <= 1e-8 * np.maximum(1.0, sparse.eigenvalues)).all()
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per solve
+# ---------------------------------------------------------------------------
+
+_controls = eigensolve._openblas_thread_controls()
+needs_openblas = pytest.mark.skipif(
+    _controls is None, reason="scipy's BLAS exposes no OpenBLAS thread control")
+
+
+@pytest.fixture
+def blas_threads():
+    """The BLAS thread-count getter, with the caller's count set to 2."""
+    get, set_ = _controls
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def _spy_on_path(monkeypatch, method, get):
+    """Record the BLAS thread count each time the solve path of `method` runs."""
+    name = f"_{method}_path"
+    inner = getattr(eigensolve, name)
+    seen = []
+
+    def spy(op, k):
+        seen.append(get())
+        return inner(op, k)
+
+    monkeypatch.setattr(eigensolve, name, spy)
+    return seen
+
+
+@needs_openblas
+@pytest.mark.parametrize("method", ["sparse", "dense"])
+def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads, method):
+    seen = _spy_on_path(monkeypatch, method, blas_threads)
+    lowest_eigenpairs(_coupled_op(), 3, method=method)
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_blas_count_restored_after_a_solver_error(blas_threads):
+    op = _toy_op("NDD", m=12)
+    shifted = dataclasses.replace(op, matrix=(op.matrix - 100.0 * sp.identity(op.n)).tocsr())
+    with pytest.raises(SolverError, match="positive definite"):
+        lowest_eigenpairs(shifted, 2)
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_blas_count_restored_after_a_pooled_sweep(monkeypatch, blas_threads):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    seen = _spy_on_path(monkeypatch, "sparse", blas_threads)
+    sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5, 0.9], 16, 2)
+    assert seen == [1] * 6  # 3 openings x 2 sectors
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_blas_scope_under_concurrent_entry(blas_threads):
+    # more threads than cores, switching often: a lost update of the holder
+    # count would restore the count while a holder is still inside
+    wrong = []
+
+    def hold():
+        for _ in range(200):
+            with one_blas_thread:
+                with one_blas_thread:
+                    if blas_threads() != 1:
+                        wrong.append(blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hold) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
+    assert blas_threads() == 2
 
 
 # ---------------------------------------------------------------------------
