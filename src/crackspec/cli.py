@@ -12,7 +12,8 @@ command (hyphens may be written as underscores; `true`/`false` for switches).
 Its entries become flags placed before the explicit ones, so they are
 validated like flags and explicit flags win; keys that name no option of the
 command are ignored.  Options are spelled out in full (no abbreviations).
-Sweeps run on up to min(4, cores) threads.
+Sweep points, the sectors of `solve` and the two sectors of each bisection
+step of `crossings` share one pool of up to min(4, cores) threads.
 """
 
 from __future__ import annotations

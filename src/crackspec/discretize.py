@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .domain import SectorProblem, SectorTag, crack_arcs
+from .domain import _ANGLE_TOL, SectorProblem, SectorTag, crack_arcs
 
 __all__ = [
     "PolarGrid",
@@ -66,13 +66,15 @@ class PolarGrid:
 
     It is the one place where requested values snap to the grid: r1 to the
     nearest ring and angles (epsilon, arc ends) to the nearest ray.  The
-    requested values are kept, so every snap is reported."""
+    requested values are kept, so every snap is reported.  It also decides
+    when the geometry is fully open, and reports that opening as pi/n."""
 
     m: int
     r2: float
     theta_extent: float
     r1_requested: float
     eps_requested: float
+    eps_open: float           # pi/n, the opening of the plain disk
 
     def __post_init__(self) -> None:
         if self.m < MIN_CELLS:
@@ -89,8 +91,8 @@ class PolarGrid:
         problems, [0, 2*pi/n) for the Floquet sectors."""
         spec = problem.geometry
         extent = math.pi / 2 if problem.kind == "quarter" else 2 * math.pi / spec.n
-        return cls(m=m, r2=spec.r2, theta_extent=extent,
-                   r1_requested=spec.r1, eps_requested=spec.epsilon)
+        return cls(m=m, r2=spec.r2, theta_extent=extent, r1_requested=spec.r1,
+                   eps_requested=spec.epsilon, eps_open=math.pi / spec.n)
 
     @property
     def dr(self) -> float:
@@ -110,15 +112,29 @@ class PolarGrid:
 
     @property
     def eps(self) -> float:
-        return self.snap_angle(self.eps_requested)
+        """The opening solved: the snapped request, or pi/n when fully open."""
+        return self.eps_at(self.eps_ray(self.eps_requested))
 
     @property
     def r1_snap_error(self) -> float:
         return abs(self.r1 - self.r1_requested)
 
     @property
-    def eps_snap_error(self) -> float:
-        return abs(self.eps - self.eps_requested)
+    def open_ray(self) -> int:
+        """The first ray at or past pi/n (odd m has no ray at pi/n)."""
+        return math.ceil(self.eps_open / self.dtheta - _ANGLE_TOL)
+
+    def eps_ray(self, eps: float) -> int:
+        """The ray the opening `eps` is solved on: its nearest ray, or
+        `open_ray` when the geometry is fully open, that is when `eps` is at
+        pi/n or its nearest ray at or past it."""
+        if eps >= self.eps_open - _ANGLE_TOL:
+            return self.open_ray
+        return min(self.ray(eps), self.open_ray)
+
+    def eps_at(self, ray: int) -> float:
+        """The opening reported for a ray: pi/n from `open_ray` on."""
+        return self.eps_open if ray >= self.open_ray else ray * self.dtheta
 
     def ray(self, theta: float) -> int:
         """Index of the grid ray nearest to the angle theta."""
@@ -186,10 +202,9 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
 
     # The crack arcs of the geometry at the snapped opening, in full-circle
     # angles: the sector sees the first arc (the quarter its part in
-    # [eps, pi/2]), and the rotated cracks fold onto it mod m.  A requested
-    # opening at the fully open end stays open even where the grid has no ray
-    # at pi/n (odd m).
-    arcs = [] if spec.fully_open else crack_arcs(replace(spec, epsilon=grid.eps))
+    # [eps, pi/2]), and the rotated cracks fold onto it mod m.  A fully open
+    # geometry snaps to pi/n, which has no arcs.
+    arcs = crack_arcs(replace(spec, epsilon=grid.eps))
     active = np.ones((n_rings, cols.size), dtype=bool)
     active[grid.r1_ring - 1, grid.ring_mask(arcs, cols, wrap)] = False
 

@@ -3,14 +3,17 @@ nodal-domain counting and the NDD/DND gap scan.
 
 A complex Floquet sector (0 < ell < n/2, weight 2) is one complex operator,
 so `solve_sector` reports each of its eigenvalues once and the weight
-carries the conjugate sector n - ell.  Crossing locations are refined by
-bisection on re-solves over the angular grid of rays (epsilon only takes
-snapped values, so the bracket bottoms out at one grid step; the event
-stores the final bracket).  Bisection reads one table of sector rows keyed by
-(sector, ray) that starts as the sweep's own rows, so each (sector, ray) is
-solved at most once per curve, at the curve's k, and a sweep ray is never
-solved again.  A crossing through an exact zero of the gap at a sweep point
-is bracketed across that point.
+carries the conjugate sector n - ell.  One runner, `_run_sweep`, solves
+sector problems in bulk on a pool of up to min(4, cores) threads and returns
+an `EigenvalueCurve`: sweeps, the full spectrum at one opening and each
+bisection step of crossing refinement all go through it.  Crossing locations
+are refined by bisection on re-solves over the angular grid of rays (epsilon
+only takes snapped values, so the bracket bottoms out at one grid step; the
+event stores the final bracket).  Bisection reads one table of sector rows
+keyed by (sector, ray) that starts as the sweep's own rows, so each
+(sector, ray) is solved at most once per curve, at the curve's k, and a sweep
+ray is never solved again.  A crossing through an exact zero of the gap at a
+sweep point is bracketed across that point.
 
 The `rank` of a crossing labels the eigenvalue by counting distinct
 eigenvalue levels of the merged spectrum strictly below the crossing, at the
@@ -61,7 +64,6 @@ class SectorSolve:
     kept for nodal analysis."""
 
     tag: SectorTag
-    problem: SectorProblem
     values: np.ndarray
     residuals: np.ndarray
     spectrum: Spectrum
@@ -73,8 +75,8 @@ def solve_sector(problem: SectorProblem, m: int, k: int, tol: float = 1e-8) -> S
     fewer than 4k unknowns)."""
     op = assemble(problem, m)
     spec = lowest_eigenpairs(op, min(k, max(1, op.n // 4)), tol=tol)
-    return SectorSolve(tag=op.sector, problem=problem, values=spec.eigenvalues,
-                       residuals=spec.residuals, spectrum=spec, operator=op)
+    return SectorSolve(tag=op.sector, values=spec.eigenvalues, residuals=spec.residuals,
+                       spectrum=spec, operator=op)
 
 
 @dataclass
@@ -110,20 +112,17 @@ def solve_full_spectrum(spec: CrackedDiskSpec, m: int, k: int,
     """Solve all Floquet sectors and merge the weighted union, sorted."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
-    levels: list[MergedLevel] = []
-    eps_s = r1_s = None
-    for problem, tag in reduce_to_sectors(spec):
-        sol = solve_sector(problem, m, k, tol=tol)
-        eps_s, r1_s = sol.operator.grid.eps, sol.operator.grid.r1
-        for v, r in zip(sol.values, sol.residuals):
-            levels.append(MergedLevel(value=float(v), label=tag.label,
-                                      weight=tag.weight, residual=float(r)))
+    curve = _run_sweep([p for p, _ in reduce_to_sectors(spec)], [spec.epsilon], m, k, tol)
+    levels = [MergedLevel(value=float(v), label=tag.label, weight=tag.weight, residual=float(r))
+              for tag in curve.sectors
+              for v, r in zip(curve.values[tag.label][0], curve.residuals[tag.label][0])
+              if np.isfinite(v)]
     levels.sort(key=lambda lv: lv.value)
     expanded = [lv for lv in levels for _ in range(lv.weight)][:k]
     return MergedSpectrum(values=np.array([lv.value for lv in expanded]),
                           labels=[lv.label for lv in expanded],
                           residuals=np.array([lv.residual for lv in expanded]),
-                          levels=levels, eps=eps_s, r1=r1_s, m=m, k=k)
+                          levels=levels, eps=float(curve.epsilons[0]), r1=curve.r1, m=m, k=k)
 
 
 @dataclass
@@ -152,39 +151,37 @@ def _at(problem: SectorProblem, eps: float) -> SectorProblem:
         problem, geometry=dataclasses.replace(problem.geometry, epsilon=float(eps)))
 
 
-def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int, tol: float):
-    """Solve every problem of `problems` once per distinct ray that the
-    openings of `epsilon_list` snap to, on up to min(4, cores) threads
-    (serial for one task or one core), each solve on one BLAS thread.  A
-    ray's problem is built from the first requested opening that snaps to it,
-    so a request at the fully open end stays open on a grid without a ray at
-    pi/n, as in `solve_sector`.
+def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int,
+               tol: float) -> EigenvalueCurve:
+    """Solve every problem of `problems` once per ray that an opening of
+    `epsilon_list` is solved on (`PolarGrid.eps_ray`), on a pool of
+    min(4, cores, tasks) threads, each solve on one BLAS thread.  A ray's
+    problem is built from the first requested opening on it.
 
-    Returns the snapped openings and, per problem label, the (n_eps, k)
-    arrays of eigenvalues and of their residual certificates (NaN where a
-    sector has fewer values)."""
+    Returns the curve of those rays at their reported openings, with the
+    sector values and their residual certificates NaN-padded to k."""
     grid = PolarGrid.for_problem(problems[0], m)
     first: dict[int, float] = {}
     for eps in epsilon_list:
-        first.setdefault(grid.ray(eps), eps)
+        first.setdefault(grid.eps_ray(eps), eps)
+    if not first:
+        raise ValueError("epsilon_list must not be empty")
     rays = sorted(first)
-    eps_grid = np.array([ray * grid.dtheta for ray in rays])
     tasks = [(ie, _at(p, first[ray])) for ie, ray in enumerate(rays) for p in problems]
-    workers = min(4, os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
-        # held across the pool, so the BLAS count does not flip between tasks
-        with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(solve_sector, p, m, k, tol) for _, p in tasks]
-            sols = [fut.result() for fut in futs]
-    else:
-        sols = [solve_sector(p, m, k, tol) for _, p in tasks]
-    values = {p.label: np.full((len(eps_grid), k), np.nan) for p in problems}
+    workers = min(4, os.cpu_count() or 1, len(tasks))
+    # held across the pool, so the BLAS count does not flip between tasks
+    with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
+        sols = list(pool.map(lambda task: solve_sector(task[1], m, k, tol), tasks))
+    values = {p.label: np.full((len(rays), k), np.nan) for p in problems}
     residuals = {label: arr.copy() for label, arr in values.items()}
     for (ie, p), sol in zip(tasks, sols):
         nv = min(k, len(sol.values))
         values[p.label][ie, :nv] = sol.values[:nv]
         residuals[p.label][ie, :nv] = sol.residuals[:nv]
-    return eps_grid, values, residuals
+    return EigenvalueCurve(geometry=problems[0].geometry, m=m, k=k,
+                           epsilons=np.array([grid.eps_at(ray) for ray in rays]),
+                           sectors=[p.tag for p in problems], values=values,
+                           residuals=residuals, r1=grid.r1)
 
 
 def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
@@ -196,24 +193,18 @@ def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
     threads, each solve on one BLAS thread.
     """
     requested = np.asarray(list(epsilon_list), dtype=float)
-    if len(requested) < 1:
-        raise ValueError("epsilon_list must not be empty")
     if (np.diff(requested) < 0).any():
         raise ValueError("epsilon_list must be ascending")
-    problems = [p for p, _ in reduce_to_sectors(spec)]
-    eps_grid, values, residuals = _run_sweep(problems, requested, m, k, tol)
-    return EigenvalueCurve(geometry=spec, m=m, k=k, epsilons=eps_grid,
-                           sectors=[p.tag for p in problems], values=values,
-                           residuals=residuals, r1=PolarGrid.for_problem(problems[0], m).r1)
+    return _run_sweep([p for p, _ in reduce_to_sectors(spec)], requested, m, k, tol)
 
 
 def sweep_quarter(spec: CrackedDiskSpec, cases, epsilon_list, m: int, k: int,
                   tol: float = 1e-8):
-    """Quarter-disk eigenvalue curves (n = 2): dict case -> (n_eps, k) plus
-    the snapped epsilon grid."""
+    """Quarter-disk eigenvalue curves (n = 2): the snapped epsilon grid plus
+    a dict case -> (n_eps, k)."""
     problems = [p for c in cases for p in quarter_problems(spec) if p.quarter_case == c]
-    eps_grid, by_case, _ = _run_sweep(problems, epsilon_list, m, k, tol)
-    return eps_grid, by_case
+    curve = _run_sweep(problems, epsilon_list, m, k, tol)
+    return curve.epsilons, curve.values
 
 
 @dataclass
@@ -262,16 +253,16 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
         raise ValueError("need at least two sweep points to detect crossings")
     problems = {p.label: p for p, _ in reduce_to_sectors(curve.geometry)}
     grid = PolarGrid.for_problem(next(iter(problems.values())), curve.m)
-    rays = [grid.ray(e) for e in curve.epsilons]
-    # (label, ray) -> sector values at curve.k; the sweep's rows come first
+    rays = [grid.eps_ray(e) for e in curve.epsilons]
+    # (label, ray) -> sector values NaN-padded to curve.k; the sweep's rows come first
     rows = {(label, ray): arr[ie] for label, arr in curve.values.items()
             for ie, ray in enumerate(rays)}
 
-    def row(label: str, ray: int) -> np.ndarray:
-        if (label, ray) not in rows:
-            problem = _at(problems[label], ray * grid.dtheta)
-            rows[label, ray] = solve_sector(problem, curve.m, curve.k, tol).values
-        return rows[label, ray]
+    def solve_missing(labels: tuple[str, str], ray: int) -> None:
+        missing = [problems[label] for label in labels if (label, ray) not in rows]
+        if missing:
+            solved = _run_sweep(missing, [grid.eps_at(ray)], curve.m, curve.k, tol)
+            rows.update(((p.label, ray), solved.values[p.label][0]) for p in missing)
 
     events: list[CrossingEvent] = []
     for sa, sb in itertools.combinations(curve.sectors, 2):
@@ -282,11 +273,12 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
                 lo, hi = rays[t0], rays[t1]
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
-                    if (row(sa.label, mid)[ca] - row(sb.label, mid)[cb] > 0) == (d[t0] > 0):
+                    solve_missing((sa.label, sb.label), mid)
+                    if (rows[sa.label, mid][ca] - rows[sb.label, mid][cb] > 0) == (d[t0] > 0):
                         lo = mid
                     else:
                         hi = mid
-                a, b = row(sa.label, lo)[ca], row(sb.label, lo)[cb]
+                a, b = rows[sa.label, lo][ca], rows[sb.label, lo][cb]
                 lam_star = 0.5 * (a + b)
                 cluster_tol = max(1e-3, 1e-3 * abs(lam_star))
                 ie = bisect_right(rays, lo) - 1
@@ -294,7 +286,7 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
                 rank = len(group_multiplicities(levels[levels < min(a, b) - cluster_tol],
                                                 cluster_tol)) + 1
                 if rank <= rank_of_interest:
-                    e_lo, e_hi = lo * grid.dtheta, hi * grid.dtheta
+                    e_lo, e_hi = grid.eps_at(lo), grid.eps_at(hi)
                     events.append(CrossingEvent(
                         epsilon_star=0.5 * (e_lo + e_hi), bracket_lo=e_lo, bracket_hi=e_hi,
                         sector_a=sa, sector_b=sb, index_a=ca, index_b=cb,
@@ -419,6 +411,7 @@ def ndd_dnd_gap(spec: CrackedDiskSpec, epsilon_list, m: int,
     if spec.n != 2:
         raise ValueError("the NDD/DND gap is defined for n = 2")
     problems = [p for p in quarter_problems(spec) if p.quarter_case in ("NDD", "DND")]
-    eps_grid, lam, res = _run_sweep(problems, epsilon_list, m, 1, tol)
-    return GapScan(epsilons=eps_grid, lam_ndd=lam["NDD"][:, 0], lam_dnd=lam["DND"][:, 0],
+    curve = _run_sweep(problems, epsilon_list, m, 1, tol)
+    lam, res = curve.values, curve.residuals
+    return GapScan(epsilons=curve.epsilons, lam_ndd=lam["NDD"][:, 0], lam_dnd=lam["DND"][:, 0],
                    residual_ndd=res["NDD"][:, 0], residual_dnd=res["DND"][:, 0])

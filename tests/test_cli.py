@@ -88,6 +88,18 @@ def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("m", ["33", "35"])
+def test_fully_open_opening_is_written_as_pi_over_n(tmp_path, m):
+    open_eps = repr(math.pi / 3)
+    code, out = run(tmp_path, "solve", "--n", "3", "--epsilon", open_eps, "-M", m, "-k", "2")
+    assert code == 0
+    assert f"# epsilon = {open_eps}\n" in out.read_text()
+    code, out = run(tmp_path, "sweep", "--n", "3", "--steps", "3", "--eps-max", open_eps,
+                    "-M", m, "-k", "2")
+    assert code == 0
+    assert f"# epsilon_max = {open_eps}\n" in out.read_text()
+
+
 def test_sweep_with_plot(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--n", "2", "--r1", "0.4356", "--steps", "3",

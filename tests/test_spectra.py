@@ -1,5 +1,7 @@
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -144,19 +146,25 @@ def test_sweep_monotone_and_snapped():
 @pytest.mark.parametrize("m", [31, 33, 35])
 def test_sweep_ending_fully_open_on_odd_grid_matches_solve(m):
     # an odd grid has no ray at pi/3: the last sweep point must still be the
-    # open disk that `solve_full_spectrum` gives for the same request
+    # open disk that `solve_full_spectrum` gives for the same request, both
+    # report it at pi/3, as for a request just below pi/3 that is fully open
+    # too, and the crack on the ray below pi/3 stays a point of its own
     r1 = specfun.choose_r1(1.0)
-    curve = sweep(build_cracked_disk(3, 0.0, r1, 1.0), [0.5, math.pi / 3], m, 2)
-    merged = solve_full_spectrum(build_cracked_disk(3, math.pi / 3, r1, 1.0), m, 2)
-    assert curve.epsilons[-1] == merged.eps
+    below = (m // 2) * ((2 * math.pi / 3) / m)
+    curve = sweep(build_cracked_disk(3, 0.0, r1, 1.0), [0.5, below, math.pi / 3], m, 2)
+    assert curve.epsilons.tolist() == [curve.epsilons[0], below, math.pi / 3]
+    for eps in (math.pi / 3, math.pi / 3 - 1e-13):
+        merged = solve_full_spectrum(build_cracked_disk(3, eps, r1, 1.0), m, 2)
+        assert merged.eps == math.pi / 3
     for tag in curve.sectors:
         want = [lv.value for lv in merged.levels if lv.label == tag.label]
         np.testing.assert_allclose(curve.values[tag.label][-1], want, rtol=1e-12, atol=0)
 
 
 def test_pooled_sweep_equals_serial_sweep(monkeypatch):
-    # the worker count follows os.cpu_count: 4 cores give the pool, 1 core
-    # the serial loop; both must return the same bits
+    # the worker count follows os.cpu_count: 4 cores give four workers, 1
+    # core a one-worker pool; sweeps, the full spectrum and the crossing
+    # refinement must return the same bits on both
     n3 = build_cracked_disk(3, 0.0, 0.4356, 1.0)
     n2 = build_cracked_disk(2, 0.0, 0.4356, 1.0)
     runs = []
@@ -164,14 +172,50 @@ def test_pooled_sweep_equals_serial_sweep(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         curve = sweep(n3, [0.2, 0.5, 0.9], 24, 3)
         _, by_case = sweep_quarter(n2, ("NND", "DND"), [0.7, 1.2], 24, 2)
-        runs.append((curve, by_case))
-    (pooled, q_pooled), (serial, q_serial) = runs
+        merged = solve_full_spectrum(build_cracked_disk(3, 0.5, 0.4356, 1.0), 24, 6)
+        coarse = sweep(n3, np.linspace(0.05, math.pi / 3 - 0.02, 6), 24, 3)
+        runs.append((curve, by_case, merged, detect_crossings(coarse, 3)))
+    (pooled, q_pooled, m_pooled, e_pooled), (serial, q_serial, m_serial, e_serial) = runs
     assert "ell=1" in serial.values  # the complex sector is covered
     for label in serial.values:
         np.testing.assert_array_equal(pooled.values[label], serial.values[label])
         np.testing.assert_array_equal(pooled.residuals[label], serial.residuals[label])
     for case in q_serial:
         np.testing.assert_array_equal(q_pooled[case], q_serial[case])
+    np.testing.assert_array_equal(m_pooled.values, m_serial.values)
+    np.testing.assert_array_equal(m_pooled.residuals, m_serial.residuals)
+    assert m_pooled.levels == m_serial.levels and m_pooled.labels == m_serial.labels
+    assert e_serial and e_pooled == e_serial
+
+
+def test_sector_solves_share_the_pool(monkeypatch):
+    # each bisection step solves its two sectors together, and the full
+    # spectrum its sectors; a slowed solve shows them in flight at once
+    from crackspec import spectra
+    spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
+    curve = sweep(spec, np.linspace(0.05, math.pi / 3 - 0.02, 6), 24, 3)
+    solve = spectra.solve_sector
+    lock = threading.Lock()
+    flight = {"now": 0, "max": 0}
+
+    def slowed(*args):
+        with lock:
+            flight["now"] += 1
+            flight["max"] = max(flight["max"], flight["now"])
+        try:
+            time.sleep(0.05)
+            return solve(*args)
+        finally:
+            with lock:
+                flight["now"] -= 1
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(spectra, "solve_sector", slowed)
+    assert detect_crossings(curve, 3)
+    assert flight["max"] >= 2
+    flight["max"] = 0
+    solve_full_spectrum(build_cracked_disk(3, 0.5, 0.4356, 1.0), 24, 4)
+    assert flight["max"] >= 2
 
 
 def test_sweep_validation():
@@ -253,6 +297,21 @@ def test_crossing_through_a_sweep_point_is_bracketed_across_it():
     assert ev.total_multiplicity == 3
     assert ev.bracket_hi - ev.bracket_lo == pytest.approx(dtheta)
     assert 4 * dtheta <= ev.bracket_lo < ev.bracket_hi <= 6 * dtheta
+
+
+def test_crossing_next_to_the_open_disk_on_an_odd_grid():
+    # on m = 13 the open disk is solved past pi/3 (ray 6.5), so ray 6, a
+    # crack, lies between the last two sweep points and is bisected; the
+    # bracket's open end is reported at pi/3
+    spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
+    dtheta = (2 * math.pi / 3) / 13
+    curve = sweep(spec, [4 * dtheta, 5 * dtheta, math.pi / 3], 13, 1)
+    assert curve.epsilons[-1] == math.pi / 3
+    curve.values = {"ell=0": np.array([[1.0], [1.0], [20.0]]),
+                    "ell=1": np.array([[10.0], [10.0], [10.0]])}
+    # the solved ray-6 gap, ell=0 lambda_1 - ell=1 lambda_1, is negative
+    [ev] = detect_crossings(curve, 10)
+    assert (ev.bracket_lo, ev.bracket_hi) == (6 * dtheta, math.pi / 3)
 
 
 def test_touching_curves_are_no_crossing():
