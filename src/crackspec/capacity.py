@@ -15,19 +15,43 @@ reported capacity equals the boundary-flux value to round-off.  The center
 r = 0 is a single unknown tied to ring 1 through the regularity stencil (it
 must not be grounded: for K the full circle the potential is identically 1
 inside, with zero energy contribution).
+
+The minimizer is found by the capacitance-matrix method (Buzbee, Dorr,
+George & Golub, SIAM J. Numer. Anal. 8 (1971); Proskurowski & Widlund, Math.
+Comp. 30 (1976)).  Let F be the unknowns on K and G = L^-1.  L V vanishes
+off F, so V = G c for charges c on F, and V_F = 1 gives G_FF c = 1.  Hence
+
+    cap = 1^T (G_FF)^-1 1 = sum(c) = V . L V,
+
+the Schur complement of L onto F being (G_FF)^-1.  The disk operator
+(ell = 0, wrapped columns, a center that averages ring 1 with equal cells)
+commutes with the rotation by one grid column, and so does G.  Its ring
+block is therefore circulant, G_FF[a, b] = g[(F_a - F_b) mod m] on the r1
+ring, where g = G e is the Green's column of the unit charge at (r1 ring,
+column 0), and G e_f is g rotated by f columns.  One column thus serves
+every arc set on a grid: the charges come from a Cholesky of the at most
+m x m block G_FF, and V is the circular convolution of g with c along each
+ring (the center, which every rotation fixes, is g_center * sum(c)).
+
+L and g are cached per snapped grid (r1 ring, r2, m), for at most
+`_CACHED_GRIDS` grids, about 2.3 MB each at m = 180.  g costs one sparse
+factorization, one solve and one step of iterative refinement; the factor
+is not kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .discretize import MIN_CELLS, PolarGrid, assemble
 from .domain import CrackedDiskSpec, SectorProblem
-from .eigensolve import _factor_hpd
+from .eigensolve import _factor_hpd, one_blas_thread
 
 __all__ = [
     "CapacityProblem",
@@ -39,6 +63,7 @@ __all__ = [
 ]
 
 _RESIDUAL_BOUND = 1e-10
+_CACHED_GRIDS = 4
 
 
 @dataclass(frozen=True)
@@ -80,15 +105,39 @@ class CapacityResult:
     energy_residual: float
 
 
+@functools.lru_cache(maxsize=_CACHED_GRIDS)
+def _disk_green(r1_ring: int, r2: float, m: int):
+    """The weighted Laplacian L of the fully open disk on the m x m grid of
+    radius r2, and its Green's column g = L^-1 e at (ring r1_ring, column 0)."""
+    op = assemble(CapacityProblem(r1_ring * r2 / m, r2, (), m).disk, m)
+    grid = op.grid
+    lap = (grid.dr * grid.dtheta * sp.diags(op.row_weights) @ op.matrix).tocsr()
+    e = np.zeros(op.n)
+    e[(r1_ring - 1) * m] = 1.0
+    lu = _factor_hpd(lap)
+    g = lu.solve(e)
+    g += lu.solve(e - lap @ g)  # one step of iterative refinement
+    # every caller shares these arrays
+    lap.sort_indices()
+    for shared in (lap.data, lap.indices, lap.indptr, g):
+        shared.flags.writeable = False
+    return lap, g
+
+
+def _arc_nodes(problem: CapacityProblem) -> np.ndarray:
+    """The r1-ring unknowns on the arcs, which carry V = 1; the fully open
+    disk numbers its unknowns ring by ring, center last."""
+    grid = problem.grid
+    cols = np.flatnonzero(grid.ring_mask(problem.arcs, np.arange(problem.m), wrap=True))
+    return (grid.r1_ring - 1) * problem.m + cols
+
+
 def _energy_system(problem: CapacityProblem):
     """The weighted graph Laplacian of the disk operator and the mask of the
     unknowns on the arcs, which carry V = 1."""
-    op = assemble(problem.disk, problem.m)
-    grid = op.grid
-    lap = (grid.dr * grid.dtheta * sp.diags(op.row_weights) @ op.matrix).tocsr()
-    fixed = np.zeros(op.n, dtype=bool)
-    on_ring = op.node_ring == grid.r1_ring
-    fixed[on_ring] = grid.ring_mask(problem.arcs, op.node_col[on_ring], wrap=True)
+    lap, _ = _disk_green(problem.grid.r1_ring, problem.r2, problem.m)
+    fixed = np.zeros(lap.shape[0], dtype=bool)
+    fixed[_arc_nodes(problem)] = True
     return lap, fixed
 
 
@@ -105,32 +154,32 @@ def capacitary_potential(problem: CapacityProblem):
     harmonic elsewhere; returns (CapacitaryPotential, CapacityResult) with the
     capacity as the discrete Dirichlet energy of the minimizer."""
     m = problem.m
-    lap, fixed = _energy_system(problem)
-    n = lap.shape[0]
-    v = np.zeros(n)
-    if fixed.sum() == 0:  # empty compact: zero potential, zero capacity
+    ring = problem.grid.r1_ring
+    nodes = _arc_nodes(problem)
+    if nodes.size == 0:  # empty compact: zero potential, zero capacity
         return (CapacitaryPotential(np.zeros((m - 1, m)), 0.0),
                 CapacityResult(0.0, 0.0))
-    v[fixed] = 1.0
-    free = ~fixed
-    lap_ff = lap[free][:, free].tocsc()
-    rhs = -(lap[free][:, fixed] @ v[fixed])
-    lu = _factor_hpd(lap_ff)
-    v_free = lu.solve(rhs)
-    # one step of iterative refinement keeps the harmonicity residual tiny
-    resid = rhs - lap_ff @ v_free
-    v_free = v_free + lu.solve(resid)
-    v[free] = v_free
-    residual = float(np.max(np.abs(rhs - lap_ff @ v_free))) if v_free.size else 0.0
-    if residual > _RESIDUAL_BOUND:
-        raise RuntimeError(
-            f"capacitary solve left harmonicity residual {residual:.3e} "
-            f"above {_RESIDUAL_BOUND:.0e}")
-    # np.sum, not a BLAS dot: a dot this long wakes OpenBLAS worker threads,
-    # whose spin-wait then added a third to the CPU time of the next splu
-    energy = float(np.sum(v * (lap @ v)))
-    # the fully open disk numbers its unknowns ring by ring, center last
-    field = v[:(m - 1) * m].reshape(m - 1, m)
+    cols = nodes % m
+    with one_blas_thread:
+        lap, g = _disk_green(ring, problem.r2, m)
+        rings = g[:-1].reshape(m - 1, m)
+        # the ring block of L^-1 is circulant
+        g_ff = rings[ring - 1][(cols[:, np.newaxis] - cols) % m]
+        charge = np.zeros(m)
+        charge[cols] = sla.cho_solve(sla.cho_factor(g_ff), np.ones(cols.size))
+        # V = sum over f of charge_f * (g rotated by f columns), ring by ring
+        field = np.fft.irfft(np.fft.rfft(rings, axis=1) * np.fft.rfft(charge), n=m, axis=1)
+        field[ring - 1, cols] = 1.0
+        v = np.append(field, g[-1] * charge.sum())
+        lv = lap @ v
+        residual = float(np.max(np.abs(np.delete(lv, nodes))))
+        if residual > _RESIDUAL_BOUND:
+            raise RuntimeError(
+                f"capacitary solve left harmonicity residual {residual:.3e} "
+                f"above {_RESIDUAL_BOUND:.0e}")
+        # np.sum sums pairwise, with a rounding bound that grows like log n
+        # where a BLAS dot's grows like n
+        energy = float(np.sum(v * lv))
     return CapacitaryPotential(field, float(v[-1])), CapacityResult(energy, residual)
 
 

@@ -9,23 +9,25 @@ Hermitian matrix to complex ARPACK) on the Hermitian part of the symmetrized
 matrix, with the eigenvectors mapped back.  Its inverse is one sparse LU in
 SuperLU's symmetric mode (minimum-degree ordering of A + A^T, no pivoting),
 which is stable because every operator is Hermitian positive definite at
-shift 0; the same factorization solves the capacitary potential.  A
-symmetrization residual out of tolerance, or a factor that pivoted or has a
-non-positive pivot, is an assembly bug and raises `SolverError`.  The dense
-QR path (LAPACK *geev*, `method="dense"`) is the independent oracle of the
-tests.  Eigenvectors of a complex operator stay complex.
+shift 0; the same factorization gives the Green's column of the capacitary
+potential.  A symmetrization residual out of tolerance, or a factor that
+pivoted or has a non-positive pivot, is an assembly bug and raises
+`SolverError`.  The dense QR path (LAPACK *geev*, `method="dense"`) is the
+independent oracle of the tests.  Eigenvectors of a complex operator stay
+complex.
 
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||
 computed on the original matrix, and eigenvalues are accepted only if their
 imaginary part is negligible.
 
-Every solve runs on one BLAS thread: `lowest_eigenpairs` holds
-`one_blas_thread`, which sets scipy's OpenBLAS (the library that ARPACK,
-SuperLU and LAPACK *geev* call) to one thread while any solve is inside and
-restores the caller's count when the last one leaves.  The sweep's thread
-pool is then the only parallelism, OpenBLAS threads do not spin against it,
-and the result does not depend on the machine's core count.  Against a BLAS
-other than OpenBLAS the scope does nothing.
+Every solve runs on one BLAS thread: `lowest_eigenpairs`, like
+`capacity.capacitary_potential`, holds `one_blas_thread`, which sets scipy's
+OpenBLAS (the library that ARPACK, SuperLU and LAPACK call) to one thread
+while any solve is inside and restores the caller's count when the last one
+leaves.  The sweep's thread pool is then the only parallelism, OpenBLAS
+threads do not spin against it, and the result does not depend on the
+machine's core count.  Against a BLAS other than OpenBLAS the scope does
+nothing.
 """
 
 from __future__ import annotations

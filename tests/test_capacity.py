@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from crackspec import capacity
 from crackspec.capacity import (
     AdditivityResult,
     CapacityProblem,
+    _disk_green,
+    _energy_system,
     additivity_ratio,
     capacitary_potential,
 )
+from crackspec.eigensolve import _factor_hpd
 
 FULL = ((0.0, 2 * math.pi),)
+R1, R2 = 0.4356, 1.0
 
 
 def test_full_circle_matches_log_formula():
@@ -57,7 +63,6 @@ def test_projected_gradient_oracle():
     prob = CapacityProblem(0.4356, 1.0,
                            ((math.pi / 2 - 0.2, math.pi / 2 + 0.2),
                             (3 * math.pi / 2 - 0.2, 3 * math.pi / 2 + 0.2)), 40)
-    from crackspec.capacity import _energy_system
     lap, fixed = _energy_system(prob)
     n = lap.shape[0]
     v = np.zeros(n)
@@ -119,3 +124,115 @@ def test_snapped_arcs_reported():
     assert hi == pytest.approx(round(0.7 / dth) * dth)
     mask = grid.ring_mask(prob.arcs, np.arange(36), wrap=True)
     assert mask.sum() == round(hi / dth) - round(lo / dth) + 1
+
+
+# ---------------------------------------------------------------------------
+# the Green's column against direct elimination
+# ---------------------------------------------------------------------------
+
+def _direct_potential(prob):
+    """The potential and capacity by elimination of the arc unknowns: one LU
+    of the free block, one solve and one step of iterative refinement."""
+    lap, fixed = _energy_system(prob)
+    v = np.zeros(lap.shape[0])
+    v[fixed] = 1.0
+    free = ~fixed
+    lap_ff = lap[free][:, free].tocsc()
+    rhs = -(lap[free][:, fixed] @ v[fixed])
+    lu = _factor_hpd(lap_ff)
+    v_free = lu.solve(rhs)
+    v_free += lu.solve(rhs - lap_ff @ v_free)
+    v[free] = v_free
+    return v, float(np.sum(v * (lap @ v)))
+
+
+@st.composite
+def arc_sets(draw):
+    """One to three arcs: the full circle, or an arc that may start below
+    theta = 0 (so it crosses it) or end past 2*pi, of width up to 1.9*pi."""
+    arcs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 9)) == 0:
+            arcs.append((0.0, 2 * math.pi))
+        else:
+            a = draw(st.floats(-math.pi, 2 * math.pi))
+            arcs.append((a, a + draw(st.floats(0.0, 1.9 * math.pi))))
+    return tuple(arcs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([24, 25, 40]), arcs=arc_sets(), extra=arc_sets())
+def test_green_column_matches_direct_elimination(m, arcs, extra):
+    prob = CapacityProblem(R1, R2, arcs, m)
+    pot, res = capacitary_potential(prob)
+    v_direct, cap_direct = _direct_potential(prob)
+    assert res.cap == pytest.approx(cap_direct, rel=1e-12)
+    assert np.max(np.abs(np.append(pot.field, pot.center) - v_direct)) <= 1e-12
+    # monotone in the compact, and subadditive
+    grown = capacitary_potential(CapacityProblem(R1, R2, arcs + extra, m))[1].cap
+    other = capacitary_potential(CapacityProblem(R1, R2, extra, m))[1].cap
+    assert res.cap <= grown * (1 + 1e-12)
+    assert grown <= (res.cap + other) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("m", [24, 25])
+def test_green_columns_are_rotations_of_the_cached_one(m):
+    # the circulant ring block rests on this: the unit charge at column f
+    # gives the cached column rotated by f columns, on every ring
+    ring = CapacityProblem(R1, R2, FULL, m).grid.r1_ring
+    lap, g = _disk_green(ring, R2, m)
+    lu = _factor_hpd(lap)
+    cols = np.arange(m)
+    on_ring = (ring - 1) * m + cols
+    units = np.zeros((lap.shape[0], m))
+    units[on_ring, cols] = 1.0
+    columns = lu.solve(units)
+    block = columns[on_ring]
+    assert np.max(np.abs(block - g[on_ring][(cols[:, np.newaxis] - cols) % m])) <= 1e-13
+    rings = g[:-1].reshape(m - 1, m)
+    for f in cols:
+        assert np.max(np.abs(columns[:-1, f].reshape(m - 1, m)
+                             - np.roll(rings, f, axis=1))) <= 1e-13
+        assert columns[-1, f] == pytest.approx(g[-1], abs=1e-13)
+
+
+@pytest.mark.parametrize("m", [24, 25])
+def test_capacity_invariant_under_whole_grid_rotations(m):
+    dth = 2 * math.pi / m
+    arcs = ((2.2 * dth, 7.1 * dth), (11.9 * dth, 13.3 * dth))
+    caps, direct = [], []
+    for s in (0, 1, 5, m - 9, m - 4):
+        prob = CapacityProblem(R1, R2, tuple((a + s * dth, b + s * dth) for a, b in arcs), m)
+        caps.append(capacitary_potential(prob)[1].cap)
+        direct.append(_direct_potential(prob)[1])
+    assert caps == pytest.approx([caps[0]] * len(caps), rel=1e-12)
+    assert direct == pytest.approx([caps[0]] * len(caps), rel=1e-12)
+
+
+def test_one_factorization_per_grid(monkeypatch):
+    factored = []
+
+    def counting(matrix):
+        factored.append(matrix.shape[0])
+        return _factor_hpd(matrix)
+
+    monkeypatch.setattr(capacity, "_factor_hpd", counting)
+    _disk_green.cache_clear()
+    # the empty compact needs no factorization
+    assert capacitary_potential(CapacityProblem(R1, R2, (), 24))[1].cap == 0.0
+    assert factored == []
+    ring = capacitary_potential(CapacityProblem(R1, R2, FULL, 24))[1].cap
+    for d in (0.4, 0.2, 0.1, 0.05):
+        additivity_ratio(R1, R2, d, 24)
+    assert len(factored) == 1
+    # another r1 on the same ring shares the factor, and reports itself
+    near = R1 - 0.2 / 24
+    here, there = CapacityProblem(R1, R2, FULL, 24), CapacityProblem(near, R2, FULL, 24)
+    assert capacitary_potential(there)[1].cap == ring
+    assert len(factored) == 1
+    assert there.grid.r1_ring == here.grid.r1_ring and there.grid.r1 == here.grid.r1
+    assert (here.grid.r1_requested, there.grid.r1_requested) == (R1, near)
+    assert there.grid.r1_snap_error != here.grid.r1_snap_error
+    # a new grid factors again
+    capacitary_potential(CapacityProblem(R1, R2, FULL, 25))
+    assert len(factored) == 2

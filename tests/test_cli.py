@@ -148,6 +148,27 @@ def test_capacity_command(tmp_path):
     assert 0.0 < float(rows[0][4]) <= 1.0
 
 
+@pytest.mark.parametrize("m, rows", [
+    ("24", ["0.4,5.4345242933,3.2265998132,3.2265998132,0.842144146767",
+            "0.2,4.42830355977,2.52461896312,2.52461896312,0.87702414195",
+            "0.1,2.94989635873,1.60387820917,1.60387820917,0.919613578468",
+            "0.05,2.94989635873,1.60387820917,1.60387820917,0.919613578468"]),
+    ("25", ["0.4,5.11558871233,2.93689950655,2.93689950655,0.870916539862",
+            "0.2,4.54656873269,2.56186792342,2.56186792342,0.887354240851",
+            "0.1,3.87856846945,2.14270696213,2.14270696213,0.905062740265",
+            "0.05,2.99799683487,1.61694956723,1.61694956723,0.927053290849"]),
+])
+def test_capacity_output_is_pinned(tmp_path, m, rows):
+    # rows recorded with the direct elimination of the arc unknowns (the
+    # oracle in test_capacity.py); the Green's-column solve repeats them
+    # byte for byte
+    code, out = run(tmp_path, "capacity", "--r1", "0.4356", "--delta-list",
+                    "0.4,0.2,0.1,0.05", "-M", m)
+    assert code == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines == ["delta,cap_total,cap_plus,cap_minus,ratio"] + rows
+
+
 def test_asymptotics_with_fit(tmp_path):
     from crackspec.asymptotics import model, predict
     mod = model("DND", 0.4356, 1.0)

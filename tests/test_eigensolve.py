@@ -15,7 +15,8 @@ from crackspec.domain import (
     quarter_problems,
     reduce_to_sectors,
 )
-from crackspec import eigensolve
+from crackspec import capacity, eigensolve
+from crackspec.capacity import CapacityProblem, capacitary_potential
 from crackspec.discretize import assemble
 from crackspec.eigensolve import (
     SolverError,
@@ -236,6 +237,33 @@ def test_blas_count_restored_after_a_pooled_sweep(monkeypatch, blas_threads):
     seen = _spy_on_path(monkeypatch, "sparse", blas_threads)
     sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5, 0.9], 16, 2)
     assert seen == [1] * 6  # 3 openings x 2 sectors
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_capacity_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads):
+    seen = []
+
+    def spy(inner):
+        def counted(*args, **kwargs):
+            seen.append(blas_threads())
+            return inner(*args, **kwargs)
+        return counted
+
+    # the sparse factor of the Green's column, and the dense ring Cholesky
+    monkeypatch.setattr(capacity, "_factor_hpd", spy(_factor_hpd))
+    monkeypatch.setattr(capacity.sla, "cho_factor", spy(capacity.sla.cho_factor))
+    capacity._disk_green.cache_clear()
+    capacitary_potential(CapacityProblem(0.4356, 1.0, ((0.0, 1.0),), 24))
+    assert seen == [1, 1]
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_blas_count_restored_after_a_capacity_error(monkeypatch, blas_threads):
+    monkeypatch.setattr(capacity, "_RESIDUAL_BOUND", -1.0)
+    with pytest.raises(RuntimeError, match="harmonicity residual"):
+        capacitary_potential(CapacityProblem(0.4356, 1.0, ((0.0, 1.0),), 24))
     assert blas_threads() == 2
 
 
