@@ -11,7 +11,6 @@ from .domain import (
     SectorProblem,
     SectorTag,
     build_cracked_disk,
-    crack_arcs,
     quarter_problems,
     reduce_to_sectors,
 )
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CrackedDiskSpec", "SectorProblem", "SectorTag", "build_cracked_disk",
-    "crack_arcs", "quarter_problems", "reduce_to_sectors",
+    "quarter_problems", "reduce_to_sectors",
     "AssembledOperator", "PolarGrid", "assemble",
     "SolverError", "Spectrum", "group_multiplicities", "lowest_eigenpairs",
     "CrossingEvent", "EigenvalueCurve", "MergedSpectrum", "NodalCount",

@@ -128,7 +128,7 @@ def _arc_nodes(problem: CapacityProblem) -> np.ndarray:
     """The r1-ring unknowns on the arcs, which carry V = 1; the fully open
     disk numbers its unknowns ring by ring, center last."""
     grid = problem.grid
-    cols = np.flatnonzero(grid.ring_mask(problem.arcs, np.arange(problem.m), wrap=True))
+    cols = np.flatnonzero(grid.ring_mask(problem.arcs))
     return (grid.r1_ring - 1) * problem.m + cols
 
 

@@ -98,7 +98,7 @@ def _write_svg(path: str, eps, curves: dict[str, np.ndarray], title: str) -> Non
     """Self-contained SVG line plot: one polyline per (sector, index)."""
     width, height, pad = 720, 480, 54
     xs = np.asarray(eps)
-    ys = np.concatenate([v[np.isfinite(v)].ravel() for v in curves.values()])
+    ys = np.concatenate([v.ravel() for v in curves.values()])
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     xspan = (x1 - x0) or 1.0
@@ -132,10 +132,9 @@ def _write_svg(path: str, eps, curves: dict[str, np.ndarray], title: str) -> Non
     for ci, (label, arr) in enumerate(sorted(curves.items())):
         color = palette[ci % len(palette)]
         for col in range(arr.shape[1]):
-            pts = [(sx(x), sy(y)) for x, y in zip(xs, arr[:, col]) if math.isfinite(y)]
-            if len(pts) < 2:
+            if len(xs) < 2:
                 continue
-            d = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+            d = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, arr[:, col]))
             parts.append(f'<polyline points="{d}" fill="none" stroke="{color}" '
                          'stroke-width="1.6"/>')
         parts.append(f'<rect x="{width - pad - 120}" y="{legend_y}" width="12" height="12" '
@@ -200,10 +199,8 @@ def _cmd_sweep(args) -> None:
     for ie, eps in enumerate(curve.epsilons):
         for tag in curve.sectors:
             for idx in range(args.k):
-                value = curve.values[tag.label][ie, idx]
-                if math.isfinite(value):
-                    rows.append([eps, tag.label, idx + 1, value,
-                                 curve.residuals[tag.label][ie, idx]])
+                rows.append([eps, tag.label, idx + 1, curve.values[tag.label][ie, idx],
+                             curve.residuals[tag.label][ie, idx]])
     meta = {"command": "sweep", "n": args.n, "r1_requested": r1,
             "r1": curve.r1, "r2": args.r2,
             "m": args.grid, "k": args.k, "steps": args.steps, "tol": args.tol,
@@ -269,19 +266,24 @@ def _cmd_asymptotics(args) -> None:
 def _read_curve_csv(path: str):
     eps, lam = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
+        header, width = None, 0
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             cells = line.split(",")
             if header is None:
-                header = {name: i for i, name in enumerate(cells)}
+                header, width = {name: i for i, name in enumerate(cells)}, len(cells)
                 if "epsilon" not in header or "lambda" not in header:
                     raise CliError(f"{path}: need 'epsilon' and 'lambda' columns")
                 continue
-            eps.append(float(cells[header["epsilon"]]))
-            lam.append(float(cells[header["lambda"]]))
+            if len(cells) < width:
+                raise CliError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
+            try:
+                eps.append(float(cells[header["epsilon"]]))
+                lam.append(float(cells[header["lambda"]]))
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: epsilon and lambda must be numbers") from None
     if not eps:
         raise CliError(f"{path}: no data rows")
     return eps, lam

@@ -15,7 +15,9 @@ Conventions (all encoded in the assembled matrix, no constraint rows):
 
 * Dirichlet nodes (outer circle i=m, crack nodes on the snapped r1 ring,
   Dirichlet rays of quarter problems) are eliminated; their stencil
-  contribution is zero.
+  contribution is zero.  The crack nodes are the r1-ring columns at least
+  `PolarGrid.eps_ray` rays from the nearest hole center, none once that ray
+  reaches `open_ray`.
 * A Neumann ray is a half cell, the only Neumann rule: each angular link
   out of it is doubled (the mirror ghost u_{i,-1} = u_{i,1}), and its nodes
   carry half a node weight and half a share of the center's ring-1 average.
@@ -43,12 +45,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .domain import _ANGLE_TOL, SectorProblem, SectorTag, crack_arcs
+from .domain import _ANGLE_TOL, SectorProblem, SectorTag
 
 __all__ = [
     "PolarGrid",
@@ -143,19 +145,18 @@ class PolarGrid:
     def snap_angle(self, theta: float) -> float:
         return self.ray(theta) * self.dtheta
 
-    def ring_mask(self, arcs, cols: np.ndarray, wrap: bool) -> np.ndarray:
-        """Mask over the ray indices `cols` of the r1-ring nodes on the closed
-        angular arcs `arcs`.
+    def ring_mask(self, arcs) -> np.ndarray:
+        """Mask over the m rays of the r1-ring nodes on the closed angular
+        arcs `arcs`.
 
         Each arc end snaps to its nearest ray, and that ray is covered: a node
-        exactly at an arc end is Dirichlet.  When the columns wrap round, ray
-        indices count mod m, so an arc may cross theta = 0 and every rotated
-        copy of a Floquet crack lands on the sector's own columns."""
-        covered = np.zeros(cols.shape, dtype=bool)
+        exactly at an arc end is Dirichlet.  Ray indices count mod m, so an
+        arc may cross theta = 0."""
+        cols = np.arange(self.m)
+        covered = np.zeros(self.m, dtype=bool)
         for a, b in arcs:
             lo, hi = self.ray(a), self.ray(b)
-            offset = (cols - lo) % self.m if wrap else cols - lo
-            covered |= (offset >= 0) & (offset <= hi - lo)
+            covered |= (cols - lo) % self.m <= hi - lo
         return covered
 
 
@@ -200,13 +201,12 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     n_rings = m - 1
     ri = dr * np.arange(1, m)
 
-    # The crack arcs of the geometry at the snapped opening, in full-circle
-    # angles: the sector sees the first arc (the quarter its part in
-    # [eps, pi/2]), and the rotated cracks fold onto it mod m.  A fully open
-    # geometry snaps to pi/n, which has no arcs.
-    arcs = crack_arcs(replace(spec, epsilon=grid.eps))
+    # crack: r1-ring columns >= e rays from a hole center, `period` columns apart
+    e = grid.eps_ray(spec.epsilon)
+    period = round(2 * grid.eps_open / dth)
     active = np.ones((n_rings, cols.size), dtype=bool)
-    active[grid.r1_ring - 1, grid.ring_mask(arcs, cols, wrap)] = False
+    if e < grid.open_ray:
+        active[grid.r1_ring - 1, np.minimum(cols, period - cols) >= e] = False
 
     n1 = int(active.sum())
     ids = -np.ones(active.shape, dtype=np.int64)

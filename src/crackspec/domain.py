@@ -14,6 +14,10 @@ twice; they carry weight 2.  For ``n = 2`` the two reflections additionally
 split the odd sector into the four quarter-disk problems NND/DDD/NDD/DND
 (letters: condition on the ray theta=0, on the ray theta=pi/2, and on the
 crack, which is always Dirichlet).
+
+The geometry holds the requested values only.  Which r1-ring nodes form the
+crack, and when an opening counts as fully open, is decided on the grid
+(`discretize.PolarGrid.eps_ray` and `open_ray`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ __all__ = [
     "build_cracked_disk",
     "reduce_to_sectors",
     "quarter_problems",
-    "crack_arcs",
 ]
 
 QUARTER_CASES = ("NND", "DDD", "NDD", "DND")
@@ -56,16 +59,6 @@ class CrackedDiskSpec:
         if not (-_ANGLE_TOL <= self.epsilon <= hi + _ANGLE_TOL):
             raise ValueError(
                 f"epsilon={self.epsilon!r} outside [0, pi/n] = [0, {hi:.6g}]")
-
-    @property
-    def fully_open(self) -> bool:
-        """True when the interface is removed entirely (plain disk)."""
-        return self.epsilon >= math.pi / self.n - _ANGLE_TOL
-
-    @property
-    def fully_closed(self) -> bool:
-        """True when the interface circle carries Dirichlet everywhere."""
-        return self.epsilon <= _ANGLE_TOL
 
 
 @dataclass(frozen=True)
@@ -144,16 +137,3 @@ def quarter_problems(spec: CrackedDiskSpec) -> list[SectorProblem]:
     return [SectorProblem(kind="quarter", geometry=spec, quarter_case=c)
             for c in QUARTER_CASES]
 
-
-def crack_arcs(spec: CrackedDiskSpec) -> list[tuple[float, float]]:
-    """Closed angular intervals at r = r1 carrying the Dirichlet condition:
-    n arcs of width 2*(pi/n - epsilon) centered at (2j+1)*pi/n, empty when
-    the interface is fully open."""
-    if spec.fully_open:
-        return []
-    half = math.pi / spec.n - spec.epsilon
-    out = []
-    for j in range(spec.n):
-        center = (2 * j + 1) * math.pi / spec.n
-        out.append((center - half, center + half))
-    return out

@@ -5,7 +5,8 @@ A complex Floquet sector (0 < ell < n/2, weight 2) is one complex operator,
 so `solve_sector` reports each of its eigenvalues once and the weight
 carries the conjugate sector n - ell.  One runner, `_run_sweep`, solves
 sector problems in bulk on a pool of up to min(4, cores) threads and returns
-an `EigenvalueCurve`: sweeps, the full spectrum at one opening and each
+an `EigenvalueCurve` with k values per sector (a k above a quarter of a
+sector's unknowns raises): sweeps, the full spectrum at one opening and each
 bisection step of crossing refinement all go through it.  Crossing locations
 are refined by bisection on re-solves over the angular grid of rays (epsilon
 only takes snapped values, so the bracket bottoms out at one grid step; the
@@ -71,10 +72,10 @@ class SectorSolve:
 
 
 def solve_sector(problem: SectorProblem, m: int, k: int, tol: float = 1e-8) -> SectorSolve:
-    """Solve one sector for its k lowest eigenvalues (fewer on a grid with
-    fewer than 4k unknowns)."""
+    """Solve one sector for its k lowest eigenvalues; a k above a quarter of
+    the sector's unknowns raises `ValueError`."""
     op = assemble(problem, m)
-    spec = lowest_eigenpairs(op, min(k, max(1, op.n // 4)), tol=tol)
+    spec = lowest_eigenpairs(op, k, tol=tol)
     return SectorSolve(tag=op.sector, values=spec.eigenvalues, residuals=spec.residuals,
                        spectrum=spec, operator=op)
 
@@ -115,8 +116,7 @@ def solve_full_spectrum(spec: CrackedDiskSpec, m: int, k: int,
     curve = _run_sweep([p for p, _ in reduce_to_sectors(spec)], [spec.epsilon], m, k, tol)
     levels = [MergedLevel(value=float(v), label=tag.label, weight=tag.weight, residual=float(r))
               for tag in curve.sectors
-              for v, r in zip(curve.values[tag.label][0], curve.residuals[tag.label][0])
-              if np.isfinite(v)]
+              for v, r in zip(curve.values[tag.label][0], curve.residuals[tag.label][0])]
     levels.sort(key=lambda lv: lv.value)
     expanded = [lv for lv in levels for _ in range(lv.weight)][:k]
     return MergedSpectrum(values=np.array([lv.value for lv in expanded]),
@@ -141,8 +141,7 @@ class EigenvalueCurve:
     @property
     def residual_max(self) -> float:
         """Largest residual certificate over the whole sweep."""
-        return max((float(np.nanmax(r)) for r in self.residuals.values()
-                    if np.isfinite(r).any()), default=0.0)
+        return max(float(r.max()) for r in self.residuals.values())
 
 
 def _at(problem: SectorProblem, eps: float) -> SectorProblem:
@@ -158,8 +157,8 @@ def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int,
     min(4, cores, tasks) threads, each solve on one BLAS thread.  A ray's
     problem is built from the first requested opening on it.
 
-    Returns the curve of those rays at their reported openings, with the
-    sector values and their residual certificates NaN-padded to k."""
+    Returns the curve of those rays at their reported openings, with the k
+    sector values and their residual certificates."""
     grid = PolarGrid.for_problem(problems[0], m)
     first: dict[int, float] = {}
     for eps in epsilon_list:
@@ -172,12 +171,11 @@ def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int,
     # held across the pool, so the BLAS count does not flip between tasks
     with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
         sols = list(pool.map(lambda task: solve_sector(task[1], m, k, tol), tasks))
-    values = {p.label: np.full((len(rays), k), np.nan) for p in problems}
-    residuals = {label: arr.copy() for label, arr in values.items()}
+    values = {p.label: np.empty((len(rays), k)) for p in problems}
+    residuals = {label: np.empty_like(arr) for label, arr in values.items()}
     for (ie, p), sol in zip(tasks, sols):
-        nv = min(k, len(sol.values))
-        values[p.label][ie, :nv] = sol.values[:nv]
-        residuals[p.label][ie, :nv] = sol.residuals[:nv]
+        values[p.label][ie] = sol.values
+        residuals[p.label][ie] = sol.residuals
     return EigenvalueCurve(geometry=problems[0].geometry, m=m, k=k,
                            epsilons=np.array([grid.eps_at(ray) for ray in rays]),
                            sectors=[p.tag for p in problems], values=values,
@@ -254,7 +252,7 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
     problems = {p.label: p for p, _ in reduce_to_sectors(curve.geometry)}
     grid = PolarGrid.for_problem(next(iter(problems.values())), curve.m)
     rays = [grid.eps_ray(e) for e in curve.epsilons]
-    # (label, ray) -> sector values NaN-padded to curve.k; the sweep's rows come first
+    # (label, ray) -> the curve.k sector values; the sweep's rows come first
     rows = {(label, ray): arr[ie] for label, arr in curve.values.items()
             for ie, ray in enumerate(rays)}
 

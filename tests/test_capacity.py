@@ -122,7 +122,7 @@ def test_snapped_arcs_reported():
     dth = 2 * math.pi / 36
     assert lo == pytest.approx(round(0.3 / dth) * dth)
     assert hi == pytest.approx(round(0.7 / dth) * dth)
-    mask = grid.ring_mask(prob.arcs, np.arange(36), wrap=True)
+    mask = grid.ring_mask(prob.arcs)
     assert mask.sum() == round(hi / dth) - round(lo / dth) + 1
 
 

@@ -299,3 +299,27 @@ def test_config_switch_takes_true_or_false(tmp_path):
     code, out = run(tmp_path, "disk-ref", "--radius", "1", "--count", "1",
                     "--config", str(cfg))
     assert code == 0 and "# generated = " in out.read_text()
+
+
+def test_k_above_a_quarter_of_a_sectors_unknowns_exits_1(capsys):
+    # ell=0 has 65 unknowns at M = 9: 40 eigenvalues cannot be certified
+    assert main(["solve", "--n", "2", "--epsilon", "0.47123889803846897",
+                 "--r1", "0.4356", "-M", "9", "-k", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k=40" in captured.err
+
+
+@pytest.mark.parametrize("body,line", [
+    ("epsilon,lambda\n1.3,15.0\n1.4\n", 3),        # a short row
+    ("epsilon,lambda\n1.3,15.0\n1.4,abc\n", 3),    # a cell that is no number
+    ("# curve\nepsilon,lambda\nx,15.0\n", 3),
+], ids=["short-row", "text-lambda", "text-epsilon"])
+def test_fit_csv_defect_is_a_one_line_validation_error(tmp_path, capsys, body, line):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(body)
+    assert main(["asymptotics", "--case", "DND", "--r1", "0.4356",
+                 "--fit", str(curve)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{curve}:{line}:" in err

@@ -6,7 +6,6 @@ from crackspec.domain import (
     QUARTER_CASES,
     SectorProblem,
     build_cracked_disk,
-    crack_arcs,
     quarter_problems,
     reduce_to_sectors,
 )
@@ -14,11 +13,9 @@ from crackspec.domain import (
 
 def test_build_valid_specs():
     spec = build_cracked_disk(3, 0.3, 0.4356, 1.0)
-    assert spec.n == 3 and not spec.fully_open and not spec.fully_closed
-    disk = build_cracked_disk(2, math.pi / 2, 0.4356, 1.0)
-    assert disk.fully_open
-    closed = build_cracked_disk(2, 0.0, 0.4356, 1.0)
-    assert closed.fully_closed
+    assert (spec.n, spec.epsilon, spec.r1, spec.r2) == (3, 0.3, 0.4356, 1.0)
+    assert build_cracked_disk(2, math.pi / 2, 0.4356, 1.0).epsilon == math.pi / 2
+    assert build_cracked_disk(2, 0, 0.4356, 1.0).epsilon == 0.0
 
 
 @pytest.mark.parametrize("n,eps,r1,r2", [
@@ -79,30 +76,3 @@ def test_sector_problem_validation():
     with pytest.raises(ValueError):
         SectorProblem(kind="mystery", geometry=spec)
 
-
-def test_crack_arcs_fully_open_is_empty():
-    assert crack_arcs(build_cracked_disk(2, math.pi / 2, 0.4356, 1.0)) == []
-
-
-def test_crack_arcs_fully_closed_covers_circle():
-    arcs = crack_arcs(build_cracked_disk(2, 0.0, 0.4356, 1.0))
-    assert len(arcs) == 2
-    widths = [hi - lo for lo, hi in arcs]
-    assert all(w == pytest.approx(math.pi) for w in widths)
-    assert sum(widths) == pytest.approx(2 * math.pi)
-
-
-def test_crack_arcs_n3():
-    arcs = crack_arcs(build_cracked_disk(3, math.pi / 6, 0.4356, 1.0))
-    assert len(arcs) == 3
-    for j, (lo, hi) in enumerate(arcs):
-        assert hi - lo == pytest.approx(math.pi / 3)
-        assert 0.5 * (lo + hi) == pytest.approx((2 * j + 1) * math.pi / 3)
-
-
-@pytest.mark.parametrize("n,eps_frac", [(1, 0.3), (2, 0.7), (3, 0.25), (5, 0.5), (8, 0.9)])
-def test_crack_arcs_width_budget(n, eps_frac):
-    eps = eps_frac * math.pi / n
-    arcs = crack_arcs(build_cracked_disk(n, eps, 0.4356, 1.0))
-    total = sum(hi - lo for lo, hi in arcs)
-    assert total + 2 * n * eps == pytest.approx(2 * math.pi)

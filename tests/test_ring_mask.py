@@ -1,7 +1,9 @@
-"""Property tests of the rule that turns arcs on the r1 ring into Dirichlet
-nodes, for the three callers: Floquet sectors, quarter problems and
-capacities.  The expected columns are computed here from the requested
-values, independently of `PolarGrid`."""
+"""Property tests of the r1-ring nodes that carry the Dirichlet condition:
+the crack columns of the Floquet sectors and of the four quarter problems,
+which `assemble` marks by their distance in rays from the hole, and the arc
+nodes of the capacities, which `PolarGrid.ring_mask` marks.  The expected
+columns are computed here from the requested values, independently of
+`PolarGrid`."""
 
 import math
 
@@ -10,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from crackspec.capacity import CapacityProblem, _energy_system
 from crackspec.discretize import assemble
-from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
+from crackspec.domain import (
+    QUARTER_CASES, build_cracked_disk, quarter_problems, reduce_to_sectors)
 
 R1, R2 = 0.4356, 1.0
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -67,18 +70,19 @@ def quarter_cases(draw):
     m = draw(st.integers(8, 61))
     dtheta = (math.pi / 2) / m
     eps = min(_opening(draw, math.pi / 2, dtheta, m), math.pi / 2)
-    return m, eps
+    return m, eps, draw(st.sampled_from(QUARTER_CASES))
 
 
 @SETTINGS
 @given(quarter_cases())
 def test_quarter_crack_columns(case):
-    m, eps = case
+    m, eps, label = case
     spec = build_cracked_disk(2, eps, R1, R2)
-    nnd = next(p for p in quarter_problems(spec) if p.quarter_case == "NND")
+    problem = next(p for p in quarter_problems(spec) if p.quarter_case == label)
+    op = assemble(problem, m)
     eps_idx = round(eps / ((math.pi / 2) / m))
     expected = set() if eps_idx >= m else set(range(eps_idx, m + 1))
-    assert _crack_columns(assemble(nnd, m)) == expected
+    assert _crack_columns(op) == expected & set(op.cols.tolist())
 
 
 @st.composite

@@ -228,6 +228,17 @@ def test_sweep_validation():
         sweep(spec, [0.5, math.pi / 3 + 0.01], 24, 2)
 
 
+def test_k_above_a_quarter_of_a_sectors_unknowns_raises():
+    # ell=0 has 65 unknowns at m = 9, so it certifies at most 16 values; a
+    # merge of truncated sector lists would put ell=1's 144.678 as the 32nd
+    # value, where the full spectrum has ell=0's 138.389
+    spec = build_cracked_disk(2, 0.3 * math.pi / 2, 0.4356, 1.0)
+    with pytest.raises(ValueError, match="k=40"):
+        solve_full_spectrum(spec, 9, 40)
+    with pytest.raises(ValueError, match="k=40"):
+        sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5], 12, 40)
+
+
 def test_detect_crossings_n3_coarse():
     spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
     eps = np.linspace(0.05, math.pi / 3 - 0.02, 14)
