@@ -34,9 +34,10 @@ m x m block G_FF, and V is the circular convolution of g with c along each
 ring (the center, which every rotation fixes, is g_center * sum(c)).
 
 L and g are cached per snapped grid (r1 ring, r2, m), for at most
-`_CACHED_GRIDS` grids, about 2.3 MB each at m = 180.  g costs one sparse
-factorization, one solve and one step of iterative refinement; the factor
-is not kept.
+`_CACHED_GRIDS` grids, about 2.3 MB each at m = 180.  g costs no
+factorization: two applies of `eigensolve.SectorInverse`, the separable
+inverse of the open disk operator, one for the solve and one for a step of
+iterative refinement.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import scipy.sparse as sp
 
 from .discretize import MIN_CELLS, PolarGrid, assemble
 from .domain import CrackedDiskSpec, SectorProblem
-from .eigensolve import _factor_hpd, one_blas_thread
+from .eigensolve import SectorInverse, one_blas_thread
 
 __all__ = [
     "CapacityProblem",
@@ -111,12 +112,14 @@ def _disk_green(r1_ring: int, r2: float, m: int):
     radius r2, and its Green's column g = L^-1 e at (ring r1_ring, column 0)."""
     op = assemble(CapacityProblem(r1_ring * r2 / m, r2, (), m).disk, m)
     grid = op.grid
-    lap = (grid.dr * grid.dtheta * sp.diags(op.row_weights) @ op.matrix).tocsr()
+    # L = c diag(w) A, so L^-1 b = A^-1 (b / (c w))
+    scale = grid.dr * grid.dtheta * op.row_weights
+    lap = (sp.diags(scale) @ op.matrix).tocsr()
     e = np.zeros(op.n)
     e[(r1_ring - 1) * m] = 1.0
-    lu = _factor_hpd(lap)
-    g = lu.solve(e)
-    g += lu.solve(e - lap @ g)  # one step of iterative refinement
+    inverse = SectorInverse(op)
+    g = inverse.solve(e / scale)
+    g += inverse.solve((e - lap @ g) / scale)  # one step of iterative refinement
     # every caller shares these arrays
     lap.sort_indices()
     for shared in (lap.data, lap.indices, lap.indptr, g):

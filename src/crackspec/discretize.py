@@ -39,6 +39,13 @@ The operator is non-Hermitian but similar to a Hermitian matrix (real
 symmetric outside the complex sectors) through diag(sqrt(w)) with the node
 weights w stored on the operator (r_i times the cell, a matched weight for
 the center).
+
+The stencil is written once, for the fully open sector, as one-dimensional
+factors (`SectorFactors`): on the ring nodes A_open = R (x) I + diag(D) (x) T,
+plus the center.  `assemble` builds every opening's matrix from them by
+dropping the crack nodes, and carries them on the operator, so that
+`eigensolve` can invert any opening of a grid from the same separated
+eigenproblems.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .domain import _ANGLE_TOL, SectorProblem, SectorTag
 
 __all__ = [
     "PolarGrid",
+    "SectorFactors",
     "AssembledOperator",
     "assemble",
     "dump_operator",
@@ -160,6 +168,75 @@ class PolarGrid:
         return covered
 
 
+@dataclass(frozen=True)
+class SectorFactors:
+    """The fully open sector operator in one-dimensional factors, the one
+    place the stencil is written.
+
+    On the ring nodes, numbered ring by ring,
+
+        A_open = R (x) I + diag(D) (x) T,
+
+    with R the radial second difference over rings 1..m-1 (Dirichlet at
+    r = 0 and r = r2), D = 1/(r_i dtheta)^2 and T the angular matrix: 2 on
+    the diagonal, -1/cell[j] off it in row j, and the seam phase for a
+    Floquet sector.  The node weights are r_i cell_j.  The center, when
+    present, is one more unknown: ring-1 rows see it through `center_in`,
+    and its row is `center_diag` on itself and `center_out` on ring 1."""
+
+    radial: np.ndarray        # R, (m-1) x (m-1)
+    scale: np.ndarray         # D, per ring
+    angular: np.ndarray       # T, one row and column per entry of `cols`
+    r: np.ndarray             # ring radii r_1..r_{m-1}
+    cell: np.ndarray          # per column: 1, or 0.5 on a Neumann ray
+    has_center: bool
+    center_diag: float        # 4/dr^2
+    center_in: float          # the ring-1 rows' coefficient on the center
+    center_out: np.ndarray    # the center row's coefficients on ring 1
+    center_weight: float      # the center's node weight
+
+
+def _sector_factors(problem: SectorProblem, grid: PolarGrid,
+                    cols: np.ndarray) -> SectorFactors:
+    m = grid.m
+    dr, dth = grid.dr, grid.dtheta
+    if problem.kind == "floquet":
+        cell = np.ones(m)
+        # the eigenfunctions vanish at the origin unless the phase is trivial
+        has_center = problem.ell == 0
+    else:
+        # a Neumann ray is a half cell
+        cell = np.where((cols == 0) | (cols == m), 0.5, 1.0)
+        # a Dirichlet ray through the origin makes the eigenfunctions vanish there
+        has_center = problem.quarter_case == "NND"
+    ri = dr * np.arange(1, m)
+    c_out = -(1.0 / dr**2 + 1.0 / (2.0 * ri * dr))
+    c_in = -(1.0 / dr**2 - 1.0 / (2.0 * ri * dr))
+    radial = np.diag(np.full(m - 1, 2.0 / dr**2)) + np.diag(c_out[:-1], 1) + np.diag(c_in[1:], -1)
+
+    # a link out of a half cell is doubled, which is its mirror ghost
+    # u_{i,-1} = u_{i,1}
+    off = -1.0 / cell
+    if problem.weight == 2:
+        phase = cmath.exp(2j * math.pi * problem.ell / problem.geometry.n)
+    else:
+        phase = 1.0 if problem.ell == 0 else -1.0
+    angular = np.diag(np.full(cols.size, 2.0, dtype=complex if problem.weight == 2 else float))
+    angular += np.diag(off[:-1], 1) + np.diag(off[1:], -1)
+    if problem.kind == "floquet":
+        # seam: column m-1 sees exp(i*alpha) times column 0, and column 0
+        # sees exp(-i*alpha) times column m-1
+        angular[-1, 0] = -phase
+        angular[0, -1] = -np.conj(phase)
+
+    # the center row is the polar regularity stencil over the ring-1
+    # average with cell weights
+    return SectorFactors(
+        radial=radial, scale=1.0 / (ri**2 * dth**2), angular=angular, r=ri, cell=cell,
+        has_center=has_center, center_diag=4.0 / dr**2, center_in=float(c_in[0]),
+        center_out=-(4.0 / dr**2) * cell / cell.sum(), center_weight=dr * cell.sum() / 8.0)
+
+
 @dataclass
 class AssembledOperator:
     """Sparse discretized operator with boundary conditions baked in."""
@@ -174,6 +251,7 @@ class AssembledOperator:
     node_col: np.ndarray      # per unknown: angular index j (-1 for center)
     center_row: int | None
     wrap: bool
+    factors: SectorFactors    # the fully open operator of the same grid
 
     @property
     def n(self) -> int:
@@ -181,30 +259,22 @@ class AssembledOperator:
 
 
 def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
-    """Assemble the polar FD operator for a sector problem on an m x m grid."""
+    """Assemble the polar FD operator for a sector problem on an m x m grid:
+    the fully open operator of `SectorFactors` without the crack nodes."""
     spec = problem.geometry
     grid = PolarGrid.for_problem(problem, m)
-    dr, dth = grid.dr, grid.dtheta
     wrap = problem.kind == "floquet"
     if wrap:
         cols = np.arange(m)
-        cell = np.ones(m)
-        # the eigenfunctions vanish at the origin unless the phase is trivial
-        has_center = problem.ell == 0
     else:
         bc_lo, bc_hi = problem.quarter_case[:2]
         cols = np.arange(0 if bc_lo == "N" else 1, m + 1 if bc_hi == "N" else m)
-        # a Neumann ray is a half cell
-        cell = np.where((cols == 0) | (cols == m), 0.5, 1.0)
-        # a Dirichlet ray through the origin makes the eigenfunctions vanish there
-        has_center = problem.quarter_case == "NND"
-    n_rings = m - 1
-    ri = dr * np.arange(1, m)
+    f = _sector_factors(problem, grid, cols)
 
     # crack: r1-ring columns >= e rays from a hole center, `period` columns apart
     e = grid.eps_ray(spec.epsilon)
-    period = round(2 * grid.eps_open / dth)
-    active = np.ones((n_rings, cols.size), dtype=bool)
+    period = round(2 * grid.eps_open / grid.dtheta)
+    active = np.ones((m - 1, cols.size), dtype=bool)
     if e < grid.open_ray:
         active[grid.r1_ring - 1, np.minimum(cols, period - cols) >= e] = False
 
@@ -212,86 +282,50 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     ids = -np.ones(active.shape, dtype=np.int64)
     ids[active] = np.arange(n1)
     ring, col = np.indices(active.shape)     # ring t holds r = (t + 1) * dr
-    n = n1 + int(has_center)
-    center_row = n1 if has_center else None
-
-    c_diag = 2.0 / dr**2 + 2.0 / (ri**2 * dth**2)      # per ring
-    c_out = -(1.0 / dr**2 + 1.0 / (2.0 * ri * dr))
-    c_in = -(1.0 / dr**2 - 1.0 / (2.0 * ri * dr))
-    c_ang = -1.0 / (ri**2 * dth**2)
+    n = n1 + int(f.has_center)
+    center_row = n1 if f.has_center else None
 
     rows: list[np.ndarray] = []
     colix: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64))
-        colix.append(np.asarray(c, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64))
+    def add(a, b, v):
+        both = (a >= 0) & (b >= 0)
+        rows.append(a[both])
+        colix.append(b[both])
+        vals.append(np.broadcast_to(v, a.shape)[both])
 
-    # diagonal
-    add(ids[active], ids[active], c_diag[ring[active]])
+    # R (x) I + diag(D) (x) T between active nodes
+    tp, tq = np.nonzero(f.radial)
+    add(ids[tp], ids[tq], f.radial[tp, tq][:, np.newaxis])
+    jp, jq = np.nonzero(f.angular)
+    add(ids[:, jp], ids[:, jq], f.scale[:, np.newaxis] * f.angular[jp, jq])
 
-    # radial neighbors between rings t and t+1
-    both = active[:-1, :] & active[1:, :]
-    a = ids[:-1, :][both]
-    b = ids[1:, :][both]
-    t = ring[:-1, :][both]
-    add(a, b, c_out[t])
-    add(b, a, c_in[t + 1])
-
-    # angular neighbors inside the column range; a link out of a half cell
-    # is doubled, which is its mirror ghost u_{i,-1} = u_{i,1}
-    both = active[:, :-1] & active[:, 1:]
-    a = ids[:, :-1][both]
-    b = ids[:, 1:][both]
-    t = ring[:, :-1][both]
-    j = col[:, :-1][both]
-    add(a, b, c_ang[t] / cell[j])
-    add(b, a, c_ang[t] / cell[j + 1])
-
-    if wrap:
-        # seam: column m-1 sees exp(i*alpha) times column 0, and column 0
-        # sees exp(-i*alpha) times column m-1
-        if problem.weight == 2:
-            phase = cmath.exp(2j * math.pi * problem.ell / spec.n)
-        else:
-            phase = 1.0 if problem.ell == 0 else -1.0
-        both = active[:, -1] & active[:, 0]
-        hi = ids[:, -1][both]
-        lo = ids[:, 0][both]
-        t = ring[:, 0][both]
-        add(hi, lo, phase * c_ang[t])
-        add(lo, hi, np.conj(phase) * c_ang[t])
-
-    if has_center:
-        # ring-1 rows couple to the center through the inner radial neighbor;
-        # the center row is the polar regularity stencil over the ring-1
-        # average with cell weights
-        sel = active[0, :]
-        first = ids[0, :][sel]
-        add(first, np.full(first.size, center_row), np.full(first.size, c_in[0]))
-        add([center_row], [center_row], [4.0 / dr**2])
-        add(np.full(first.size, center_row), first, -(4.0 / dr**2) * cell[sel] / cell.sum())
+    if f.has_center:
+        first = ids[0, :]
+        center = np.full(first.size, center_row)
+        add(first, center, f.center_in)
+        add(np.array([center_row]), np.array([center_row]), f.center_diag)
+        add(center, first, f.center_out)
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(colix))),
         shape=(n, n)).tocsr()
 
     # similarity weights making diag(sqrt(w)) A diag(1/sqrt(w)) Hermitian
-    row_weights = ri[ring[active]] * cell[col[active]]
+    row_weights = f.r[ring[active]] * f.cell[col[active]]
     node_ring = np.zeros(n, dtype=np.int64)
     node_col = np.full(n, -1, dtype=np.int64)
     node_ring[:n1] = ring[active] + 1
     node_col[:n1] = cols[col[active]]
-    if has_center:
-        row_weights = np.concatenate([row_weights, [dr * cell.sum() / 8.0]])
+    if f.has_center:
+        row_weights = np.concatenate([row_weights, [f.center_weight]])
 
     return AssembledOperator(
         matrix=matrix, grid=grid, sector=problem.tag,
         problem=problem, row_weights=row_weights, cols=cols,
         node_ring=node_ring, node_col=node_col,
-        center_row=center_row, wrap=wrap)
+        center_row=center_row, wrap=wrap, factors=f)
 
 
 def dump_operator(op: AssembledOperator, path: str) -> None:

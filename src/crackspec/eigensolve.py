@@ -6,15 +6,29 @@ symmetric for the scalar sectors and quarter problems, complex Hermitian for
 the complex Floquet sectors.  There is one solve path: shift-invert Lanczos
 (ARPACK through `scipy.sparse.linalg.eigsh`, shift 0; scipy hands a complex
 Hermitian matrix to complex ARPACK) on the Hermitian part of the symmetrized
-matrix, with the eigenvectors mapped back.  Its inverse is one sparse LU in
-SuperLU's symmetric mode (minimum-degree ordering of A + A^T, no pivoting),
-which is stable because every operator is Hermitian positive definite at
-shift 0; the same factorization gives the Green's column of the capacitary
-potential.  A symmetrization residual out of tolerance, or a factor that
-pivoted or has a non-positive pivot, is an assembly bug and raises
-`SolverError`.  The dense QR path (LAPACK *geev*, `method="dense"`) is the
-independent oracle of the tests.  Eigenvectors of a complex operator stay
-complex.
+matrix, with the eigenvectors mapped back.  The dense QR path (LAPACK
+*geev*, `method="dense"`) is the independent oracle of the tests.
+Eigenvectors of a complex operator stay complex.
+
+The shift-invert inverse takes no factorization.  Every opening of a sector
+is the same fully open tensor-product operator (`discretize.SectorFactors`)
+without its crack nodes on the r1 ring, so `SectorInverse` inverts it by the
+capacitance-matrix method (Buzbee, Dorr, George & Golub, SIAM J. Numer.
+Anal. 8 (1971)): per grid, the eigenvectors of the radial and the angular
+factor and each mode's Green's value on the r1 ring (cached, for at most
+`_CACHED_GRIDS` grids); per opening, a Cholesky of the at most m x m
+capacitance block of the crack; per apply, four gemm transforms, one
+division by the separated eigenvalues and an O(m^2) crack correction in mode
+space.  The center, where there is one, joins the radial problem of the
+constant angular mode.  Each returned eigenvector gets one step of
+iterative refinement through the same inverse: the round-off of the last
+transform is spread evenly over the nodes, and A, whose rows near the
+center are largest, would amplify it into the residual certificate.  The
+same inverse gives the Green's column of the capacitary potential.  A
+symmetrization residual out of tolerance, an open operator that is not
+positive definite, a capacitance block whose Cholesky fails, or an inverse
+that does not invert the operator on a seeded vector is an assembly bug
+and raises `SolverError`.
 
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||
 computed on the original matrix, and eigenvalues are accepted only if their
@@ -22,11 +36,13 @@ imaginary part is negligible.
 
 Every solve runs on one BLAS thread: `lowest_eigenpairs`, like
 `capacity.capacitary_potential`, holds `one_blas_thread`, which sets scipy's
-OpenBLAS (the library that ARPACK, SuperLU and LAPACK call) to one thread
-while any solve is inside and restores the caller's count when the last one
-leaves.  The sweep's thread pool is then the only parallelism, OpenBLAS
-threads do not spin against it, and the result does not depend on the
-machine's core count.  Against a BLAS other than OpenBLAS the scope does
+OpenBLAS (the library that ARPACK, LAPACK and the inverse's gemm calls, made
+through `scipy.linalg.blas`, use) to one thread while any solve is inside
+and restores the caller's count when the last one leaves.  numpy's `@` would
+call numpy's own OpenBLAS, which the scope does not reach, so the inverse
+does not use it.  The sweep's thread pool is then the only parallelism,
+OpenBLAS threads do not spin against it, and the result does not depend on
+the machine's core count.  Against a BLAS other than OpenBLAS the scope does
 nothing.
 """
 
@@ -34,6 +50,7 @@ from __future__ import annotations
 
 import ctypes
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +58,18 @@ import scipy.linalg as sla
 import scipy.linalg.cython_blas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas
 
-from .discretize import AssembledOperator
+from .discretize import AssembledOperator, SectorFactors
 
-__all__ = ["SolverError", "Spectrum", "lowest_eigenpairs", "group_multiplicities"]
+__all__ = ["SolverError", "Spectrum", "SectorInverse", "lowest_eigenpairs",
+           "group_multiplicities"]
 
 _IMAG_TOL = 1e-8            # |Im lambda| <= tol * max(1, |lambda|)
 _ASYM_TOL = 1e-9            # relative symmetrization residual
 _SEED = 20230921            # deterministic ARPACK start vector
 _MAX_RESTARTS = 50
+_INVERSE_TOL = 1e-10        # relative error of one inverse apply on a seeded vector
 
 
 def _openblas_thread_controls():
@@ -147,22 +167,211 @@ def _dense_path(op: AssembledOperator, k: int):
     return lam[order], _real_if_real(op, vecs[:, order])
 
 
-def _factor_hpd(matrix: sp.spmatrix):
-    """Sparse LU of a Hermitian positive definite matrix in SuperLU's
-    symmetric mode: minimum-degree ordering on the pattern of A + A^T and no
-    pivoting, so the factor is L D L^H with D = diag(U).  Raises SolverError
-    if SuperLU pivoted anyway or a pivot is not positive real, which no
-    Hermitian positive definite matrix gives."""
-    lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    pivots = lu.U.diagonal()
-    if (not np.array_equal(lu.perm_r, lu.perm_c) or not (pivots.real > 0).all()
-            or (np.abs(pivots.imag) > _IMAG_TOL * pivots.real).any()):
-        raise SolverError(
-            f"symmetric-mode LU pivoted or has a pivot that is not positive real "
-            f"(min real part {pivots.real.min():.3e}); the matrix is not Hermitian "
-            f"positive definite, which signals an assembly bug")
-    return lu
+def _gemm(a: np.ndarray, b: np.ndarray, trans_a: int = 0, trans_b: int = 0) -> np.ndarray:
+    """op(a) op(b) through scipy's BLAS, the library `one_blas_thread` pins
+    (numpy's `@` calls numpy's own OpenBLAS, which it does not reach); trans
+    is 0, 1 for the transpose or 2 for the conjugate transpose.  A complex
+    `a` times a real `b` runs as a real product on the interleaved rows of
+    `a`, at half the cost of a complex one."""
+    if np.iscomplexobj(a) and not np.iscomplexobj(b) and trans_a == 0:
+        # a Fortran-ordered complex (p, q) is a real (2p, q) with the same bytes
+        rows = np.asfortranarray(a).T.view(np.float64).T
+        return blas.dgemm(1.0, rows, b, trans_b=min(trans_b, 1)).T.view(np.complex128).T
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return blas.zgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
+    # OpenBLAS's real gemm runs a conjugate transpose at half the speed of
+    # a transpose, which is the same thing for real matrices
+    return blas.dgemm(1.0, a, b, trans_a=min(trans_a, 1), trans_b=min(trans_b, 1))
+
+
+def _link_energies(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u_j^H k u_j for each column u_j of u, for a Hermitian k whose diagonal
+    dominates its rows: summed as the nonnegative energies of its links,
+    |k_ab| |u_a + (k_ab / |k_ab|) u_b|^2, and of the diagonal's excess, so a
+    small quotient keeps its relative accuracy (eigh gets it only to
+    eps * ||k||)."""
+    a, b = np.nonzero(np.triu(k, 1))
+    weight = np.abs(k[a, b])
+    phase = (k[a, b] / weight)[:, np.newaxis]
+    links = (weight[:, np.newaxis] * np.abs(u[a] + phase * u[b]) ** 2).sum(axis=0)
+    excess = 2 * k.diagonal().real - np.abs(k).sum(axis=1)
+    return links + (excess[:, np.newaxis] * np.abs(u) ** 2).sum(axis=0)
+
+
+def _column(x: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, 1, order="F")
+
+
+class _GridModes:
+    """The separated eigenproblems of one fully open sector grid.
+
+    Symmetrized by the node weights, the open operator is
+    S = Rs (x) I + diag(D) (x) Ts, with Rs = r^1/2 R r^-1/2 and
+    Ts = cell^1/2 T cell^-1/2.  With Rs U = D U diag(mu), U^T D U = I, and
+    Ts V = V diag(lam), V unitary,
+
+        S^-1 = (U (x) V) diag(1 / (mu_i + lam_j)) (U (x) V)^H.
+
+    The lowest mu_i + lam_j are small against the norms of the factors, so
+    lam comes from link energies, which keep its relative accuracy; the
+    inverse is about as accurate as a sparse LU.  Arrays are kept
+    angular mode by radial mode, Fortran-ordered, so that a field of rings
+    by columns in C order is their transpose at no cost.  The center, when
+    present, couples only to the constant angular mode (lam = 0, mode 0,
+    set exactly), whose radial problem gains the center as one more node
+    and gets its own eigenvectors `center_rad`, center first.  `green`
+    holds each angular mode's Green's value on the r1 ring, `u1`
+    (`center_u1`) the radial eigenvectors there and `kern` (`center_kern`)
+    the same divided by the separated eigenvalues."""
+
+    def __init__(self, f: SectorFactors, ring: int) -> None:
+        sr, sd, sc = np.sqrt(f.r), np.sqrt(f.scale), np.sqrt(f.cell)
+        rad = f.radial * sr[:, np.newaxis] / sr
+        rad = (rad + rad.T) / 2
+        mu, y = sla.eigh(rad / sd[:, np.newaxis] / sd)
+        self.rad = np.asfortranarray(y / sd[:, np.newaxis])
+        ang = f.angular * sc[:, np.newaxis] / sc
+        lam, v = sla.eigh((ang + ang.conj().T) / 2)
+        if f.has_center:
+            # the center couples to the constant mode sqrt(cell) alone: make
+            # mode 0 exactly that, and the others exactly orthogonal to it
+            v[:, 0] = sc / np.sqrt(f.cell.sum())
+            v[:, 1:] -= v[:, :1] * (v[:, :1] * v[:, 1:]).sum(axis=0)
+            v[:, 1:] /= np.sqrt((v[:, 1:] ** 2).sum(axis=0))
+        # cell T is a weighted graph Laplacian plus Dirichlet links
+        lam = _link_energies(f.cell[:, np.newaxis] * f.angular, v / sc[:, np.newaxis])
+        self.ang = np.asfortranarray(v)
+        self.den = np.asfortranarray(lam[:, np.newaxis] + mu)
+        if not (self.den > 0).all():
+            raise SolverError(
+                f"separated eigenvalues mu + lam reach {self.den.min():.3e} <= 0; "
+                "the open operator is not positive definite, which signals an "
+                "assembly bug")
+        self.u1 = self.rad[ring].copy()
+        self.kern = np.asfortranarray(self.u1 / self.den)
+        self.green = (self.kern * self.u1).sum(axis=1)
+        self.has_center = f.has_center
+        if f.has_center:
+            # S on (ring-1 node j, center), from both of its triangles
+            link = (f.center_in * np.sqrt(f.r[0] * f.cell / f.center_weight)
+                    + f.center_out * np.sqrt(f.center_weight / (f.r[0] * f.cell))) / 2
+            bordered = np.zeros((f.r.size + 1, f.r.size + 1))
+            bordered[0, 0] = f.center_diag
+            bordered[0, 1] = bordered[1, 0] = (v[:, 0] * link).sum()
+            bordered[1:, 1:] = rad                     # lam[0] = 0
+            mu0, u0 = sla.eigh(bordered)
+            if not (mu0 > 0).all():
+                raise SolverError(
+                    f"the center's radial problem has eigenvalue {mu0.min():.3e} <= 0, "
+                    "which signals an assembly bug")
+            self.center_rad = np.asfortranarray(u0)
+            self.center_den = mu0
+            self.center_u1 = u0[ring + 1]
+            self.center_kern = self.center_u1 / mu0
+            self.green[0] = (self.center_kern * self.center_u1).sum()
+
+
+_CACHED_GRIDS = 8
+_grid_lock = threading.Lock()
+_grid_cache: OrderedDict[tuple, _GridModes] = OrderedDict()
+
+
+def _grid_modes(op: AssembledOperator) -> _GridModes:
+    """The modes of the operator's open grid, from a bounded cache shared by
+    every thread."""
+    p, grid = op.problem, op.grid
+    key = (p.kind, p.quarter_case or p.ell, p.geometry.n, grid.m, grid.r1_ring, grid.r2)
+    with _grid_lock:
+        modes = _grid_cache.get(key)
+        if modes is None:
+            modes = _grid_cache[key] = _GridModes(op.factors, grid.r1_ring - 1)
+            if len(_grid_cache) > _CACHED_GRIDS:
+                _grid_cache.popitem(last=False)
+        else:
+            _grid_cache.move_to_end(key)
+    return modes
+
+
+class SectorInverse:
+    """The inverse of one opening's operator, without a factorization.
+
+    The opening's operator is the open one without the crack nodes F on the
+    r1 ring.  With G = S_open^-1 and b extended by zero on F, its inverse
+    is x = G b - G[:, F] C^-1 (G b)_F, where the capacitance block
+    C = G[F, F] = V_F diag(green) V_F^H is at most m x m (Buzbee, Dorr,
+    George & Golub, SIAM J. Numer. Anal. 8 (1971)).  The correction acts
+    in mode space, so an apply costs four gemm transforms and O(m^2).
+
+    Raises `SolverError` when the open operator or C is not positive
+    definite, or when one apply on a seeded vector does not invert
+    `op.matrix` to `_INVERSE_TOL`."""
+
+    def __init__(self, op: AssembledOperator) -> None:
+        modes = self.modes = _grid_modes(op)
+        ncols = op.cols.size
+        n1 = op.n - int(op.center_row is not None)
+        self.n1 = n1
+        # the unknowns in a field of rings by columns, C order (a boolean
+        # index scatters and gathers several times faster than integers)
+        self.active = np.zeros(modes.rad.shape[0] * ncols, dtype=bool)
+        self.active[(op.node_ring[:n1] - 1) * ncols + op.node_col[:n1] - op.cols[0]] = True
+        self.d = np.sqrt(op.row_weights)
+        present = op.node_col[op.node_ring == op.grid.r1_ring] - op.cols[0]
+        crack = np.setdiff1d(np.arange(ncols), present)
+        self.vf = None
+        if crack.size:
+            self.vf = np.asfortranarray(modes.ang[crack])
+            cap = _gemm(self.vf * modes.green, self.vf, trans_b=2)
+            try:
+                self.cho = sla.cho_factor(cap)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    "the capacitance block of the crack is not positive definite, "
+                    "which signals an assembly bug") from exc
+        x = np.random.default_rng(_SEED).standard_normal(op.n)
+        # not np.linalg.norm: on a vector it calls numpy's own BLAS, whose
+        # threads the scope does not pin and which spin after the call
+        err = np.sqrt(np.sum(np.abs(self.solve(op.matrix @ x) - x) ** 2) / np.sum(x**2))
+        if not err <= _INVERSE_TOL:
+            raise SolverError(
+                f"the separable inverse does not invert the operator (relative "
+                f"error {err:.3e}); the operator is not its grid's open operator "
+                "without crack nodes, which signals an assembly bug")
+
+    def solve_hermitian(self, b: np.ndarray) -> np.ndarray:
+        """S^-1 b for the symmetrized operator S = diag(d) A diag(1/d)."""
+        modes, n1 = self.modes, self.n1
+        b = np.asarray(b).reshape(-1)
+        buf = np.zeros(self.active.size, dtype=np.result_type(modes.ang.dtype, b.dtype))
+        buf[self.active] = b[:n1]
+        field = buf.reshape(-1, modes.ang.shape[0]).T       # columns by rings
+        spectral = _gemm(modes.ang, field, trans_a=2)        # angular modes by rings
+        z = _gemm(spectral, modes.rad)                       # angular by radial modes
+        z /= modes.den
+        if modes.has_center:
+            # mode 0 with the center in front of its rings
+            z0 = _gemm(modes.center_rad, _column(np.append(b[n1:], spectral[0])),
+                       trans_a=1)[:, 0] / modes.center_den
+        if self.vf is not None:
+            on_ring = _gemm(z, _column(modes.u1))            # G b on the r1 ring
+            if modes.has_center:
+                on_ring[0] = (z0 * modes.center_u1).sum()
+            charge = sla.cho_solve(self.cho, _gemm(self.vf, on_ring), check_finite=False)
+            w = _gemm(self.vf, charge, trans_a=2)
+            z -= w * modes.kern
+            if modes.has_center:
+                z0 -= w[0] * modes.center_kern
+        x = _gemm(z, modes.rad, trans_b=1)
+        if modes.has_center:
+            full = _gemm(modes.center_rad, _column(z0))[:, 0]
+            x[0] = full[1:]
+        x = _gemm(modes.ang, x)
+        out = x.T.reshape(-1)[self.active]
+        return np.append(out, full[0]) if modes.has_center else out
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for the operator's own matrix A."""
+        return self.solve_hermitian(b * self.d) / self.d
 
 
 def _sparse_path(op: AssembledOperator, k: int):
@@ -175,8 +384,8 @@ def _sparse_path(op: AssembledOperator, k: int):
         raise SolverError(f"symmetrized operator is not Hermitian (relative "
                           f"residual {asym:.3e}); this signals an assembly bug")
     s_herm = ((s + s_adj) * 0.5).tocsc()
-    lu = _factor_hpd(s_herm)
-    opinv = spla.LinearOperator(s_herm.shape, matvec=lu.solve, dtype=s_herm.dtype)
+    inverse = SectorInverse(op)
+    opinv = spla.LinearOperator(s_herm.shape, matvec=inverse.solve_hermitian, dtype=s_herm.dtype)
     rng = np.random.default_rng(_SEED)
     v0 = rng.standard_normal(op.n).astype(s.dtype)
     ncv = min(op.n - 1, max(4 * k + 1, 24))
@@ -186,7 +395,13 @@ def _sparse_path(op: AssembledOperator, k: int):
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"shift-invert iteration did not converge: {exc}") from exc
     order = np.argsort(lam)
-    return lam[order], w[:, order] * dinv[:, np.newaxis]
+    lam, w = lam[order], w[:, order]
+    # one step of iterative refinement of each vector toward S^-1 (lam w):
+    # it smooths the round-off of the inverse's last transform, which S
+    # would otherwise amplify into the residual certificate near the center
+    for j in range(k):
+        w[:, j] += inverse.solve_hermitian(lam[j] * w[:, j] - s @ w[:, j])
+    return lam, w * dinv[:, np.newaxis]
 
 
 def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
@@ -206,8 +421,11 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
         the test oracle).
     """
     n = op.n
-    if not 1 <= k <= max(1, n // 4):
-        raise ValueError(f"k={k} outside [1, n/4] for n={n}")
+    if k < 1:
+        raise ValueError(f"k={k} below 1")
+    if k > max(1, n // 4):
+        raise ValueError(f"k={k} above n/4 = {max(1, n // 4)} for sector {op.sector.label} "
+                         f"({n} unknowns at M={op.grid.m})")
     if tol < 1e-12:
         raise ValueError(f"tol={tol} below the 1e-12 floor")
     if method not in ("dense", "sparse"):

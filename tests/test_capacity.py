@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from crackspec import capacity
@@ -13,7 +14,6 @@ from crackspec.capacity import (
     additivity_ratio,
     capacitary_potential,
 )
-from crackspec.eigensolve import _factor_hpd
 
 FULL = ((0.0, 2 * math.pi),)
 R1, R2 = 0.4356, 1.0
@@ -139,7 +139,7 @@ def _direct_potential(prob):
     free = ~fixed
     lap_ff = lap[free][:, free].tocsc()
     rhs = -(lap[free][:, fixed] @ v[fixed])
-    lu = _factor_hpd(lap_ff)
+    lu = spla.splu(lap_ff)
     v_free = lu.solve(rhs)
     v_free += lu.solve(rhs - lap_ff @ v_free)
     v[free] = v_free
@@ -181,7 +181,7 @@ def test_green_columns_are_rotations_of_the_cached_one(m):
     # gives the cached column rotated by f columns, on every ring
     ring = CapacityProblem(R1, R2, FULL, m).grid.r1_ring
     lap, g = _disk_green(ring, R2, m)
-    lu = _factor_hpd(lap)
+    lu = spla.splu(lap.tocsc())
     cols = np.arange(m)
     on_ring = (ring - 1) * m + cols
     units = np.zeros((lap.shape[0], m))
@@ -209,30 +209,31 @@ def test_capacity_invariant_under_whole_grid_rotations(m):
     assert direct == pytest.approx([caps[0]] * len(caps), rel=1e-12)
 
 
-def test_one_factorization_per_grid(monkeypatch):
-    factored = []
+def test_one_inverse_per_grid(monkeypatch):
+    built = []
 
-    def counting(matrix):
-        factored.append(matrix.shape[0])
-        return _factor_hpd(matrix)
+    class Counting(capacity.SectorInverse):
+        def __init__(self, op):
+            built.append(op.n)
+            super().__init__(op)
 
-    monkeypatch.setattr(capacity, "_factor_hpd", counting)
+    monkeypatch.setattr(capacity, "SectorInverse", Counting)
     _disk_green.cache_clear()
-    # the empty compact needs no factorization
+    # the empty compact needs no Green's column
     assert capacitary_potential(CapacityProblem(R1, R2, (), 24))[1].cap == 0.0
-    assert factored == []
+    assert built == []
     ring = capacitary_potential(CapacityProblem(R1, R2, FULL, 24))[1].cap
     for d in (0.4, 0.2, 0.1, 0.05):
         additivity_ratio(R1, R2, d, 24)
-    assert len(factored) == 1
-    # another r1 on the same ring shares the factor, and reports itself
+    assert len(built) == 1
+    # another r1 on the same ring shares the column, and reports itself
     near = R1 - 0.2 / 24
     here, there = CapacityProblem(R1, R2, FULL, 24), CapacityProblem(near, R2, FULL, 24)
     assert capacitary_potential(there)[1].cap == ring
-    assert len(factored) == 1
+    assert len(built) == 1
     assert there.grid.r1_ring == here.grid.r1_ring and there.grid.r1 == here.grid.r1
     assert (here.grid.r1_requested, there.grid.r1_requested) == (R1, near)
     assert there.grid.r1_snap_error != here.grid.r1_snap_error
-    # a new grid factors again
+    # a new grid builds its own
     capacitary_potential(CapacityProblem(R1, R2, FULL, 25))
-    assert len(factored) == 2
+    assert len(built) == 2

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +20,8 @@ from crackspec import capacity, eigensolve
 from crackspec.capacity import CapacityProblem, capacitary_potential
 from crackspec.discretize import assemble
 from crackspec.eigensolve import (
+    SectorInverse,
     SolverError,
-    _factor_hpd,
     group_multiplicities,
     lowest_eigenpairs,
     one_blas_thread,
@@ -87,6 +88,9 @@ def test_parameter_validation():
         lowest_eigenpairs(op, 0)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, op.n)
+    with pytest.raises(ValueError, match=rf"k={op.n // 4 + 1} above n/4 = {op.n // 4} "
+                                         rf"for sector DDD \({op.n} unknowns at M=10\)"):
+        lowest_eigenpairs(op, op.n // 4 + 1)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, 2, tol=1e-13)
     with pytest.raises(ValueError):
@@ -136,18 +140,95 @@ def _symmetrized(op):
 @pytest.mark.parametrize("op", [_toy_op("NDD", m=12), _coupled_op()],
                          ids=["real", "complex"])
 def test_factorization_refuses_an_indefinite_matrix(op):
-    # no pivoting is stable only for a positive definite matrix; shifted
-    # above lambda_1 the symmetrized operator has a negative pivot
+    # the separable inverse inverts the grid's own operator; shifted above
+    # lambda_1 the matrix is another one, and one seeded apply shows it
     lam1 = np.linalg.eigvalsh(_symmetrized(op).toarray())[0]
-    assert (_factor_hpd(_symmetrized(op)).U.diagonal().real > 0).all()
     shift = (1.0 + 1e-3) * lam1 * sp.identity(op.n)
-    with pytest.raises(SolverError, match="positive definite"):
-        _factor_hpd(_symmetrized(op) - shift)
-    with pytest.raises(SolverError, match="positive definite"):  # non-real pivots
-        _factor_hpd(_symmetrized(op) + 1e-3j * shift)
     shifted = dataclasses.replace(op, matrix=(op.matrix - shift).tocsr())
-    with pytest.raises(SolverError, match="positive definite"):
+    with pytest.raises(SolverError, match="does not invert the operator"):
         lowest_eigenpairs(shifted, 2)
+
+
+def test_inverse_refuses_factors_that_are_not_positive_definite():
+    op = _toy_op("DND", m=11)
+    f = op.factors
+    broken = dataclasses.replace(op, factors=dataclasses.replace(f, radial=-f.radial))
+    eigensolve._grid_cache.clear()
+    with pytest.raises(SolverError, match="mu \\+ lam"):
+        SectorInverse(broken)
+    eigensolve._grid_cache.clear()
+
+
+def test_inverse_refuses_a_capacitance_block_that_is_not_positive_definite(monkeypatch):
+    op = _toy_op("NND", m=10, eps=0.5)
+    modes = eigensolve._grid_modes(op)
+    monkeypatch.setattr(modes, "green", -modes.green)
+    with pytest.raises(SolverError, match="capacitance block"):
+        SectorInverse(op)
+
+
+def test_grid_cache_under_concurrent_use():
+    # more threads than cores, switching often, over more grids than the
+    # cache holds: a lost update would hand a thread another grid's modes,
+    # raise inside the cache or leave it above its bound
+    ops = [_toy_op(case, m=m) for case in QUARTER_CASES for m in (9, 10, 11)]
+    assert len(ops) > eigensolve._CACHED_GRIDS
+    wrong = []
+
+    def use():
+        try:
+            for _ in range(5):
+                for op in ops:
+                    modes = eigensolve._grid_modes(op)
+                    if modes.den.shape != (op.cols.size, op.grid.m - 1):
+                        wrong.append(op.sector.label)
+                    if len(eigensolve._grid_cache) > eigensolve._CACHED_GRIDS:
+                        wrong.append("over the bound")
+        except Exception as exc:  # reported by the assert below
+            wrong.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=use) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
+
+
+def _sector(kind, which, n, eps, ring, m):
+    spec = build_cracked_disk(n, eps, ring / m, 1.0)
+    if kind == "floquet":
+        return reduce_to_sectors(spec)[which][0]
+    return next(p for p in quarter_problems(spec) if p.quarter_case == which)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_separable_inverse_inverts_every_sector_operator(data):
+    sectors = [("quarter", case, 2) for case in QUARTER_CASES]
+    sectors += [("floquet", ell, n) for n in (2, 3, 4) for ell in range(n // 2 + 1)]
+    kind, which, n = data.draw(st.sampled_from(sectors), label="sector")
+    m = data.draw(st.integers(8, 40), label="m")
+    ring = data.draw(st.integers(1, m - 1), label="r1 ring")
+    dtheta = (math.pi / 2 if kind == "quarter" else 2 * math.pi / n) / m
+    eps = data.draw(st.sampled_from([0.0, dtheta, math.pi / n]), label="eps")
+    op = assemble(_sector(kind, which, n, eps, ring, m), m)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(op.n)
+    if np.iscomplexobj(op.matrix):
+        x = x + 1j * rng.standard_normal(op.n)
+    with one_blas_thread:
+        back = SectorInverse(op).solve(op.matrix @ x)
+    assert np.linalg.norm(back - x) <= 1e-11 * np.linalg.norm(x)
+    oracle = sla.eigh(_symmetrized(op).toarray(), eigvals_only=True, subset_by_index=[0, 2])
+    sparse = lowest_eigenpairs(op, 3)
+    assert np.allclose(sparse.eigenvalues, oracle, rtol=1e-10, atol=0)
 
 
 def test_asymmetric_symmetrization_raises_on_the_sparse_path():
@@ -213,12 +294,31 @@ def _spy_on_path(monkeypatch, method, get):
     return seen
 
 
+def _spy_on_gemm(monkeypatch, get):
+    """Record the BLAS thread count at each call of scipy's gemm."""
+    seen = []
+    for name in ("dgemm", "zgemm"):
+        inner = getattr(eigensolve.blas, name)
+
+        def spy(*args, inner=inner, **kwargs):
+            seen.append(get())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve.blas, name, spy)
+    return seen
+
+
 @needs_openblas
 @pytest.mark.parametrize("method", ["sparse", "dense"])
 def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads, method):
     seen = _spy_on_path(monkeypatch, method, blas_threads)
+    gemms = _spy_on_gemm(monkeypatch, blas_threads)
     lowest_eigenpairs(_coupled_op(), 3, method=method)
     assert seen == [1]
+    if method == "sparse":  # the inverse's transforms
+        assert len(gemms) > 20 and set(gemms) == {1}
+    else:
+        assert gemms == []
     assert blas_threads() == 2
 
 
@@ -226,7 +326,7 @@ def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_
 def test_blas_count_restored_after_a_solver_error(blas_threads):
     op = _toy_op("NDD", m=12)
     shifted = dataclasses.replace(op, matrix=(op.matrix - 100.0 * sp.identity(op.n)).tocsr())
-    with pytest.raises(SolverError, match="positive definite"):
+    with pytest.raises(SolverError, match="does not invert the operator"):
         lowest_eigenpairs(shifted, 2)
     assert blas_threads() == 2
 
@@ -242,20 +342,20 @@ def test_blas_count_restored_after_a_pooled_sweep(monkeypatch, blas_threads):
 
 @needs_openblas
 def test_capacity_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads):
+    # the transforms of the Green's column, and the dense ring Cholesky
+    gemms = _spy_on_gemm(monkeypatch, blas_threads)
+    cho_factor = capacity.sla.cho_factor
     seen = []
 
-    def spy(inner):
-        def counted(*args, **kwargs):
-            seen.append(blas_threads())
-            return inner(*args, **kwargs)
-        return counted
+    def counted(*args, **kwargs):
+        seen.append(blas_threads())
+        return cho_factor(*args, **kwargs)
 
-    # the sparse factor of the Green's column, and the dense ring Cholesky
-    monkeypatch.setattr(capacity, "_factor_hpd", spy(_factor_hpd))
-    monkeypatch.setattr(capacity.sla, "cho_factor", spy(capacity.sla.cho_factor))
+    monkeypatch.setattr(capacity.sla, "cho_factor", counted)
     capacity._disk_green.cache_clear()
     capacitary_potential(CapacityProblem(0.4356, 1.0, ((0.0, 1.0),), 24))
-    assert seen == [1, 1]
+    assert seen == [1]
+    assert len(gemms) >= 8 and set(gemms) == {1}
     assert blas_threads() == 2
 
 
