@@ -120,10 +120,10 @@ def fit_coefficient(epsilons, lambdas, mod: AsymptoticModel,
     lim = mod.lambda_limit if lambda_limit is None else float(lambda_limit)
     y = lam - lim
     g = np.array([_law_factor(mod.law, d) if 0 < d < 1 else np.nan for d in delta])
-    if int((delta <= DEFAULT_WINDOWS[0]).sum()) < 4:
+    tail = int(((delta > 0) & (delta <= DEFAULT_WINDOWS[0])).sum())
+    if tail < 4:
         raise ValueError(
-            f"need at least 4 points with pi/2 - eps <= {DEFAULT_WINDOWS[0]}, "
-            f"got {int((delta <= DEFAULT_WINDOWS[0]).sum())}")
+            f"need at least 4 points with 0 < pi/2 - eps <= {DEFAULT_WINDOWS[0]}, got {tail}")
     report = []
     for w in DEFAULT_WINDOWS:
         sel = (delta > 0) & (delta <= w) & np.isfinite(g)

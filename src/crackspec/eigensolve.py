@@ -17,9 +17,9 @@ capacitance-matrix method (Buzbee, Dorr, George & Golub, SIAM J. Numer.
 Anal. 8 (1971)): per grid, the eigenvectors of the radial and the angular
 factor and each mode's Green's value on the r1 ring (cached, for at most
 `_CACHED_GRIDS` grids); per opening, a Cholesky of the at most m x m
-capacitance block of the crack; per apply, four gemm transforms, one
-division by the separated eigenvalues and an O(m^2) crack correction in mode
-space.  The center, where there is one, joins the radial problem of the
+capacitance block of the crack; per apply, four matrix-product transforms,
+one division by the separated eigenvalues and an O(m^2) crack correction in
+mode space.  The center, where there is one, joins the radial problem of the
 constant angular mode.  Each returned eigenvector gets one step of
 iterative refinement through the same inverse: the round-off of the last
 transform is spread evenly over the nodes, and A, whose rows near the
@@ -35,30 +35,28 @@ computed on the original matrix, and eigenvalues are accepted only if their
 imaginary part is negligible.
 
 Every solve runs on one BLAS thread: `lowest_eigenpairs`, like
-`capacity.capacitary_potential`, holds `one_blas_thread`, which sets scipy's
-OpenBLAS (the library that ARPACK, LAPACK and the inverse's gemm calls, made
-through `scipy.linalg.blas`, use) to one thread while any solve is inside
-and restores the caller's count when the last one leaves.  numpy's `@` would
-call numpy's own OpenBLAS, which the scope does not reach, so the inverse
-does not use it.  The sweep's thread pool is then the only parallelism,
-OpenBLAS threads do not spin against it, and the result does not depend on
-the machine's core count.  Against a BLAS other than OpenBLAS the scope does
-nothing.
+`capacity.capacitary_potential`, holds `one_blas_thread`, which sets every
+OpenBLAS in the process to one thread while any solve is inside and restores
+each library's count when the last one leaves.  Those are scipy's (ARPACK's
+and LAPACK's) and numpy's (the `@` of the inverse's transforms).  The
+sweep's thread pool is then the only parallelism, OpenBLAS threads do not
+spin against it, and the result does not depend on the machine's core
+count.  A library that is not OpenBLAS is left as it is.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib
+import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.linalg.cython_blas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas
 
 from .discretize import AssembledOperator, SectorFactors
 
@@ -73,53 +71,60 @@ _INVERSE_TOL = 1e-10        # relative error of one inverse apply on a seeded ve
 
 
 def _openblas_thread_controls():
-    """The (get, set) thread-count functions of the OpenBLAS that scipy links,
-    found through scipy's Cython BLAS module: `scipy_openblas_*` in scipy's
-    wheels, `openblas_*` in a system OpenBLAS, None for any other BLAS."""
-    lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
-    for prefix in ("scipy_openblas", "openblas"):
-        try:
-            get = getattr(lib, f"{prefix}_get_num_threads")
-            set_ = getattr(lib, f"{prefix}_set_num_threads")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
+    """The (get, set) thread-count functions of each OpenBLAS in the process,
+    one pair per library: scipy's, found through its Cython BLAS module, and
+    numpy's, through its multiarray module.  The wheels export them as
+    `scipy_openblas_*` (numpy's 64-bit integer build with the suffix `64_`),
+    a system OpenBLAS as `openblas_*`; a library with neither is skipped."""
+    controls = []
+    for modules in (("scipy.linalg.cython_blas",),
+                    ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")):
+        for module in modules:
+            try:
+                lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            except (ImportError, OSError):
+                continue                    # numpy 1.x has no numpy._core
+            for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("", "64_")):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+            break                           # the first module that imports
+    return tuple(controls)
 
 
 class _OneBlasThread:
-    """Re-entrant, thread-safe scope that holds OpenBLAS at one thread while
-    any holder is inside and restores the count found on first entry when the
-    last holder leaves.  The count is process-global (so is
-    `openblas_set_num_threads_local` in scipy's build: set from one thread,
-    every thread reads it), so the holders share one counter.  Without
-    OpenBLAS controls it does nothing."""
+    """Re-entrant, thread-safe scope that holds each OpenBLAS of `controls`
+    at one thread while any holder is inside, and restores each library's
+    count found on first entry when the last holder leaves.  The counts are
+    process-global (so is `openblas_set_num_threads_local` in the wheels'
+    builds: set from one thread, every thread reads it), so the holders
+    share one counter.  With no controls it does nothing."""
 
     def __init__(self, controls):
         self._controls = controls
         self._lock = threading.Lock()
         self._users = 0
-        self._saved = 1
+        self._saved = ()
 
     def __enter__(self):
-        if self._controls is not None:
-            get, set_ = self._controls
-            with self._lock:
-                if self._users == 0:
-                    self._saved = get()
+        with self._lock:
+            if self._users == 0:
+                self._saved = tuple(get() for get, _ in self._controls)
+                for _, set_ in self._controls:
                     set_(1)
-                self._users += 1
+            self._users += 1
         return self
 
     def __exit__(self, *exc):
-        if self._controls is not None:
-            _, set_ = self._controls
-            with self._lock:
-                self._users -= 1
-                if self._users == 0:
-                    set_(self._saved)
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                for (_, set_), count in zip(self._controls, self._saved):
+                    set_(count)
 
 
 one_blas_thread = _OneBlasThread(_openblas_thread_controls())
@@ -167,21 +172,14 @@ def _dense_path(op: AssembledOperator, k: int):
     return lam[order], _real_if_real(op, vecs[:, order])
 
 
-def _gemm(a: np.ndarray, b: np.ndarray, trans_a: int = 0, trans_b: int = 0) -> np.ndarray:
-    """op(a) op(b) through scipy's BLAS, the library `one_blas_thread` pins
-    (numpy's `@` calls numpy's own OpenBLAS, which it does not reach); trans
-    is 0, 1 for the transpose or 2 for the conjugate transpose.  A complex
-    `a` times a real `b` runs as a real product on the interleaved rows of
-    `a`, at half the cost of a complex one."""
-    if np.iscomplexobj(a) and not np.iscomplexobj(b) and trans_a == 0:
-        # a Fortran-ordered complex (p, q) is a real (2p, q) with the same bytes
-        rows = np.asfortranarray(a).T.view(np.float64).T
-        return blas.dgemm(1.0, rows, b, trans_b=min(trans_b, 1)).T.view(np.complex128).T
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return blas.zgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
-    # OpenBLAS's real gemm runs a conjugate transpose at half the speed of
-    # a transpose, which is the same thing for real matrices
-    return blas.dgemm(1.0, a, b, trans_a=min(trans_a, 1), trans_b=min(trans_b, 1))
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real a.  A complex z is multiplied as the real matrix of its
+    interleaved real and imaginary columns, at half the cost of a complex
+    product and without casting a to complex."""
+    if not np.iscomplexobj(z):
+        return a @ z
+    # a C-ordered complex (p, q) is a real (p, 2q) with the same bytes
+    return (a @ z.view(np.float64)).view(np.complex128)
 
 
 def _link_energies(k: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -198,10 +196,6 @@ def _link_energies(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return links + (excess[:, np.newaxis] * np.abs(u) ** 2).sum(axis=0)
 
 
-def _column(x: np.ndarray) -> np.ndarray:
-    return x.reshape(-1, 1, order="F")
-
-
 class _GridModes:
     """The separated eigenproblems of one fully open sector grid.
 
@@ -214,12 +208,13 @@ class _GridModes:
 
     The lowest mu_i + lam_j are small against the norms of the factors, so
     lam comes from link energies, which keep its relative accuracy; the
-    inverse is about as accurate as a sparse LU.  Arrays are kept
-    angular mode by radial mode, Fortran-ordered, so that a field of rings
-    by columns in C order is their transpose at no cost.  The center, when
-    present, couples only to the constant angular mode (lam = 0, mode 0,
-    set exactly), whose radial problem gains the center as one more node
-    and gets its own eigenvectors `center_rad`, center first.  `green`
+    inverse is about as accurate as a sparse LU.  `den` and `kern` are kept
+    angular mode by radial mode, Fortran-ordered, so that their transposes
+    are C-ordered like the transforms of a field of rings by columns;
+    `ang_conj` is the conjugate of `ang`.  The center, when present, couples
+    only to the constant angular mode (lam = 0, mode 0, set exactly), whose
+    radial problem gains the center as one more node and gets its own
+    eigenvectors `center_rad`, center first.  `green`
     holds each angular mode's Green's value on the r1 ring, `u1`
     (`center_u1`) the radial eigenvectors there and `kern` (`center_kern`)
     the same divided by the separated eigenvalues."""
@@ -229,7 +224,7 @@ class _GridModes:
         rad = f.radial * sr[:, np.newaxis] / sr
         rad = (rad + rad.T) / 2
         mu, y = sla.eigh(rad / sd[:, np.newaxis] / sd)
-        self.rad = np.asfortranarray(y / sd[:, np.newaxis])
+        self.rad = y / sd[:, np.newaxis]
         ang = f.angular * sc[:, np.newaxis] / sc
         lam, v = sla.eigh((ang + ang.conj().T) / 2)
         if f.has_center:
@@ -240,14 +235,15 @@ class _GridModes:
             v[:, 1:] /= np.sqrt((v[:, 1:] ** 2).sum(axis=0))
         # cell T is a weighted graph Laplacian plus Dirichlet links
         lam = _link_energies(f.cell[:, np.newaxis] * f.angular, v / sc[:, np.newaxis])
-        self.ang = np.asfortranarray(v)
+        self.ang = v
+        self.ang_conj = v.conj()
         self.den = np.asfortranarray(lam[:, np.newaxis] + mu)
         if not (self.den > 0).all():
             raise SolverError(
                 f"separated eigenvalues mu + lam reach {self.den.min():.3e} <= 0; "
                 "the open operator is not positive definite, which signals an "
                 "assembly bug")
-        self.u1 = self.rad[ring].copy()
+        self.u1 = self.rad[ring]
         self.kern = np.asfortranarray(self.u1 / self.den)
         self.green = (self.kern * self.u1).sum(axis=1)
         self.has_center = f.has_center
@@ -264,7 +260,7 @@ class _GridModes:
                 raise SolverError(
                     f"the center's radial problem has eigenvalue {mu0.min():.3e} <= 0, "
                     "which signals an assembly bug")
-            self.center_rad = np.asfortranarray(u0)
+            self.center_rad = u0
             self.center_den = mu0
             self.center_u1 = u0[ring + 1]
             self.center_kern = self.center_u1 / mu0
@@ -300,7 +296,8 @@ class SectorInverse:
     is x = G b - G[:, F] C^-1 (G b)_F, where the capacitance block
     C = G[F, F] = V_F diag(green) V_F^H is at most m x m (Buzbee, Dorr,
     George & Golub, SIAM J. Numer. Anal. 8 (1971)).  The correction acts
-    in mode space, so an apply costs four gemm transforms and O(m^2).
+    in mode space, so an apply costs four matrix-product transforms and
+    O(m^2).
 
     Raises `SolverError` when the open operator or C is not positive
     definite, or when one apply on a seeded vector does not invert
@@ -320,18 +317,16 @@ class SectorInverse:
         crack = np.setdiff1d(np.arange(ncols), present)
         self.vf = None
         if crack.size:
-            self.vf = np.asfortranarray(modes.ang[crack])
-            cap = _gemm(self.vf * modes.green, self.vf, trans_b=2)
+            self.vf = modes.ang[crack]
+            self.vf_h = modes.ang_conj[crack].T
             try:
-                self.cho = sla.cho_factor(cap)
+                self.cho = sla.cho_factor((self.vf * modes.green) @ self.vf_h)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     "the capacitance block of the crack is not positive definite, "
                     "which signals an assembly bug") from exc
         x = np.random.default_rng(_SEED).standard_normal(op.n)
-        # not np.linalg.norm: on a vector it calls numpy's own BLAS, whose
-        # threads the scope does not pin and which spin after the call
-        err = np.sqrt(np.sum(np.abs(self.solve(op.matrix @ x) - x) ** 2) / np.sum(x**2))
+        err = np.linalg.norm(self.solve(op.matrix @ x) - x) / np.linalg.norm(x)
         if not err <= _INVERSE_TOL:
             raise SolverError(
                 f"the separable inverse does not invert the operator (relative "
@@ -344,29 +339,28 @@ class SectorInverse:
         b = np.asarray(b).reshape(-1)
         buf = np.zeros(self.active.size, dtype=np.result_type(modes.ang.dtype, b.dtype))
         buf[self.active] = b[:n1]
-        field = buf.reshape(-1, modes.ang.shape[0]).T       # columns by rings
-        spectral = _gemm(modes.ang, field, trans_a=2)        # angular modes by rings
-        z = _gemm(spectral, modes.rad)                       # angular by radial modes
-        z /= modes.den
+        field = buf.reshape(-1, modes.ang.shape[0])          # rings by columns
+        spectral = field @ modes.ang_conj                    # rings by angular modes
+        z = _real_times(modes.rad.T, spectral)               # radial by angular modes
+        z /= modes.den.T
         if modes.has_center:
             # mode 0 with the center in front of its rings
-            z0 = _gemm(modes.center_rad, _column(np.append(b[n1:], spectral[0])),
-                       trans_a=1)[:, 0] / modes.center_den
+            v0 = np.append(b[n1:], spectral[:, 0])[:, np.newaxis]
+            z0 = _real_times(modes.center_rad.T, v0)[:, 0] / modes.center_den
         if self.vf is not None:
-            on_ring = _gemm(z, _column(modes.u1))            # G b on the r1 ring
+            on_ring = _real_times(modes.u1, z)               # G b on the r1 ring
             if modes.has_center:
                 on_ring[0] = (z0 * modes.center_u1).sum()
-            charge = sla.cho_solve(self.cho, _gemm(self.vf, on_ring), check_finite=False)
-            w = _gemm(self.vf, charge, trans_a=2)
-            z -= w * modes.kern
+            charge = sla.cho_solve(self.cho, self.vf @ on_ring, check_finite=False)
+            w = self.vf_h @ charge
+            z -= modes.kern.T * w
             if modes.has_center:
                 z0 -= w[0] * modes.center_kern
-        x = _gemm(z, modes.rad, trans_b=1)
+        x = _real_times(modes.rad, z)                        # rings by angular modes
         if modes.has_center:
-            full = _gemm(modes.center_rad, _column(z0))[:, 0]
-            x[0] = full[1:]
-        x = _gemm(modes.ang, x)
-        out = x.T.reshape(-1)[self.active]
+            full = _real_times(modes.center_rad, z0[:, np.newaxis])[:, 0]
+            x[:, 0] = full[1:]
+        out = (x @ modes.ang.T).reshape(-1)[self.active]
         return np.append(out, full[0]) if modes.has_center else out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -383,14 +377,13 @@ def _sparse_path(op: AssembledOperator, k: int):
     if asym > _ASYM_TOL:
         raise SolverError(f"symmetrized operator is not Hermitian (relative "
                           f"residual {asym:.3e}); this signals an assembly bug")
-    s_herm = ((s + s_adj) * 0.5).tocsc()
     inverse = SectorInverse(op)
-    opinv = spla.LinearOperator(s_herm.shape, matvec=inverse.solve_hermitian, dtype=s_herm.dtype)
+    opinv = spla.LinearOperator(s.shape, matvec=inverse.solve_hermitian, dtype=s.dtype)
     rng = np.random.default_rng(_SEED)
     v0 = rng.standard_normal(op.n).astype(s.dtype)
     ncv = min(op.n - 1, max(4 * k + 1, 24))
     try:
-        lam, w = spla.eigsh(s_herm, k=k, sigma=0.0, which="LM", OPinv=opinv, v0=v0,
+        lam, w = spla.eigsh(s, k=k, sigma=0.0, which="LM", OPinv=opinv, v0=v0,
                             ncv=ncv, maxiter=_MAX_RESTARTS * ncv, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"shift-invert iteration did not converge: {exc}") from exc

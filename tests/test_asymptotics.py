@@ -127,6 +127,12 @@ def test_fit_insufficient_points():
     lam = [predict(mod, e) for e in eps]
     with pytest.raises(ValueError):
         fit_coefficient(eps, lam, mod)
+    # the endpoint delta = 0 is no point of any window
+    ndd = model("NDD", 0.4356, 1.0)
+    eps = list(math.pi / 2 - np.array([0.25, 0.07, 0.05]))
+    lam = [predict(ndd, e) for e in eps] + [ndd.lambda_limit]
+    with pytest.raises(ValueError, match="at least 4 points with 0 < pi/2 - eps <= 0.3, got 3"):
+        fit_coefficient(eps + [math.pi / 2], lam, ndd)
 
 
 def test_law_competition_prefers_generating_law():

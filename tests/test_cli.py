@@ -188,6 +188,22 @@ def test_asymptotics_with_fit(tmp_path):
     assert float(fit_rows[-1].split(",")[7]) == pytest.approx(1.0, rel=1e-6)
 
 
+def test_asymptotics_fit_with_three_tail_points_and_the_endpoint_exits_1(tmp_path, capsys):
+    from crackspec.asymptotics import model, predict
+    mod = model("NDD", 0.4356, 1.0)
+    curve = tmp_path / "curve.csv"
+    lines = ["epsilon,lambda"]
+    for d in (0.25, 0.07, 0.05):
+        e = math.pi / 2 - d
+        lines.append(f"{e},{predict(mod, e)}")
+    lines.append(f"{math.pi / 2},{mod.lambda_limit}")
+    curve.write_text("\n".join(lines) + "\n")
+    code, out = run(tmp_path, "asymptotics", "--case", "NDD", "--r1", "0.4356",
+                    "--fit", str(curve))
+    assert code == 1
+    assert "got 3" in capsys.readouterr().err
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("radius = 2.0\ncount = 1\n")

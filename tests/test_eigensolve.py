@@ -1,4 +1,6 @@
+import ctypes
 import dataclasses
+import importlib
 import math
 import os
 import sys
@@ -267,21 +269,37 @@ def test_sparse_path_matches_dense_oracle(n, data):
 
 _controls = eigensolve._openblas_thread_controls()
 needs_openblas = pytest.mark.skipif(
-    _controls is None, reason="scipy's BLAS exposes no OpenBLAS thread control")
+    not _controls, reason="neither scipy's nor numpy's BLAS exposes an OpenBLAS thread control")
+ONE, TWO = [1] * len(_controls), [2] * len(_controls)
 
 
 @pytest.fixture
 def blas_threads():
-    """The BLAS thread-count getter, with the caller's count set to 2."""
-    get, set_ = _controls
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
+    """A getter of every OpenBLAS's thread count, with the caller's counts
+    set to 2."""
+    before = [get() for get, _ in _controls]
+    for _, set_ in _controls:
+        set_(2)
+    yield lambda: [get() for get, _ in _controls]
+    for (_, set_), count in zip(_controls, before):
+        set_(count)
+
+
+def _numpy_thread_getter():
+    """The thread-count getter of numpy's own OpenBLAS, looked up apart from
+    `_openblas_thread_controls`, or None."""
+    core = getattr(np, "_core", None)
+    if core is None:
+        return None
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    return getattr(lib, "scipy_openblas_get_num_threads64_", None)
+
+
+_numpy_get = _numpy_thread_getter()
 
 
 def _spy_on_path(monkeypatch, method, get):
-    """Record the BLAS thread count each time the solve path of `method` runs."""
+    """Record the BLAS thread counts each time the solve path of `method` runs."""
     name = f"_{method}_path"
     inner = getattr(eigensolve, name)
     seen = []
@@ -294,17 +312,16 @@ def _spy_on_path(monkeypatch, method, get):
     return seen
 
 
-def _spy_on_gemm(monkeypatch, get):
-    """Record the BLAS thread count at each call of scipy's gemm."""
+def _spy_on_applies(monkeypatch, get):
+    """Record the BLAS thread counts at each apply of the separable inverse."""
+    inner = SectorInverse.solve_hermitian
     seen = []
-    for name in ("dgemm", "zgemm"):
-        inner = getattr(eigensolve.blas, name)
 
-        def spy(*args, inner=inner, **kwargs):
-            seen.append(get())
-            return inner(*args, **kwargs)
+    def spy(self, b):
+        seen.append(get())
+        return inner(self, b)
 
-        monkeypatch.setattr(eigensolve.blas, name, spy)
+    monkeypatch.setattr(SectorInverse, "solve_hermitian", spy)
     return seen
 
 
@@ -312,14 +329,55 @@ def _spy_on_gemm(monkeypatch, get):
 @pytest.mark.parametrize("method", ["sparse", "dense"])
 def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads, method):
     seen = _spy_on_path(monkeypatch, method, blas_threads)
-    gemms = _spy_on_gemm(monkeypatch, blas_threads)
+    applies = _spy_on_applies(monkeypatch, blas_threads)
     lowest_eigenpairs(_coupled_op(), 3, method=method)
-    assert seen == [1]
+    assert seen == [ONE]
     if method == "sparse":  # the inverse's transforms
-        assert len(gemms) > 20 and set(gemms) == {1}
+        assert len(applies) > 20 and all(counts == ONE for counts in applies)
     else:
-        assert gemms == []
-    assert blas_threads() == 2
+        assert applies == []
+    assert blas_threads() == TWO
+
+
+@pytest.mark.skipif(_numpy_get is None, reason="numpy's BLAS is not the OpenBLAS of its wheels")
+def test_the_scope_holds_numpys_openblas_too(blas_threads):
+    controls = eigensolve._openblas_thread_controls()
+    assert len(controls) == 2  # scipy's and numpy's
+    assert controls[1][0].__name__ == _numpy_get.__name__
+    assert _numpy_get() == 2
+    with one_blas_thread:
+        assert _numpy_get() == 1
+        assert blas_threads() == [1, 1]
+    assert _numpy_get() == 2
+    # each library gets its own count back, also after nested entries
+    controls[0][1](1)
+    with one_blas_thread:
+        with one_blas_thread:
+            assert blas_threads() == [1, 1]
+        assert blas_threads() == [1, 1]
+    assert blas_threads() == [1, 2]
+
+
+@needs_openblas
+def test_a_lookup_that_finds_only_scipys_openblas_still_pins_it(monkeypatch, blas_threads):
+    import_module = importlib.import_module
+
+    def without_numpy(name, *args):
+        if name.startswith("numpy"):
+            raise ImportError(name)
+        return import_module(name, *args)
+
+    monkeypatch.setattr(importlib, "import_module", without_numpy)
+    controls = eigensolve._openblas_thread_controls()
+    monkeypatch.undo()
+    if not controls:
+        pytest.skip("scipy's BLAS exposes no OpenBLAS thread control")
+    assert len(controls) == 1
+    (get, _), = controls
+    assert get() == 2
+    with eigensolve._OneBlasThread(controls):
+        assert get() == 1
+    assert blas_threads() == TWO
 
 
 @needs_openblas
@@ -328,7 +386,7 @@ def test_blas_count_restored_after_a_solver_error(blas_threads):
     shifted = dataclasses.replace(op, matrix=(op.matrix - 100.0 * sp.identity(op.n)).tocsr())
     with pytest.raises(SolverError, match="does not invert the operator"):
         lowest_eigenpairs(shifted, 2)
-    assert blas_threads() == 2
+    assert blas_threads() == TWO
 
 
 @needs_openblas
@@ -336,14 +394,14 @@ def test_blas_count_restored_after_a_pooled_sweep(monkeypatch, blas_threads):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     seen = _spy_on_path(monkeypatch, "sparse", blas_threads)
     sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5, 0.9], 16, 2)
-    assert seen == [1] * 6  # 3 openings x 2 sectors
-    assert blas_threads() == 2
+    assert seen == [ONE] * 6  # 3 openings x 2 sectors
+    assert blas_threads() == TWO
 
 
 @needs_openblas
 def test_capacity_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads):
-    # the transforms of the Green's column, and the dense ring Cholesky
-    gemms = _spy_on_gemm(monkeypatch, blas_threads)
+    # the inverse's applies for the Green's column, and the dense ring Cholesky
+    applies = _spy_on_applies(monkeypatch, blas_threads)
     cho_factor = capacity.sla.cho_factor
     seen = []
 
@@ -354,9 +412,9 @@ def test_capacity_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, bl
     monkeypatch.setattr(capacity.sla, "cho_factor", counted)
     capacity._disk_green.cache_clear()
     capacitary_potential(CapacityProblem(0.4356, 1.0, ((0.0, 1.0),), 24))
-    assert seen == [1]
-    assert len(gemms) >= 8 and set(gemms) == {1}
-    assert blas_threads() == 2
+    assert seen == [ONE]
+    assert len(applies) >= 3 and all(counts == ONE for counts in applies)
+    assert blas_threads() == TWO
 
 
 @needs_openblas
@@ -364,21 +422,22 @@ def test_blas_count_restored_after_a_capacity_error(monkeypatch, blas_threads):
     monkeypatch.setattr(capacity, "_RESIDUAL_BOUND", -1.0)
     with pytest.raises(RuntimeError, match="harmonicity residual"):
         capacitary_potential(CapacityProblem(0.4356, 1.0, ((0.0, 1.0),), 24))
-    assert blas_threads() == 2
+    assert blas_threads() == TWO
 
 
 @needs_openblas
 def test_blas_scope_under_concurrent_entry(blas_threads):
     # more threads than cores, switching often: a lost update of the holder
-    # count would restore the count while a holder is still inside
+    # count would restore the counts while a holder is still inside
     wrong = []
 
     def hold():
         for _ in range(200):
             with one_blas_thread:
                 with one_blas_thread:
-                    if blas_threads() != 1:
-                        wrong.append(blas_threads())
+                    counts = blas_threads()
+                    if counts != ONE:
+                        wrong.append(counts)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -392,7 +451,7 @@ def test_blas_scope_under_concurrent_entry(blas_threads):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert wrong == []
-    assert blas_threads() == 2
+    assert blas_threads() == TWO
 
 
 # ---------------------------------------------------------------------------
