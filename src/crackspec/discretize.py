@@ -44,8 +44,8 @@ The stencil is written once, for the fully open sector, as one-dimensional
 factors (`SectorFactors`): on the ring nodes A_open = R (x) I + diag(D) (x) T,
 plus the center.  `assemble` builds every opening's matrix from them by
 dropping the crack nodes, and carries them on the operator, so that
-`eigensolve` can invert any opening of a grid from the same separated
-eigenproblems.
+`eigensolve` can solve any opening of a grid from the same per-mode spectrum
+of the open operator.
 """
 
 from __future__ import annotations

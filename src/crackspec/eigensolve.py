@@ -3,32 +3,36 @@
 The discrete operator is non-Hermitian but similar to a Hermitian matrix
 through diag(sqrt(w)) with the node weights carried by the operator: real
 symmetric for the scalar sectors and quarter problems, complex Hermitian for
-the complex Floquet sectors.  There is one solve path: shift-invert Lanczos
-(ARPACK through `scipy.sparse.linalg.eigsh`, shift 0; scipy hands a complex
-Hermitian matrix to complex ARPACK) on the Hermitian part of the symmetrized
-matrix, with the eigenvectors mapped back.  The dense QR path (LAPACK
-*geev*, `method="dense"`) is the independent oracle of the tests.
-Eigenvectors of a complex operator stay complex.
+the complex Floquet sectors.  There is one solve path, a secular solve on
+the symmetrized matrix S, with the eigenvectors mapped back.  The dense QR
+path (LAPACK *geev*, `method="dense"`) is the independent oracle of the
+tests.  Eigenvectors of a complex operator stay complex.
 
-The shift-invert inverse takes no factorization.  Every opening of a sector
-is the same fully open tensor-product operator (`discretize.SectorFactors`)
-without its crack nodes on the r1 ring, so `SectorInverse` inverts it by the
-capacitance-matrix method (Buzbee, Dorr, George & Golub, SIAM J. Numer.
-Anal. 8 (1971)): per grid, the eigenvectors of the radial and the angular
-factor and each mode's Green's value on the r1 ring (cached, for at most
-`_CACHED_GRIDS` grids); per opening, a Cholesky of the at most m x m
-capacitance block of the crack; per apply, four matrix-product transforms,
-one division by the separated eigenvalues and an O(m^2) crack correction in
-mode space.  The center, where there is one, joins the radial problem of the
-constant angular mode.  Each returned eigenvector gets one step of
-iterative refinement through the same inverse: the round-off of the last
-transform is spread evenly over the nodes, and A, whose rows near the
-center are largest, would amplify it into the residual certificate.  The
-same inverse gives the Green's column of the capacitary potential.  A
-symmetrization residual out of tolerance, an open operator that is not
-positive definite, a capacitance block whose Cholesky fails, or an inverse
-that does not invert the operator on a seeded vector is an assembly bug
-and raises `SolverError`.
+Every opening of a sector is the same fully open tensor-product operator
+(`discretize.SectorFactors`) without its crack nodes F on the r1 ring.  Per
+grid (`_GridSpectrum`, cached for at most `_CACHED_GRIDS` grids), each
+angular mode j of the open operator is a symmetric tridiagonal T_j over the
+rings, and its eigenvalues nu_ij are the open operator's spectrum; only
+their eigenvectors' r1-ring entries q_ij are kept.  Per opening (`_Secular`),
+lambda is an eigenvalue exactly when the at most m x m capacitance matrix
+C(lambda) = V_F diag(g(lambda)) V_F^H of the crack is singular, with
+g_j(lambda) = sum_i q_ij^2 / (nu_ij - lambda) (Buzbee, Dorr, George & Golub,
+SIAM J. Numer. Anal. 8 (1971); Golub, SIAM Rev. 15 (1973)).  Haynsworth's
+inertia additivity counts the opening's eigenvalues below any sigma,
+N(sigma) = #{nu_ij < sigma} - neg(C(sigma)); the counts isolate each root
+between two poles nu, a safeguarded Newton step on the eigenvalue branch of
+C that crosses zero converges it, and after the roots are found the counts
+certify that none was skipped.  An eigenvector is one tridiagonal solve per
+mode and one angular transform.  A fully open grid takes the lowest poles
+and their tridiagonal eigenvectors.  A symmetrization residual out of
+tolerance, an operator that is not its grid's open operator without crack
+nodes on a seeded vector, an open operator that is not positive definite, a
+capacitance block whose Cholesky fails, or a count that contradicts the
+roots raises `SolverError`.
+
+`SectorInverse` inverts an opening's operator from the same factors by the
+capacitance-matrix method at shift 0; it gives the Green's column of the
+capacitary potential.
 
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||
 computed on the original matrix, and eigenvalues are accepted only if their
@@ -37,11 +41,12 @@ imaginary part is negligible.
 Every solve runs on one BLAS thread: `lowest_eigenpairs`, like
 `capacity.capacitary_potential`, holds `one_blas_thread`, which sets every
 OpenBLAS in the process to one thread while any solve is inside and restores
-each library's count when the last one leaves.  Those are scipy's (ARPACK's
-and LAPACK's) and numpy's (the `@` of the inverse's transforms).  The
-sweep's thread pool is then the only parallelism, OpenBLAS threads do not
-spin against it, and the result does not depend on the machine's core
-count.  A library that is not OpenBLAS is left as it is.
+each library's count when the last one leaves.  Those are scipy's (the
+tridiagonal eigensolves and solves) and numpy's (the capacitance matrices'
+eigensolves, which release the GIL, and every `@`).  The sweep's thread pool
+is then the only parallelism, OpenBLAS threads do not spin against it, and
+the result does not depend on the machine's core count.  A library that is
+not OpenBLAS is left as it is.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .discretize import AssembledOperator, SectorFactors
 
@@ -65,9 +70,12 @@ __all__ = ["SolverError", "Spectrum", "SectorInverse", "lowest_eigenpairs",
 
 _IMAG_TOL = 1e-8            # |Im lambda| <= tol * max(1, |lambda|)
 _ASYM_TOL = 1e-9            # relative symmetrization residual
-_SEED = 20230921            # deterministic ARPACK start vector
-_MAX_RESTARTS = 50
+_SEED = 20230921            # deterministic vector of the operator checks
 _INVERSE_TOL = 1e-10        # relative error of one inverse apply on a seeded vector
+_OPERATOR_TOL = 1e-12       # op.matrix against its factors' operator, relative
+_EPS = np.finfo(float).eps
+_MAX_STEPS = 200            # root steps per eigenvalue
+_CLUSTER_GAP = 1e-9         # relative offset of the completeness counts
 
 
 def _openblas_thread_controls():
@@ -196,13 +204,51 @@ def _link_energies(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return links + (excess[:, np.newaxis] * np.abs(u) ** 2).sum(axis=0)
 
 
+def _angular_modes(f: SectorFactors):
+    """The unit eigenvectors v (columns) of the symmetrized angular factor
+    Ts = cell^1/2 T cell^-1/2 and their eigenvalues lam, from link energies,
+    which keep a small lam's relative accuracy.  The center, when present,
+    couples to the constant mode sqrt(cell) alone: mode 0 is exactly that
+    (lam = 0), and the others are exactly orthogonal to it."""
+    sc = np.sqrt(f.cell)
+    ang = f.angular * sc[:, np.newaxis] / sc
+    lam, v = sla.eigh((ang + ang.conj().T) / 2)
+    if f.has_center:
+        v[:, 0] = sc / np.sqrt(f.cell.sum())
+        v[:, 1:] -= v[:, :1] * (v[:, :1] * v[:, 1:]).sum(axis=0)
+        v[:, 1:] /= np.sqrt((v[:, 1:] ** 2).sum(axis=0))
+    # cell T is a weighted graph Laplacian plus Dirichlet links
+    lam = _link_energies(f.cell[:, np.newaxis] * f.angular, v / sc[:, np.newaxis])
+    return v, lam
+
+
+def _radial(f: SectorFactors) -> np.ndarray:
+    """The symmetrized radial factor Rs = r^1/2 R r^-1/2."""
+    sr = np.sqrt(f.r)
+    rad = f.radial * sr[:, np.newaxis] / sr
+    return (rad + rad.T) / 2
+
+
+def _bordered(f: SectorFactors, v0: np.ndarray, rad: np.ndarray) -> np.ndarray:
+    """The radial problem of the constant angular mode v0 with the center
+    bordered in first: S on (center, ring-1 node j), from both of its
+    triangles, projected on v0."""
+    link = (f.center_in * np.sqrt(f.r[0] * f.cell / f.center_weight)
+            + f.center_out * np.sqrt(f.center_weight / (f.r[0] * f.cell))) / 2
+    bordered = np.zeros((f.r.size + 1, f.r.size + 1))
+    bordered[0, 0] = f.center_diag
+    bordered[0, 1] = bordered[1, 0] = (v0 * link).sum()
+    bordered[1:, 1:] = rad                     # lam[0] = 0
+    return bordered
+
+
 class _GridModes:
-    """The separated eigenproblems of one fully open sector grid.
+    """The separated eigenproblems of one fully open sector grid, for
+    `SectorInverse`.
 
     Symmetrized by the node weights, the open operator is
-    S = Rs (x) I + diag(D) (x) Ts, with Rs = r^1/2 R r^-1/2 and
-    Ts = cell^1/2 T cell^-1/2.  With Rs U = D U diag(mu), U^T D U = I, and
-    Ts V = V diag(lam), V unitary,
+    S = Rs (x) I + diag(D) (x) Ts.  With Rs U = D U diag(mu), U^T D U = I,
+    and the angular modes Ts V = V diag(lam) of `_angular_modes`,
 
         S^-1 = (U (x) V) diag(1 / (mu_i + lam_j)) (U (x) V)^H.
 
@@ -211,30 +257,19 @@ class _GridModes:
     inverse is about as accurate as a sparse LU.  `den` and `kern` are kept
     angular mode by radial mode, Fortran-ordered, so that their transposes
     are C-ordered like the transforms of a field of rings by columns;
-    `ang_conj` is the conjugate of `ang`.  The center, when present, couples
-    only to the constant angular mode (lam = 0, mode 0, set exactly), whose
-    radial problem gains the center as one more node and gets its own
-    eigenvectors `center_rad`, center first.  `green`
-    holds each angular mode's Green's value on the r1 ring, `u1`
-    (`center_u1`) the radial eigenvectors there and `kern` (`center_kern`)
-    the same divided by the separated eigenvalues."""
+    `ang_conj` is the conjugate of `ang`.  The center, when present, joins
+    the radial problem of mode 0 (`_bordered`), which gets its own
+    eigenvectors `center_rad`, center first.  `green` holds each angular
+    mode's Green's value on the r1 ring, `u1` (`center_u1`) the radial
+    eigenvectors there and `kern` (`center_kern`) the same divided by the
+    separated eigenvalues."""
 
     def __init__(self, f: SectorFactors, ring: int) -> None:
-        sr, sd, sc = np.sqrt(f.r), np.sqrt(f.scale), np.sqrt(f.cell)
-        rad = f.radial * sr[:, np.newaxis] / sr
-        rad = (rad + rad.T) / 2
+        sd = np.sqrt(f.scale)
+        rad = _radial(f)
         mu, y = sla.eigh(rad / sd[:, np.newaxis] / sd)
         self.rad = y / sd[:, np.newaxis]
-        ang = f.angular * sc[:, np.newaxis] / sc
-        lam, v = sla.eigh((ang + ang.conj().T) / 2)
-        if f.has_center:
-            # the center couples to the constant mode sqrt(cell) alone: make
-            # mode 0 exactly that, and the others exactly orthogonal to it
-            v[:, 0] = sc / np.sqrt(f.cell.sum())
-            v[:, 1:] -= v[:, :1] * (v[:, :1] * v[:, 1:]).sum(axis=0)
-            v[:, 1:] /= np.sqrt((v[:, 1:] ** 2).sum(axis=0))
-        # cell T is a weighted graph Laplacian plus Dirichlet links
-        lam = _link_energies(f.cell[:, np.newaxis] * f.angular, v / sc[:, np.newaxis])
+        v, lam = _angular_modes(f)
         self.ang = v
         self.ang_conj = v.conj()
         self.den = np.asfortranarray(lam[:, np.newaxis] + mu)
@@ -248,14 +283,7 @@ class _GridModes:
         self.green = (self.kern * self.u1).sum(axis=1)
         self.has_center = f.has_center
         if f.has_center:
-            # S on (ring-1 node j, center), from both of its triangles
-            link = (f.center_in * np.sqrt(f.r[0] * f.cell / f.center_weight)
-                    + f.center_out * np.sqrt(f.center_weight / (f.r[0] * f.cell))) / 2
-            bordered = np.zeros((f.r.size + 1, f.r.size + 1))
-            bordered[0, 0] = f.center_diag
-            bordered[0, 1] = bordered[1, 0] = (v[:, 0] * link).sum()
-            bordered[1:, 1:] = rad                     # lam[0] = 0
-            mu0, u0 = sla.eigh(bordered)
+            mu0, u0 = sla.eigh(_bordered(f, v[:, 0], rad))
             if not (mu0 > 0).all():
                 raise SolverError(
                     f"the center's radial problem has eigenvalue {mu0.min():.3e} <= 0, "
@@ -267,25 +295,151 @@ class _GridModes:
             self.green[0] = (self.center_kern * self.center_u1).sum()
 
 
+class _GridSpectrum:
+    """The open operator's spectrum of one sector grid, angular mode by
+    angular mode, for the secular solve.
+
+    In the angular modes v_j of `_angular_modes` the symmetrized open
+    operator is S = sum_j T_j (x) v_j v_j^H, with the symmetric tridiagonal
+    T_j = Rs + lam_j diag(D) over the rings; with a center, T_0 is mode 0's
+    `_bordered` problem, center first.  Each T_j is kept as a row of `diag`
+    and `off`, all of one length L: with a center, the other modes get a
+    decoupled dummy row in front, so that the r1 ring is entry `ring` of
+    every row.  `poles[j]` holds the eigenvalues nu_ij of T_j, ascending
+    (+inf where T_j is the shorter one), and `weights[j]` the squares
+    q_ij^2 of their unit eigenvectors' r1-ring entries.  Modes of one
+    eigenvalue lam (the +-frequency pairs of a real periodic sector) share
+    it to the last bit, and so do their poles.  `values`, `first` and
+    `size` list the distinct poles ascending, with the index in `order`
+    (the flat indices of the finite poles, ascending) of each one's first
+    copy and its number of copies."""
+
+    def __init__(self, f: SectorFactors, ring: int) -> None:
+        v, lam = _angular_modes(f)
+        # one eigenvalue for each pair of modes that round-off keeps apart
+        by_value = np.argsort(lam)
+        sorted_lam = lam[by_value]
+        for i in np.flatnonzero(np.diff(sorted_lam) <= 8 * _EPS * sorted_lam[1:]):
+            sorted_lam[i + 1] = sorted_lam[i]
+        lam[by_value] = sorted_lam
+        self.ang = v
+        rad = _radial(f)
+        lead = int(f.has_center)
+        rows = f.r.size + lead
+        self.ring = ring + lead
+        self.lead = np.zeros(lam.size, dtype=int)
+        self.diag = np.ones((lam.size, rows))
+        self.off = np.zeros((lam.size, rows - 1))
+        self.poles = np.full((lam.size, rows), np.inf)
+        self.weights = np.zeros((lam.size, rows))
+        solved: dict = {}
+        for j, lj in enumerate(lam):
+            if f.has_center and j == 0:
+                t = _bordered(f, v[:, 0], rad)
+                self.diag[j], self.off[j] = t.diagonal(), t.diagonal(1)
+                lj = None
+            else:
+                self.lead[j] = lead
+                self.diag[j, lead:] = rad.diagonal() + lj * f.scale
+                self.off[j, lead:] = rad.diagonal(1)
+            if lj not in solved:
+                lo = self.lead[j]
+                nu, y = sla.eigh_tridiagonal(self.diag[j, lo:], self.off[j, lo:])
+                solved[lj] = nu, y[self.ring - lo] ** 2   # keeps one row, not y
+            nu, q2 = solved[lj]
+            self.poles[j, :nu.size], self.weights[j, :nu.size] = nu, q2
+        if not self.poles.min() > 0:
+            raise SolverError(
+                f"the open operator has eigenvalue {self.poles.min():.3e} <= 0; it is "
+                "not positive definite, which signals an assembly bug")
+        flat = self.poles.ravel()
+        self.order = np.argsort(flat, kind="stable")[:np.isfinite(flat).sum()]
+        self.sorted = flat[self.order]
+        self.values, self.first, self.size = np.unique(
+            self.sorted, return_index=True, return_counts=True)
+
+    def vector(self, j: int, i: int) -> np.ndarray:
+        """The unit eigenvector of nu_ij, as a row of length L."""
+        lo = self.lead[j]
+        _, y = sla.eigh_tridiagonal(self.diag[j, lo:], self.off[j, lo:],
+                                    select="i", select_range=(i, i))
+        out = np.zeros(self.diag.shape[1])
+        out[lo:] = y[:, 0]
+        return out
+
+    def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
+        """(T_j - sigma)^-1 rhs[j] for every mode j: one banded solve with
+        partial pivoting over the modes' tridiagonals end to end."""
+        d = self.diag - sigma
+        d[self.lead > 0, 0] = 1.0                   # the dummy rows
+        e = np.zeros(d.shape)
+        e[:, :-1] = self.off
+        e = e.ravel()[:-1]
+        _, _, _, x, info = lapack.dgtsv(e, d.ravel(), e, rhs.reshape(-1, 1))
+        if info != 0:
+            raise SolverError(f"a mode's tridiagonal is singular at {sigma!r}")
+        return x.reshape(d.shape)
+
+
+class _GridEntry:
+    """One grid's slot in the cache: its lock and, once built, its data."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.data = None
+
+
 _CACHED_GRIDS = 8
 _grid_lock = threading.Lock()
-_grid_cache: OrderedDict[tuple, _GridModes] = OrderedDict()
+_grid_cache: OrderedDict[tuple, _GridEntry] = OrderedDict()
 
 
-def _grid_modes(op: AssembledOperator) -> _GridModes:
-    """The modes of the operator's open grid, from a bounded cache shared by
-    every thread."""
+def _cached_grid(op: AssembledOperator, build):
+    """`build(op.factors, ring)` for the operator's open grid, from a bounded
+    cache shared by every thread.  A missing grid is built outside the
+    cache's lock, under its own: one thread builds it while threads that
+    need other grids go on."""
     p, grid = op.problem, op.grid
-    key = (p.kind, p.quarter_case or p.ell, p.geometry.n, grid.m, grid.r1_ring, grid.r2)
+    key = (build, p.kind, p.quarter_case or p.ell, p.geometry.n, grid.m, grid.r1_ring, grid.r2)
     with _grid_lock:
-        modes = _grid_cache.get(key)
-        if modes is None:
-            modes = _grid_cache[key] = _GridModes(op.factors, grid.r1_ring - 1)
+        entry = _grid_cache.get(key)
+        if entry is None:
+            entry = _grid_cache[key] = _GridEntry()
             if len(_grid_cache) > _CACHED_GRIDS:
                 _grid_cache.popitem(last=False)
         else:
             _grid_cache.move_to_end(key)
-    return modes
+    with entry.lock:
+        if entry.data is None:
+            entry.data = build(op.factors, grid.r1_ring - 1)
+        return entry.data
+
+
+def _grid_modes(op: AssembledOperator) -> _GridModes:
+    """The separated eigenproblems of the operator's open grid."""
+    return _cached_grid(op, _GridModes)
+
+
+def _grid_spectrum(op: AssembledOperator) -> _GridSpectrum:
+    """The per-mode spectrum of the operator's open grid."""
+    return _cached_grid(op, _GridSpectrum)
+
+
+def _unknowns(op: AssembledOperator) -> np.ndarray:
+    """The operator's ring unknowns as a mask over a field of rings by
+    columns, C order (a boolean index scatters and gathers several times
+    faster than integers)."""
+    n1 = op.n - int(op.center_row is not None)
+    active = np.zeros((op.grid.m - 1) * op.cols.size, dtype=bool)
+    active[(op.node_ring[:n1] - 1) * op.cols.size + op.node_col[:n1] - op.cols[0]] = True
+    return active
+
+
+def _crack(op: AssembledOperator) -> np.ndarray:
+    """The positions in `op.cols` of the r1-ring columns that are not
+    unknowns."""
+    present = op.node_col[op.node_ring == op.grid.r1_ring] - op.cols[0]
+    return np.setdiff1d(np.arange(op.cols.size), present)
 
 
 class SectorInverse:
@@ -305,16 +459,10 @@ class SectorInverse:
 
     def __init__(self, op: AssembledOperator) -> None:
         modes = self.modes = _grid_modes(op)
-        ncols = op.cols.size
-        n1 = op.n - int(op.center_row is not None)
-        self.n1 = n1
-        # the unknowns in a field of rings by columns, C order (a boolean
-        # index scatters and gathers several times faster than integers)
-        self.active = np.zeros(modes.rad.shape[0] * ncols, dtype=bool)
-        self.active[(op.node_ring[:n1] - 1) * ncols + op.node_col[:n1] - op.cols[0]] = True
+        self.n1 = op.n - int(op.center_row is not None)
+        self.active = _unknowns(op)
         self.d = np.sqrt(op.row_weights)
-        present = op.node_col[op.node_ring == op.grid.r1_ring] - op.cols[0]
-        crack = np.setdiff1d(np.arange(ncols), present)
+        crack = _crack(op)
         self.vf = None
         if crack.size:
             self.vf = modes.ang[crack]
@@ -368,33 +516,316 @@ class SectorInverse:
         return self.solve_hermitian(b * self.d) / self.d
 
 
+def _check_operator(op: AssembledOperator) -> None:
+    """Raise `SolverError` unless `op.matrix` is its grid's open operator
+    (`op.factors`) without crack nodes on the r1 ring, on a seeded vector."""
+    f, active = op.factors, _unknowns(op)
+    n1 = op.n - int(f.has_center)
+    if active.size - n1 != _crack(op).size or (op.center_row is not None) != f.has_center:
+        raise SolverError("the operator's unknowns are not its grid's nodes without "
+                          "crack nodes on the r1 ring, which signals an assembly bug")
+    x = np.random.default_rng(_SEED).standard_normal(op.n)
+    field = np.zeros(active.size)
+    field[active] = x[:n1]
+    field = field.reshape(-1, op.cols.size)
+    y = f.radial @ field + f.scale[:, np.newaxis] * (field @ f.angular.T)
+    if f.has_center:
+        y[0] += f.center_in * x[n1]
+    want = y.reshape(-1)[active]
+    if f.has_center:
+        want = np.append(want, f.center_diag * x[n1] + f.center_out @ field[0])
+    err = np.linalg.norm(op.matrix @ x - want) / np.linalg.norm(want)
+    if not err <= _OPERATOR_TOL:
+        raise SolverError(
+            f"the operator is not its grid's open operator without crack nodes "
+            f"(relative difference {err:.3e} on a seeded vector), which signals an "
+            "assembly bug")
+
+
+class _Secular:
+    """The lowest eigenpairs of one opening as the roots of its crack's
+    capacitance matrix.
+
+    The opening's operator is S, the grid's open operator, without the crack
+    nodes F on the r1 ring.  Away from the poles nu_ij (`_GridSpectrum`),
+    lambda is one of its eigenvalues exactly when
+
+        C(lambda) = V_F diag(g(lambda)) V_F^H,  g_j(lambda) = sum_i q_ij^2 / (nu_ij - lambda),
+
+    the block of (S - lambda)^-1 on F, is singular, and by Haynsworth's
+    inertia additivity the opening has
+
+        N(sigma) = #{nu_ij < sigma} - neg(C(sigma))
+
+    eigenvalues below sigma.  C is kept congruent to C(0)^-1/2 C C(0)^-1/2,
+    which has the same inertia and roots: C(0) = I, so the modes that barely
+    move with lambda hold their eigenvalues near 1, away from the zero that
+    a root's branch crosses.  C' is positive semidefinite, so between two
+    poles the eigenvalues of C rise with lambda.  A root is isolated between
+    two adjacent poles by counts at the poles themselves, and converged by a
+    safeguarded Newton step on the eigenvalue branch that crosses zero
+    there.  Shifts are an origin pole plus an offset tau, and the origin's
+    terms -W W^H / tau are bordered out of C (`bordered`), so a root within
+    round-off of a pole (an eigenvector that barely sees the crack) keeps
+    its relative distance to it."""
+
+    def __init__(self, op: AssembledOperator) -> None:
+        self.spec = _grid_spectrum(op)
+        self.active = _unknowns(op)
+        self.has_center = op.center_row is not None
+        vf = self.spec.ang[_crack(op)]
+        if vf.shape[0]:
+            g = (self.spec.weights / self.spec.poles).sum(axis=1)
+            try:
+                chol = np.linalg.cholesky((vf * g) @ vf.conj().T)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    "the capacitance block of the crack is not positive definite, "
+                    "which signals an assembly bug") from exc
+            vf = sla.solve_triangular(chol, vf, lower=True)
+        self.vf = vf
+        self.vf_h = vf.conj().T
+        self.limits: dict[int, int] = {}
+
+    def count(self, sigma: float) -> int:
+        """N(sigma), the number of the opening's eigenvalues below sigma."""
+        below = int(np.searchsorted(self.spec.sorted, sigma))
+        if self.vf.shape[0] == 0:
+            return below
+        g = (self.spec.weights / (self.spec.poles - sigma)).sum(axis=1)
+        return below - int((np.linalg.eigvalsh((self.vf * g) @ self.vf_h) < 0).sum())
+
+    def members(self, s: int):
+        """The (mode, index) pairs of the copies of the distinct pole s."""
+        spec = self.spec
+        flat = spec.order[spec.first[s]:spec.first[s] + spec.size[s]]
+        return np.unravel_index(flat, spec.poles.shape)
+
+    def bordered(self, s: int, tau: float):
+        """C at sigma = values[s] + tau with the pole's own terms bordered
+        out, B = [[R, W], [W^H, tau I]]: its Schur complement is
+        R - W W^H / tau = C, so B is singular with C, neg(B) = neg(C) + c for
+        tau < 0 (c copies of the pole), and B has no 1/tau.  Also returns
+        R's g'."""
+        spec, f = self.spec, self.vf.shape[0]
+        j, i = self.members(s)
+        den = (spec.poles - spec.values[s]) - tau
+        den[j, i] = np.inf
+        r = spec.weights / den
+        border = self.vf[:, j] * np.sqrt(spec.weights[j, i])
+        b = np.empty((f + j.size, f + j.size), dtype=self.vf.dtype)
+        b[:f, :f] = (self.vf * r.sum(axis=1)) @ self.vf_h
+        b[:f, f:] = border
+        b[f:, :f] = border.conj().T
+        b[f:, f:] = tau * np.eye(j.size)
+        return b, (r / den).sum(axis=1)
+
+    def count_at(self, s: int) -> int:
+        """N just below the distinct pole `values[s]`: C there is R plus an
+        unbounded positive part on the span of W (`bordered`), so neg(C) is
+        R's on W's complement."""
+        if s not in self.limits:
+            b, _ = self.bordered(s, 0.0)
+            f = self.vf.shape[0]
+            u, sv, _ = np.linalg.svd(b[:f, f:])
+            rank = int((sv > 1e-12 * sv.max()).sum()) if sv.max() > 0 else 0
+            if rank < b.shape[0] - f:
+                raise SolverError(
+                    f"an eigenvalue of the opening lies on the open spectrum at "
+                    f"{self.spec.values[s]!r}: an open eigenvector vanishes on the crack")
+            rest = u[:, rank:]
+            neg = int((np.linalg.eigvalsh(rest.conj().T @ b[:f, :f] @ rest) < 0).sum())
+            self.limits[s] = int(self.spec.first[s]) - neg
+        return self.limits[s]
+
+    def branch(self, s: int, tau: float, i: int):
+        """The i-th eigenvalue h of `bordered(s, tau)`, its slope, its unit
+        eigenvector and the largest |eigenvalue|."""
+        b, dg = self.bordered(s, tau)
+        h, v = np.linalg.eigh(b)
+        f, v = self.vf.shape[0], v[:, i]
+        dh = (dg * np.abs(self.vf_h @ v[:f]) ** 2).sum() + (np.abs(v[f:]) ** 2).sum()
+        return tau, h[i], dh, v, max(-h[0], h[-1])
+
+    def root(self, t: int, lo: int):
+        """The t-th lowest eigenvalue, given a distinct pole `values[lo]`
+        with fewer than t below it, as (origin pole, offset, null vector of
+        B, the pole interval's upper index)."""
+        spec = self.spec
+        # the t-th eigenvalue is at most the (t + |F|)-th pole (interlacing)
+        top = spec.sorted[min(t - 1 + self.vf.shape[0], spec.sorted.size - 1)]
+        hi = min(int(np.searchsorted(spec.values, top)) + 1, spec.values.size - 1)
+        step = 1
+        while lo + step < hi and self.count_at(lo + step) < t:   # gallop, then bisect
+            lo, step = lo + step, 2 * step
+        hi = min(hi, lo + step)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.count_at(mid) >= t:
+                hi = mid
+            else:
+                lo = mid
+        i = int(spec.first[hi]) - t              # the branch of C that crosses zero
+        half = (spec.values[hi] - spec.values[lo]) / 2
+        # the origin is the pole on the root's side of the midpoint; a and b
+        # bracket the offset, and `sides` keeps the last point on each side
+        point = self.branch(lo, half, i)
+        origin, a, b, sides = lo, 0.0, half, {False: point}
+        if point[1] < 0:
+            i += int(spec.size[hi])
+            origin, a, b, sides = hi, -half, 0.0, {}
+        # first guess: with R held at the origin, B is singular where tau is
+        # an eigenvalue of W^H R^-1 W, which is exact for a root at a pole
+        b0, _ = self.bordered(origin, 0.0)
+        f = self.vf.shape[0]
+        try:
+            guess = np.linalg.eigvalsh(b0[:f, f:].conj().T @ np.linalg.solve(b0[:f, :f], b0[:f, f:]))
+        except np.linalg.LinAlgError:
+            guess = np.empty(0)
+        inside = guess[(a < guess) & (guess < b)]
+        if inside.size:
+            point = self.branch(origin, inside[0], i)
+        elif origin == hi:
+            point = self.branch(hi, -half, i)
+        sides[point[1] < 0] = point
+        if point[1] < 0:
+            a = max(a, point[0])
+        else:
+            b = min(b, point[0])
+        for _ in range(_MAX_STEPS):
+            # a Newton step from the last point, or else from the other
+            # side's, or bisection
+            for tau, h, dh, v, scale in (point, sides.get(point[1] >= 0, point)):
+                new = tau - h / dh
+                if abs(new - tau) <= 4 * _EPS * abs(tau):
+                    return (origin, *self.polish(origin, tau, v, 8 * _EPS * scale / dh), hi)
+                if a < new < b:
+                    break
+            else:
+                new = a + (b - a) / 2
+                if new in (a, b):
+                    break
+            point = self.branch(origin, new, i)
+            sides[point[1] < 0] = point
+            if point[1] < 0:
+                a = new
+            else:
+                b = new
+            if abs(point[1]) <= 8 * _EPS * point[4] or b - a <= 4 * _EPS * abs(new):
+                break                               # round-off bounds the step
+        else:
+            raise SolverError(f"the root step did not converge for eigenvalue {t}")
+        noise = 8 * _EPS * point[4] / point[2]
+        return (origin, *self.polish(origin, point[0], point[3], noise), hi)
+
+    def polish(self, s: int, tau: float, v: np.ndarray, noise: float):
+        """For a root whose null vector [c; y] of B is mostly border (a root
+        near its pole, where W W^H / tau dominates C), Newton steps on
+        tau = kappa(tau), kappa the eigenvalue nearest tau of the Schur
+        complement W^H R^-1 W of `bordered`, each kept while tau stays within
+        the round-off `noise` of B's zero.  R is well conditioned there, and
+        the steps carry tau to its own relative accuracy and the null vector
+        to full accuracy, where B's eigenpairs give both only to eps ||B||:
+        a root at a pole that the crack barely sees lies within q^2 of it.
+        R c + W y = 0 makes the null vector [R^-1 W z; -z] for kappa's
+        eigenvector z.  Returns tau and the null vector."""
+        f, start = self.vf.shape[0], tau
+        for _ in range(3 if np.linalg.norm(v[f:]) > np.linalg.norm(v[:f]) else 0):
+            b0, dg = self.bordered(s, tau)
+            try:
+                x = np.linalg.solve(b0[:f, :f], b0[:f, f:])
+            except np.linalg.LinAlgError:
+                break
+            kappa, z = np.linalg.eigh(b0[:f, f:].conj().T @ x)
+            near = np.argmin(np.abs(kappa - tau))
+            x = x @ z[:, near]
+            new = tau - (tau - kappa[near]) / (1 + (dg * np.abs(self.vf_h @ x) ** 2).sum())
+            if not abs(new - start) <= 16 * noise + 4 * _EPS * abs(start):
+                break
+            done = abs(new - tau) <= 4 * _EPS * abs(tau)
+            tau, v = new, np.concatenate([x, -z[:, near]])
+            if done:
+                break
+        return tau, v
+
+    def vector(self, s: int, tau: float, v: np.ndarray) -> np.ndarray:
+        """x = (S - sigma)^-1 E_F c at sigma = values[s] + tau, for the null
+        vector [c; y] of `bordered(s, tau)`: a tridiagonal solve per mode,
+        then the angular transform.  The terms of the pole s come apart from
+        the solve: by B's second row, q_p (V_F^H c)_j / (nu_p - sigma) is
+        sign(q_p) y_p, which keeps its accuracy where (V_F^H c)_j is all
+        cancellation."""
+        spec, f = self.spec, self.vf.shape[0]
+        rhs = np.zeros(spec.diag.shape)
+        rhs[:, spec.ring] = 1.0
+        near = []
+        for j, i, border in zip(*self.members(s), v[f:]):
+            y = spec.vector(j, i)
+            rhs[j] -= y[spec.ring] * y
+            near.append((j, y, np.sign(y[spec.ring]) * border))
+        z = spec.solve(spec.values[s] + tau, rhs)
+        for j, y, _ in near:
+            z[j] -= (y @ z[j]) * y
+        z = z * (self.vf_h @ v[:f])[:, np.newaxis]
+        for j, y, coef in near:
+            z[j] += coef * y
+        return self.field(z)
+
+    def field(self, z: np.ndarray) -> np.ndarray:
+        """The vector of unknowns of mode coefficients z (modes by rows)."""
+        lead = int(self.has_center)
+        x = (z[:, lead:].T @ self.spec.ang.T).reshape(-1)[self.active]
+        return np.append(x, z[0, 0]) if self.has_center else x
+
+    def lowest(self, k: int):
+        """The k lowest eigenvalues and their vectors, certified complete."""
+        spec = self.spec
+        if self.vf.shape[0] == 0:
+            # fully open: the lowest poles and their tridiagonal eigenvectors
+            vecs = []
+            for flat in spec.order[:k]:
+                j, i = np.unravel_index(flat, spec.poles.shape)
+                z = np.zeros(spec.diag.shape)
+                z[j] = spec.vector(j, i)
+                vecs.append(self.field(z))
+            return spec.sorted[:k].copy(), np.stack(vecs, axis=1)
+        lam, vecs, lo = np.empty(k), [], 0
+        for t in range(1, k + 1):
+            s, tau, v, hi = self.root(t, lo)
+            lam[t - 1] = spec.values[s] + tau
+            vecs.append(self.vector(s, tau, v))
+            lo = hi - 1
+        self.certify(lam)
+        return lam, np.stack(vecs, axis=1)
+
+    def certify(self, lam: np.ndarray) -> None:
+        """The completeness certificate: just below each cluster of returned
+        values, the count is the number returned below it, and just above
+        the top one it is at least their number."""
+        for t in range(lam.size):
+            if t == 0 or lam[t] - lam[t - 1] > 2 * _CLUSTER_GAP * lam[t]:
+                below = self.count(lam[t] * (1 - _CLUSTER_GAP))
+                if below != t:
+                    raise SolverError(
+                        f"completeness certificate failed: {below} eigenvalues below "
+                        f"{lam[t]:.12g}, where {t} were found")
+        above = self.count(lam[-1] * (1 + _CLUSTER_GAP))
+        if above < lam.size:
+            raise SolverError(
+                f"completeness certificate failed: {above} eigenvalues up to "
+                f"{lam[-1]:.12g}, where {lam.size} were found")
+
+
 def _sparse_path(op: AssembledOperator, k: int):
     d = np.sqrt(op.row_weights)
-    dinv = 1.0 / d
-    s = sp.diags(d) @ op.matrix @ sp.diags(dinv)
-    s_adj = s.conj().T
-    asym = abs(s - s_adj).max() / abs(s).max()
+    s = sp.diags(d) @ op.matrix @ sp.diags(1.0 / d)
+    asym = abs(s - s.conj().T).max() / abs(s).max()
     if asym > _ASYM_TOL:
         raise SolverError(f"symmetrized operator is not Hermitian (relative "
                           f"residual {asym:.3e}); this signals an assembly bug")
-    inverse = SectorInverse(op)
-    opinv = spla.LinearOperator(s.shape, matvec=inverse.solve_hermitian, dtype=s.dtype)
-    rng = np.random.default_rng(_SEED)
-    v0 = rng.standard_normal(op.n).astype(s.dtype)
-    ncv = min(op.n - 1, max(4 * k + 1, 24))
-    try:
-        lam, w = spla.eigsh(s, k=k, sigma=0.0, which="LM", OPinv=opinv, v0=v0,
-                            ncv=ncv, maxiter=_MAX_RESTARTS * ncv, tol=0)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(f"shift-invert iteration did not converge: {exc}") from exc
-    order = np.argsort(lam)
-    lam, w = lam[order], w[:, order]
-    # one step of iterative refinement of each vector toward S^-1 (lam w):
-    # it smooths the round-off of the inverse's last transform, which S
-    # would otherwise amplify into the residual certificate near the center
-    for j in range(k):
-        w[:, j] += inverse.solve_hermitian(lam[j] * w[:, j] - s @ w[:, j])
-    return lam, w * dinv[:, np.newaxis]
+    _check_operator(op)
+    lam, x = _Secular(op).lowest(k)
+    return lam, x / d[:, np.newaxis]
 
 
 def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
@@ -410,7 +841,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
     tol : float
         Residual certificate bound ||A v - lam v|| / ||v|| per pair (>= 1e-12).
     method : str
-        "sparse" (shift-invert Lanczos), or "dense" (QR on the full matrix,
+        "sparse" (the secular solve), or "dense" (QR on the full matrix,
         the test oracle).
     """
     n = op.n

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crackspec.domain import (
     QUARTER_CASES,
@@ -142,12 +142,12 @@ def _symmetrized(op):
 @pytest.mark.parametrize("op", [_toy_op("NDD", m=12), _coupled_op()],
                          ids=["real", "complex"])
 def test_factorization_refuses_an_indefinite_matrix(op):
-    # the separable inverse inverts the grid's own operator; shifted above
-    # lambda_1 the matrix is another one, and one seeded apply shows it
+    # the secular solve knows the grid's own operator; shifted above
+    # lambda_1 the matrix is another one, and one seeded product shows it
     lam1 = np.linalg.eigvalsh(_symmetrized(op).toarray())[0]
     shift = (1.0 + 1e-3) * lam1 * sp.identity(op.n)
     shifted = dataclasses.replace(op, matrix=(op.matrix - shift).tocsr())
-    with pytest.raises(SolverError, match="does not invert the operator"):
+    with pytest.raises(SolverError, match="not its grid's open operator"):
         lowest_eigenpairs(shifted, 2)
 
 
@@ -159,6 +159,28 @@ def test_inverse_refuses_factors_that_are_not_positive_definite():
     with pytest.raises(SolverError, match="mu \\+ lam"):
         SectorInverse(broken)
     eigensolve._grid_cache.clear()
+
+
+def test_secular_solve_refuses_factors_that_are_not_positive_definite():
+    op = _toy_op("NDD", m=11)
+    f = op.factors
+    broken = dataclasses.replace(op, factors=dataclasses.replace(f, radial=-f.radial))
+    eigensolve._grid_cache.clear()
+    with pytest.raises(SolverError, match="open operator has eigenvalue"):
+        eigensolve._grid_spectrum(broken)
+    eigensolve._grid_cache.clear()
+
+
+def test_secular_solve_refuses_an_operator_without_a_node_off_the_ring():
+    # dropping a ring-1 node keeps every product with the open operator
+    # exact, so only the node count shows that it is not a crack node
+    op = _toy_op("DDD", m=12, eps=0.4)
+    keep = np.arange(1, op.n)
+    sub = dataclasses.replace(op, matrix=op.matrix[keep][:, keep].tocsr(),
+                              row_weights=op.row_weights[keep],
+                              node_ring=op.node_ring[keep], node_col=op.node_col[keep])
+    with pytest.raises(SolverError, match="not its grid's nodes without crack nodes"):
+        lowest_eigenpairs(sub, 2)
 
 
 def test_inverse_refuses_a_capacitance_block_that_is_not_positive_definite(monkeypatch):
@@ -183,6 +205,9 @@ def test_grid_cache_under_concurrent_use():
                 for op in ops:
                     modes = eigensolve._grid_modes(op)
                     if modes.den.shape != (op.cols.size, op.grid.m - 1):
+                        wrong.append(op.sector.label)
+                    poles = eigensolve._grid_spectrum(op).poles
+                    if poles.shape != (op.cols.size, op.grid.m - 1 + op.factors.has_center):
                         wrong.append(op.sector.label)
                     if len(eigensolve._grid_cache) > eigensolve._CACHED_GRIDS:
                         wrong.append("over the bound")
@@ -242,25 +267,70 @@ def test_asymmetric_symmetrization_raises_on_the_sparse_path():
     assert lowest_eigenpairs(skewed, 3, method="dense").eigenvalues.size == 3
 
 
+_ALL_SECTORS = ([("quarter", case, 2) for case in QUARTER_CASES]
+                + [("floquet", ell, n) for n in range(1, 7) for ell in range(n // 2 + 1)])
+
+
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 6), data=st.data())
-def test_sparse_path_matches_dense_oracle(n, data):
-    sectors = [("floquet", ell) for ell in range(n // 2 + 1)]
-    if n == 2:
-        sectors += [("quarter", case) for case in QUARTER_CASES]
-    kind, which = data.draw(st.sampled_from(sectors), label="sector")
-    eps = data.draw(st.floats(0.0, math.pi / n), label="eps")
-    m = data.draw(st.integers(12, 22), label="m")
-    spec = build_cracked_disk(n, eps, 0.4356, 1.0)
-    if kind == "floquet":
-        problem = reduce_to_sectors(spec)[which][0]
-    else:
-        problem = next(p for p in quarter_problems(spec) if p.quarter_case == which)
-    op = assemble(problem, m)
-    dense = lowest_eigenpairs(op, 3, method="dense")
-    sparse = lowest_eigenpairs(op, 3, method="sparse")
+@given(sector=st.sampled_from(_ALL_SECTORS), opening=st.floats(0.0, 1.0),
+       m=st.integers(12, 22), ring=st.none(), k=st.integers(1, 6))
+# hard inputs: a secular solve has returned 30.39 for 9.804 on the first
+# (a missed root) and failed the eigenvector certificate on the others
+# (4.4e-8 and 1.1e-8)
+@example(sector=("floquet", 0, 6), opening=0.0, m=32, ring=2, k=6)
+@example(sector=("quarter", "DND", 2), opening=0.3494 / (math.pi / 2), m=27, ring=1, k=5)
+@example(sector=("floquet", 2, 6), opening=0.476 / (math.pi / 6), m=32, ring=5, k=6)
+def test_sparse_path_matches_dense_oracle(sector, opening, m, ring, k):
+    # `opening` is epsilon in units of pi/n; no ring means r1 = 0.4356
+    kind, which, n = sector
+    op = assemble(_sector(kind, which, n, opening * math.pi / n,
+                          0.4356 * m if ring is None else ring, m), m)
+    k = min(k, op.n // 4)
+    dense = lowest_eigenpairs(op, k, method="dense")
+    sparse = lowest_eigenpairs(op, k, method="sparse")
     assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
     assert (sparse.residuals <= 1e-8 * np.maximum(1.0, sparse.eigenvalues)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector=st.sampled_from(_ALL_SECTORS), data=st.data())
+def test_count_matches_the_dense_count(sector, data):
+    kind, which, n = sector
+    m = data.draw(st.integers(8, 32), label="m")
+    ring = data.draw(st.integers(1, m - 1), label="r1 ring")
+    dtheta = (math.pi / 2 if kind == "quarter" else 2 * math.pi / n) / m
+    eps = data.draw(st.one_of(
+        st.sampled_from([0.0, dtheta, math.pi / n - dtheta, math.pi / n]),
+        st.floats(0.0, math.pi / n)), label="eps")
+    op = assemble(_sector(kind, which, n, eps, ring, m), m)
+    solve = eigensolve._Secular(op)
+    sigma = data.draw(st.floats(1.0, 300.0), label="sigma")
+    assume(np.abs(solve.spec.sorted - sigma).min() >= 1e-8 * sigma)
+    dense = np.linalg.eigvalsh(_symmetrized(op).toarray())
+    assert solve.count(sigma) == (dense < sigma).sum()
+
+
+def test_completeness_certificate_catches_a_skipped_root(monkeypatch):
+    op = _coupled_op(n=3, ell=0, eps=0.4, m=16)
+    root = eigensolve._Secular.root
+
+    def skipping(self, t, lo):
+        return root(self, t + 1 if t >= 2 else t, lo)
+
+    monkeypatch.setattr(eigensolve._Secular, "root", skipping)
+    with pytest.raises(SolverError, match="completeness certificate failed"):
+        lowest_eigenpairs(op, 3)
+
+
+def test_roots_within_round_off_of_the_open_spectrum():
+    # r1 on ring 2 of 32, closed: modes of angular frequency 6 and up
+    # barely see the ring, so their eigenvalues lie within round-off of the
+    # open operator's; the lowest one, 9.804, is the annulus's
+    op = assemble(_sector("floquet", 0, 6, 0.0, 2, 32), 32)
+    oracle = sla.eigh(_symmetrized(op).toarray(), eigvals_only=True, subset_by_index=[0, 5])
+    sparse = lowest_eigenpairs(op, 6)
+    assert np.allclose(sparse.eigenvalues, oracle, rtol=1e-10, atol=0)
+    assert sparse.eigenvalues[0] == pytest.approx(9.804, abs=5e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +382,19 @@ def _spy_on_path(monkeypatch, method, get):
     return seen
 
 
+def _spy_on_eigensolves(monkeypatch, get):
+    """Record the BLAS thread counts at each small Hermitian eigensolve of
+    the secular path, which runs on numpy's LAPACK."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(a, *args, inner=getattr(np.linalg, name), **kwargs):
+            seen.append(get())
+            return inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
 def _spy_on_applies(monkeypatch, get):
     """Record the BLAS thread counts at each apply of the separable inverse."""
     inner = SectorInverse.solve_hermitian
@@ -329,13 +412,13 @@ def _spy_on_applies(monkeypatch, get):
 @pytest.mark.parametrize("method", ["sparse", "dense"])
 def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads, method):
     seen = _spy_on_path(monkeypatch, method, blas_threads)
-    applies = _spy_on_applies(monkeypatch, blas_threads)
+    eigensolves = _spy_on_eigensolves(monkeypatch, blas_threads)
     lowest_eigenpairs(_coupled_op(), 3, method=method)
     assert seen == [ONE]
-    if method == "sparse":  # the inverse's transforms
-        assert len(applies) > 20 and all(counts == ONE for counts in applies)
+    if method == "sparse":  # the capacitance matrices' eigensolves
+        assert len(eigensolves) > 5 and all(counts == ONE for counts in eigensolves)
     else:
-        assert applies == []
+        assert eigensolves == []
     assert blas_threads() == TWO
 
 
@@ -384,7 +467,7 @@ def test_a_lookup_that_finds_only_scipys_openblas_still_pins_it(monkeypatch, bla
 def test_blas_count_restored_after_a_solver_error(blas_threads):
     op = _toy_op("NDD", m=12)
     shifted = dataclasses.replace(op, matrix=(op.matrix - 100.0 * sp.identity(op.n)).tocsr())
-    with pytest.raises(SolverError, match="does not invert the operator"):
+    with pytest.raises(SolverError, match="not its grid's open operator"):
         lowest_eigenpairs(shifted, 2)
     assert blas_threads() == TWO
 
