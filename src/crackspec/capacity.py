@@ -50,7 +50,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .discretize import MIN_CELLS, PolarGrid, assemble
+from .discretize import MIN_CELLS, PolarGrid, open_operator
 from .domain import CrackedDiskSpec, SectorProblem
 from .eigensolve import SectorInverse, one_blas_thread
 
@@ -110,7 +110,7 @@ class CapacityResult:
 def _disk_green(r1_ring: int, r2: float, m: int):
     """The weighted Laplacian L of the fully open disk on the m x m grid of
     radius r2, and its Green's column g = L^-1 e at (ring r1_ring, column 0)."""
-    op = assemble(CapacityProblem(r1_ring * r2 / m, r2, (), m).disk, m)
+    op = open_operator(CapacityProblem(r1_ring * r2 / m, r2, (), m).disk, m)
     grid = op.grid
     # L = c diag(w) A, so L^-1 b = A^-1 (b / (c w))
     scale = grid.dr * grid.dtheta * op.row_weights

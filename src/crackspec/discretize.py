@@ -42,17 +42,22 @@ the center).
 
 The stencil is written once, for the fully open sector, as one-dimensional
 factors (`SectorFactors`): on the ring nodes A_open = R (x) I + diag(D) (x) T,
-plus the center.  `assemble` builds every opening's matrix from them by
-dropping the crack nodes, and carries them on the operator, so that
-`eigensolve` can solve any opening of a grid from the same per-mode spectrum
-of the open operator.
+plus the center.  The open operator (`open_operator`) does not depend on r1
+or epsilon, so `assemble` builds it once per sector grid (kind, ell or
+quarter case, n, m, r2), keeps it in a bounded cache (`_OPEN_GRIDS` grids),
+and returns every opening as its principal submatrix without the crack
+nodes, sliced from the cached CSR arrays in O(nnz) and owning its arrays.
+It carries the factors on the operator, so that `eigensolve` can solve any
+opening of a grid from the same per-mode spectrum of the open operator.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,10 +69,55 @@ __all__ = [
     "SectorFactors",
     "AssembledOperator",
     "assemble",
+    "open_operator",
     "dump_operator",
 ]
 
 MIN_CELLS = 8
+
+
+class _Slot:
+    """One key's place in a `GridCache`: its lock and, once built, its data."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.data = None
+
+
+class GridCache:
+    """A bounded map from keys to data built once, shared by every thread.
+
+    `get(key, build)` returns the data of `key`, calling `build()` for a
+    missing key outside the cache's lock, under the key's own: one thread
+    builds it while threads that need other keys go on.  Past `size` keys
+    the least recently used one is dropped; a `size` of None keeps every
+    key."""
+
+    def __init__(self, size: int | None) -> None:
+        self.size = size
+        self._lock = threading.Lock()
+        self._slots: OrderedDict[tuple, _Slot] = OrderedDict()
+
+    def get(self, key: tuple, build):
+        with self._lock:
+            slot = self._slots.get(key)
+            if slot is None:
+                slot = self._slots[key] = _Slot()
+                if self.size is not None and len(self._slots) > self.size:
+                    self._slots.popitem(last=False)
+            else:
+                self._slots.move_to_end(key)
+        with slot.lock:
+            if slot.data is None:
+                slot.data = build()
+            return slot.data
+
+    def clear(self) -> None:
+        with self._lock:
+            self._slots.clear()
+
+    def __len__(self) -> int:
+        return len(self._slots)
 
 
 @dataclass(frozen=True)
@@ -182,11 +232,21 @@ class SectorFactors:
     the diagonal, -1/cell[j] off it in row j, and the seam phase for a
     Floquet sector.  The node weights are r_i cell_j.  The center, when
     present, is one more unknown: ring-1 rows see it through `center_in`,
-    and its row is `center_diag` on itself and `center_out` on ring 1."""
+    and its row is `center_diag` on itself and `center_out` on ring 1.
+
+    T's spectrum is known in closed form: its eigenvalues are
+    4 sin^2(theta_j / 2), with the frequencies theta_j in [0, pi] listed in
+    `frequency`, ascending, each as the reduced fraction theta_j / pi =
+    p / q, so that equal frequencies have one fraction in every sector.  A
+    Floquet sector has theta = (2 pi k + alpha) / m, k = 0..m-1, folded into
+    [0, pi]; a quarter grid has pi k / m (k = 0..m on two Neumann rays,
+    1..m-1 on two Dirichlet rays) or pi (2k + 1) / (2m), k = 0..m-1, on
+    mixed rays."""
 
     radial: np.ndarray        # R, (m-1) x (m-1)
     scale: np.ndarray         # D, per ring
     angular: np.ndarray       # T, one row and column per entry of `cols`
+    frequency: np.ndarray     # per eigenvalue of T, ascending: (p, q), theta = pi p / q
     r: np.ndarray             # ring radii r_1..r_{m-1}
     cell: np.ndarray          # per column: 1, or 0.5 on a Neumann ray
     has_center: bool
@@ -204,11 +264,21 @@ def _sector_factors(problem: SectorProblem, grid: PolarGrid,
         cell = np.ones(m)
         # the eigenfunctions vanish at the origin unless the phase is trivial
         has_center = problem.ell == 0
+        n = problem.geometry.n
+        p, q = 2 * (n * np.arange(m) + problem.ell), n * m
     else:
         # a Neumann ray is a half cell
         cell = np.where((cols == 0) | (cols == m), 0.5, 1.0)
         # a Dirichlet ray through the origin makes the eigenfunctions vanish there
         has_center = problem.quarter_case == "NND"
+        if problem.quarter_case[0] == problem.quarter_case[1]:
+            p, q = cols, m
+        else:
+            p, q = 2 * np.arange(cols.size) + 1, 2 * m
+    p = np.minimum(p, 2 * q - p)            # theta and 2 pi - theta
+    gcd = np.gcd(p, q)
+    frequency = np.stack([p // gcd, q // gcd], axis=1)
+    frequency = frequency[np.argsort(p / q, kind="stable")]
     ri = dr * np.arange(1, m)
     c_out = -(1.0 / dr**2 + 1.0 / (2.0 * ri * dr))
     c_in = -(1.0 / dr**2 - 1.0 / (2.0 * ri * dr))
@@ -232,7 +302,8 @@ def _sector_factors(problem: SectorProblem, grid: PolarGrid,
     # the center row is the polar regularity stencil over the ring-1
     # average with cell weights
     return SectorFactors(
-        radial=radial, scale=1.0 / (ri**2 * dth**2), angular=angular, r=ri, cell=cell,
+        radial=radial, scale=1.0 / (ri**2 * dth**2), angular=angular, frequency=frequency,
+        r=ri, cell=cell,
         has_center=has_center, center_diag=4.0 / dr**2, center_in=float(c_in[0]),
         center_out=-(4.0 / dr**2) * cell / cell.sum(), center_weight=dr * cell.sum() / 8.0)
 
@@ -258,44 +329,36 @@ class AssembledOperator:
         return self.matrix.shape[0]
 
 
-def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
-    """Assemble the polar FD operator for a sector problem on an m x m grid:
-    the fully open operator of `SectorFactors` without the crack nodes."""
-    spec = problem.geometry
+def open_operator(problem: SectorProblem, m: int) -> AssembledOperator:
+    """The fully open polar FD operator of a sector problem's m x m grid,
+    whatever its opening: `SectorFactors` on every ring node, ring by ring,
+    and then the center."""
     grid = PolarGrid.for_problem(problem, m)
-    wrap = problem.kind == "floquet"
-    if wrap:
+    if problem.kind == "floquet":
         cols = np.arange(m)
     else:
         bc_lo, bc_hi = problem.quarter_case[:2]
         cols = np.arange(0 if bc_lo == "N" else 1, m + 1 if bc_hi == "N" else m)
     f = _sector_factors(problem, grid, cols)
+    for field in fields(f):                 # shared by every opening of the grid
+        value = getattr(f, field.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
 
-    # crack: r1-ring columns >= e rays from a hole center, `period` columns apart
-    e = grid.eps_ray(spec.epsilon)
-    period = round(2 * grid.eps_open / grid.dtheta)
-    active = np.ones((m - 1, cols.size), dtype=bool)
-    if e < grid.open_ray:
-        active[grid.r1_ring - 1, np.minimum(cols, period - cols) >= e] = False
-
-    n1 = int(active.sum())
-    ids = -np.ones(active.shape, dtype=np.int64)
-    ids[active] = np.arange(n1)
-    ring, col = np.indices(active.shape)     # ring t holds r = (t + 1) * dr
+    ring, col = np.indices((m - 1, cols.size))     # ring t holds r = (t + 1) * dr
+    n1 = ring.size
+    ids = np.arange(n1).reshape(ring.shape)
     n = n1 + int(f.has_center)
-    center_row = n1 if f.has_center else None
-
     rows: list[np.ndarray] = []
     colix: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
     def add(a, b, v):
-        both = (a >= 0) & (b >= 0)
-        rows.append(a[both])
-        colix.append(b[both])
-        vals.append(np.broadcast_to(v, a.shape)[both])
+        rows.append(a.ravel())
+        colix.append(b.ravel())
+        vals.append(np.broadcast_to(v, a.shape).ravel())
 
-    # R (x) I + diag(D) (x) T between active nodes
+    # R (x) I + diag(D) (x) T
     tp, tq = np.nonzero(f.radial)
     add(ids[tp], ids[tq], f.radial[tp, tq][:, np.newaxis])
     jp, jq = np.nonzero(f.angular)
@@ -303,9 +366,9 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
 
     if f.has_center:
         first = ids[0, :]
-        center = np.full(first.size, center_row)
+        center = np.full(first.size, n1)
         add(first, center, f.center_in)
-        add(np.array([center_row]), np.array([center_row]), f.center_diag)
+        add(np.array([n1]), np.array([n1]), f.center_diag)
         add(center, first, f.center_out)
 
     matrix = sp.coo_matrix(
@@ -313,19 +376,58 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
         shape=(n, n)).tocsr()
 
     # similarity weights making diag(sqrt(w)) A diag(1/sqrt(w)) Hermitian
-    row_weights = f.r[ring[active]] * f.cell[col[active]]
-    node_ring = np.zeros(n, dtype=np.int64)
-    node_col = np.full(n, -1, dtype=np.int64)
-    node_ring[:n1] = ring[active] + 1
-    node_col[:n1] = cols[col[active]]
+    row_weights = f.r[ring.ravel()] * f.cell[col.ravel()]
+    node_ring = ring.ravel() + 1
+    node_col = cols[col.ravel()]
     if f.has_center:
-        row_weights = np.concatenate([row_weights, [f.center_weight]])
+        row_weights = np.append(row_weights, f.center_weight)
+        node_ring = np.append(node_ring, 0)
+        node_col = np.append(node_col, -1)
+    return AssembledOperator(
+        matrix=matrix, grid=grid, sector=problem.tag, problem=problem,
+        row_weights=row_weights, cols=cols, node_ring=node_ring, node_col=node_col,
+        center_row=n1 if f.has_center else None, wrap=problem.kind == "floquet", factors=f)
+
+
+# the open operator of each sector grid; `assemble` reads only its arrays and
+# factors, which do not depend on r1 or epsilon
+_OPEN_GRIDS = 8
+_open_grids = GridCache(_OPEN_GRIDS)
+
+
+def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
+    """Assemble the polar FD operator for a sector problem on an m x m grid:
+    the fully open operator of `SectorFactors` without the crack nodes, as
+    the principal submatrix of the grid's cached `open_operator`."""
+    spec = problem.geometry
+    grid = PolarGrid.for_problem(problem, m)
+    key = (problem.kind, problem.quarter_case or problem.ell, spec.n, m, spec.r2)
+    grid_open = _open_grids.get(key, lambda: open_operator(problem, m))
+    f, cols, a = grid_open.factors, grid_open.cols, grid_open.matrix
+
+    # crack: r1-ring columns >= e rays from a hole center, `period` columns apart
+    e = grid.eps_ray(spec.epsilon)
+    keep = np.ones(a.shape[0], dtype=bool)
+    if e < grid.open_ray:
+        period = round(2 * grid.eps_open / grid.dtheta)
+        crack = np.flatnonzero(np.minimum(cols, period - cols) >= e)
+        keep[(grid.r1_ring - 1) * cols.size + crack] = False
+
+    # the kept nodes keep their order, so each row's columns stay sorted
+    n = int(keep.sum())
+    entry_row = np.repeat(np.arange(keep.size), np.diff(a.indptr))
+    entries = keep[entry_row] & keep[a.indices]
+    renumber = (np.cumsum(keep) - 1).astype(a.indices.dtype)
+    per_row = np.bincount(entry_row[entries], minlength=keep.size)[keep]
+    indptr = np.concatenate([[0], np.cumsum(per_row)]).astype(a.indptr.dtype)
+    matrix = sp.csr_matrix((a.data[entries], renumber[a.indices[entries]], indptr),
+                           shape=(n, n))
 
     return AssembledOperator(
         matrix=matrix, grid=grid, sector=problem.tag,
-        problem=problem, row_weights=row_weights, cols=cols,
-        node_ring=node_ring, node_col=node_col,
-        center_row=center_row, wrap=wrap, factors=f)
+        problem=problem, row_weights=grid_open.row_weights[keep], cols=cols.copy(),
+        node_ring=grid_open.node_ring[keep], node_col=grid_open.node_col[keep],
+        center_row=n - 1 if f.has_center else None, wrap=grid_open.wrap, factors=f)
 
 
 def dump_operator(op: AssembledOperator, path: str) -> None:

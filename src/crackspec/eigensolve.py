@@ -11,13 +11,22 @@ tests.  Eigenvectors of a complex operator stay complex.
 Every opening of a sector is the same fully open tensor-product operator
 (`discretize.SectorFactors`) without its crack nodes F on the r1 ring.  Per
 grid (`_GridSpectrum`, cached for at most `_CACHED_GRIDS` grids), each
-angular mode j of the open operator is a symmetric tridiagonal T_j over the
-rings, and its eigenvalues nu_ij are the open operator's spectrum; only
-their eigenvectors' r1-ring entries q_ij are kept.  Per opening (`_Secular`),
-lambda is an eigenvalue exactly when the at most m x m capacitance matrix
-C(lambda) = V_F diag(g(lambda)) V_F^H of the crack is singular, with
-g_j(lambda) = sum_i q_ij^2 / (nu_ij - lambda) (Buzbee, Dorr, George & Golub,
-SIAM J. Numer. Anal. 8 (1971); Golub, SIAM Rev. 15 (1973)).  Haynsworth's
+angular mode j of the open operator is a symmetric tridiagonal
+T_j = Rs + lam_j diag(D) over the rings, and its eigenvalues nu_ij are the
+open operator's spectrum; only their eigenvectors' r1-ring entries q_ij are
+kept.  The angular eigenvalues lam_j = 4 sin^2(theta_j / 2) come from the
+closed-form frequencies theta_j of `SectorFactors.frequency`, so equal
+frequencies give equal lam_j to the bit in every sector.  T_j depends on the
+sector only through lam_j, so one table per radial grid (`_RadialSpectra`:
+m, r2, dtheta and r1 ring, in the same cache) holds nu and q^2 for each
+lam met, and every mode but the center's bordered one takes them from it:
+the four quarter grids at M share theta = pi j / M (NND, DDD) and
+pi (2j + 1) / (2M) (NDD, DND) and run 2M + 1 tridiagonal eigensolves, not
+4M.  Per opening (`_Secular`), lambda is an eigenvalue exactly when the at
+most m x m capacitance matrix C(lambda) = V_F diag(g(lambda)) V_F^H of the
+crack is singular, with g_j(lambda) = sum_i q_ij^2 / (nu_ij - lambda)
+(Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8 (1971); Golub, SIAM
+Rev. 15 (1973)).  Haynsworth's
 inertia additivity counts the opening's eigenvalues below any sigma,
 N(sigma) = #{nu_ij < sigma} - neg(C(sigma)); the counts isolate each root
 between two poles nu, a safeguarded Newton step on the eigenvalue branch of
@@ -55,7 +64,6 @@ import ctypes
 import importlib
 import itertools
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +71,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .discretize import AssembledOperator, SectorFactors
+from .discretize import AssembledOperator, GridCache, SectorFactors
 
 __all__ = ["SolverError", "Spectrum", "SectorInverse", "lowest_eigenpairs",
            "group_multiplicities"]
@@ -190,36 +198,23 @@ def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ z.view(np.float64)).view(np.complex128)
 
 
-def _link_energies(k: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u_j^H k u_j for each column u_j of u, for a Hermitian k whose diagonal
-    dominates its rows: summed as the nonnegative energies of its links,
-    |k_ab| |u_a + (k_ab / |k_ab|) u_b|^2, and of the diagonal's excess, so a
-    small quotient keeps its relative accuracy (eigh gets it only to
-    eps * ||k||)."""
-    a, b = np.nonzero(np.triu(k, 1))
-    weight = np.abs(k[a, b])
-    phase = (k[a, b] / weight)[:, np.newaxis]
-    links = (weight[:, np.newaxis] * np.abs(u[a] + phase * u[b]) ** 2).sum(axis=0)
-    excess = 2 * k.diagonal().real - np.abs(k).sum(axis=1)
-    return links + (excess[:, np.newaxis] * np.abs(u) ** 2).sum(axis=0)
-
-
 def _angular_modes(f: SectorFactors):
     """The unit eigenvectors v (columns) of the symmetrized angular factor
-    Ts = cell^1/2 T cell^-1/2 and their eigenvalues lam, from link energies,
-    which keep a small lam's relative accuracy.  The center, when present,
-    couples to the constant mode sqrt(cell) alone: mode 0 is exactly that
-    (lam = 0), and the others are exactly orthogonal to it."""
+    Ts = cell^1/2 T cell^-1/2 and their eigenvalues lam = 4 sin^2(theta/2)
+    from the closed-form frequencies of `SectorFactors.frequency`: exact to
+    round-off, also where eigh would give a small lam only to eps * ||Ts||,
+    and equal to the bit for equal frequencies in every sector.  The center,
+    when present, couples to the constant mode sqrt(cell) alone: mode 0 is
+    exactly that (lam = 0), and the others are exactly orthogonal to it."""
     sc = np.sqrt(f.cell)
     ang = f.angular * sc[:, np.newaxis] / sc
-    lam, v = sla.eigh((ang + ang.conj().T) / 2)
+    _, v = sla.eigh((ang + ang.conj().T) / 2)
     if f.has_center:
         v[:, 0] = sc / np.sqrt(f.cell.sum())
         v[:, 1:] -= v[:, :1] * (v[:, :1] * v[:, 1:]).sum(axis=0)
         v[:, 1:] /= np.sqrt((v[:, 1:] ** 2).sum(axis=0))
-    # cell T is a weighted graph Laplacian plus Dirichlet links
-    lam = _link_energies(f.cell[:, np.newaxis] * f.angular, v / sc[:, np.newaxis])
-    return v, lam
+    p, q = f.frequency.T
+    return v, 4 * np.sin(np.pi * p / (2 * q)) ** 2
 
 
 def _radial(f: SectorFactors) -> np.ndarray:
@@ -253,7 +248,7 @@ class _GridModes:
         S^-1 = (U (x) V) diag(1 / (mu_i + lam_j)) (U (x) V)^H.
 
     The lowest mu_i + lam_j are small against the norms of the factors, so
-    lam comes from link energies, which keep its relative accuracy; the
+    lam comes from its closed form, which keeps its relative accuracy; the
     inverse is about as accurate as a sparse LU.  `den` and `kern` are kept
     angular mode by radial mode, Fortran-ordered, so that their transposes
     are C-ordered like the transforms of a field of rings by columns;
@@ -295,6 +290,30 @@ class _GridModes:
             self.green[0] = (self.center_kern * self.center_u1).sum()
 
 
+class _RadialSpectra:
+    """The radial spectra of one radial grid (m, r2, dtheta and r1 ring),
+    shared by every sector on it: for each angular eigenvalue lam met, the
+    eigenvalues nu_i of the symmetric tridiagonal T(lam) = Rs + lam diag(D)
+    over the rings, ascending, and the squares q_i^2 of their unit
+    eigenvectors' r1-ring entries.  Each lam is solved once, by whichever
+    thread needs it first; an equal frequency in another sector has the
+    same lam to the bit (`_angular_modes`) and finds it here."""
+
+    def __init__(self, f: SectorFactors, ring: int) -> None:
+        rad = _radial(f)
+        self.diag, self.off = rad.diagonal(), rad.diagonal(1)
+        self.scale = f.scale
+        self.ring = ring
+        self._solved = GridCache(None)
+
+    def spectrum(self, lam: float):
+        """(nu, q^2) of T(lam)."""
+        def solve():
+            nu, y = sla.eigh_tridiagonal(self.diag + lam * self.scale, self.off)
+            return nu, y[self.ring] ** 2               # keeps one row, not y
+        return self._solved.get((lam,), solve)
+
+
 class _GridSpectrum:
     """The open operator's spectrum of one sector grid, angular mode by
     angular mode, for the secular solve.
@@ -307,21 +326,16 @@ class _GridSpectrum:
     decoupled dummy row in front, so that the r1 ring is entry `ring` of
     every row.  `poles[j]` holds the eigenvalues nu_ij of T_j, ascending
     (+inf where T_j is the shorter one), and `weights[j]` the squares
-    q_ij^2 of their unit eigenvectors' r1-ring entries.  Modes of one
-    eigenvalue lam (the +-frequency pairs of a real periodic sector) share
-    it to the last bit, and so do their poles.  `values`, `first` and
+    q_ij^2 of their unit eigenvectors' r1-ring entries; every mode but the
+    bordered one takes both from the radial grid's `_RadialSpectra`, so
+    modes of one frequency share them to the bit.  `g0` is the Green's value
+    g_j(0) = sum_i q_ij^2 / nu_ij of each mode.  `values`, `first` and
     `size` list the distinct poles ascending, with the index in `order`
     (the flat indices of the finite poles, ascending) of each one's first
     copy and its number of copies."""
 
-    def __init__(self, f: SectorFactors, ring: int) -> None:
+    def __init__(self, f: SectorFactors, ring: int, radial: _RadialSpectra) -> None:
         v, lam = _angular_modes(f)
-        # one eigenvalue for each pair of modes that round-off keeps apart
-        by_value = np.argsort(lam)
-        sorted_lam = lam[by_value]
-        for i in np.flatnonzero(np.diff(sorted_lam) <= 8 * _EPS * sorted_lam[1:]):
-            sorted_lam[i + 1] = sorted_lam[i]
-        lam[by_value] = sorted_lam
         self.ang = v
         rad = _radial(f)
         lead = int(f.has_center)
@@ -332,26 +346,23 @@ class _GridSpectrum:
         self.off = np.zeros((lam.size, rows - 1))
         self.poles = np.full((lam.size, rows), np.inf)
         self.weights = np.zeros((lam.size, rows))
-        solved: dict = {}
         for j, lj in enumerate(lam):
             if f.has_center and j == 0:
                 t = _bordered(f, v[:, 0], rad)
                 self.diag[j], self.off[j] = t.diagonal(), t.diagonal(1)
-                lj = None
+                nu, y = sla.eigh_tridiagonal(self.diag[j], self.off[j])
+                q2 = y[self.ring] ** 2
             else:
                 self.lead[j] = lead
                 self.diag[j, lead:] = rad.diagonal() + lj * f.scale
                 self.off[j, lead:] = rad.diagonal(1)
-            if lj not in solved:
-                lo = self.lead[j]
-                nu, y = sla.eigh_tridiagonal(self.diag[j, lo:], self.off[j, lo:])
-                solved[lj] = nu, y[self.ring - lo] ** 2   # keeps one row, not y
-            nu, q2 = solved[lj]
+                nu, q2 = radial.spectrum(lj)
             self.poles[j, :nu.size], self.weights[j, :nu.size] = nu, q2
         if not self.poles.min() > 0:
             raise SolverError(
                 f"the open operator has eigenvalue {self.poles.min():.3e} <= 0; it is "
                 "not positive definite, which signals an assembly bug")
+        self.g0 = (self.weights / self.poles).sum(axis=1)
         flat = self.poles.ravel()
         self.order = np.argsort(flat, kind="stable")[:np.isfinite(flat).sum()]
         self.sorted = flat[self.order]
@@ -381,48 +392,33 @@ class _GridSpectrum:
         return x.reshape(d.shape)
 
 
-class _GridEntry:
-    """One grid's slot in the cache: its lock and, once built, its data."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.data = None
-
-
 _CACHED_GRIDS = 8
-_grid_lock = threading.Lock()
-_grid_cache: OrderedDict[tuple, _GridEntry] = OrderedDict()
+_grid_cache = GridCache(_CACHED_GRIDS)
 
 
-def _cached_grid(op: AssembledOperator, build):
-    """`build(op.factors, ring)` for the operator's open grid, from a bounded
-    cache shared by every thread.  A missing grid is built outside the
-    cache's lock, under its own: one thread builds it while threads that
-    need other grids go on."""
+def _grid_key(op: AssembledOperator) -> tuple:
     p, grid = op.problem, op.grid
-    key = (build, p.kind, p.quarter_case or p.ell, p.geometry.n, grid.m, grid.r1_ring, grid.r2)
-    with _grid_lock:
-        entry = _grid_cache.get(key)
-        if entry is None:
-            entry = _grid_cache[key] = _GridEntry()
-            if len(_grid_cache) > _CACHED_GRIDS:
-                _grid_cache.popitem(last=False)
-        else:
-            _grid_cache.move_to_end(key)
-    with entry.lock:
-        if entry.data is None:
-            entry.data = build(op.factors, grid.r1_ring - 1)
-        return entry.data
+    return (p.kind, p.quarter_case or p.ell, p.geometry.n, grid.m, grid.r1_ring, grid.r2)
 
 
 def _grid_modes(op: AssembledOperator) -> _GridModes:
-    """The separated eigenproblems of the operator's open grid."""
-    return _cached_grid(op, _GridModes)
+    """The separated eigenproblems of the operator's open grid, from the
+    bounded cache that every thread shares."""
+    return _grid_cache.get((_GridModes, *_grid_key(op)),
+                           lambda: _GridModes(op.factors, op.grid.r1_ring - 1))
 
 
 def _grid_spectrum(op: AssembledOperator) -> _GridSpectrum:
-    """The per-mode spectrum of the operator's open grid."""
-    return _cached_grid(op, _GridSpectrum)
+    """The per-mode spectrum of the operator's open grid, from the same
+    cache, as are the radial spectra of its radial grid."""
+    grid, ring = op.grid, op.grid.r1_ring - 1
+
+    def build():
+        radial = _grid_cache.get((_RadialSpectra, grid.m, grid.r2, grid.dtheta, grid.r1_ring),
+                                 lambda: _RadialSpectra(op.factors, ring))
+        return _GridSpectrum(op.factors, ring, radial)
+
+    return _grid_cache.get((_GridSpectrum, *_grid_key(op)), build)
 
 
 def _unknowns(op: AssembledOperator) -> np.ndarray:
@@ -575,9 +571,8 @@ class _Secular:
         self.has_center = op.center_row is not None
         vf = self.spec.ang[_crack(op)]
         if vf.shape[0]:
-            g = (self.spec.weights / self.spec.poles).sum(axis=1)
             try:
-                chol = np.linalg.cholesky((vf * g) @ vf.conj().T)
+                chol = np.linalg.cholesky((vf * self.spec.g0) @ vf.conj().T)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     "the capacitance block of the crack is not positive definite, "
@@ -816,10 +811,30 @@ class _Secular:
                 f"{lam[-1]:.12g}, where {lam.size} were found")
 
 
+def _asymmetry(matrix: sp.csr_matrix, d: np.ndarray) -> float:
+    """max |S - S^H| / max |S| for S = diag(d) A diag(1/d), from A's CSR
+    arrays.  A's CSC arrays are A^T's CSR arrays, on the same pattern when
+    that pattern is symmetric, so each stored entry meets its mirror at the
+    same position; a pattern that is not symmetric is an assembly bug and
+    raises."""
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    mirror = matrix.tocsc()
+    if not (np.array_equal(mirror.indptr, matrix.indptr)
+            and np.array_equal(mirror.indices, matrix.indices)):
+        raise SolverError("symmetrized operator is not Hermitian (an entry without its "
+                          "mirror); this signals an assembly bug")
+    per_row, col = np.diff(matrix.indptr), matrix.indices.astype(np.intp)
+    inv = 1.0 / d
+    s = np.repeat(d, per_row) * matrix.data * inv[col]
+    diff = s - (d[col] * mirror.data * np.repeat(inv, per_row)).conj()
+    return np.abs(diff).max(initial=0.0) / np.abs(s).max()
+
+
 def _sparse_path(op: AssembledOperator, k: int):
     d = np.sqrt(op.row_weights)
-    s = sp.diags(d) @ op.matrix @ sp.diags(1.0 / d)
-    asym = abs(s - s.conj().T).max() / abs(s).max()
+    asym = _asymmetry(op.matrix, d)
     if asym > _ASYM_TOL:
         raise SolverError(f"symmetrized operator is not Hermitian (relative "
                           f"residual {asym:.3e}); this signals an assembly bug")

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from crackspec import capacity
+from crackspec import capacity, discretize
 from crackspec.capacity import (
     AdditivityResult,
     CapacityProblem,
@@ -237,3 +237,22 @@ def test_one_inverse_per_grid(monkeypatch):
     # a new grid builds its own
     capacitary_potential(CapacityProblem(R1, R2, FULL, 25))
     assert len(built) == 2
+
+
+def test_disk_green_keeps_no_second_copy_of_the_disk():
+    # `_disk_green` keeps its own Laplacian, so the open disk operator it
+    # assembles from is not left in the assembly cache
+    discretize._open_grids.clear()
+    _disk_green.cache_clear()
+    capacitary_potential(CapacityProblem(R1, R2, FULL, 26))
+    assert len(discretize._open_grids) == 0
+    # the disk is fully open: its open operator is its assembled operator
+    disk = CapacityProblem(R1, R2, FULL, 26).disk
+    kept = discretize.assemble(disk, 26)
+    assert len(discretize._open_grids) == 1
+    alone = discretize.open_operator(disk, 26)
+    assert (alone.matrix != kept.matrix).nnz == 0
+    assert np.array_equal(alone.matrix.indices, kept.matrix.indices)
+    assert np.array_equal(alone.row_weights, kept.row_weights)
+    assert np.array_equal(alone.node_ring, kept.node_ring)
+    assert alone.center_row == kept.center_row == alone.n - 1

@@ -290,3 +290,22 @@ def test_dump_complex_operator_reads_back(tmp_path):
                           (entries[:, 0].astype(int) - 1, entries[:, 1].astype(int) - 1)),
                          shape=(op.n, op.n))
     assert abs(back - op.matrix).max() <= 1e-15 * abs(op.matrix).max()
+
+
+def test_assembled_operator_owns_its_arrays():
+    # every opening is sliced from one cached open operator; writing into
+    # one leaves the next assembly of the same grid as it was
+    op = _quarter("NDD", eps=0.7, m=12)
+    before = op.matrix.copy()
+    op.matrix.data[:] = 0.0
+    op.row_weights[:] = 0.0
+    op.node_ring[:] = 0
+    op.cols[:] = 0
+    again = _quarter("NDD", eps=0.7, m=12)
+    assert (again.matrix != before).nnz == 0
+    assert np.array_equal(again.matrix.indices, before.indices)
+    assert again.row_weights.min() > 0 and again.node_ring.max() == 11
+    assert again.cols[0] == 0 and again.cols[-1] == 11
+    # the factors are shared by every opening of the grid, so read-only
+    with pytest.raises(ValueError):
+        again.factors.radial[0, 0] = 0.0

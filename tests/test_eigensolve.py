@@ -267,6 +267,31 @@ def test_asymmetric_symmetrization_raises_on_the_sparse_path():
     assert lowest_eigenpairs(skewed, 3, method="dense").eigenvalues.size == 3
 
 
+def test_symmetrization_residual_matches_the_sparse_products():
+    # the residual from the CSR arrays against S = diag(d) A diag(1/d) formed
+    # by sparse products, to the bit: real and complex operators, skewed
+    # weights, a shift and duplicate entries; a pattern that is not
+    # symmetric raises
+    def reference(matrix, d):
+        s = sp.diags(d) @ matrix @ sp.diags(1.0 / d)
+        return abs(s - s.conj().T).max() / abs(s).max()
+
+    rng = np.random.default_rng(3)
+    cases = []
+    for op in (_toy_op("NND", m=12), _toy_op("DND", m=13), _coupled_op()):
+        d = np.sqrt(op.row_weights)
+        cases += [(op.matrix, d), (op.matrix, d * rng.uniform(0.9, 1.1, op.n)),
+                  ((op.matrix + 2.5 * sp.identity(op.n)).tocsr(), d)]
+    duplicated = sp.csr_matrix((np.ones(4), [0, 1, 1, 0], [0, 2, 4]), shape=(2, 2))
+    cases.append((duplicated, np.array([1.0, 2.0])))
+    for matrix, d in cases:
+        assert eigensolve._asymmetry(matrix, d) == reference(matrix, d)
+    lopsided = _toy_op("DDD", m=12).matrix.tolil()
+    lopsided[0, 7] = 1e-3
+    with pytest.raises(SolverError, match="an entry without its mirror"):
+        eigensolve._asymmetry(lopsided.tocsr(), np.sqrt(_toy_op("DDD", m=12).row_weights))
+
+
 _ALL_SECTORS = ([("quarter", case, 2) for case in QUARTER_CASES]
                 + [("floquet", ell, n) for n in range(1, 7) for ell in range(n // 2 + 1)])
 
@@ -569,3 +594,79 @@ def test_group_multiplicities_disk_pattern():
 def test_group_multiplicities_validation():
     with pytest.raises(ValueError):
         group_multiplicities([1.0, 2.0], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-grid data built once
+# ---------------------------------------------------------------------------
+
+def _quarter_grids(m):
+    spec = build_cracked_disk(2, 0.5, 0.4356, 1.0)
+    return [assemble(p, m) for p in quarter_problems(spec)]
+
+
+def _spy_on_tridiagonal_eigensolves(monkeypatch):
+    inner = sla.eigh_tridiagonal
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].size)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", spy)
+    return calls
+
+
+@pytest.mark.parametrize("m", [24, 25])
+def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
+    # NND and DDD have the frequencies pi j/m, NDD and DND pi (2j+1)/(2m):
+    # the four grids solve m+1 (NND, the center's mode among them) plus m
+    # tridiagonals, where one solve per mode and grid would be 4m
+    calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
+    ops = _quarter_grids(m)
+    eigensolve._grid_cache.clear()
+    spectra = [eigensolve._grid_spectrum(op) for op in ops]
+    assert len(calls) == 2 * m + 1
+    # in reverse order, and from several threads at once, the same bits
+    eigensolve._grid_cache.clear()
+    backward = [eigensolve._grid_spectrum(op) for op in reversed(ops)][::-1]
+    eigensolve._grid_cache.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [None] * len(ops)
+
+        def build(i):
+            threaded[i] = eigensolve._grid_spectrum(ops[i])
+
+        workers = [threading.Thread(target=build, args=(i,)) for i in (3, 1, 2, 0)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    eigensolve._grid_cache.clear()
+    assert len(calls) == 3 * (2 * m + 1)
+    for other in (backward, threaded):
+        for a, b in zip(spectra, other):
+            assert np.array_equal(a.poles, b.poles)
+            assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize("m", [8, 9, 24, 25])
+@pytest.mark.parametrize("sector", _ALL_SECTORS)
+def test_closed_form_angular_eigenvalues(sector, m):
+    # dense eigvalsh is accurate to eps times the factor's norm, so the two
+    # agree to 1e-13 relative to the largest eigenvalue; a frequency of 0
+    # gives exactly 0
+    kind, which, n = sector
+    f = assemble(_sector(kind, which, n, 0.0, m // 2, m), m).factors
+    _, lam = eigensolve._angular_modes(f)
+    sc = np.sqrt(f.cell)
+    ang = f.angular * sc[:, np.newaxis] / sc
+    dense = np.linalg.eigvalsh((ang + ang.conj().T) / 2)
+    assert np.abs(lam - dense).max() <= 1e-13 * dense.max()
+    zero = f.frequency[:, 0] == 0
+    assert (lam[zero] == 0).all()
+    assert zero.sum() == (which in (0, "NND"))     # the constant mode
