@@ -35,9 +35,10 @@ ring (the center, which every rotation fixes, is g_center * sum(c)).
 
 L and g are cached per snapped grid (r1 ring, r2, m), for at most
 `_CACHED_GRIDS` grids, about 2.3 MB each at m = 180.  g costs no
-factorization: two applies of `eigensolve.SectorInverse`, the separable
-inverse of the open disk operator, one for the solve and one for a step of
-iterative refinement.
+factorization: two applies of `eigensolve.open_solve`, one tridiagonal
+solve per angular mode of the open disk operator, one for the solve and one
+for a step of iterative refinement.  A column that leaves a residual
+||L g - e||_inf above `_GREEN_BOUND` raises `SolverError`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import scipy.sparse as sp
 
 from .discretize import MIN_CELLS, PolarGrid, open_operator
 from .domain import CrackedDiskSpec, SectorProblem
-from .eigensolve import SectorInverse, one_blas_thread
+from .eigensolve import SolverError, one_blas_thread, open_solve
 
 __all__ = [
     "CapacityProblem",
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 _RESIDUAL_BOUND = 1e-10
+_GREEN_BOUND = 1e-12
 _CACHED_GRIDS = 4
 
 
@@ -117,9 +119,13 @@ def _disk_green(r1_ring: int, r2: float, m: int):
     lap = (sp.diags(scale) @ op.matrix).tocsr()
     e = np.zeros(op.n)
     e[(r1_ring - 1) * m] = 1.0
-    inverse = SectorInverse(op)
-    g = inverse.solve(e / scale)
-    g += inverse.solve((e - lap @ g) / scale)  # one step of iterative refinement
+    g = open_solve(op, e / scale)
+    g += open_solve(op, (e - lap @ g) / scale)  # one step of iterative refinement
+    residual = np.abs(lap @ g - e).max()
+    if not residual <= _GREEN_BOUND:
+        raise SolverError(
+            f"the Green's column leaves residual {residual:.3e} above "
+            f"{_GREEN_BOUND:.0e}, which signals an assembly bug")
     # every caller shares these arrays
     lap.sort_indices()
     for shared in (lap.data, lap.indices, lap.indptr, g):

@@ -10,17 +10,17 @@ tests.  Eigenvectors of a complex operator stay complex.
 
 Every opening of a sector is the same fully open tensor-product operator
 (`discretize.SectorFactors`) without its crack nodes F on the r1 ring.  Per
-grid (`_GridSpectrum`, cached for at most `_CACHED_GRIDS` grids), each
-angular mode j of the open operator is a symmetric tridiagonal
-T_j = Rs + lam_j diag(D) over the rings, and its eigenvalues nu_ij are the
-open operator's spectrum; only their eigenvectors' r1-ring entries q_ij are
-kept.  The angular eigenvalues lam_j = 4 sin^2(theta_j / 2) come from the
-closed-form frequencies theta_j of `SectorFactors.frequency`, so equal
-frequencies give equal lam_j to the bit in every sector.  T_j depends on the
-sector only through lam_j, so one table per radial grid (`_RadialSpectra`:
-m, r2, dtheta and r1 ring, in the same cache) holds nu and q^2 for each
-lam met, and every mode but the center's bordered one takes them from it:
-the four quarter grids at M share theta = pi j / M (NND, DDD) and
+grid (`_ModeRows`), each angular mode j of the open operator is a symmetric
+tridiagonal T_j = Rs + lam_j diag(D) over the rings.  The angular
+eigenvalues lam_j = 4 sin^2(theta_j / 2) come from the closed-form
+frequencies theta_j of `SectorFactors.frequency`, so equal frequencies give
+equal lam_j to the bit in every sector.  The eigenvalues nu_ij of the T_j
+are the open operator's spectrum (`_GridSpectrum`, cached for at most
+`_CACHED_GRIDS` grids); only their eigenvectors' r1-ring entries q_ij are
+kept.  T_j depends on the sector only through lam_j, so one table per
+radial grid (m, r2, dtheta and r1 ring, in the same cache) holds nu and q^2
+for each lam met, and every mode but the center's bordered one takes them
+from it: the four quarter grids at M share theta = pi j / M (NND, DDD) and
 pi (2j + 1) / (2M) (NDD, DND) and run 2M + 1 tridiagonal eigensolves, not
 4M.  Per opening (`_Secular`), lambda is an eigenvalue exactly when the at
 most m x m capacitance matrix C(lambda) = V_F diag(g(lambda)) V_F^H of the
@@ -39,8 +39,10 @@ nodes on a seeded vector, an open operator that is not positive definite, a
 capacitance block whose Cholesky fails, or a count that contradicts the
 roots raises `SolverError`.
 
-`SectorInverse` inverts an opening's operator from the same factors by the
-capacitance-matrix method at shift 0; it gives the Green's column of the
+`open_solve` inverts a fully open operator from the same rows, without
+their spectra: the angular transform, one positive-definite tridiagonal
+solve over every mode, whose pivots prove the open operator positive
+definite, and the transform back.  It gives the Green's column of the
 capacitary potential.
 
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||
@@ -73,13 +75,12 @@ from scipy.linalg import lapack
 
 from .discretize import AssembledOperator, GridCache, SectorFactors
 
-__all__ = ["SolverError", "Spectrum", "SectorInverse", "lowest_eigenpairs",
+__all__ = ["SolverError", "Spectrum", "open_solve", "lowest_eigenpairs",
            "group_multiplicities"]
 
 _IMAG_TOL = 1e-8            # |Im lambda| <= tol * max(1, |lambda|)
 _ASYM_TOL = 1e-9            # relative symmetrization residual
 _SEED = 20230921            # deterministic vector of the operator checks
-_INVERSE_TOL = 1e-10        # relative error of one inverse apply on a seeded vector
 _OPERATOR_TOL = 1e-12       # op.matrix against its factors' operator, relative
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 200            # root steps per eigenvalue
@@ -188,16 +189,6 @@ def _dense_path(op: AssembledOperator, k: int):
     return lam[order], _real_if_real(op, vecs[:, order])
 
 
-def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a real a.  A complex z is multiplied as the real matrix of its
-    interleaved real and imaginary columns, at half the cost of a complex
-    product and without casting a to complex."""
-    if not np.iscomplexobj(z):
-        return a @ z
-    # a C-ordered complex (p, q) is a real (p, 2q) with the same bytes
-    return (a @ z.view(np.float64)).view(np.complex128)
-
-
 def _angular_modes(f: SectorFactors):
     """The unit eigenvectors v (columns) of the symmetrized angular factor
     Ts = cell^1/2 T cell^-1/2 and their eigenvalues lam = 4 sin^2(theta/2)
@@ -237,126 +228,111 @@ def _bordered(f: SectorFactors, v0: np.ndarray, rad: np.ndarray) -> np.ndarray:
     return bordered
 
 
-class _GridModes:
-    """The separated eigenproblems of one fully open sector grid, for
-    `SectorInverse`.
+class _ModeRows:
+    """The open operator of one sector grid, angular mode by angular mode.
 
-    Symmetrized by the node weights, the open operator is
-    S = Rs (x) I + diag(D) (x) Ts.  With Rs U = D U diag(mu), U^T D U = I,
-    and the angular modes Ts V = V diag(lam) of `_angular_modes`,
-
-        S^-1 = (U (x) V) diag(1 / (mu_i + lam_j)) (U (x) V)^H.
-
-    The lowest mu_i + lam_j are small against the norms of the factors, so
-    lam comes from its closed form, which keeps its relative accuracy; the
-    inverse is about as accurate as a sparse LU.  `den` and `kern` are kept
-    angular mode by radial mode, Fortran-ordered, so that their transposes
-    are C-ordered like the transforms of a field of rings by columns;
-    `ang_conj` is the conjugate of `ang`.  The center, when present, joins
-    the radial problem of mode 0 (`_bordered`), which gets its own
-    eigenvectors `center_rad`, center first.  `green` holds each angular
-    mode's Green's value on the r1 ring, `u1` (`center_u1`) the radial
-    eigenvectors there and `kern` (`center_kern`) the same divided by the
-    separated eigenvalues."""
+    In the angular modes v_j of `_angular_modes` (the columns of `ang`) the
+    symmetrized open operator is S = sum_j T_j (x) v_j v_j^H, with the
+    symmetric tridiagonal T_j = Rs + lam_j diag(D) over the rings; with a
+    center, T_0 is mode 0's `_bordered` problem, center first.  Each T_j is
+    kept as a row of `diag` and `off`, all of one length L: with a center,
+    the other modes get a decoupled dummy row in front (`lead`), so that the
+    r1 ring is entry `ring` of every row.  `coupling` is `off` with the rows
+    laid end to end, a zero between two modes, for the banded solves over
+    every mode at once."""
 
     def __init__(self, f: SectorFactors, ring: int) -> None:
-        sd = np.sqrt(f.scale)
-        rad = _radial(f)
-        mu, y = sla.eigh(rad / sd[:, np.newaxis] / sd)
-        self.rad = y / sd[:, np.newaxis]
-        v, lam = _angular_modes(f)
+        v, self.lam = _angular_modes(f)
         self.ang = v
-        self.ang_conj = v.conj()
-        self.den = np.asfortranarray(lam[:, np.newaxis] + mu)
-        if not (self.den > 0).all():
-            raise SolverError(
-                f"separated eigenvalues mu + lam reach {self.den.min():.3e} <= 0; "
-                "the open operator is not positive definite, which signals an "
-                "assembly bug")
-        self.u1 = self.rad[ring]
-        self.kern = np.asfortranarray(self.u1 / self.den)
-        self.green = (self.kern * self.u1).sum(axis=1)
         self.has_center = f.has_center
-        if f.has_center:
-            mu0, u0 = sla.eigh(_bordered(f, v[:, 0], rad))
-            if not (mu0 > 0).all():
-                raise SolverError(
-                    f"the center's radial problem has eigenvalue {mu0.min():.3e} <= 0, "
-                    "which signals an assembly bug")
-            self.center_rad = u0
-            self.center_den = mu0
-            self.center_u1 = u0[ring + 1]
-            self.center_kern = self.center_u1 / mu0
-            self.green[0] = (self.center_kern * self.center_u1).sum()
-
-
-class _RadialSpectra:
-    """The radial spectra of one radial grid (m, r2, dtheta and r1 ring),
-    shared by every sector on it: for each angular eigenvalue lam met, the
-    eigenvalues nu_i of the symmetric tridiagonal T(lam) = Rs + lam diag(D)
-    over the rings, ascending, and the squares q_i^2 of their unit
-    eigenvectors' r1-ring entries.  Each lam is solved once, by whichever
-    thread needs it first; an equal frequency in another sector has the
-    same lam to the bit (`_angular_modes`) and finds it here."""
-
-    def __init__(self, f: SectorFactors, ring: int) -> None:
-        rad = _radial(f)
-        self.diag, self.off = rad.diagonal(), rad.diagonal(1)
-        self.scale = f.scale
-        self.ring = ring
-        self._solved = GridCache(None)
-
-    def spectrum(self, lam: float):
-        """(nu, q^2) of T(lam)."""
-        def solve():
-            nu, y = sla.eigh_tridiagonal(self.diag + lam * self.scale, self.off)
-            return nu, y[self.ring] ** 2               # keeps one row, not y
-        return self._solved.get((lam,), solve)
-
-
-class _GridSpectrum:
-    """The open operator's spectrum of one sector grid, angular mode by
-    angular mode, for the secular solve.
-
-    In the angular modes v_j of `_angular_modes` the symmetrized open
-    operator is S = sum_j T_j (x) v_j v_j^H, with the symmetric tridiagonal
-    T_j = Rs + lam_j diag(D) over the rings; with a center, T_0 is mode 0's
-    `_bordered` problem, center first.  Each T_j is kept as a row of `diag`
-    and `off`, all of one length L: with a center, the other modes get a
-    decoupled dummy row in front, so that the r1 ring is entry `ring` of
-    every row.  `poles[j]` holds the eigenvalues nu_ij of T_j, ascending
-    (+inf where T_j is the shorter one), and `weights[j]` the squares
-    q_ij^2 of their unit eigenvectors' r1-ring entries; every mode but the
-    bordered one takes both from the radial grid's `_RadialSpectra`, so
-    modes of one frequency share them to the bit.  `g0` is the Green's value
-    g_j(0) = sum_i q_ij^2 / nu_ij of each mode.  `values`, `first` and
-    `size` list the distinct poles ascending, with the index in `order`
-    (the flat indices of the finite poles, ascending) of each one's first
-    copy and its number of copies."""
-
-    def __init__(self, f: SectorFactors, ring: int, radial: _RadialSpectra) -> None:
-        v, lam = _angular_modes(f)
-        self.ang = v
         rad = _radial(f)
         lead = int(f.has_center)
         rows = f.r.size + lead
         self.ring = ring + lead
-        self.lead = np.zeros(lam.size, dtype=int)
-        self.diag = np.ones((lam.size, rows))
-        self.off = np.zeros((lam.size, rows - 1))
-        self.poles = np.full((lam.size, rows), np.inf)
-        self.weights = np.zeros((lam.size, rows))
-        for j, lj in enumerate(lam):
+        self.lead = np.zeros(self.lam.size, dtype=int)
+        self.diag = np.ones((self.lam.size, rows))
+        self.off = np.zeros((self.lam.size, rows - 1))
+        for j, lj in enumerate(self.lam):
             if f.has_center and j == 0:
                 t = _bordered(f, v[:, 0], rad)
                 self.diag[j], self.off[j] = t.diagonal(), t.diagonal(1)
-                nu, y = sla.eigh_tridiagonal(self.diag[j], self.off[j])
-                q2 = y[self.ring] ** 2
             else:
                 self.lead[j] = lead
                 self.diag[j, lead:] = rad.diagonal() + lj * f.scale
                 self.off[j, lead:] = rad.diagonal(1)
-                nu, q2 = radial.spectrum(lj)
+        e = np.zeros(self.diag.shape)
+        e[:, :-1] = self.off
+        self.coupling = e.ravel()[:-1]
+
+    def field(self, z: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """The vector of unknowns of mode coefficients z (modes by rows);
+        `active` masks the unknowns (`_unknowns`)."""
+        lead = int(self.has_center)
+        x = (z[:, lead:].T @ self.ang.T).reshape(-1)[active]
+        return np.append(x, z[0, 0]) if self.has_center else x
+
+    def coefficients(self, x: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """The mode coefficients of the vector of unknowns x: the adjoint of
+        `field`, which is its inverse on a fully open grid."""
+        lead = int(self.has_center)
+        n1 = x.size - lead
+        rings = np.zeros(active.size, dtype=x.dtype)
+        rings[active] = x[:n1]
+        z = np.zeros(self.diag.shape, dtype=np.result_type(x, self.ang))
+        z[:, lead:] = (rings.reshape(-1, self.ang.shape[0]) @ self.ang.conj()).T
+        if self.has_center:
+            z[0, 0] = x[n1]
+        return z
+
+    def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
+        """(T_j - sigma)^-1 rhs[j] for every mode j: one banded solve with
+        partial pivoting over the modes' tridiagonals end to end."""
+        d = self.diag - sigma
+        d[self.lead > 0, 0] = 1.0                   # the dummy rows
+        _, _, _, x, info = lapack.dgtsv(self.coupling, d.ravel(), self.coupling,
+                                        rhs.reshape(-1, 1))
+        if info != 0:
+            raise SolverError(f"a mode's tridiagonal is singular at {sigma!r}")
+        return x.reshape(d.shape)
+
+    def solve_open(self, rhs: np.ndarray) -> np.ndarray:
+        """T_j^-1 rhs[j] for every mode j: one LDL^T solve over the modes'
+        tridiagonals end to end (LAPACK dptsv).  It stops at the first pivot
+        that is not positive, so a solve proves the open operator positive
+        definite."""
+        _, _, x, info = lapack.dptsv(self.diag.ravel(), self.coupling, rhs.reshape(-1, 1))
+        if info != 0:
+            raise SolverError(
+                f"the open operator is not positive definite (pivot {info} of its "
+                "modes' tridiagonals), which signals an assembly bug")
+        return x.reshape(self.diag.shape)
+
+
+class _GridSpectrum(_ModeRows):
+    """The open operator's spectrum of one sector grid, angular mode by
+    angular mode, for the secular solve.
+
+    `poles[j]` holds the eigenvalues nu_ij of T_j, ascending (+inf where T_j
+    is the shorter one), and `weights[j]` the squares q_ij^2 of their unit
+    eigenvectors' r1-ring entries.  T_j depends on the sector only through
+    lam_j, so every mode but the bordered one takes both from `radial`, the
+    table by lam of its radial grid (m, r2, dtheta and r1 ring), which every
+    sector on that grid shares: each lam is solved once, by whichever thread
+    needs it first, and modes of one frequency share nu and q^2 to the bit.
+    `g0` is the Green's value g_j(0) = sum_i q_ij^2 / nu_ij of each mode.
+    `values`, `first` and `size` list the distinct poles ascending, with the
+    index in `order` (the flat indices of the finite poles, ascending) of
+    each one's first copy and its number of copies."""
+
+    def __init__(self, f: SectorFactors, ring: int, radial: GridCache) -> None:
+        super().__init__(f, ring)
+        self.poles = np.full(self.diag.shape, np.inf)
+        self.weights = np.zeros(self.diag.shape)
+        for j, lj in enumerate(self.lam):
+            if f.has_center and j == 0:
+                nu, q2 = self._spectrum(j)
+            else:
+                nu, q2 = radial.get((lj,), lambda: self._spectrum(j))
             self.poles[j, :nu.size], self.weights[j, :nu.size] = nu, q2
         if not self.poles.min() > 0:
             raise SolverError(
@@ -369,6 +345,12 @@ class _GridSpectrum:
         self.values, self.first, self.size = np.unique(
             self.sorted, return_index=True, return_counts=True)
 
+    def _spectrum(self, j: int):
+        """(nu, q^2) of T_j."""
+        lo = self.lead[j]
+        nu, y = sla.eigh_tridiagonal(self.diag[j, lo:], self.off[j, lo:])
+        return nu, y[self.ring - lo] ** 2           # keeps one row, not y
+
     def vector(self, j: int, i: int) -> np.ndarray:
         """The unit eigenvector of nu_ij, as a row of length L."""
         lo = self.lead[j]
@@ -377,19 +359,6 @@ class _GridSpectrum:
         out = np.zeros(self.diag.shape[1])
         out[lo:] = y[:, 0]
         return out
-
-    def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
-        """(T_j - sigma)^-1 rhs[j] for every mode j: one banded solve with
-        partial pivoting over the modes' tridiagonals end to end."""
-        d = self.diag - sigma
-        d[self.lead > 0, 0] = 1.0                   # the dummy rows
-        e = np.zeros(d.shape)
-        e[:, :-1] = self.off
-        e = e.ravel()[:-1]
-        _, _, _, x, info = lapack.dgtsv(e, d.ravel(), e, rhs.reshape(-1, 1))
-        if info != 0:
-            raise SolverError(f"a mode's tridiagonal is singular at {sigma!r}")
-        return x.reshape(d.shape)
 
 
 _CACHED_GRIDS = 8
@@ -401,21 +370,14 @@ def _grid_key(op: AssembledOperator) -> tuple:
     return (p.kind, p.quarter_case or p.ell, p.geometry.n, grid.m, grid.r1_ring, grid.r2)
 
 
-def _grid_modes(op: AssembledOperator) -> _GridModes:
-    """The separated eigenproblems of the operator's open grid, from the
-    bounded cache that every thread shares."""
-    return _grid_cache.get((_GridModes, *_grid_key(op)),
-                           lambda: _GridModes(op.factors, op.grid.r1_ring - 1))
-
-
 def _grid_spectrum(op: AssembledOperator) -> _GridSpectrum:
-    """The per-mode spectrum of the operator's open grid, from the same
-    cache, as are the radial spectra of its radial grid."""
+    """The per-mode spectrum of the operator's open grid, from the bounded
+    cache that every thread shares, as is the table of its radial grid."""
     grid, ring = op.grid, op.grid.r1_ring - 1
 
     def build():
-        radial = _grid_cache.get((_RadialSpectra, grid.m, grid.r2, grid.dtheta, grid.r1_ring),
-                                 lambda: _RadialSpectra(op.factors, ring))
+        radial = _grid_cache.get(("radial", grid.m, grid.r2, grid.dtheta, grid.r1_ring),
+                                 lambda: GridCache(None))
         return _GridSpectrum(op.factors, ring, radial)
 
     return _grid_cache.get((_GridSpectrum, *_grid_key(op)), build)
@@ -438,78 +400,19 @@ def _crack(op: AssembledOperator) -> np.ndarray:
     return np.setdiff1d(np.arange(op.cols.size), present)
 
 
-class SectorInverse:
-    """The inverse of one opening's operator, without a factorization.
-
-    The opening's operator is the open one without the crack nodes F on the
-    r1 ring.  With G = S_open^-1 and b extended by zero on F, its inverse
-    is x = G b - G[:, F] C^-1 (G b)_F, where the capacitance block
-    C = G[F, F] = V_F diag(green) V_F^H is at most m x m (Buzbee, Dorr,
-    George & Golub, SIAM J. Numer. Anal. 8 (1971)).  The correction acts
-    in mode space, so an apply costs four matrix-product transforms and
-    O(m^2).
-
-    Raises `SolverError` when the open operator or C is not positive
-    definite, or when one apply on a seeded vector does not invert
-    `op.matrix` to `_INVERSE_TOL`."""
-
-    def __init__(self, op: AssembledOperator) -> None:
-        modes = self.modes = _grid_modes(op)
-        self.n1 = op.n - int(op.center_row is not None)
-        self.active = _unknowns(op)
-        self.d = np.sqrt(op.row_weights)
-        crack = _crack(op)
-        self.vf = None
-        if crack.size:
-            self.vf = modes.ang[crack]
-            self.vf_h = modes.ang_conj[crack].T
-            try:
-                self.cho = sla.cho_factor((self.vf * modes.green) @ self.vf_h)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    "the capacitance block of the crack is not positive definite, "
-                    "which signals an assembly bug") from exc
-        x = np.random.default_rng(_SEED).standard_normal(op.n)
-        err = np.linalg.norm(self.solve(op.matrix @ x) - x) / np.linalg.norm(x)
-        if not err <= _INVERSE_TOL:
-            raise SolverError(
-                f"the separable inverse does not invert the operator (relative "
-                f"error {err:.3e}); the operator is not its grid's open operator "
-                "without crack nodes, which signals an assembly bug")
-
-    def solve_hermitian(self, b: np.ndarray) -> np.ndarray:
-        """S^-1 b for the symmetrized operator S = diag(d) A diag(1/d)."""
-        modes, n1 = self.modes, self.n1
-        b = np.asarray(b).reshape(-1)
-        buf = np.zeros(self.active.size, dtype=np.result_type(modes.ang.dtype, b.dtype))
-        buf[self.active] = b[:n1]
-        field = buf.reshape(-1, modes.ang.shape[0])          # rings by columns
-        spectral = field @ modes.ang_conj                    # rings by angular modes
-        z = _real_times(modes.rad.T, spectral)               # radial by angular modes
-        z /= modes.den.T
-        if modes.has_center:
-            # mode 0 with the center in front of its rings
-            v0 = np.append(b[n1:], spectral[:, 0])[:, np.newaxis]
-            z0 = _real_times(modes.center_rad.T, v0)[:, 0] / modes.center_den
-        if self.vf is not None:
-            on_ring = _real_times(modes.u1, z)               # G b on the r1 ring
-            if modes.has_center:
-                on_ring[0] = (z0 * modes.center_u1).sum()
-            charge = sla.cho_solve(self.cho, self.vf @ on_ring, check_finite=False)
-            w = self.vf_h @ charge
-            z -= modes.kern.T * w
-            if modes.has_center:
-                z0 -= w[0] * modes.center_kern
-        x = _real_times(modes.rad, z)                        # rings by angular modes
-        if modes.has_center:
-            full = _real_times(modes.center_rad, z0[:, np.newaxis])[:, 0]
-            x[:, 0] = full[1:]
-        out = (x @ modes.ang.T).reshape(-1)[self.active]
-        return np.append(out, full[0]) if modes.has_center else out
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b for the operator's own matrix A."""
-        return self.solve_hermitian(b * self.d) / self.d
+def open_solve(op: AssembledOperator, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for the matrix A of a fully open operator (no crack nodes) with
+    real factors, from its grid's mode rows (`_ModeRows`, in the grid
+    cache): b scaled by sqrt(w) into angular modes, one LDL^T solve over
+    every mode's tridiagonal (`_ModeRows.solve_open`), back to the unknowns,
+    and scaled by 1/sqrt(w).  Raises `SolverError` when a pivot of the solve
+    is not positive: the open operator is then not positive definite."""
+    if _crack(op).size or np.iscomplexobj(op.matrix) or np.iscomplexobj(b):
+        raise ValueError("open_solve takes a fully open real operator and a real vector")
+    rows = _grid_cache.get((_ModeRows, *_grid_key(op)),
+                           lambda: _ModeRows(op.factors, op.grid.r1_ring - 1))
+    d, active = np.sqrt(op.row_weights), _unknowns(op)
+    return rows.field(rows.solve_open(rows.coefficients(b * d, active)), active) / d
 
 
 def _check_operator(op: AssembledOperator) -> None:
@@ -568,7 +471,6 @@ class _Secular:
     def __init__(self, op: AssembledOperator) -> None:
         self.spec = _grid_spectrum(op)
         self.active = _unknowns(op)
-        self.has_center = op.center_row is not None
         vf = self.spec.ang[_crack(op)]
         if vf.shape[0]:
             try:
@@ -764,13 +666,7 @@ class _Secular:
         z = z * (self.vf_h @ v[:f])[:, np.newaxis]
         for j, y, coef in near:
             z[j] += coef * y
-        return self.field(z)
-
-    def field(self, z: np.ndarray) -> np.ndarray:
-        """The vector of unknowns of mode coefficients z (modes by rows)."""
-        lead = int(self.has_center)
-        x = (z[:, lead:].T @ self.spec.ang.T).reshape(-1)[self.active]
-        return np.append(x, z[0, 0]) if self.has_center else x
+        return self.spec.field(z, self.active)
 
     def lowest(self, k: int):
         """The k lowest eigenvalues and their vectors, certified complete."""
@@ -782,7 +678,7 @@ class _Secular:
                 j, i = np.unravel_index(flat, spec.poles.shape)
                 z = np.zeros(spec.diag.shape)
                 z[j] = spec.vector(j, i)
-                vecs.append(self.field(z))
+                vecs.append(self.spec.field(z, self.active))
             return spec.sorted[:k].copy(), np.stack(vecs, axis=1)
         lam, vecs, lo = np.empty(k), [], 0
         for t in range(1, k + 1):

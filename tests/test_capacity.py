@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from crackspec import capacity, discretize
+from crackspec.eigensolve import SolverError
 from crackspec.capacity import (
     AdditivityResult,
     CapacityProblem,
@@ -210,33 +211,47 @@ def test_capacity_invariant_under_whole_grid_rotations(m):
 
 
 def test_one_inverse_per_grid(monkeypatch):
-    built = []
+    # one Green's-column build per grid, each of them the only caller of the
+    # open solve on its grid
+    inner, applies = capacity.open_solve, []
 
-    class Counting(capacity.SectorInverse):
-        def __init__(self, op):
-            built.append(op.n)
-            super().__init__(op)
+    def counting(op, b):
+        applies.append(op.grid.m)
+        return inner(op, b)
 
-    monkeypatch.setattr(capacity, "SectorInverse", Counting)
+    monkeypatch.setattr(capacity, "open_solve", counting)
     _disk_green.cache_clear()
     # the empty compact needs no Green's column
     assert capacitary_potential(CapacityProblem(R1, R2, (), 24))[1].cap == 0.0
-    assert built == []
+    assert applies == [] and _disk_green.cache_info().misses == 0
     ring = capacitary_potential(CapacityProblem(R1, R2, FULL, 24))[1].cap
+    solves = len(applies)
+    assert solves > 0 and _disk_green.cache_info().misses == 1
     for d in (0.4, 0.2, 0.1, 0.05):
         additivity_ratio(R1, R2, d, 24)
-    assert len(built) == 1
+    assert _disk_green.cache_info().misses == 1 and applies == [24] * solves
     # another r1 on the same ring shares the column, and reports itself
     near = R1 - 0.2 / 24
     here, there = CapacityProblem(R1, R2, FULL, 24), CapacityProblem(near, R2, FULL, 24)
     assert capacitary_potential(there)[1].cap == ring
-    assert len(built) == 1
+    assert _disk_green.cache_info().misses == 1 and applies == [24] * solves
     assert there.grid.r1_ring == here.grid.r1_ring and there.grid.r1 == here.grid.r1
     assert (here.grid.r1_requested, there.grid.r1_requested) == (R1, near)
     assert there.grid.r1_snap_error != here.grid.r1_snap_error
     # a new grid builds its own
     capacitary_potential(CapacityProblem(R1, R2, FULL, 25))
-    assert len(built) == 2
+    assert _disk_green.cache_info().misses == 2 and applies == [24] * solves + [25] * solves
+
+
+def test_green_column_refuses_a_residual_above_its_bound(monkeypatch):
+    # a solve that is off by a constant 1e-9 leaves it in the refined column
+    # too: ||L g - e||_inf is 1e-9 times the outer ring's conductance
+    inner = capacity.open_solve
+    monkeypatch.setattr(capacity, "open_solve", lambda op, b: inner(op, b) + 1e-9)
+    _disk_green.cache_clear()
+    with pytest.raises(SolverError, match="Green's column leaves residual"):
+        capacitary_potential(CapacityProblem(R1, R2, FULL, 24))
+    _disk_green.cache_clear()
 
 
 def test_disk_green_keeps_no_second_copy_of_the_disk():

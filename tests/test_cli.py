@@ -157,11 +157,16 @@ def test_capacity_command(tmp_path):
             "0.2,4.54656873269,2.56186792342,2.56186792342,0.887354240851",
             "0.1,3.87856846945,2.14270696213,2.14270696213,0.905062740265",
             "0.05,2.99799683487,1.61694956723,1.61694956723,0.927053290849"]),
+    ("180", ["0.4,4.82266648825,2.75425378607,2.75425378607,0.875494210561",
+             "0.2,3.96717772546,2.20494357103,2.20494357103,0.899609808068",
+             "0.1,3.29818510764,1.79820335705,1.79820335705,0.91707789742",
+             "0.05,2.64586479193,1.41700064603,1.41700064603,0.933614532692"]),
 ])
 def test_capacity_output_is_pinned(tmp_path, m, rows):
-    # rows recorded with the direct elimination of the arc unknowns (the
-    # oracle in test_capacity.py); the Green's-column solve repeats them
-    # byte for byte
+    # rows at M = 24 and 25 recorded with the direct elimination of the arc
+    # unknowns (the oracle in test_capacity.py), and at M = 180, the
+    # README's grid, with an earlier Green's-column solver; the
+    # Green's-column solve repeats them byte for byte
     code, out = run(tmp_path, "capacity", "--r1", "0.4356", "--delta-list",
                     "0.4,0.2,0.1,0.05", "-M", m)
     assert code == 0

@@ -22,11 +22,11 @@ from crackspec import capacity, eigensolve
 from crackspec.capacity import CapacityProblem, capacitary_potential
 from crackspec.discretize import assemble
 from crackspec.eigensolve import (
-    SectorInverse,
     SolverError,
     group_multiplicities,
     lowest_eigenpairs,
     one_blas_thread,
+    open_solve,
 )
 from crackspec.spectra import sweep
 
@@ -141,7 +141,7 @@ def _symmetrized(op):
 
 @pytest.mark.parametrize("op", [_toy_op("NDD", m=12), _coupled_op()],
                          ids=["real", "complex"])
-def test_factorization_refuses_an_indefinite_matrix(op):
+def test_operator_check_refuses_a_shifted_matrix(op):
     # the secular solve knows the grid's own operator; shifted above
     # lambda_1 the matrix is another one, and one seeded product shows it
     lam1 = np.linalg.eigvalsh(_symmetrized(op).toarray())[0]
@@ -152,13 +152,24 @@ def test_factorization_refuses_an_indefinite_matrix(op):
 
 
 def test_inverse_refuses_factors_that_are_not_positive_definite():
-    op = _toy_op("DND", m=11)
+    # the positive-definite banded solve stops at the first pivot that is
+    # not positive
+    op = _toy_op("DND", m=11, eps=math.pi / 2)
     f = op.factors
     broken = dataclasses.replace(op, factors=dataclasses.replace(f, radial=-f.radial))
     eigensolve._grid_cache.clear()
-    with pytest.raises(SolverError, match="mu \\+ lam"):
-        SectorInverse(broken)
+    with pytest.raises(SolverError, match="not positive definite \\(pivot"):
+        open_solve(broken, np.ones(broken.n))
     eigensolve._grid_cache.clear()
+
+
+def test_open_solve_refuses_an_opening_and_complex_data():
+    real, opening = _toy_op("DND", m=11, eps=math.pi / 2), _toy_op("DND", m=11)
+    complex_op = _coupled_op(eps=math.pi / 3)
+    for op, b in ((opening, np.ones(opening.n)), (complex_op, np.ones(complex_op.n)),
+                  (real, np.ones(real.n) + 0j)):
+        with pytest.raises(ValueError, match="fully open real operator"):
+            open_solve(op, b)
 
 
 def test_secular_solve_refuses_factors_that_are_not_positive_definite():
@@ -183,12 +194,12 @@ def test_secular_solve_refuses_an_operator_without_a_node_off_the_ring():
         lowest_eigenpairs(sub, 2)
 
 
-def test_inverse_refuses_a_capacitance_block_that_is_not_positive_definite(monkeypatch):
+def test_secular_solve_refuses_a_capacitance_block_that_is_not_positive_definite(monkeypatch):
     op = _toy_op("NND", m=10, eps=0.5)
-    modes = eigensolve._grid_modes(op)
-    monkeypatch.setattr(modes, "green", -modes.green)
+    spec = eigensolve._grid_spectrum(op)
+    monkeypatch.setattr(spec, "g0", -spec.g0)
     with pytest.raises(SolverError, match="capacitance block"):
-        SectorInverse(op)
+        lowest_eigenpairs(op, 2)
 
 
 def test_grid_cache_under_concurrent_use():
@@ -203,9 +214,6 @@ def test_grid_cache_under_concurrent_use():
         try:
             for _ in range(5):
                 for op in ops:
-                    modes = eigensolve._grid_modes(op)
-                    if modes.den.shape != (op.cols.size, op.grid.m - 1):
-                        wrong.append(op.sector.label)
                     poles = eigensolve._grid_spectrum(op).poles
                     if poles.shape != (op.cols.size, op.grid.m - 1 + op.factors.has_center):
                         wrong.append(op.sector.label)
@@ -237,7 +245,7 @@ def _sector(kind, which, n, eps, ring, m):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_separable_inverse_inverts_every_sector_operator(data):
+def test_secular_solve_matches_eigh_on_every_sector(data):
     sectors = [("quarter", case, 2) for case in QUARTER_CASES]
     sectors += [("floquet", ell, n) for n in (2, 3, 4) for ell in range(n // 2 + 1)]
     kind, which, n = data.draw(st.sampled_from(sectors), label="sector")
@@ -246,16 +254,25 @@ def test_separable_inverse_inverts_every_sector_operator(data):
     dtheta = (math.pi / 2 if kind == "quarter" else 2 * math.pi / n) / m
     eps = data.draw(st.sampled_from([0.0, dtheta, math.pi / n]), label="eps")
     op = assemble(_sector(kind, which, n, eps, ring, m), m)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(op.n)
-    if np.iscomplexobj(op.matrix):
-        x = x + 1j * rng.standard_normal(op.n)
-    with one_blas_thread:
-        back = SectorInverse(op).solve(op.matrix @ x)
-    assert np.linalg.norm(back - x) <= 1e-11 * np.linalg.norm(x)
     oracle = sla.eigh(_symmetrized(op).toarray(), eigvals_only=True, subset_by_index=[0, 2])
     sparse = lowest_eigenpairs(op, 3)
     assert np.allclose(sparse.eigenvalues, oracle, rtol=1e-10, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_open_solve_inverts_every_fully_open_real_grid(data):
+    # the disk, the quarter cases and the real Floquet sectors, fully open
+    sectors = [("floquet", 0, 1)] + [("quarter", case, 2) for case in QUARTER_CASES]
+    sectors += [("floquet", 0, n) for n in (2, 3, 4)] + [("floquet", n // 2, n) for n in (2, 4)]
+    kind, which, n = data.draw(st.sampled_from(sectors), label="sector")
+    m = data.draw(st.integers(8, 40), label="m")
+    ring = data.draw(st.integers(1, m - 1), label="r1 ring")
+    op = assemble(_sector(kind, which, n, math.pi / n, ring, m), m)
+    x = np.random.default_rng(7).standard_normal(op.n)
+    with one_blas_thread:
+        back = open_solve(op, op.matrix @ x)
+    assert np.linalg.norm(back - x) <= 1e-11 * np.linalg.norm(x)
 
 
 def test_asymmetric_symmetrization_raises_on_the_sparse_path():
@@ -421,15 +438,16 @@ def _spy_on_eigensolves(monkeypatch, get):
 
 
 def _spy_on_applies(monkeypatch, get):
-    """Record the BLAS thread counts at each apply of the separable inverse."""
-    inner = SectorInverse.solve_hermitian
+    """Record the BLAS thread counts at each open solve of the capacity's
+    Green's column."""
+    inner = capacity.open_solve
     seen = []
 
-    def spy(self, b):
+    def spy(op, b):
         seen.append(get())
-        return inner(self, b)
+        return inner(op, b)
 
-    monkeypatch.setattr(SectorInverse, "solve_hermitian", spy)
+    monkeypatch.setattr(capacity, "open_solve", spy)
     return seen
 
 
@@ -508,7 +526,7 @@ def test_blas_count_restored_after_a_pooled_sweep(monkeypatch, blas_threads):
 
 @needs_openblas
 def test_capacity_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads):
-    # the inverse's applies for the Green's column, and the dense ring Cholesky
+    # the open solves for the Green's column, and the dense ring Cholesky
     applies = _spy_on_applies(monkeypatch, blas_threads)
     cho_factor = capacity.sla.cho_factor
     seen = []
@@ -521,7 +539,7 @@ def test_capacity_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, bl
     capacity._disk_green.cache_clear()
     capacitary_potential(CapacityProblem(0.4356, 1.0, ((0.0, 1.0),), 24))
     assert seen == [ONE]
-    assert len(applies) >= 3 and all(counts == ONE for counts in applies)
+    assert len(applies) == 2 and all(counts == ONE for counts in applies)
     assert blas_threads() == TWO
 
 
