@@ -51,7 +51,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .discretize import MIN_CELLS, PolarGrid, open_operator
+from .discretize import MIN_CELLS, AssembledOperator, PolarGrid, open_operator
 from .domain import CrackedDiskSpec, SectorProblem
 from .eigensolve import SolverError, one_blas_thread, open_solve
 
@@ -112,10 +112,12 @@ class CapacityResult:
 def _disk_green(r1_ring: int, r2: float, m: int):
     """The weighted Laplacian L of the fully open disk on the m x m grid of
     radius r2, and its Green's column g = L^-1 e at (ring r1_ring, column 0)."""
-    op = open_operator(CapacityProblem(r1_ring * r2 / m, r2, (), m).disk, m)
-    grid = op.grid
+    problem = CapacityProblem(r1_ring * r2 / m, r2, (), m)
+    disk = open_operator(problem.disk, m)
+    op = AssembledOperator(problem.grid, problem.disk, disk,
+                           keep=np.ones_like(disk.node_ring, dtype=bool))
     # L = c diag(w) A, so L^-1 b = A^-1 (b / (c w))
-    scale = grid.dr * grid.dtheta * op.row_weights
+    scale = op.grid.dr * op.grid.dtheta * op.row_weights
     lap = (sp.diags(scale) @ op.matrix).tocsr()
     e = np.zeros(op.n)
     e[(r1_ring - 1) * m] = 1.0

@@ -45,10 +45,10 @@ factors (`SectorFactors`): on the ring nodes A_open = R (x) I + diag(D) (x) T,
 plus the center.  The open operator (`open_operator`) does not depend on r1
 or epsilon, so `assemble` builds it once per sector grid (kind, ell or
 quarter case, n, m, r2), keeps it in a bounded cache (`_OPEN_GRIDS` grids),
-and returns every opening as its principal submatrix without the crack
-nodes, sliced from the cached CSR arrays in O(nnz) and owning its arrays.
-It carries the factors on the operator, so that `eigensolve` can solve any
-opening of a grid from the same per-mode spectrum of the open operator.
+and returns every opening as that operator plus the mask `keep` of its
+unknowns (`AssembledOperator`, which derives the principal submatrix on
+`keep` and refuses a mask that drops a node off the r1 ring).  `eigensolve`
+checks each open operator once for all of its openings.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import cmath
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,6 +67,7 @@ from .domain import _ANGLE_TOL, SectorProblem, SectorTag
 __all__ = [
     "PolarGrid",
     "SectorFactors",
+    "OpenOperator",
     "AssembledOperator",
     "assemble",
     "open_operator",
@@ -74,6 +75,10 @@ __all__ = [
 ]
 
 MIN_CELLS = 8
+
+
+class SolverError(RuntimeError):
+    """Eigensolver failure."""
 
 
 class _Slot:
@@ -308,31 +313,61 @@ def _sector_factors(problem: SectorProblem, grid: PolarGrid,
         center_out=-(4.0 / dr**2) * cell / cell.sum(), center_weight=dr * cell.sum() / 8.0)
 
 
-@dataclass
-class AssembledOperator:
-    """Sparse discretized operator with boundary conditions baked in."""
+@dataclass(frozen=True, eq=False)
+class OpenOperator:
+    """The fully open operator of one sector grid: `SectorFactors` on the
+    ring nodes, ring by ring, then the center.  Its openings share its
+    arrays, so read-only; `eigensolve` runs its checks once, in `checks`."""
 
     matrix: sp.csr_matrix
-    grid: PolarGrid
-    sector: SectorTag
-    problem: SectorProblem
-    row_weights: np.ndarray
+    row_weights: np.ndarray   # node weights w: diag(sqrt(w)) A diag(1/sqrt(w)) is Hermitian
     cols: np.ndarray          # angular indices present on the grid
-    node_ring: np.ndarray     # per unknown: ring index i (0 for the center)
-    node_col: np.ndarray      # per unknown: angular index j (-1 for center)
-    center_row: int | None
-    wrap: bool
-    factors: SectorFactors    # the fully open operator of the same grid
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    node_ring: np.ndarray     # per node: ring index i (0 for the center)
+    node_col: np.ndarray      # per node: angular index j (-1 for the center)
+    factors: SectorFactors
+    checks: GridCache = field(default_factory=lambda: GridCache(None), init=False)
 
 
-def open_operator(problem: SectorProblem, m: int) -> AssembledOperator:
-    """The fully open polar FD operator of a sector problem's m x m grid,
-    whatever its opening: `SectorFactors` on every ring node, ring by ring,
-    and then the center."""
+@dataclass(frozen=True, eq=False)
+class AssembledOperator:
+    """One opening: its grid's open operator without the crack nodes, where
+    `keep` is False.  The other fields derive from these four, as copies on
+    `keep`, or the open operator's read-only arrays if no node is dropped."""
+
+    grid: PolarGrid
+    problem: SectorProblem
+    open: OpenOperator
+    keep: np.ndarray
+    matrix: sp.csr_matrix = field(init=False)
+    n: int = field(init=False)
+    row_weights: np.ndarray = field(init=False)
+    node_ring: np.ndarray = field(init=False)
+    node_col: np.ndarray = field(init=False)
+    cols: np.ndarray = field(init=False)
+    center_row: int | None = field(init=False)
+    wrap: bool = field(init=False)
+    sector: SectorTag = field(init=False)
+    factors: SectorFactors = field(init=False)
+
+    def __post_init__(self) -> None:
+        grid_open, keep = self.open, self.keep
+        if not (keep.dtype == bool and keep.shape == grid_open.node_ring.shape
+                and (grid_open.node_ring[~keep] == self.grid.r1_ring).all()):
+            raise SolverError("the operator's unknowns are not its grid's nodes without "
+                              "crack nodes on the r1 ring, which signals an assembly bug")
+        keep.flags.writeable = False
+        n = int(keep.sum())
+        sel = keep if n < keep.size else slice(None)
+        self.__dict__.update(          # frozen: the fields are set once, here
+            matrix=grid_open.matrix[keep][:, keep] if n < keep.size else grid_open.matrix, n=n,
+            row_weights=grid_open.row_weights[sel], node_ring=grid_open.node_ring[sel],
+            node_col=grid_open.node_col[sel], cols=grid_open.cols.copy(),
+            wrap=self.problem.kind == "floquet", sector=self.problem.tag,
+            center_row=n - 1 if grid_open.factors.has_center else None, factors=grid_open.factors)
+
+
+def open_operator(problem: SectorProblem, m: int) -> OpenOperator:
+    """The fully open operator of a sector problem's m x m grid."""
     grid = PolarGrid.for_problem(problem, m)
     if problem.kind == "floquet":
         cols = np.arange(m)
@@ -340,10 +375,6 @@ def open_operator(problem: SectorProblem, m: int) -> AssembledOperator:
         bc_lo, bc_hi = problem.quarter_case[:2]
         cols = np.arange(0 if bc_lo == "N" else 1, m + 1 if bc_hi == "N" else m)
     f = _sector_factors(problem, grid, cols)
-    for field in fields(f):                 # shared by every opening of the grid
-        value = getattr(f, field.name)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
 
     ring, col = np.indices((m - 1, cols.size))     # ring t holds r = (t + 1) * dr
     n1 = ring.size
@@ -375,7 +406,6 @@ def open_operator(problem: SectorProblem, m: int) -> AssembledOperator:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(colix))),
         shape=(n, n)).tocsr()
 
-    # similarity weights making diag(sqrt(w)) A diag(1/sqrt(w)) Hermitian
     row_weights = f.r[ring.ravel()] * f.cell[col.ravel()]
     node_ring = ring.ravel() + 1
     node_col = cols[col.ravel()]
@@ -383,51 +413,34 @@ def open_operator(problem: SectorProblem, m: int) -> AssembledOperator:
         row_weights = np.append(row_weights, f.center_weight)
         node_ring = np.append(node_ring, 0)
         node_col = np.append(node_col, -1)
-    return AssembledOperator(
-        matrix=matrix, grid=grid, sector=problem.tag, problem=problem,
-        row_weights=row_weights, cols=cols, node_ring=node_ring, node_col=node_col,
-        center_row=n1 if f.has_center else None, wrap=problem.kind == "floquet", factors=f)
+    for array in [matrix.data, matrix.indices, matrix.indptr, row_weights, cols, node_ring,
+                  node_col, *(v for v in vars(f).values() if isinstance(v, np.ndarray))]:
+        array.flags.writeable = False
+    return OpenOperator(matrix=matrix, row_weights=row_weights, cols=cols,
+                        node_ring=node_ring, node_col=node_col, factors=f)
 
 
-# the open operator of each sector grid; `assemble` reads only its arrays and
-# factors, which do not depend on r1 or epsilon
+# the open operator of each sector grid, which does not depend on r1 or epsilon
 _OPEN_GRIDS = 8
 _open_grids = GridCache(_OPEN_GRIDS)
 
 
 def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
-    """Assemble the polar FD operator for a sector problem on an m x m grid:
-    the fully open operator of `SectorFactors` without the crack nodes, as
-    the principal submatrix of the grid's cached `open_operator`."""
+    """The opening of a sector problem's m x m grid: its cached open operator and crack mask."""
     spec = problem.geometry
     grid = PolarGrid.for_problem(problem, m)
     key = (problem.kind, problem.quarter_case or problem.ell, spec.n, m, spec.r2)
     grid_open = _open_grids.get(key, lambda: open_operator(problem, m))
-    f, cols, a = grid_open.factors, grid_open.cols, grid_open.matrix
 
     # crack: r1-ring columns >= e rays from a hole center, `period` columns apart
     e = grid.eps_ray(spec.epsilon)
-    keep = np.ones(a.shape[0], dtype=bool)
+    keep = np.ones_like(grid_open.node_ring, dtype=bool)
     if e < grid.open_ray:
+        cols = grid_open.cols
         period = round(2 * grid.eps_open / grid.dtheta)
         crack = np.flatnonzero(np.minimum(cols, period - cols) >= e)
         keep[(grid.r1_ring - 1) * cols.size + crack] = False
-
-    # the kept nodes keep their order, so each row's columns stay sorted
-    n = int(keep.sum())
-    entry_row = np.repeat(np.arange(keep.size), np.diff(a.indptr))
-    entries = keep[entry_row] & keep[a.indices]
-    renumber = (np.cumsum(keep) - 1).astype(a.indices.dtype)
-    per_row = np.bincount(entry_row[entries], minlength=keep.size)[keep]
-    indptr = np.concatenate([[0], np.cumsum(per_row)]).astype(a.indptr.dtype)
-    matrix = sp.csr_matrix((a.data[entries], renumber[a.indices[entries]], indptr),
-                           shape=(n, n))
-
-    return AssembledOperator(
-        matrix=matrix, grid=grid, sector=problem.tag,
-        problem=problem, row_weights=grid_open.row_weights[keep], cols=cols.copy(),
-        node_ring=grid_open.node_ring[keep], node_col=grid_open.node_col[keep],
-        center_row=n - 1 if f.has_center else None, wrap=grid_open.wrap, factors=f)
+    return AssembledOperator(grid=grid, problem=problem, open=grid_open, keep=keep)
 
 
 def dump_operator(op: AssembledOperator, path: str) -> None:

@@ -26,18 +26,18 @@ pi (2j + 1) / (2M) (NDD, DND) and run 2M + 1 tridiagonal eigensolves, not
 most m x m capacitance matrix C(lambda) = V_F diag(g(lambda)) V_F^H of the
 crack is singular, with g_j(lambda) = sum_i q_ij^2 / (nu_ij - lambda)
 (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8 (1971); Golub, SIAM
-Rev. 15 (1973)).  Haynsworth's
-inertia additivity counts the opening's eigenvalues below any sigma,
-N(sigma) = #{nu_ij < sigma} - neg(C(sigma)); the counts isolate each root
-between two poles nu, a safeguarded Newton step on the eigenvalue branch of
-C that crosses zero converges it, and after the roots are found the counts
-certify that none was skipped.  An eigenvector is one tridiagonal solve per
-mode and one angular transform.  A fully open grid takes the lowest poles
-and their tridiagonal eigenvectors.  A symmetrization residual out of
-tolerance, an operator that is not its grid's open operator without crack
-nodes on a seeded vector, an open operator that is not positive definite, a
-capacitance block whose Cholesky fails, or a count that contradicts the
-roots raises `SolverError`.
+Rev. 15 (1973)).  Haynsworth's inertia additivity counts the opening's
+eigenvalues below any sigma, N(sigma) = #{nu_ij < sigma} - neg(C(sigma));
+the counts isolate each root between two poles nu, a safeguarded Newton
+step on the eigenvalue branch of C that crosses zero converges it, and
+after the roots are found the counts certify that none was skipped.  An
+eigenvector is one tridiagonal solve per mode and one angular transform.  A
+fully open grid takes the lowest poles and their tridiagonal eigenvectors.
+Checked once for all its openings, an open operator whose symmetrization
+residual is out of tolerance or whose seeded product misses its factors'
+raises `SolverError` at every sparse solve, as do one that is not positive
+definite, a capacitance block whose Cholesky fails, or a count that
+contradicts the roots.
 
 `open_solve` inverts a fully open operator from the same rows, without
 their spectra: the angular transform, one positive-definite tridiagonal
@@ -73,7 +73,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .discretize import AssembledOperator, GridCache, SectorFactors
+from .discretize import AssembledOperator, GridCache, OpenOperator, SectorFactors, SolverError
 
 __all__ = ["SolverError", "Spectrum", "open_solve", "lowest_eigenpairs",
            "group_multiplicities"]
@@ -145,10 +145,6 @@ class _OneBlasThread:
 
 
 one_blas_thread = _OneBlasThread(_openblas_thread_controls())
-
-
-class SolverError(RuntimeError):
-    """Eigensolver failure."""
 
 
 @dataclass
@@ -264,24 +260,21 @@ class _ModeRows:
         e[:, :-1] = self.off
         self.coupling = e.ravel()[:-1]
 
-    def field(self, z: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """The vector of unknowns of mode coefficients z (modes by rows);
-        `active` masks the unknowns (`_unknowns`)."""
-        lead = int(self.has_center)
-        x = (z[:, lead:].T @ self.ang.T).reshape(-1)[active]
-        return np.append(x, z[0, 0]) if self.has_center else x
+    def field(self, z: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """The unknowns (open grid nodes on `keep`) of mode coefficients z."""
+        x = (z[:, int(self.has_center):].T @ self.ang.T).reshape(-1)
+        return (np.append(x, z[0, 0]) if self.has_center else x)[keep]
 
-    def coefficients(self, x: np.ndarray, active: np.ndarray) -> np.ndarray:
+    def coefficients(self, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """The mode coefficients of the vector of unknowns x: the adjoint of
         `field`, which is its inverse on a fully open grid."""
         lead = int(self.has_center)
-        n1 = x.size - lead
-        rings = np.zeros(active.size, dtype=x.dtype)
-        rings[active] = x[:n1]
+        nodes = np.zeros(keep.size, dtype=x.dtype)
+        nodes[keep] = x
         z = np.zeros(self.diag.shape, dtype=np.result_type(x, self.ang))
-        z[:, lead:] = (rings.reshape(-1, self.ang.shape[0]) @ self.ang.conj()).T
+        z[:, lead:] = (nodes[:keep.size - lead].reshape(-1, self.ang.shape[0]) @ self.ang.conj()).T
         if self.has_center:
-            z[0, 0] = x[n1]
+            z[0, 0] = nodes[-1]
         return z
 
     def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
@@ -383,23 +376,6 @@ def _grid_spectrum(op: AssembledOperator) -> _GridSpectrum:
     return _grid_cache.get((_GridSpectrum, *_grid_key(op)), build)
 
 
-def _unknowns(op: AssembledOperator) -> np.ndarray:
-    """The operator's ring unknowns as a mask over a field of rings by
-    columns, C order (a boolean index scatters and gathers several times
-    faster than integers)."""
-    n1 = op.n - int(op.center_row is not None)
-    active = np.zeros((op.grid.m - 1) * op.cols.size, dtype=bool)
-    active[(op.node_ring[:n1] - 1) * op.cols.size + op.node_col[:n1] - op.cols[0]] = True
-    return active
-
-
-def _crack(op: AssembledOperator) -> np.ndarray:
-    """The positions in `op.cols` of the r1-ring columns that are not
-    unknowns."""
-    present = op.node_col[op.node_ring == op.grid.r1_ring] - op.cols[0]
-    return np.setdiff1d(np.arange(op.cols.size), present)
-
-
 def open_solve(op: AssembledOperator, b: np.ndarray) -> np.ndarray:
     """A^-1 b for the matrix A of a fully open operator (no crack nodes) with
     real factors, from its grid's mode rows (`_ModeRows`, in the grid
@@ -407,33 +383,25 @@ def open_solve(op: AssembledOperator, b: np.ndarray) -> np.ndarray:
     every mode's tridiagonal (`_ModeRows.solve_open`), back to the unknowns,
     and scaled by 1/sqrt(w).  Raises `SolverError` when a pivot of the solve
     is not positive: the open operator is then not positive definite."""
-    if _crack(op).size or np.iscomplexobj(op.matrix) or np.iscomplexobj(b):
+    if not op.keep.all() or np.iscomplexobj(op.matrix) or np.iscomplexobj(b):
         raise ValueError("open_solve takes a fully open real operator and a real vector")
     rows = _grid_cache.get((_ModeRows, *_grid_key(op)),
                            lambda: _ModeRows(op.factors, op.grid.r1_ring - 1))
-    d, active = np.sqrt(op.row_weights), _unknowns(op)
-    return rows.field(rows.solve_open(rows.coefficients(b * d, active)), active) / d
+    d = np.sqrt(op.row_weights)
+    return rows.field(rows.solve_open(rows.coefficients(b * d, op.keep)), op.keep) / d
 
 
-def _check_operator(op: AssembledOperator) -> None:
-    """Raise `SolverError` unless `op.matrix` is its grid's open operator
-    (`op.factors`) without crack nodes on the r1 ring, on a seeded vector."""
-    f, active = op.factors, _unknowns(op)
-    n1 = op.n - int(f.has_center)
-    if active.size - n1 != _crack(op).size or (op.center_row is not None) != f.has_center:
-        raise SolverError("the operator's unknowns are not its grid's nodes without "
-                          "crack nodes on the r1 ring, which signals an assembly bug")
-    x = np.random.default_rng(_SEED).standard_normal(op.n)
-    field = np.zeros(active.size)
-    field[active] = x[:n1]
-    field = field.reshape(-1, op.cols.size)
+def _check_operator(grid_open: OpenOperator) -> None:
+    """Raise `SolverError` unless the matrix is its factors' operator on a seeded vector."""
+    f = grid_open.factors
+    x = np.random.default_rng(_SEED).standard_normal(grid_open.node_ring.size)
+    field = x[:f.r.size * f.cell.size].reshape(f.r.size, f.cell.size)
     y = f.radial @ field + f.scale[:, np.newaxis] * (field @ f.angular.T)
+    want = y.reshape(-1)                    # a view: the center's term lands in it
     if f.has_center:
-        y[0] += f.center_in * x[n1]
-    want = y.reshape(-1)[active]
-    if f.has_center:
-        want = np.append(want, f.center_diag * x[n1] + f.center_out @ field[0])
-    err = np.linalg.norm(op.matrix @ x - want) / np.linalg.norm(want)
+        y[0] += f.center_in * x[-1]
+        want = np.append(want, f.center_diag * x[-1] + f.center_out @ field[0])
+    err = np.linalg.norm(grid_open.matrix @ x - want) / np.linalg.norm(want)
     if not err <= _OPERATOR_TOL:
         raise SolverError(
             f"the operator is not its grid's open operator without crack nodes "
@@ -470,8 +438,9 @@ class _Secular:
 
     def __init__(self, op: AssembledOperator) -> None:
         self.spec = _grid_spectrum(op)
-        self.active = _unknowns(op)
-        vf = self.spec.ang[_crack(op)]
+        self.keep = op.keep
+        c, ring = op.cols.size, op.grid.r1_ring
+        vf = self.spec.ang[~op.keep[(ring - 1) * c:ring * c]]     # the crack's columns
         if vf.shape[0]:
             try:
                 chol = np.linalg.cholesky((vf * self.spec.g0) @ vf.conj().T)
@@ -666,7 +635,7 @@ class _Secular:
         z = z * (self.vf_h @ v[:f])[:, np.newaxis]
         for j, y, coef in near:
             z[j] += coef * y
-        return self.spec.field(z, self.active)
+        return self.spec.field(z, self.keep)
 
     def lowest(self, k: int):
         """The k lowest eigenvalues and their vectors, certified complete."""
@@ -678,7 +647,7 @@ class _Secular:
                 j, i = np.unravel_index(flat, spec.poles.shape)
                 z = np.zeros(spec.diag.shape)
                 z[j] = spec.vector(j, i)
-                vecs.append(self.spec.field(z, self.active))
+                vecs.append(self.spec.field(z, self.keep))
             return spec.sorted[:k].copy(), np.stack(vecs, axis=1)
         lam, vecs, lo = np.empty(k), [], 0
         for t in range(1, k + 1):
@@ -707,12 +676,16 @@ class _Secular:
                 f"{lam[-1]:.12g}, where {lam.size} were found")
 
 
-def _asymmetry(matrix: sp.csr_matrix, d: np.ndarray) -> float:
+def _asymmetry(matrix: sp.csr_matrix, d: np.ndarray, ring: np.ndarray | None = None) -> float:
     """max |S - S^H| / max |S| for S = diag(d) A diag(1/d), from A's CSR
     arrays.  A's CSC arrays are A^T's CSR arrays, on the same pattern when
     that pattern is symmetric, so each stored entry meets its mirror at the
     same position; a pattern that is not symmetric is an assembly bug and
-    raises."""
+    raises.  Given each node's `ring`, the divisor is b = min over rings k
+    of max |S_pq| over p, q off ring k, so that the value bounds that of any
+    S' without nodes of one ring k (an opening): S' holds every entry off
+    ring k, so max |S'| >= b, and some entries of S - S^H.  A ring off S's
+    largest entry gives that entry, so only its (at most two) rings count."""
     if not matrix.has_canonical_format:
         matrix = matrix.copy()
         matrix.sum_duplicates()
@@ -725,18 +698,29 @@ def _asymmetry(matrix: sp.csr_matrix, d: np.ndarray) -> float:
     inv = 1.0 / d
     s = np.repeat(d, per_row) * matrix.data * inv[col]
     diff = s - (d[col] * mirror.data * np.repeat(inv, per_row)).conj()
-    return np.abs(diff).max(initial=0.0) / np.abs(s).max()
+    size = np.abs(s)
+    scale = size.max()
+    if ring is not None:
+        rows, cols, top = np.repeat(ring, per_row), ring[col], np.argmax(size)
+        scale = min(size[(rows != k) & (cols != k)].max(initial=0.0)
+                    for k in (rows[top], cols[top]))
+    return np.abs(diff).max(initial=0.0) / scale
+
+
+def _check_grid(grid_open: OpenOperator) -> bool:
+    """The checks of an open operator, which cover all of its openings; True if they pass."""
+    asym = _asymmetry(grid_open.matrix, np.sqrt(grid_open.row_weights), grid_open.node_ring)
+    if not asym <= _ASYM_TOL:
+        raise SolverError(f"symmetrized operator is not Hermitian (relative "
+                          f"residual {asym:.3e}); this signals an assembly bug")
+    _check_operator(grid_open)
+    return True
 
 
 def _sparse_path(op: AssembledOperator, k: int):
-    d = np.sqrt(op.row_weights)
-    asym = _asymmetry(op.matrix, d)
-    if asym > _ASYM_TOL:
-        raise SolverError(f"symmetrized operator is not Hermitian (relative "
-                          f"residual {asym:.3e}); this signals an assembly bug")
-    _check_operator(op)
+    op.open.checks.get((), lambda: _check_grid(op.open))    # once per open operator
     lam, x = _Secular(op).lowest(k)
-    return lam, x / d[:, np.newaxis]
+    return lam, x / np.sqrt(op.row_weights)[:, np.newaxis]
 
 
 def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,

@@ -224,14 +224,12 @@ class CrossingEvent:
 def _sign_changes(d: np.ndarray) -> list[tuple[int, int]]:
     """Index pairs (a, b), a < b, where the finite gap `d` changes sign: d[a]
     and d[b] are nonzero with opposite signs and every point between them is
-    an exact zero.  A NaN breaks the run; a zero at either end of the sweep,
-    or one the gap leaves with the sign it came with, is no sign change."""
+    an exact zero.  A zero at either end of the sweep, or one the gap leaves
+    with the sign it came with, is no sign change."""
     pairs = []
     last = None
     for t, x in enumerate(d):
-        if not np.isfinite(x):
-            last = None
-        elif x != 0.0:
+        if x != 0.0:
             if last is not None and (d[last] > 0) != (x > 0):
                 pairs.append((last, t))
             last = t
@@ -246,9 +244,12 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
     A sign change through exact zeros at sweep points is bracketed across
     those points.  Events with rank above `rank_of_interest` are dropped.
     Curves of the same sector never cross transversally and are not compared.
+    A curve value that is not finite raises `ValueError`.
     """
     if len(curve.epsilons) < 2:
         raise ValueError("need at least two sweep points to detect crossings")
+    if not all(np.isfinite(arr).all() for arr in curve.values.values()):
+        raise ValueError("a curve value is not finite")
     problems = {p.label: p for p, _ in reduce_to_sectors(curve.geometry)}
     grid = PolarGrid.for_problem(next(iter(problems.values())), curve.m)
     rays = [grid.eps_ray(e) for e in curve.epsilons]
@@ -349,10 +350,9 @@ def sector_field(op: AssembledOperator, vector: np.ndarray) -> np.ndarray:
     """Map a solution vector onto the (ring, column) grid of the sector;
     eliminated nodes are NaN, the center unknown is dropped.  A complex
     vector gives a complex field."""
-    out = np.full((op.grid.m - 1, len(op.cols)), np.nan, dtype=np.result_type(vector, float))
-    sel = op.node_ring > 0
-    out[op.node_ring[sel] - 1, np.searchsorted(op.cols, op.node_col[sel])] = vector[sel]
-    return out
+    out = np.full(op.keep.size, np.nan, dtype=np.result_type(vector, float))
+    out[op.keep] = vector
+    return out[:(op.grid.m - 1) * len(op.cols)].reshape(op.grid.m - 1, len(op.cols))
 
 
 def recombine_full_domain(op: AssembledOperator, vector: np.ndarray) -> np.ndarray:

@@ -270,4 +270,4 @@ def test_disk_green_keeps_no_second_copy_of_the_disk():
     assert np.array_equal(alone.matrix.indices, kept.matrix.indices)
     assert np.array_equal(alone.row_weights, kept.row_weights)
     assert np.array_equal(alone.node_ring, kept.node_ring)
-    assert alone.center_row == kept.center_row == alone.n - 1
+    assert alone.factors.has_center and kept.center_row == alone.node_ring.size - 1

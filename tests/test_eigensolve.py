@@ -18,7 +18,7 @@ from crackspec.domain import (
     quarter_problems,
     reduce_to_sectors,
 )
-from crackspec import capacity, eigensolve
+from crackspec import capacity, discretize, eigensolve
 from crackspec.capacity import CapacityProblem, capacitary_potential
 from crackspec.discretize import assemble
 from crackspec.eigensolve import (
@@ -35,6 +35,11 @@ def _toy_op(case="DDD", m=10, eps=0.9):
     spec = build_cracked_disk(2, eps, 0.4356, 1.0)
     problem = next(p for p in quarter_problems(spec) if p.quarter_case == case)
     return assemble(problem, m)
+
+
+def _with_open(op, **changes):
+    """The opening `op` of its grid's open operator with `changes`."""
+    return dataclasses.replace(op, open=dataclasses.replace(op.open, **changes))
 
 
 def test_dense_and_sparse_paths_agree():
@@ -63,7 +68,7 @@ def test_shift_invariance():
     op = _toy_op("NDD", m=12)
     rng = np.random.default_rng(11)
     c = float(rng.uniform(0.5, 5.0))
-    shifted = dataclasses.replace(op, matrix=(op.matrix + c * sp.identity(op.n)).tocsr())
+    shifted = _with_open(op, matrix=(op.open.matrix + c * sp.identity(op.keep.size)).tocsr())
     base = lowest_eigenpairs(op, 4, method="dense").eigenvalues
     moved = lowest_eigenpairs(shifted, 4, method="dense").eigenvalues
     assert np.allclose(moved, base + c, rtol=0, atol=1e-10)
@@ -78,8 +83,10 @@ def test_eigenvalues_sorted():
 def test_complex_pair_detection():
     op = _toy_op(m=10)
     rot = sp.csr_matrix(np.array([[1.0, -2.0], [2.0, 1.0]]))  # eigenvalues 1 +- 2i
-    fake = dataclasses.replace(op, matrix=sp.block_diag([rot] * 5).tocsr(),
-                               row_weights=np.ones(10))
+    fake_open = dataclasses.replace(op.open, matrix=sp.block_diag([rot] * 5).tocsr(),
+                                    row_weights=np.ones(10), node_ring=np.ones(10, dtype=int),
+                                    node_col=np.arange(10))
+    fake = dataclasses.replace(op, open=fake_open, keep=np.ones(10, dtype=bool))
     with pytest.raises(SolverError):
         lowest_eigenpairs(fake, 2, method="dense")
 
@@ -145,8 +152,8 @@ def test_operator_check_refuses_a_shifted_matrix(op):
     # the secular solve knows the grid's own operator; shifted above
     # lambda_1 the matrix is another one, and one seeded product shows it
     lam1 = np.linalg.eigvalsh(_symmetrized(op).toarray())[0]
-    shift = (1.0 + 1e-3) * lam1 * sp.identity(op.n)
-    shifted = dataclasses.replace(op, matrix=(op.matrix - shift).tocsr())
+    shift = (1.0 + 1e-3) * lam1 * sp.identity(op.keep.size)
+    shifted = _with_open(op, matrix=(op.open.matrix - shift).tocsr())
     with pytest.raises(SolverError, match="not its grid's open operator"):
         lowest_eigenpairs(shifted, 2)
 
@@ -155,8 +162,8 @@ def test_inverse_refuses_factors_that_are_not_positive_definite():
     # the positive-definite banded solve stops at the first pivot that is
     # not positive
     op = _toy_op("DND", m=11, eps=math.pi / 2)
-    f = op.factors
-    broken = dataclasses.replace(op, factors=dataclasses.replace(f, radial=-f.radial))
+    f = op.open.factors
+    broken = _with_open(op, factors=dataclasses.replace(f, radial=-f.radial))
     eigensolve._grid_cache.clear()
     with pytest.raises(SolverError, match="not positive definite \\(pivot"):
         open_solve(broken, np.ones(broken.n))
@@ -174,8 +181,8 @@ def test_open_solve_refuses_an_opening_and_complex_data():
 
 def test_secular_solve_refuses_factors_that_are_not_positive_definite():
     op = _toy_op("NDD", m=11)
-    f = op.factors
-    broken = dataclasses.replace(op, factors=dataclasses.replace(f, radial=-f.radial))
+    f = op.open.factors
+    broken = _with_open(op, factors=dataclasses.replace(f, radial=-f.radial))
     eigensolve._grid_cache.clear()
     with pytest.raises(SolverError, match="open operator has eigenvalue"):
         eigensolve._grid_spectrum(broken)
@@ -184,14 +191,12 @@ def test_secular_solve_refuses_factors_that_are_not_positive_definite():
 
 def test_secular_solve_refuses_an_operator_without_a_node_off_the_ring():
     # dropping a ring-1 node keeps every product with the open operator
-    # exact, so only the node count shows that it is not a crack node
+    # exact, so only the mask shows that it is not a crack node
     op = _toy_op("DDD", m=12, eps=0.4)
-    keep = np.arange(1, op.n)
-    sub = dataclasses.replace(op, matrix=op.matrix[keep][:, keep].tocsr(),
-                              row_weights=op.row_weights[keep],
-                              node_ring=op.node_ring[keep], node_col=op.node_col[keep])
+    keep = op.keep.copy()
+    keep[0] = False
     with pytest.raises(SolverError, match="not its grid's nodes without crack nodes"):
-        lowest_eigenpairs(sub, 2)
+        dataclasses.replace(op, keep=keep)
 
 
 def test_secular_solve_refuses_a_capacitance_block_that_is_not_positive_definite(monkeypatch):
@@ -277,8 +282,8 @@ def test_open_solve_inverts_every_fully_open_real_grid(data):
 
 def test_asymmetric_symmetrization_raises_on_the_sparse_path():
     op = _toy_op("DND", m=12)
-    weights = op.row_weights * np.random.default_rng(5).uniform(0.9, 1.1, op.n)
-    skewed = dataclasses.replace(op, row_weights=weights)
+    weights = op.open.row_weights * np.random.default_rng(5).uniform(0.9, 1.1, op.keep.size)
+    skewed = _with_open(op, row_weights=weights)
     with pytest.raises(SolverError, match="symmetrized operator is not Hermitian"):
         lowest_eigenpairs(skewed, 3, method="sparse")
     assert lowest_eigenpairs(skewed, 3, method="dense").eigenvalues.size == 3
@@ -332,6 +337,54 @@ def test_sparse_path_matches_dense_oracle(sector, opening, m, ring, k):
     sparse = lowest_eigenpairs(op, k, method="sparse")
     assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
     assert (sparse.residuals <= 1e-8 * np.maximum(1.0, sparse.eigenvalues)).all()
+
+
+_GRIDS = st.integers(8, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sector=st.sampled_from(_ALL_SECTORS), grid=_GRIDS,
+       opening=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+# closed with r1 on ring 1, where the opening loses the largest entries of S
+@example(sector=("quarter", "NND", 2), grid=(40, 1), opening=0.0)
+@example(sector=("floquet", 1, 3), grid=(40, 1), opening=0.0)
+def test_an_opening_is_its_open_operator_on_its_mask(sector, grid, opening):
+    # `opening` is epsilon in units of pi/n
+    (kind, which, n), (m, ring) = sector, grid
+    op = assemble(_sector(kind, which, n, opening * math.pi / n, ring, m), m)
+    grid_open, keep = op.open, op.keep
+    want = grid_open.matrix[keep][:, keep].tocsr()
+    want.sort_indices()
+    assert np.array_equal(op.matrix.indptr, want.indptr)
+    assert np.array_equal(op.matrix.indices, want.indices)
+    assert op.matrix.data.tobytes() == want.data.tobytes()
+    for name in ("row_weights", "node_ring", "node_col"):
+        assert np.array_equal(getattr(op, name), getattr(grid_open, name)[keep])
+    assert np.array_equal(op.cols, grid_open.cols)
+    assert (grid_open.node_ring[~keep] == op.grid.r1_ring).all()
+    # the grid's symmetrization residual bounds the opening's
+    bound = eigensolve._asymmetry(grid_open.matrix, np.sqrt(grid_open.row_weights),
+                                  grid_open.node_ring)
+    assert eigensolve._asymmetry(op.matrix, np.sqrt(op.row_weights)) <= bound
+    assert bound <= eigensolve._ASYM_TOL
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(op, matrix=want)
+
+
+def test_a_sweep_checks_each_grid_once(monkeypatch):
+    # the symmetrization and seeded checks of a grid's open operator cover
+    # all of its openings: three openings of two sector grids run each twice
+    calls = {"_asymmetry": 0, "_check_operator": 0}
+    for name in calls:
+        def spy(*args, inner=getattr(eigensolve, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(eigensolve, name, spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    discretize._open_grids.clear()
+    sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5, 0.9], 16, 2)
+    assert calls == {"_asymmetry": 2, "_check_operator": 2}
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,7 +562,7 @@ def test_a_lookup_that_finds_only_scipys_openblas_still_pins_it(monkeypatch, bla
 @needs_openblas
 def test_blas_count_restored_after_a_solver_error(blas_threads):
     op = _toy_op("NDD", m=12)
-    shifted = dataclasses.replace(op, matrix=(op.matrix - 100.0 * sp.identity(op.n)).tocsr())
+    shifted = _with_open(op, matrix=(op.open.matrix - 100.0 * sp.identity(op.keep.size)).tocsr())
     with pytest.raises(SolverError, match="not its grid's open operator"):
         lowest_eigenpairs(shifted, 2)
     assert blas_threads() == TWO

@@ -333,9 +333,10 @@ def test_touching_curves_are_no_crossing():
 
 
 def test_sign_changes_break_at_nan_and_ignore_end_zeros():
-    assert _sign_changes(np.array([1.0, np.nan, -1.0])) == []
-    assert _sign_changes(np.array([1.0, 0.0, np.nan, 0.0, -1.0])) == []
-    assert _sign_changes(np.array([1.0, np.nan, 1.0, -1.0])) == [(2, 3)]
+    # a NaN in a curve is refused: it would hide a sign change across it
+    curve, _ = _hand_set_curve([10.0, np.nan, 8.0], [9.5, 9.0, 8.5])
+    with pytest.raises(ValueError, match="a curve value is not finite"):
+        detect_crossings(curve, 10)
     assert _sign_changes(np.array([0.0, 1.0, 2.0])) == []
     assert _sign_changes(np.array([1.0, 2.0, 0.0])) == []
     assert _sign_changes(np.array([0.0, 0.0])) == []
