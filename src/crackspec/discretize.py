@@ -46,9 +46,10 @@ plus the center.  The open operator (`open_operator`) does not depend on r1
 or epsilon, so `assemble` builds it once per sector grid (kind, ell or
 quarter case, n, m, r2), keeps it in a bounded cache (`_OPEN_GRIDS` grids),
 and returns every opening as that operator plus the mask `keep` of its
-unknowns (`AssembledOperator`, which derives the principal submatrix on
-`keep` and refuses a mask that drops a node off the r1 ring).  `eigensolve`
-checks each open operator once for all of its openings.
+unknowns (`AssembledOperator`, which derives the node arrays on `keep`,
+the principal submatrix on `keep` only when it is read, and refuses a mask
+that drops a node off the r1 ring).  `eigensolve` checks each open
+operator once for all of its openings, and applies it to every opening.
 """
 
 from __future__ import annotations
@@ -332,13 +333,16 @@ class OpenOperator:
 class AssembledOperator:
     """One opening: its grid's open operator without the crack nodes, where
     `keep` is False.  The other fields derive from these four, as copies on
-    `keep`, or the open operator's read-only arrays if no node is dropped."""
+    `keep`, or the open operator's read-only arrays if no node is dropped.
+    `matrix`, the principal submatrix on `keep`, is derived on its first
+    read (`__getattr__`): the solves apply the open operator, and only the
+    dense oracle, `dump_operator` and `capacity` read it."""
 
     grid: PolarGrid
     problem: SectorProblem
     open: OpenOperator
     keep: np.ndarray
-    matrix: sp.csr_matrix = field(init=False)
+    matrix: sp.csr_matrix = field(init=False, repr=False)
     n: int = field(init=False)
     row_weights: np.ndarray = field(init=False)
     node_ring: np.ndarray = field(init=False)
@@ -359,11 +363,17 @@ class AssembledOperator:
         n = int(keep.sum())
         sel = keep if n < keep.size else slice(None)
         self.__dict__.update(          # frozen: the fields are set once, here
-            matrix=grid_open.matrix[keep][:, keep] if n < keep.size else grid_open.matrix, n=n,
-            row_weights=grid_open.row_weights[sel], node_ring=grid_open.node_ring[sel],
+            n=n, row_weights=grid_open.row_weights[sel], node_ring=grid_open.node_ring[sel],
             node_col=grid_open.node_col[sel], cols=grid_open.cols.copy(),
             wrap=self.problem.kind == "floquet", sector=self.problem.tag,
             center_row=n - 1 if grid_open.factors.has_center else None, factors=grid_open.factors)
+
+    def __getattr__(self, name: str):
+        if name != "matrix":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        keep, matrix = self.keep, self.open.matrix
+        self.__dict__["matrix"] = matrix = matrix if keep.all() else matrix[keep][:, keep]
+        return matrix
 
 
 def open_operator(problem: SectorProblem, m: int) -> OpenOperator:

@@ -9,35 +9,51 @@ path (LAPACK *geev*, `method="dense"`) is the independent oracle of the
 tests.  Eigenvectors of a complex operator stay complex.
 
 Every opening of a sector is the same fully open tensor-product operator
-(`discretize.SectorFactors`) without its crack nodes F on the r1 ring.  Per
-grid (`_ModeRows`), each angular mode j of the open operator is a symmetric
-tridiagonal T_j = Rs + lam_j diag(D) over the rings.  The angular
-eigenvalues lam_j = 4 sin^2(theta_j / 2) come from the closed-form
-frequencies theta_j of `SectorFactors.frequency`, so equal frequencies give
-equal lam_j to the bit in every sector.  The eigenvalues nu_ij of the T_j
-are the open operator's spectrum (`_GridSpectrum`, cached for at most
-`_CACHED_GRIDS` grids); only their eigenvectors' r1-ring entries q_ij are
-kept.  T_j depends on the sector only through lam_j, so one table per
-radial grid (m, r2, dtheta and r1 ring, in the same cache) holds nu and q^2
-for each lam met, and every mode but the center's bordered one takes them
-from it: the four quarter grids at M share theta = pi j / M (NND, DDD) and
-pi (2j + 1) / (2M) (NDD, DND) and run 2M + 1 tridiagonal eigensolves, not
-4M.  Per opening (`_Secular`), lambda is an eigenvalue exactly when the at
-most m x m capacitance matrix C(lambda) = V_F diag(g(lambda)) V_F^H of the
-crack is singular, with g_j(lambda) = sum_i q_ij^2 / (nu_ij - lambda)
-(Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8 (1971); Golub, SIAM
-Rev. 15 (1973)).  Haynsworth's inertia additivity counts the opening's
-eigenvalues below any sigma, N(sigma) = #{nu_ij < sigma} - neg(C(sigma));
-the counts isolate each root between two poles nu, a safeguarded Newton
-step on the eigenvalue branch of C that crosses zero converges it, and
-after the roots are found the counts certify that none was skipped.  An
-eigenvector is one tridiagonal solve per mode and one angular transform.  A
-fully open grid takes the lowest poles and their tridiagonal eigenvectors.
-Checked once for all its openings, an open operator whose symmetrization
-residual is out of tolerance or whose seeded product misses its factors'
-raises `SolverError` at every sparse solve, as do one that is not positive
-definite, a capacitance block whose Cholesky fails, or a count that
-contradicts the roots.
+(`discretize.SectorFactors`) without its crack nodes F on the r1 ring; the
+rest of the ring is the hole H.  Per grid (`_ModeRows`), each angular mode j
+of the open operator is a symmetric tridiagonal T_j = Rs + lam_j diag(D)
+over the rings.  The angular eigenvalues lam_j = 4 sin^2(theta_j / 2) come
+from the closed-form frequencies theta_j of `SectorFactors.frequency`, so
+equal frequencies give equal lam_j to the bit in every sector.  A side of
+the ring (`_Side`) is the spectrum that one of its capacitance matrices has
+poles at, mode by mode:
+- the open side (`_GridSpectrum`, cached for at most `_CACHED_GRIDS`
+  grids): the eigenvalues nu_ij of the T_j, the open operator's spectrum,
+  with their eigenvectors' r1-ring entries q_ij; the crack's capacitance
+  matrix C(lambda) = V_F diag(g(lambda)) V_F^H, the block of
+  (S - lambda)^-1 on F, with g_j(lambda) = sum_i q_ij^2 / (nu_ij - lambda)
+  (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8 (1971); Golub, SIAM
+  Rev. 15 (1973));
+- the closed side (`_ClosedSide`, built on a grid's first hole-side
+  opening): the eigenvalues mu_ij of each T_j without its r1 row (two
+  tridiagonals, inside and outside the ring), the fully closed spectrum; the
+  hole's capacitance matrix D(lambda) = V_H diag(1/g(lambda)) V_H^H, the
+  block on H of the inverse of the ring block of (S - lambda)^-1, with
+  1/g_j the Schur complement of T_j - lambda on its r1 row (Proskurowski &
+  Widlund, Math. Comp. 30 (1976)).
+T_j depends on the sector only through lam_j, so one table per radial grid
+(m, r2, dtheta and r1 ring, in the same cache) holds each side's poles and
+weights for each lam met, and every mode but the center's bordered one
+takes them from it: the four quarter grids at M share theta = pi j / M
+(NND, DDD) and pi (2j + 1) / (2M) (NDD, DND) and run 2M + 1 tridiagonal
+eigensolves per side, not 4M.  Each opening (`_Secular`) is solved on the
+smaller side, the hole when |H| < |F|: lambda is an eigenvalue exactly when
+that side's matrix, of size at most m x m, is singular (Jacobi's
+complementary minors), and Haynsworth's inertia additivity counts the
+opening's eigenvalues below any sigma, N = #{nu < sigma} - neg(C) =
+#{mu < sigma} + neg(D).  The counts isolate each root between two poles, a
+safeguarded Newton step on the eigenvalue branch of the matrix that
+crosses zero converges it, and after the roots are found the counts
+certify that none was skipped.  An eigenvector is one banded solve over
+the modes' tridiagonals (on the hole, with the ring row held at the hole's
+values) and one angular transform.  A fully open or fully closed grid takes
+the lowest poles and their tridiagonal eigenvectors.  Checked once for all
+its openings, an open operator whose symmetrization residual is out of
+tolerance or whose seeded product misses its factors' raises `SolverError`
+at every sparse solve, as do one that is not positive definite, a
+capacitance block whose Cholesky fails, or a count that contradicts the
+roots.  The solves and the residual certificates apply the open operator,
+so an opening's own matrix is derived only where it is read.
 
 `open_solve` inverts a fully open operator from the same rows, without
 their spectra: the angular transform, one positive-definite tridiagonal
@@ -45,8 +61,9 @@ solve over every mode, whose pivots prove the open operator positive
 definite, and the transform back.  It gives the Green's column of the
 capacitary potential.
 
-Every reported pair carries the certificate  ||A v - lambda v|| / ||v||
-computed on the original matrix, and eigenvalues are accepted only if their
+Every reported pair carries the certificate  ||A v - lambda v|| / ||v||,
+with A v the open operator's product with v on the opening's nodes, and
+eigenvalues are accepted only if their
 imaginary part is negligible.
 
 Every solve runs on one BLAS thread: `lowest_eigenpairs`, like
@@ -63,6 +80,7 @@ not OpenBLAS is left as it is.
 from __future__ import annotations
 
 import ctypes
+import functools
 import importlib
 import itertools
 import threading
@@ -157,9 +175,14 @@ class Spectrum:
     vectors: np.ndarray
 
 
-def _certify(matrix: sp.csr_matrix, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def _certify(op: AssembledOperator, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """||A v - lam v|| / ||v|| per pair, with A v the open operator's product
+    with v scattered onto `keep`, on the rows of `keep`: the same sums as
+    the opening's own matrix, plus products with zeros."""
     norms = np.linalg.norm(vecs, axis=0)
-    res = np.linalg.norm(matrix @ vecs - vecs * lam[np.newaxis, :], axis=0)
+    nodes = np.zeros((op.keep.size, vecs.shape[1]), dtype=vecs.dtype)
+    nodes[op.keep] = vecs
+    res = np.linalg.norm((op.open.matrix @ nodes)[op.keep] - vecs * lam[np.newaxis, :], axis=0)
     return res / norms
 
 
@@ -175,7 +198,7 @@ def _accept_real(lam: np.ndarray, where: str) -> np.ndarray:
 
 def _real_if_real(op: AssembledOperator, vecs: np.ndarray) -> np.ndarray:
     """Eigenvectors in the field of the operator: real for a real matrix."""
-    return vecs if np.iscomplexobj(op.matrix) else np.real(vecs)
+    return vecs if np.iscomplexobj(op.open.matrix) else np.real(vecs)
 
 
 def _dense_path(op: AssembledOperator, k: int):
@@ -277,13 +300,27 @@ class _ModeRows:
             z[0, 0] = nodes[-1]
         return z
 
-    def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def pinned(self) -> np.ndarray:
+        """`coupling` without the r1 ring's links, for the closed grid's solves."""
+        e = np.zeros(self.diag.shape)
+        e[:, :-1] = self.off
+        e[:, max(self.ring - 1, 0):self.ring + 1] = 0.0
+        return e.ravel()[:-1]
+
+    def solve(self, sigma: float, rhs: np.ndarray, pinned: bool = False) -> np.ndarray:
         """(T_j - sigma)^-1 rhs[j] for every mode j: one banded solve with
-        partial pivoting over the modes' tridiagonals end to end."""
+        partial pivoting over the modes' tridiagonals end to end.  `pinned`
+        puts the identity's row and column in place of the r1 ring's, which
+        holds the ring entry at rhs[j, ring] and solves the rows off the
+        ring, the closed grid's."""
         d = self.diag - sigma
         d[self.lead > 0, 0] = 1.0                   # the dummy rows
-        _, _, _, x, info = lapack.dgtsv(self.coupling, d.ravel(), self.coupling,
-                                        rhs.reshape(-1, 1))
+        coupling = self.coupling
+        if pinned:
+            d[:, self.ring] = 1.0
+            coupling = self.pinned
+        _, _, _, x, info = lapack.dgtsv(coupling, d.ravel(), coupling, rhs.reshape(-1, 1))
         if info != 0:
             raise SolverError(f"a mode's tridiagonal is singular at {sigma!r}")
         return x.reshape(d.shape)
@@ -301,24 +338,63 @@ class _ModeRows:
         return x.reshape(self.diag.shape)
 
 
-class _GridSpectrum(_ModeRows):
-    """The open operator's spectrum of one sector grid, angular mode by
-    angular mode, for the secular solve.
+class _Side:
+    """One side of the r1 ring of a sector grid: the poles of its
+    capacitance matrix's mode functions
+
+        phi_j(sigma) = alpha_j + beta sigma + sum_i w_ij / (p_ij - sigma),
+
+    which rise with sigma between poles.  `poles[j]` and `weights[j]` hold
+    mode j's p_ij and w_ij (+inf and 0 where it has fewer).  For the unit
+    eigenvector y_ij of p_ij (`vector`), w_ij = (y_ij . unit[j])^2, and
+    `solve` applies (T_j - sigma)^-1 on this side's rows, so that
+    `solve(sigma, unit)` is the mode rows of a vector that the side's
+    capacitance matrix maps to zero.  `sorted` lists the finite poles ascending and `order` their flat indices;
+    `values`, `first` and `size` list the distinct poles ascending after a
+    pole at 0 with no copies, each with the index in `sorted` of its first
+    copy and its number of copies."""
+
+    def _index(self) -> None:
+        flat = self.poles.ravel()
+        self.order = np.argsort(flat, kind="stable")[:np.isfinite(flat).sum()]
+        self.sorted = flat[self.order]
+        values, first, size = np.unique(self.sorted, return_index=True, return_counts=True)
+        self.values, self.first, self.size = (np.append(0, a) for a in (values, first, size))
+        self._vectors: dict[tuple, np.ndarray] = {}
+
+    def vector(self, j: int, i: int) -> np.ndarray:
+        """The unit eigenvector of p_ij as a row of length L, read-only and
+        kept: the openings of a grid border the same poles."""
+        y = self._vectors.get((j, i))
+        if y is None:
+            y = self._eigenvector(j, i)
+            y.flags.writeable = False
+            self._vectors[j, i] = y
+        return y
+
+
+class _GridSpectrum(_ModeRows, _Side):
+    """The open side of one sector grid: the open operator's spectrum, angular
+    mode by angular mode, for the crack's capacitance matrix.
 
     `poles[j]` holds the eigenvalues nu_ij of T_j, ascending (+inf where T_j
     is the shorter one), and `weights[j]` the squares q_ij^2 of their unit
-    eigenvectors' r1-ring entries.  T_j depends on the sector only through
-    lam_j, so every mode but the bordered one takes both from `radial`, the
-    table by lam of its radial grid (m, r2, dtheta and r1 ring), which every
-    sector on that grid shares: each lam is solved once, by whichever thread
-    needs it first, and modes of one frequency share nu and q^2 to the bit.
-    `g0` is the Green's value g_j(0) = sum_i q_ij^2 / nu_ij of each mode.
-    `values`, `first` and `size` list the distinct poles ascending, with the
-    index in `order` (the flat indices of the finite poles, ascending) of
-    each one's first copy and its number of copies."""
+    eigenvectors' r1-ring entries: phi_j is the Green's value
+    g_j(sigma) = sum_i q_ij^2 / (nu_ij - sigma), with no affine part, and
+    `unit[j]` is the ring's unit row.  T_j depends on the sector only
+    through lam_j, so every mode but the bordered one takes both from
+    `radial`, the table by lam of its radial grid (m, r2, dtheta and r1
+    ring), which every sector on that grid shares: each lam is solved once,
+    by whichever thread needs it first, and modes of one frequency share nu
+    and q^2 to the bit.  `g0` is the Green's value g_j(0) = sum_i q_ij^2 /
+    nu_ij of each mode.  The closed side of the grid (`closed`) is built on
+    its first use, from the same table."""
+
+    alpha, beta = 0.0, 0.0
 
     def __init__(self, f: SectorFactors, ring: int, radial: GridCache) -> None:
         super().__init__(f, ring)
+        self.radial = radial
         self.poles = np.full(self.diag.shape, np.inf)
         self.weights = np.zeros(self.diag.shape)
         for j, lj in enumerate(self.lam):
@@ -332,11 +408,11 @@ class _GridSpectrum(_ModeRows):
                 f"the open operator has eigenvalue {self.poles.min():.3e} <= 0; it is "
                 "not positive definite, which signals an assembly bug")
         self.g0 = (self.weights / self.poles).sum(axis=1)
-        flat = self.poles.ravel()
-        self.order = np.argsort(flat, kind="stable")[:np.isfinite(flat).sum()]
-        self.sorted = flat[self.order]
-        self.values, self.first, self.size = np.unique(
-            self.sorted, return_index=True, return_counts=True)
+        self.unit = np.zeros(self.diag.shape)
+        self.unit[:, self.ring] = 1.0
+        self._index()
+        self._closed = None
+        self._lock = threading.Lock()
 
     def _spectrum(self, j: int):
         """(nu, q^2) of T_j."""
@@ -344,7 +420,7 @@ class _GridSpectrum(_ModeRows):
         nu, y = sla.eigh_tridiagonal(self.diag[j, lo:], self.off[j, lo:])
         return nu, y[self.ring - lo] ** 2           # keeps one row, not y
 
-    def vector(self, j: int, i: int) -> np.ndarray:
+    def _eigenvector(self, j: int, i: int) -> np.ndarray:
         """The unit eigenvector of nu_ij, as a row of length L."""
         lo = self.lead[j]
         _, y = sla.eigh_tridiagonal(self.diag[j, lo:], self.off[j, lo:],
@@ -352,6 +428,83 @@ class _GridSpectrum(_ModeRows):
         out = np.zeros(self.diag.shape[1])
         out[lo:] = y[:, 0]
         return out
+
+    def closed(self) -> _ClosedSide:
+        """The closed side of this grid, built once."""
+        with self._lock:
+            if self._closed is None:
+                self._closed = _ClosedSide(self)
+            return self._closed
+
+
+class _ClosedSide(_Side):
+    """The closed side of one sector grid: the spectrum of the grid with
+    every r1-ring node Dirichlet, for the hole's capacitance matrix.
+
+    Per mode, the Schur complement of T_j - sigma on its ring row is
+
+        1/g_j(sigma) = (a_j - sigma) - sum_i w_ij / (mu_ij - sigma),
+
+    with a_j the ring row's diagonal entry and mu_ij the eigenvalues of T_j
+    without that row: those of its inner block (the center and the rings
+    below r1) and of its outer block (the rings above), two tridiagonals.
+    `poles[j]` holds the inner block's mu_ij, then the outer block's, and w_ij
+    is the square of an eigenvector's entry next to the ring times its link
+    to the ring.  phi_j = -1/g_j: alpha_j = -a_j and beta = 1.  `solve` pins
+    the ring row (`_ModeRows.solve`), and `unit[j]` holds it at 1 and moves
+    its links to the rows next to it.  Every mode but the bordered one takes
+    mu and w from the open side's radial table, as the open side does."""
+
+    beta = 1.0
+
+    def __init__(self, rows: _GridSpectrum) -> None:
+        self.rows = rows
+        r = rows.ring
+        self.alpha = -rows.diag[:, r]
+        self.unit = np.zeros(rows.diag.shape)
+        self.unit[:, r] = 1.0
+        if r > 0:
+            self.unit[:, r - 1] = -rows.off[:, r - 1]
+        if r + 1 < rows.diag.shape[1]:
+            self.unit[:, r + 1] = -rows.off[:, r]
+        self.poles = np.full(rows.diag.shape, np.inf)
+        self.weights = np.zeros(rows.diag.shape)
+        for j, lj in enumerate(rows.lam):
+            if rows.has_center and j == 0:
+                mu, w = self._spectrum(j)
+            else:
+                mu, w = rows.radial.get(("closed", lj), lambda: self._spectrum(j))
+            self.poles[j, :mu.size], self.weights[j, :mu.size] = mu, w
+        self._index()
+
+    def _blocks(self, j: int):
+        """The row ranges of T_j's inner and outer blocks."""
+        return (self.rows.lead[j], self.rows.ring), (self.rows.ring + 1, self.rows.diag.shape[1])
+
+    def _spectrum(self, j: int):
+        """(mu, w) of T_j without its ring row."""
+        mu, w = [], []
+        for lo, hi in self._blocks(j):
+            if hi > lo:
+                m, y = sla.eigh_tridiagonal(self.rows.diag[j, lo:hi], self.rows.off[j, lo:hi - 1])
+                mu.append(m)
+                w.append((self.unit[j, lo:hi] @ y) ** 2)
+        return np.concatenate(mu), np.concatenate(w)
+
+    def _eigenvector(self, j: int, i: int) -> np.ndarray:
+        """The unit eigenvector of mu_ij, as a row of length L, 0 on the ring."""
+        (lo, hi), outer = self._blocks(j)
+        if i >= hi - lo:
+            i, (lo, hi) = i - (hi - lo), outer
+        _, y = sla.eigh_tridiagonal(self.rows.diag[j, lo:hi], self.rows.off[j, lo:hi - 1],
+                                    select="i", select_range=(i, i))
+        out = np.zeros(self.rows.diag.shape[1])
+        out[lo:hi] = y[:, 0]
+        return out
+
+    def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
+        """The closed grid's solve: the ring row held at rhs[j, ring]."""
+        return self.rows.solve(sigma, rhs, pinned=True)
 
 
 _CACHED_GRIDS = 8
@@ -383,7 +536,7 @@ def open_solve(op: AssembledOperator, b: np.ndarray) -> np.ndarray:
     every mode's tridiagonal (`_ModeRows.solve_open`), back to the unknowns,
     and scaled by 1/sqrt(w).  Raises `SolverError` when a pivot of the solve
     is not positive: the open operator is then not positive definite."""
-    if not op.keep.all() or np.iscomplexobj(op.matrix) or np.iscomplexobj(b):
+    if not op.keep.all() or np.iscomplexobj(op.open.matrix) or np.iscomplexobj(b):
         raise ValueError("open_solve takes a fully open real operator and a real vector")
     rows = _grid_cache.get((_ModeRows, *_grid_key(op)),
                            lambda: _ModeRows(op.factors, op.grid.r1_ring - 1))
@@ -410,116 +563,157 @@ def _check_operator(grid_open: OpenOperator) -> None:
 
 
 class _Secular:
-    """The lowest eigenpairs of one opening as the roots of its crack's
-    capacitance matrix.
+    """The lowest eigenpairs of one opening as the roots of the capacitance
+    matrix of one side of the r1 ring (`_Side`).
 
     The opening's operator is S, the grid's open operator, without the crack
-    nodes F on the r1 ring.  Away from the poles nu_ij (`_GridSpectrum`),
-    lambda is one of its eigenvalues exactly when
+    nodes F on the r1 ring; the hole H is the rest of the ring.  The opening
+    is solved on the smaller of the two, the hole when |H| < |F|.  With V_X
+    the rows of V = `_ModeRows.ang` on the side's columns X, its capacitance
+    matrix is
 
-        C(lambda) = V_F diag(g(lambda)) V_F^H,  g_j(lambda) = sum_i q_ij^2 / (nu_ij - lambda),
+        Phi(sigma) = V_X diag(phi(sigma)) V_X^H:
 
-    the block of (S - lambda)^-1 on F, is singular, and by Haynsworth's
-    inertia additivity the opening has
+    on the crack (the open side) the block C of (S - sigma)^-1 on F
+    (Buzbee, Dorr, George & Golub); on the hole (the closed side) -D, with D
+    the block on H of the ring's Schur complement of S - sigma, the inverse
+    of the ring block of (S - sigma)^-1 (Proskurowski & Widlund).  Away from
+    the side's poles, lambda is an eigenvalue exactly when Phi(lambda) is
+    singular (Jacobi's complementary minors), and by Haynsworth's inertia
+    additivity the opening has
 
-        N(sigma) = #{nu_ij < sigma} - neg(C(sigma))
+        N(sigma) = #{p_ij < sigma} + offset - neg(Phi(sigma))
 
-    eigenvalues below sigma.  C is kept congruent to C(0)^-1/2 C C(0)^-1/2,
-    which has the same inertia and roots: C(0) = I, so the modes that barely
-    move with lambda hold their eigenvalues near 1, away from the zero that
-    a root's branch crosses.  C' is positive semidefinite, so between two
-    poles the eigenvalues of C rise with lambda.  A root is isolated between
-    two adjacent poles by counts at the poles themselves, and converged by a
-    safeguarded Newton step on the eigenvalue branch that crosses zero
-    there.  Shifts are an origin pole plus an offset tau, and the origin's
-    terms -W W^H / tau are bordered out of C (`bordered`), so a root within
-    round-off of a pole (an eigenvector that barely sees the crack) keeps
-    its relative distance to it."""
+    eigenvalues below sigma, with `offset` 0 on the crack and |H| on the
+    hole, where N = #{mu_ij < sigma} + neg(D).  Phi is kept congruent to
+    |Phi(0)|^-1/2 Phi |Phi(0)|^-1/2, which has the same inertia and roots:
+    |Phi(0)| = V_X diag(g(0)^+-1) V_X^H, from the open side's Green's
+    values g(0) (+ on the crack, - on the hole), is positive definite as a
+    block of the inverse of a positive definite matrix, or of its Schur
+    complement, so
+    Phi(0) = +-I, and the modes that barely move with lambda hold their
+    eigenvalues near +-1, away from the zero that a root's branch crosses.
+    Phi' is positive semidefinite, so between two poles the eigenvalues of
+    Phi rise with lambda.  A root is isolated between two adjacent poles
+    (the lowest of them the pole 0) by counts at the poles themselves, and
+    converged by a safeguarded Newton step on the eigenvalue branch that
+    crosses zero there.  Shifts are an origin pole plus an offset tau, and
+    the terms of both poles of the interval are bordered out of Phi
+    (`bordered`), so a root within round-off of a pole (an eigenvector that
+    barely sees the side) keeps its relative distance to it, also between
+    two close poles: on the paper's ring, the hole side's root near j02^2
+    lies between the closed poles of the inner and outer blocks of one
+    mode.  A root at a pole, one per null vector of the pole's border, is
+    the pole itself."""
 
-    def __init__(self, op: AssembledOperator) -> None:
-        self.spec = _grid_spectrum(op)
-        self.keep = op.keep
+    def __init__(self, op: AssembledOperator, hole: bool | None = None) -> None:
+        rows = _grid_spectrum(op)
         c, ring = op.cols.size, op.grid.r1_ring
-        vf = self.spec.ang[~op.keep[(ring - 1) * c:ring * c]]     # the crack's columns
-        if vf.shape[0]:
+        crack = ~op.keep[(ring - 1) * c:ring * c]
+        if hole is None:
+            hole = 2 * int(crack.sum()) > c
+        self.rows, self.keep = rows, op.keep
+        self.spec = rows.closed() if hole else rows
+        vx = rows.ang[~crack if hole else crack]               # the side's columns
+        if vx.shape[0]:
             try:
-                chol = np.linalg.cholesky((vf * self.spec.g0) @ vf.conj().T)
+                chol = np.linalg.cholesky((vx * (1 / rows.g0 if hole else rows.g0)) @ vx.conj().T)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
-                    "the capacitance block of the crack is not positive definite, "
-                    "which signals an assembly bug") from exc
-            vf = sla.solve_triangular(chol, vf, lower=True)
-        self.vf = vf
-        self.vf_h = vf.conj().T
-        self.limits: dict[int, int] = {}
+                    f"the capacitance block of the {'hole' if hole else 'crack'} is not "
+                    "positive definite, which signals an assembly bug") from exc
+            vx = sla.solve_triangular(chol, vx, lower=True)
+        self.vx = vx
+        self.vx_h = vx.conj().T
+        self.offset = vx.shape[0] if hole else 0
+        # N(0) = 0, the opening being positive definite
+        self.limits: dict[int, tuple] = {0: (0, np.empty((0, 0)))}
+        self.borders: dict[tuple, tuple] = {}
 
     def count(self, sigma: float) -> int:
         """N(sigma), the number of the opening's eigenvalues below sigma."""
-        below = int(np.searchsorted(self.spec.sorted, sigma))
-        if self.vf.shape[0] == 0:
-            return below
-        g = (self.spec.weights / (self.spec.poles - sigma)).sum(axis=1)
-        return below - int((np.linalg.eigvalsh((self.vf * g) @ self.vf_h) < 0).sum())
-
-    def members(self, s: int):
-        """The (mode, index) pairs of the copies of the distinct pole s."""
         spec = self.spec
-        flat = spec.order[spec.first[s]:spec.first[s] + spec.size[s]]
-        return np.unravel_index(flat, spec.poles.shape)
+        below = int(np.searchsorted(spec.sorted, sigma)) + self.offset
+        if self.vx.shape[0] == 0:
+            return below
+        phi = (spec.weights / (spec.poles - sigma)).sum(axis=1) + spec.alpha + spec.beta * sigma
+        return below - int((np.linalg.eigvalsh((self.vx * phi) @ self.vx_h) < 0).sum())
 
-    def bordered(self, s: int, tau: float):
-        """C at sigma = values[s] + tau with the pole's own terms bordered
-        out, B = [[R, W], [W^H, tau I]]: its Schur complement is
-        R - W W^H / tau = C, so B is singular with C, neg(B) = neg(C) + c for
-        tau < 0 (c copies of the pole), and B has no 1/tau.  Also returns
-        R's g'."""
-        spec, f = self.spec, self.vf.shape[0]
-        j, i = self.members(s)
-        den = (spec.poles - spec.values[s]) - tau
+    def bordered(self, s: int, tau: float, other: int | None = None):
+        """Phi at sigma = values[s] + tau with the terms of the pole s, and
+        of the pole `other` if given, bordered out: B = [[R, W], [W^H, T]]
+        with T = diag(sigma - p) over the bordered copies p.  Its Schur
+        complement is R - W T^-1 W^H = Phi, so B is singular with Phi,
+        neg(B) = neg(Phi) plus the number of copies above sigma, and B has
+        no 1/(p - sigma).  Also returns R's phi'."""
+        spec, f = self.spec, self.vx.shape[0]
+        j, i, shift, border, border_h = self.copies(s, other)
+        origin = float(spec.values[s])
+        den = (spec.poles - origin) - tau
         den[j, i] = np.inf
         r = spec.weights / den
-        border = self.vf[:, j] * np.sqrt(spec.weights[j, i])
-        b = np.empty((f + j.size, f + j.size), dtype=self.vf.dtype)
-        b[:f, :f] = (self.vf * r.sum(axis=1)) @ self.vf_h
+        n = f + j.size
+        b = np.zeros((n, n), dtype=self.vx.dtype)
+        b[:f, :f] = (self.vx * (r.sum(axis=1) + (spec.alpha + spec.beta * (origin + tau)))) @ self.vx_h
         b[:f, f:] = border
-        b[f:, :f] = border.conj().T
-        b[f:, f:] = tau * np.eye(j.size)
-        return b, (r / den).sum(axis=1)
+        b[f:, :f] = border_h
+        b.flat[f * (n + 1)::n + 1] = tau + shift      # T's diagonal
+        return b, (r / den).sum(axis=1) + spec.beta
 
-    def count_at(self, s: int) -> int:
-        """N just below the distinct pole `values[s]`: C there is R plus an
-        unbounded positive part on the span of W (`bordered`), so neg(C) is
-        R's on W's complement."""
+    def copies(self, s: int, other: int | None = None):
+        """The (mode, index) pairs of the copies of the distinct pole s, then
+        of `other`, values[s] minus each one's pole, and the border W and
+        W^H of `bordered`, kept per pair."""
+        if (s, other) not in self.borders:
+            spec = self.spec
+            flat = np.concatenate([spec.order[spec.first[p]:spec.first[p] + spec.size[p]]
+                                   for p in ([s] if other is None else [s, other])])
+            j, i = np.unravel_index(flat, spec.poles.shape)
+            border = self.vx[:, j] * np.sqrt(spec.weights[j, i])
+            self.borders[s, other] = (j, i, spec.values[s] - spec.poles[j, i], border,
+                                      border.conj().T)
+        return self.borders[s, other]
+
+    def pole(self, s: int):
+        """N just below the distinct pole `values[s]`, and an orthonormal
+        basis (columns) of the null space of its border W (`bordered`).
+        Phi there is R plus an unbounded positive part on the span of W, so
+        neg(Phi) is R's on W's complement.  Each null vector a of W gives an
+        eigenvector at the pole itself, the pole's eigenvectors combined by
+        a, which the side's capacitance matrix does not see; N just above
+        the pole is larger by their number."""
         if s not in self.limits:
             b, _ = self.bordered(s, 0.0)
-            f = self.vf.shape[0]
-            u, sv, _ = np.linalg.svd(b[:f, f:])
-            rank = int((sv > 1e-12 * sv.max()).sum()) if sv.max() > 0 else 0
-            if rank < b.shape[0] - f:
-                raise SolverError(
-                    f"an eigenvalue of the opening lies on the open spectrum at "
-                    f"{self.spec.values[s]!r}: an open eigenvector vanishes on the crack")
+            f = self.vx.shape[0]
+            u, sv, vh = np.linalg.svd(b[:f, f:])
+            rank = int((sv > 1e-12 * sv.max(initial=0.0)).sum())
             rest = u[:, rank:]
             neg = int((np.linalg.eigvalsh(rest.conj().T @ b[:f, :f] @ rest) < 0).sum())
-            self.limits[s] = int(self.spec.first[s]) - neg
+            self.limits[s] = (int(self.spec.first[s]) + self.offset - neg, vh[rank:].conj().T)
         return self.limits[s]
 
-    def branch(self, s: int, tau: float, i: int):
-        """The i-th eigenvalue h of `bordered(s, tau)`, its slope, its unit
-        eigenvector and the largest |eigenvalue|."""
-        b, dg = self.bordered(s, tau)
+    def count_at(self, s: int) -> int:
+        """N just below the distinct pole `values[s]`."""
+        return self.pole(s)[0]
+
+    def branch(self, s: int, tau: float, i: int, other: int):
+        """The i-th eigenvalue h of `bordered(s, tau, other)`, its slope,
+        its unit eigenvector and the largest |eigenvalue|."""
+        b, dg = self.bordered(s, tau, other)
         h, v = np.linalg.eigh(b)
-        f, v = self.vf.shape[0], v[:, i]
-        dh = (dg * np.abs(self.vf_h @ v[:f]) ** 2).sum() + (np.abs(v[f:]) ** 2).sum()
+        f, v = self.vx.shape[0], v[:, i]
+        dh = (dg * np.abs(self.vx_h @ v[:f]) ** 2).sum() + (np.abs(v[f:]) ** 2).sum()
         return tau, h[i], dh, v, max(-h[0], h[-1])
 
     def root(self, t: int, lo: int):
         """The t-th lowest eigenvalue, given a distinct pole `values[lo]`
-        with fewer than t below it, as (origin pole, offset, null vector of
-        B, the pole interval's upper index)."""
-        spec = self.spec
-        # the t-th eigenvalue is at most the (t + |F|)-th pole (interlacing)
-        top = spec.sorted[min(t - 1 + self.vf.shape[0], spec.sorted.size - 1)]
+        with fewer than t below it, as (origin pole, the other bordered pole
+        or None, offset, null vector of B, the pole interval's upper
+        index)."""
+        spec, f = self.spec, self.vx.shape[0]
+        # the t-th eigenvalue is at most the (t + |F|)-th open pole and the
+        # t-th closed one (interlacing)
+        top = spec.sorted[min(t - 1 + f - self.offset, spec.sorted.size - 1)]
         hi = min(int(np.searchsorted(spec.values, top)) + 1, spec.values.size - 1)
         step = 1
         while lo + step < hi and self.count_at(lo + step) < t:   # gallop, then bisect
@@ -531,28 +725,33 @@ class _Secular:
                 hi = mid
             else:
                 lo = mid
-        i = int(spec.first[hi]) - t              # the branch of C that crosses zero
+        below, null = self.pole(lo)
+        if t <= below + null.shape[1]:          # at the pole itself
+            v = np.zeros(f + null.shape[0], dtype=np.result_type(self.vx, null))
+            v[f:] = null[:, t - below - 1]
+            return lo, None, 0.0, v, hi
+        # both poles of the interval are bordered, so B is regular on all of
+        # it and the branch of Phi that crosses zero has one index
+        i = int(spec.first[hi] + spec.size[hi]) + self.offset - t
         half = (spec.values[hi] - spec.values[lo]) / 2
         # the origin is the pole on the root's side of the midpoint; a and b
         # bracket the offset, and `sides` keeps the last point on each side
-        point = self.branch(lo, half, i)
-        origin, a, b, sides = lo, 0.0, half, {False: point}
+        point = self.branch(lo, half, i, hi)
+        origin, other, a, b, sides = lo, hi, 0.0, half, {False: point}
         if point[1] < 0:
-            i += int(spec.size[hi])
-            origin, a, b, sides = hi, -half, 0.0, {}
+            origin, other, a, b, sides = hi, lo, -half, 0.0, {}
         # first guess: with R held at the origin, B is singular where tau is
         # an eigenvalue of W^H R^-1 W, which is exact for a root at a pole
         b0, _ = self.bordered(origin, 0.0)
-        f = self.vf.shape[0]
         try:
             guess = np.linalg.eigvalsh(b0[:f, f:].conj().T @ np.linalg.solve(b0[:f, :f], b0[:f, f:]))
         except np.linalg.LinAlgError:
             guess = np.empty(0)
         inside = guess[(a < guess) & (guess < b)]
         if inside.size:
-            point = self.branch(origin, inside[0], i)
+            point = self.branch(origin, inside[0], i, other)
         elif origin == hi:
-            point = self.branch(hi, -half, i)
+            point = self.branch(hi, -half, i, other)
         sides[point[1] < 0] = point
         if point[1] < 0:
             a = max(a, point[0])
@@ -564,14 +763,15 @@ class _Secular:
             for tau, h, dh, v, scale in (point, sides.get(point[1] >= 0, point)):
                 new = tau - h / dh
                 if abs(new - tau) <= 4 * _EPS * abs(tau):
-                    return (origin, *self.polish(origin, tau, v, 8 * _EPS * scale / dh), hi)
+                    return (origin, other,
+                            *self.polish(origin, other, tau, v, 8 * _EPS * scale / dh), hi)
                 if a < new < b:
                     break
             else:
                 new = a + (b - a) / 2
                 if new in (a, b):
                     break
-            point = self.branch(origin, new, i)
+            point = self.branch(origin, new, i, other)
             sides[point[1] < 0] = point
             if point[1] < 0:
                 a = new
@@ -582,30 +782,30 @@ class _Secular:
         else:
             raise SolverError(f"the root step did not converge for eigenvalue {t}")
         noise = 8 * _EPS * point[4] / point[2]
-        return (origin, *self.polish(origin, point[0], point[3], noise), hi)
+        return (origin, other, *self.polish(origin, other, point[0], point[3], noise), hi)
 
-    def polish(self, s: int, tau: float, v: np.ndarray, noise: float):
+    def polish(self, s: int, other: int, tau: float, v: np.ndarray, noise: float):
         """For a root whose null vector [c; y] of B is mostly border (a root
-        near its pole, where W W^H / tau dominates C), Newton steps on
-        tau = kappa(tau), kappa the eigenvalue nearest tau of the Schur
-        complement W^H R^-1 W of `bordered`, each kept while tau stays within
-        the round-off `noise` of B's zero.  R is well conditioned there, and
-        the steps carry tau to its own relative accuracy and the null vector
-        to full accuracy, where B's eigenpairs give both only to eps ||B||:
-        a root at a pole that the crack barely sees lies within q^2 of it.
-        R c + W y = 0 makes the null vector [R^-1 W z; -z] for kappa's
-        eigenvector z.  Returns tau and the null vector."""
-        f, start = self.vf.shape[0], tau
+        near a bordered pole, where its terms W T^-1 W^H dominate Phi),
+        Newton steps on the eigenvalue kappa nearest 0 of the Schur
+        complement T - W^H R^-1 W of `bordered`, each kept while tau stays
+        within the round-off `noise` of B's zero.  R is well conditioned
+        there, and the steps carry tau to its own relative accuracy and the
+        null vector to full accuracy, where B's eigenpairs give both only to
+        eps ||B||: a root at a pole that the side barely sees lies within w
+        of it.  R c + W y = 0 makes the null vector [R^-1 W z; -z] for
+        kappa's eigenvector z.  Returns tau and the null vector."""
+        f, start = self.vx.shape[0], tau
         for _ in range(3 if np.linalg.norm(v[f:]) > np.linalg.norm(v[:f]) else 0):
-            b0, dg = self.bordered(s, tau)
+            b0, dg = self.bordered(s, tau, other)
             try:
                 x = np.linalg.solve(b0[:f, :f], b0[:f, f:])
             except np.linalg.LinAlgError:
                 break
-            kappa, z = np.linalg.eigh(b0[:f, f:].conj().T @ x)
-            near = np.argmin(np.abs(kappa - tau))
+            kappa, z = np.linalg.eigh(b0[f:, f:] - b0[:f, f:].conj().T @ x)
+            near = np.argmin(np.abs(kappa))
             x = x @ z[:, near]
-            new = tau - (tau - kappa[near]) / (1 + (dg * np.abs(self.vf_h @ x) ** 2).sum())
+            new = tau - kappa[near] / (1 + (dg * np.abs(self.vx_h @ x) ** 2).sum())
             if not abs(new - start) <= 16 * noise + 4 * _EPS * abs(start):
                 break
             done = abs(new - tau) <= 4 * _EPS * abs(tau)
@@ -614,46 +814,54 @@ class _Secular:
                 break
         return tau, v
 
-    def vector(self, s: int, tau: float, v: np.ndarray) -> np.ndarray:
-        """x = (S - sigma)^-1 E_F c at sigma = values[s] + tau, for the null
-        vector [c; y] of `bordered(s, tau)`: a tridiagonal solve per mode,
-        then the angular transform.  The terms of the pole s come apart from
-        the solve: by B's second row, q_p (V_F^H c)_j / (nu_p - sigma) is
-        sign(q_p) y_p, which keeps its accuracy where (V_F^H c)_j is all
-        cancellation."""
-        spec, f = self.spec, self.vf.shape[0]
-        rhs = np.zeros(spec.diag.shape)
-        rhs[:, spec.ring] = 1.0
+    def vector(self, s: int, other: int | None, tau: float, v: np.ndarray) -> np.ndarray:
+        """The eigenvector at sigma = values[s] + tau for the null vector
+        [c; y] of `bordered(s, tau, other)`: with the side's ring values
+        xi = V_X^H c of each mode, the mode rows xi_j (T_j - sigma)^-1 unit[j]
+        (`_Side`), one banded solve, then the angular transform.  On the
+        crack that is (S - sigma)^-1 E_F c; on the hole it holds the ring at
+        the hole's values and solves the rows off the ring.  The terms of
+        the bordered poles come apart from the solve: by B's second row, the
+        term e_p xi_j / (p - sigma) of a copy p, with e_p = y_p . unit[j],
+        is sign(e_p) y_p, which keeps its accuracy where xi_j is all
+        cancellation.  At a pole itself (c = 0) only those terms are left."""
+        spec, f = self.spec, self.vx.shape[0]
+        rhs = spec.unit.copy()
         near = []
-        for j, i, border in zip(*self.members(s), v[f:]):
+        for j, i, border in zip(*self.copies(s, other)[:2], v[f:]):
             y = spec.vector(j, i)
-            rhs[j] -= y[spec.ring] * y
-            near.append((j, y, np.sign(y[spec.ring]) * border))
-        z = spec.solve(spec.values[s] + tau, rhs)
-        for j, y, _ in near:
-            z[j] -= (y @ z[j]) * y
-        z = z * (self.vf_h @ v[:f])[:, np.newaxis]
+            e = y @ spec.unit[j]
+            rhs[j] -= e * y
+            near.append((j, y, np.sign(e) * border))
+        if v[:f].any():
+            z = spec.solve(spec.values[s] + tau, rhs)
+            for j, y, _ in near:
+                z[j] -= (y @ z[j]) * y
+            z = z * (self.vx_h @ v[:f])[:, np.newaxis]
+        else:
+            z = np.zeros(rhs.shape, dtype=v.dtype)
         for j, y, coef in near:
             z[j] += coef * y
-        return self.spec.field(z, self.keep)
+        return self.rows.field(z, self.keep)
 
     def lowest(self, k: int):
         """The k lowest eigenvalues and their vectors, certified complete."""
         spec = self.spec
-        if self.vf.shape[0] == 0:
-            # fully open: the lowest poles and their tridiagonal eigenvectors
+        if self.vx.shape[0] == 0:
+            # fully open or fully closed: the lowest poles and their
+            # tridiagonal eigenvectors
             vecs = []
             for flat in spec.order[:k]:
                 j, i = np.unravel_index(flat, spec.poles.shape)
-                z = np.zeros(spec.diag.shape)
+                z = np.zeros(spec.poles.shape)
                 z[j] = spec.vector(j, i)
-                vecs.append(self.spec.field(z, self.keep))
+                vecs.append(self.rows.field(z, self.keep))
             return spec.sorted[:k].copy(), np.stack(vecs, axis=1)
         lam, vecs, lo = np.empty(k), [], 0
         for t in range(1, k + 1):
-            s, tau, v, hi = self.root(t, lo)
+            s, other, tau, v, hi = self.root(t, lo)
             lam[t - 1] = spec.values[s] + tau
-            vecs.append(self.vector(s, tau, v))
+            vecs.append(self.vector(s, other, tau, v))
             lo = hi - 1
         self.certify(lam)
         return lam, np.stack(vecs, axis=1)
@@ -754,7 +962,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
             lam, vecs = _dense_path(op, k)
         else:
             lam, vecs = _sparse_path(op, k)
-        residuals = _certify(op.matrix, lam, vecs)
+        residuals = _certify(op, lam, vecs)
     lamscale = np.maximum(1.0, np.abs(lam))
     if (residuals > tol * lamscale).any():
         raise SolverError(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
 
 from crackspec.domain import (
@@ -426,6 +427,105 @@ def test_roots_within_round_off_of_the_open_spectrum():
     sparse = lowest_eigenpairs(op, 6)
     assert np.allclose(sparse.eigenvalues, oracle, rtol=1e-10, atol=0)
     assert sparse.eigenvalues[0] == pytest.approx(9.804, abs=5e-4)
+
+
+# ---------------------------------------------------------------------------
+# the two sides of the r1 ring
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(sector=st.sampled_from(_ALL_SECTORS), grid=_GRIDS,
+       opening=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), data=st.data())
+# a hole of one node: a Floquet ell=0 pair of closed poles has a combination
+# that the hole does not see, an eigenvalue at the pole itself
+@example(sector=("floquet", 0, 3), grid=(24, 10), opening=1 / 12, data=None)
+def test_both_sides_agree(sector, grid, opening, data):
+    # `opening` is epsilon in units of pi/n; the crack side and the hole
+    # side of one opening give the same counts and eigenvalues, and the
+    # eigenvalues lie between the open and the closed poles, index by index
+    (kind, which, n), (m, ring) = sector, grid
+    op = assemble(_sector(kind, which, n, opening * math.pi / n, ring, m), m)
+    crack, hole = eigensolve._Secular(op, hole=False), eigensolve._Secular(op, hole=True)
+    with one_blas_thread:
+        dense = np.linalg.eigvalsh(_symmetrized(op).toarray())
+    rng = np.random.default_rng(ring) if data is None else None
+    for _ in range(3):
+        sigma = (rng.uniform(1.0, 300.0) if data is None
+                 else data.draw(st.floats(1.0, 300.0), label="sigma"))
+        near = np.concatenate([crack.spec.sorted, hole.spec.sorted, dense])
+        if np.abs(near - sigma).min() >= 1e-8 * sigma:
+            assert crack.count(sigma) == hole.count(sigma) == (dense < sigma).sum()
+    k = min(6, op.n // 4)
+    with one_blas_thread:
+        lam_crack, _ = crack.lowest(k)
+        lam_hole, _ = hole.lowest(k)
+    assert np.allclose(lam_hole, lam_crack, rtol=1e-10, atol=0)
+    assert np.allclose(lam_hole, dense[:k], rtol=1e-10, atol=0)
+    open_poles, closed_poles = crack.spec.sorted[:k], hole.spec.sorted[:k]
+    assert (open_poles <= lam_hole * (1 + 1e-10)).all()
+    assert (lam_hole <= closed_poles * (1 + 1e-10)).all()
+
+
+@pytest.mark.parametrize("sector", [("quarter", "NND", 2), ("quarter", "DND", 2),
+                                    ("floquet", 0, 3), ("floquet", 1, 3)])
+@pytest.mark.parametrize("ring", [1, 5, 11])
+def test_closed_poles_are_the_fully_closed_spectrum(sector, ring):
+    # the closed side's poles against a dense solve of the open operator
+    # without every r1-ring node (the opening at epsilon = 0)
+    kind, which, n = sector
+    m = 12
+    op = assemble(_sector(kind, which, n, 0.3, ring, m), m)
+    keep = op.open.node_ring != op.grid.r1_ring
+    d = np.sqrt(op.open.row_weights[keep])
+    closed = (sp.diags(d) @ op.open.matrix[keep][:, keep] @ sp.diags(1.0 / d)).toarray()
+    dense = np.linalg.eigvalsh((closed + closed.conj().T) / 2)
+    poles = eigensolve._grid_spectrum(op).closed().sorted
+    assert poles.size == dense.size
+    assert np.allclose(poles, dense, rtol=1e-10, atol=0)
+
+
+def test_the_closed_table_is_built_once_per_radial_grid(monkeypatch):
+    # the four quarter grids share one radial grid: a crack-side opening
+    # builds only the open table (2m+1 tridiagonal eigensolves), and the
+    # first hole-side openings the closed one, two blocks per mode, once
+    m = 24
+    calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
+    eigensolve._grid_cache.clear()
+    wide = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, 1.2, 0.4356, 1.0))]
+    assert all(eigensolve._Secular(op).offset == 0 for op in wide)
+    assert len(calls) == 2 * m + 1
+    assert all(eigensolve._grid_spectrum(op)._closed is None for op in wide)
+    for eps in (0.2, 0.3):
+        narrow = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, eps, 0.4356, 1.0))]
+        assert all(eigensolve._Secular(op).offset > 0 for op in narrow)
+        assert len(calls) == 3 * (2 * m + 1)
+    eigensolve._grid_cache.clear()
+
+
+def test_roots_near_the_closed_spectrum_on_the_paper_ring():
+    # r1 on ring 44 of 101, 4e-6 from j01/j02, so J0(j02 r) nearly vanishes
+    # on the ring, and the paper's opening 0.29: the ell=0 sector is solved
+    # on its hole (27 of 101 ring columns).  The root near j02^2 lies
+    # between the closed poles of mode 0's inner and outer blocks, 2.4e-6
+    # and 1.9e-6 away, so both are bordered out: bordering only the nearer
+    # one left the eigenvector's residual at 8.5e-8 relative.  The oracle
+    # is shift-invert Lanczos on the symmetrized opening: a dense eigh at
+    # 10,101 unknowns would take minutes and gigabytes.
+    op = assemble(_sector("floquet", 0, 3, 0.29, 44, 101), 101)
+    solve = eigensolve._Secular(op)
+    assert solve.offset == 27
+    poles = solve.spec.sorted
+    spec = lowest_eigenpairs(op, 3)
+    lam = spec.eigenvalues[1]
+    assert lam == pytest.approx(30.4634, abs=1e-4)
+    assert (np.abs(poles - lam) < 3e-6 * lam).sum() == 2
+    oracle = spla.eigsh(_symmetrized(op).tocsc(), k=3, sigma=30.0, v0=np.ones(op.n),
+                        tol=0, return_eigenvectors=False)
+    assert np.allclose(spec.eigenvalues, np.sort(oracle), rtol=1e-10, atol=0)
+    assert (spec.residuals <= 1e-8 * spec.eigenvalues).all()
+    crack = eigensolve._Secular(op, hole=False)
+    with one_blas_thread:
+        assert np.allclose(crack.lowest(3)[0], spec.eigenvalues, rtol=1e-10, atol=0)
 
 
 # ---------------------------------------------------------------------------
