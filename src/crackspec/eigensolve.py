@@ -10,26 +10,29 @@ tests.  Eigenvectors of a complex operator stay complex.
 
 Every opening of a sector is the same fully open tensor-product operator
 (`discretize.SectorFactors`) without its crack nodes F on the r1 ring; the
-rest of the ring is the hole H.  Per grid (`_ModeRows`), each angular mode j
-of the open operator is a symmetric tridiagonal T_j = Rs + lam_j diag(D)
-over the rings.  The angular eigenvalues lam_j = 4 sin^2(theta_j / 2) come
-from the closed-form frequencies theta_j of `SectorFactors.frequency`, so
-equal frequencies give equal lam_j to the bit in every sector.  A side of
-the ring (`_Side`) is the spectrum that one of its capacitance matrices has
-poles at, mode by mode:
-- the open side (`_GridSpectrum`, cached for at most `_CACHED_GRIDS`
-  grids): the eigenvalues nu_ij of the T_j, the open operator's spectrum,
-  with their eigenvectors' r1-ring entries q_ij; the crack's capacitance
-  matrix C(lambda) = V_F diag(g(lambda)) V_F^H, the block of
+rest of the ring is the hole H.  Per grid (`_ModeRows`, cached for at most
+`_CACHED_GRIDS` grids), each angular mode j of the open operator is a
+symmetric tridiagonal T_j = Rs + lam_j diag(D) over the rings.  The angular
+eigenvalues lam_j = 4 sin^2(theta_j / 2) come from the closed-form
+frequencies theta_j of `SectorFactors.frequency`, so equal frequencies give
+equal lam_j to the bit in every sector.  A side of the ring (`_Side`, built
+on its first use) is the spectrum that one of its capacitance matrices has
+poles at, mode by mode: the eigenvalues of the tridiagonal blocks of T_j
+between its held rows, each with the square of its eigenvector's dot with
+the side's unit row.
+- The open side holds no row of T_j: its poles are the eigenvalues nu_ij of
+  the T_j, the open operator's spectrum, and the unit row is the r1 ring's,
+  which gives the eigenvectors' ring entries q_ij.  The crack's capacitance
+  matrix is C(lambda) = V_F diag(g(lambda)) V_F^H, the block of
   (S - lambda)^-1 on F, with g_j(lambda) = sum_i q_ij^2 / (nu_ij - lambda)
   (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8 (1971); Golub, SIAM
-  Rev. 15 (1973));
-- the closed side (`_ClosedSide`, built on a grid's first hole-side
-  opening): the eigenvalues mu_ij of each T_j without its r1 row (two
-  tridiagonals, inside and outside the ring), the fully closed spectrum; the
-  hole's capacitance matrix D(lambda) = V_H diag(1/g(lambda)) V_H^H, the
-  block on H of the inverse of the ring block of (S - lambda)^-1, with
-  1/g_j the Schur complement of T_j - lambda on its r1 row (Proskurowski &
+  Rev. 15 (1973)).
+- The closed side holds the r1 row: its poles are the eigenvalues mu_ij of
+  each T_j without that row (two tridiagonals, inside and outside the ring),
+  the fully closed spectrum, and the unit row carries the ring's links.  The
+  hole's capacitance matrix is D(lambda) = V_H diag(1/g(lambda)) V_H^H, the
+  block on H of the inverse of the ring block of (S - lambda)^-1, with 1/g_j
+  the Schur complement of T_j - lambda on its r1 row (Proskurowski &
   Widlund, Math. Comp. 30 (1976)).
 T_j depends on the sector only through lam_j, so one table per radial grid
 (m, r2, dtheta and r1 ring, in the same cache) holds each side's poles and
@@ -80,7 +83,6 @@ not OpenBLAS is left as it is.
 from __future__ import annotations
 
 import ctypes
-import functools
 import importlib
 import itertools
 import threading
@@ -99,7 +101,7 @@ __all__ = ["SolverError", "Spectrum", "open_solve", "lowest_eigenpairs",
 _IMAG_TOL = 1e-8            # |Im lambda| <= tol * max(1, |lambda|)
 _ASYM_TOL = 1e-9            # relative symmetrization residual
 _SEED = 20230921            # deterministic vector of the operator checks
-_OPERATOR_TOL = 1e-12       # op.matrix against its factors' operator, relative
+_OPERATOR_TOL = 1e-12       # an open operator's matrix against its factors', relative
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 200            # root steps per eigenvalue
 _CLUSTER_GAP = 1e-9         # relative offset of the completeness counts
@@ -258,9 +260,11 @@ class _ModeRows:
     the other modes get a decoupled dummy row in front (`lead`), so that the
     r1 ring is entry `ring` of every row.  `coupling` is `off` with the rows
     laid end to end, a zero between two modes, for the banded solves over
-    every mode at once."""
+    every mode at once.  `side` builds each side of the r1 ring once, from
+    the table of the radial grid keyed `radial` in the grid cache."""
 
-    def __init__(self, f: SectorFactors, ring: int) -> None:
+    def __init__(self, f: SectorFactors, ring: int, radial: tuple) -> None:
+        self.radial, self.sides = radial, GridCache(None)
         v, self.lam = _angular_modes(f)
         self.ang = v
         self.has_center = f.has_center
@@ -300,30 +304,9 @@ class _ModeRows:
             z[0, 0] = nodes[-1]
         return z
 
-    @functools.cached_property
-    def pinned(self) -> np.ndarray:
-        """`coupling` without the r1 ring's links, for the closed grid's solves."""
-        e = np.zeros(self.diag.shape)
-        e[:, :-1] = self.off
-        e[:, max(self.ring - 1, 0):self.ring + 1] = 0.0
-        return e.ravel()[:-1]
-
-    def solve(self, sigma: float, rhs: np.ndarray, pinned: bool = False) -> np.ndarray:
-        """(T_j - sigma)^-1 rhs[j] for every mode j: one banded solve with
-        partial pivoting over the modes' tridiagonals end to end.  `pinned`
-        puts the identity's row and column in place of the r1 ring's, which
-        holds the ring entry at rhs[j, ring] and solves the rows off the
-        ring, the closed grid's."""
-        d = self.diag - sigma
-        d[self.lead > 0, 0] = 1.0                   # the dummy rows
-        coupling = self.coupling
-        if pinned:
-            d[:, self.ring] = 1.0
-            coupling = self.pinned
-        _, _, _, x, info = lapack.dgtsv(coupling, d.ravel(), coupling, rhs.reshape(-1, 1))
-        if info != 0:
-            raise SolverError(f"a mode's tridiagonal is singular at {sigma!r}")
-        return x.reshape(d.shape)
+    def side(self, hole: bool) -> _Side:
+        """The open (False) or closed (True) side of this grid, built on its first use."""
+        return self.sides.get((hole,), lambda: _Side(self, hole))
 
     def solve_open(self, rhs: np.ndarray) -> np.ndarray:
         """T_j^-1 rhs[j] for every mode j: one LDL^T solve over the modes'
@@ -339,22 +322,74 @@ class _ModeRows:
 
 
 class _Side:
-    """One side of the r1 ring of a sector grid: the poles of its
-    capacitance matrix's mode functions
+    """One side of the r1 ring of a sector grid, for the capacitance matrix
+    of the crack (the open side, `hole` False) or of the hole (the closed
+    side): the poles of its mode functions
 
         phi_j(sigma) = alpha_j + beta sigma + sum_i w_ij / (p_ij - sigma),
 
-    which rise with sigma between poles.  `poles[j]` and `weights[j]` hold
-    mode j's p_ij and w_ij (+inf and 0 where it has fewer).  For the unit
-    eigenvector y_ij of p_ij (`vector`), w_ij = (y_ij . unit[j])^2, and
-    `solve` applies (T_j - sigma)^-1 on this side's rows, so that
+    which rise with sigma between poles.  The side holds some rows of every
+    T_j (`held`): the dummy rows, and on the closed side the r1 ring.  The
+    rows between two held rows are a block, a tridiagonal of its own.
+    `poles[j]` holds the eigenvalues p_ij of mode j's blocks, block by block
+    and ascending in each (+inf where it has fewer), and `weights[j]` the
+    squares w_ij = (y_ij . unit[j])^2 for their unit eigenvectors y_ij
+    (`vector`).
+    - On the open side T_j is one block, so p_ij = nu_ij, the open
+      operator's spectrum, and `unit[j]` is the ring's unit row, so w_ij =
+      q_ij^2, the squared ring entries: phi_j is the Green's value g_j(sigma)
+      = sum_i q_ij^2 / (nu_ij - sigma), with no affine part.
+    - On the closed side the blocks are T_j inside and outside the ring, so
+      p_ij = mu_ij, the fully closed spectrum, and `unit[j]` is 1 on the ring
+      and minus the ring's links on the rows next to it: the Schur
+      complement of T_j - sigma on its ring row is 1/g_j(sigma) =
+      (a_j - sigma) - sum_i w_ij / (mu_ij - sigma), with a_j the ring row's
+      diagonal entry, and phi_j = -1/g_j: alpha_j = -a_j and beta = 1.
+    `solve` applies (T_j - sigma)^-1 on the blocks, so that
     `solve(sigma, unit)` is the mode rows of a vector that the side's
-    capacitance matrix maps to zero.  `sorted` lists the finite poles ascending and `order` their flat indices;
-    `values`, `first` and `size` list the distinct poles ascending after a
-    pole at 0 with no copies, each with the index in `sorted` of its first
-    copy and its number of copies."""
+    capacitance matrix maps to zero.  T_j depends on the sector only through
+    lam_j, so every mode but the bordered one takes p_ij and w_ij from the
+    table by side and lam of its radial grid (m, r2, dtheta and r1 ring,
+    `_ModeRows.radial`), which every sector on that grid shares: each lam is
+    solved once per side, by whichever thread needs it first, and modes of
+    one frequency share the poles and weights to the bit.  `g0` is
+    sum_i w_ij / p_ij per mode, on the open side the Green's value g_j(0).
+    `sorted` lists the finite poles ascending and `order` their flat
+    indices; `values`, `first` and `size` list the distinct poles ascending
+    after a pole at 0 with no copies, each with the index in `sorted` of its
+    first copy and its number of copies."""
 
-    def _index(self) -> None:
+    def __init__(self, rows: _ModeRows, hole: bool) -> None:
+        self.rows, self.hole = rows, hole
+        shape, r = rows.diag.shape, rows.ring
+        self.held = np.zeros(shape, dtype=bool)
+        self.held[rows.lead > 0, 0] = True
+        self.held[:, r] = hole
+        links = np.zeros(shape)
+        links[:, :-1] = np.where(self.held[:, :-1] | self.held[:, 1:], 0.0, rows.off)
+        self.coupling = links.ravel()[:-1]
+        self.alpha, self.beta = (-rows.diag[:, r], 1.0) if hole else (0.0, 0.0)
+        self.unit = np.zeros(shape)
+        self.unit[:, r] = 1.0
+        if hole and r > 0:
+            self.unit[:, r - 1] = -rows.off[:, r - 1]
+        if hole and r + 1 < shape[1]:
+            self.unit[:, r + 1] = -rows.off[:, r]
+        radial = _grid_cache.get(rows.radial, lambda: GridCache(None))
+        self.poles = np.full(shape, np.inf)
+        self.weights = np.zeros(shape)
+        for j, lj in enumerate(rows.lam):
+            if rows.has_center and j == 0:
+                p, w = self._spectrum(j)
+            else:
+                p, w = radial.get((hole, lj), lambda: self._spectrum(j))
+            self.poles[j, :p.size], self.weights[j, :p.size] = p, w
+        if not self.poles.min() > 0:
+            raise SolverError(
+                f"the {'closed' if hole else 'open'} operator has eigenvalue "
+                f"{self.poles.min():.3e} <= 0; it is not positive definite, which signals "
+                "an assembly bug")
+        self.g0 = (self.weights / self.poles).sum(axis=1)
         flat = self.poles.ravel()
         self.order = np.argsort(flat, kind="stable")[:np.isfinite(flat).sum()]
         self.sorted = flat[self.order]
@@ -362,171 +397,65 @@ class _Side:
         self.values, self.first, self.size = (np.append(0, a) for a in (values, first, size))
         self._vectors: dict[tuple, np.ndarray] = {}
 
+    def _blocks(self, j: int):
+        """The row ranges of mode j's blocks."""
+        lo, r, end = self.rows.lead[j], self.rows.ring, self.rows.diag.shape[1]
+        return ((lo, r), (r + 1, end)) if self.hole else ((lo, end),)
+
+    def _spectrum(self, j: int):
+        """(p, w) of mode j."""
+        p, w = [], []
+        for lo, hi in self._blocks(j):
+            if hi > lo:
+                e, y = sla.eigh_tridiagonal(self.rows.diag[j, lo:hi], self.rows.off[j, lo:hi - 1])
+                p.append(e)
+                w.append((self.unit[j, lo:hi] @ y) ** 2)
+        return np.concatenate(p), np.concatenate(w)
+
     def vector(self, j: int, i: int) -> np.ndarray:
-        """The unit eigenvector of p_ij as a row of length L, read-only and
-        kept: the openings of a grid border the same poles."""
+        """The unit eigenvector of p_ij as a row of length L, 0 off its
+        block, read-only and kept: the openings of a grid border the same
+        poles."""
         y = self._vectors.get((j, i))
         if y is None:
-            y = self._eigenvector(j, i)
+            k = i
+            for lo, hi in self._blocks(j):
+                if k < hi - lo:
+                    break
+                k -= hi - lo
+            _, v = sla.eigh_tridiagonal(self.rows.diag[j, lo:hi], self.rows.off[j, lo:hi - 1],
+                                        select="i", select_range=(k, k))
+            y = np.zeros(self.rows.diag.shape[1])
+            y[lo:hi] = v[:, 0]
             y.flags.writeable = False
             self._vectors[j, i] = y
         return y
 
-
-class _GridSpectrum(_ModeRows, _Side):
-    """The open side of one sector grid: the open operator's spectrum, angular
-    mode by angular mode, for the crack's capacitance matrix.
-
-    `poles[j]` holds the eigenvalues nu_ij of T_j, ascending (+inf where T_j
-    is the shorter one), and `weights[j]` the squares q_ij^2 of their unit
-    eigenvectors' r1-ring entries: phi_j is the Green's value
-    g_j(sigma) = sum_i q_ij^2 / (nu_ij - sigma), with no affine part, and
-    `unit[j]` is the ring's unit row.  T_j depends on the sector only
-    through lam_j, so every mode but the bordered one takes both from
-    `radial`, the table by lam of its radial grid (m, r2, dtheta and r1
-    ring), which every sector on that grid shares: each lam is solved once,
-    by whichever thread needs it first, and modes of one frequency share nu
-    and q^2 to the bit.  `g0` is the Green's value g_j(0) = sum_i q_ij^2 /
-    nu_ij of each mode.  The closed side of the grid (`closed`) is built on
-    its first use, from the same table."""
-
-    alpha, beta = 0.0, 0.0
-
-    def __init__(self, f: SectorFactors, ring: int, radial: GridCache) -> None:
-        super().__init__(f, ring)
-        self.radial = radial
-        self.poles = np.full(self.diag.shape, np.inf)
-        self.weights = np.zeros(self.diag.shape)
-        for j, lj in enumerate(self.lam):
-            if f.has_center and j == 0:
-                nu, q2 = self._spectrum(j)
-            else:
-                nu, q2 = radial.get((lj,), lambda: self._spectrum(j))
-            self.poles[j, :nu.size], self.weights[j, :nu.size] = nu, q2
-        if not self.poles.min() > 0:
-            raise SolverError(
-                f"the open operator has eigenvalue {self.poles.min():.3e} <= 0; it is "
-                "not positive definite, which signals an assembly bug")
-        self.g0 = (self.weights / self.poles).sum(axis=1)
-        self.unit = np.zeros(self.diag.shape)
-        self.unit[:, self.ring] = 1.0
-        self._index()
-        self._closed = None
-        self._lock = threading.Lock()
-
-    def _spectrum(self, j: int):
-        """(nu, q^2) of T_j."""
-        lo = self.lead[j]
-        nu, y = sla.eigh_tridiagonal(self.diag[j, lo:], self.off[j, lo:])
-        return nu, y[self.ring - lo] ** 2           # keeps one row, not y
-
-    def _eigenvector(self, j: int, i: int) -> np.ndarray:
-        """The unit eigenvector of nu_ij, as a row of length L."""
-        lo = self.lead[j]
-        _, y = sla.eigh_tridiagonal(self.diag[j, lo:], self.off[j, lo:],
-                                    select="i", select_range=(i, i))
-        out = np.zeros(self.diag.shape[1])
-        out[lo:] = y[:, 0]
-        return out
-
-    def closed(self) -> _ClosedSide:
-        """The closed side of this grid, built once."""
-        with self._lock:
-            if self._closed is None:
-                self._closed = _ClosedSide(self)
-            return self._closed
-
-
-class _ClosedSide(_Side):
-    """The closed side of one sector grid: the spectrum of the grid with
-    every r1-ring node Dirichlet, for the hole's capacitance matrix.
-
-    Per mode, the Schur complement of T_j - sigma on its ring row is
-
-        1/g_j(sigma) = (a_j - sigma) - sum_i w_ij / (mu_ij - sigma),
-
-    with a_j the ring row's diagonal entry and mu_ij the eigenvalues of T_j
-    without that row: those of its inner block (the center and the rings
-    below r1) and of its outer block (the rings above), two tridiagonals.
-    `poles[j]` holds the inner block's mu_ij, then the outer block's, and w_ij
-    is the square of an eigenvector's entry next to the ring times its link
-    to the ring.  phi_j = -1/g_j: alpha_j = -a_j and beta = 1.  `solve` pins
-    the ring row (`_ModeRows.solve`), and `unit[j]` holds it at 1 and moves
-    its links to the rows next to it.  Every mode but the bordered one takes
-    mu and w from the open side's radial table, as the open side does."""
-
-    beta = 1.0
-
-    def __init__(self, rows: _GridSpectrum) -> None:
-        self.rows = rows
-        r = rows.ring
-        self.alpha = -rows.diag[:, r]
-        self.unit = np.zeros(rows.diag.shape)
-        self.unit[:, r] = 1.0
-        if r > 0:
-            self.unit[:, r - 1] = -rows.off[:, r - 1]
-        if r + 1 < rows.diag.shape[1]:
-            self.unit[:, r + 1] = -rows.off[:, r]
-        self.poles = np.full(rows.diag.shape, np.inf)
-        self.weights = np.zeros(rows.diag.shape)
-        for j, lj in enumerate(rows.lam):
-            if rows.has_center and j == 0:
-                mu, w = self._spectrum(j)
-            else:
-                mu, w = rows.radial.get(("closed", lj), lambda: self._spectrum(j))
-            self.poles[j, :mu.size], self.weights[j, :mu.size] = mu, w
-        self._index()
-
-    def _blocks(self, j: int):
-        """The row ranges of T_j's inner and outer blocks."""
-        return (self.rows.lead[j], self.rows.ring), (self.rows.ring + 1, self.rows.diag.shape[1])
-
-    def _spectrum(self, j: int):
-        """(mu, w) of T_j without its ring row."""
-        mu, w = [], []
-        for lo, hi in self._blocks(j):
-            if hi > lo:
-                m, y = sla.eigh_tridiagonal(self.rows.diag[j, lo:hi], self.rows.off[j, lo:hi - 1])
-                mu.append(m)
-                w.append((self.unit[j, lo:hi] @ y) ** 2)
-        return np.concatenate(mu), np.concatenate(w)
-
-    def _eigenvector(self, j: int, i: int) -> np.ndarray:
-        """The unit eigenvector of mu_ij, as a row of length L, 0 on the ring."""
-        (lo, hi), outer = self._blocks(j)
-        if i >= hi - lo:
-            i, (lo, hi) = i - (hi - lo), outer
-        _, y = sla.eigh_tridiagonal(self.rows.diag[j, lo:hi], self.rows.off[j, lo:hi - 1],
-                                    select="i", select_range=(i, i))
-        out = np.zeros(self.rows.diag.shape[1])
-        out[lo:hi] = y[:, 0]
-        return out
-
     def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
-        """The closed grid's solve: the ring row held at rhs[j, ring]."""
-        return self.rows.solve(sigma, rhs, pinned=True)
+        """(T_j - sigma)^-1 rhs[j] on the blocks of every mode j, each held
+        row kept at its entry of rhs: one banded solve with partial pivoting
+        over the modes' rows end to end, with the identity's row and column
+        in place of every held row's."""
+        d = np.where(self.held, 1.0, self.rows.diag - sigma)
+        _, _, _, x, info = lapack.dgtsv(self.coupling, d.ravel(), self.coupling,
+                                        rhs.reshape(-1, 1))
+        if info != 0:
+            raise SolverError(f"a mode's tridiagonal is singular at {sigma!r}")
+        return x.reshape(d.shape)
 
 
 _CACHED_GRIDS = 8
 _grid_cache = GridCache(_CACHED_GRIDS)
 
 
-def _grid_key(op: AssembledOperator) -> tuple:
+def _grid_rows(op: AssembledOperator) -> _ModeRows:
+    """The mode rows of the operator's open grid, from the bounded cache
+    that every thread shares, as is the table of its radial grid."""
     p, grid = op.problem, op.grid
-    return (p.kind, p.quarter_case or p.ell, p.geometry.n, grid.m, grid.r1_ring, grid.r2)
-
-
-def _grid_spectrum(op: AssembledOperator) -> _GridSpectrum:
-    """The per-mode spectrum of the operator's open grid, from the bounded
-    cache that every thread shares, as is the table of its radial grid."""
-    grid, ring = op.grid, op.grid.r1_ring - 1
-
-    def build():
-        radial = _grid_cache.get(("radial", grid.m, grid.r2, grid.dtheta, grid.r1_ring),
-                                 lambda: GridCache(None))
-        return _GridSpectrum(op.factors, ring, radial)
-
-    return _grid_cache.get((_GridSpectrum, *_grid_key(op)), build)
+    return _grid_cache.get(
+        (p.kind, p.quarter_case or p.ell, p.geometry.n, grid.m, grid.r1_ring, grid.r2),
+        lambda: _ModeRows(op.factors, grid.r1_ring - 1,
+                          ("radial", grid.m, grid.r2, grid.dtheta, grid.r1_ring)))
 
 
 def open_solve(op: AssembledOperator, b: np.ndarray) -> np.ndarray:
@@ -538,8 +467,7 @@ def open_solve(op: AssembledOperator, b: np.ndarray) -> np.ndarray:
     is not positive: the open operator is then not positive definite."""
     if not op.keep.all() or np.iscomplexobj(op.open.matrix) or np.iscomplexobj(b):
         raise ValueError("open_solve takes a fully open real operator and a real vector")
-    rows = _grid_cache.get((_ModeRows, *_grid_key(op)),
-                           lambda: _ModeRows(op.factors, op.grid.r1_ring - 1))
+    rows = _grid_rows(op)
     d = np.sqrt(op.row_weights)
     return rows.field(rows.solve_open(rows.coefficients(b * d, op.keep)), op.keep) / d
 
@@ -607,17 +535,18 @@ class _Secular:
     the pole itself."""
 
     def __init__(self, op: AssembledOperator, hole: bool | None = None) -> None:
-        rows = _grid_spectrum(op)
+        rows = _grid_rows(op)
         c, ring = op.cols.size, op.grid.r1_ring
         crack = ~op.keep[(ring - 1) * c:ring * c]
         if hole is None:
             hole = 2 * int(crack.sum()) > c
         self.rows, self.keep = rows, op.keep
-        self.spec = rows.closed() if hole else rows
+        g0 = rows.side(False).g0
+        self.spec = rows.side(hole)
         vx = rows.ang[~crack if hole else crack]               # the side's columns
         if vx.shape[0]:
             try:
-                chol = np.linalg.cholesky((vx * (1 / rows.g0 if hole else rows.g0)) @ vx.conj().T)
+                chol = np.linalg.cholesky((vx * (1 / g0 if hole else g0)) @ vx.conj().T)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     f"the capacitance block of the {'hole' if hole else 'crack'} is not "

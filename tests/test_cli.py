@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import crackspec
+from crackspec import eigensolve
 from crackspec.cli import main
+from crackspec.discretize import assemble
+from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
 
 
 def run(tmp_path, *argv):
@@ -172,6 +175,49 @@ def test_capacity_output_is_pinned(tmp_path, m, rows):
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines == ["delta,cap_total,cap_plus,cap_minus,ratio"] + rows
+
+
+@pytest.mark.parametrize("argv, side, lambdas", [
+    pytest.param(["quarter", "--case", "NND", "--epsilon", "0.3", "-k", "3"], "hole",
+                 ["27.3251307742", "30.8804762417", "36.469623577"], id="NND-hole"),
+    pytest.param(["quarter", "--case", "NND", "--epsilon", "1.2", "-k", "3"], "crack",
+                 ["11.2544814865", "30.3932545964", "34.3051553882"], id="NND-crack"),
+    pytest.param(["quarter", "--case", "DDD", "--epsilon", "0.3", "-k", "3"], "hole",
+                 ["37.570904391", "61.6842154462", "99.5525648044"], id="DDD-hole"),
+    pytest.param(["quarter", "--case", "DDD", "--epsilon", "1.2", "-k", "3"], "crack",
+                 ["28.8325060857", "58.892539994", "76.2825090026"], id="DDD-crack"),
+    pytest.param(["quarter", "--case", "NDD", "--epsilon", "0.3", "-k", "3"], "hole",
+                 ["29.1628943999", "46.4663949093", "71.5218882936"], id="NDD-hole"),
+    pytest.param(["quarter", "--case", "NDD", "--epsilon", "1.2", "-k", "3"], "crack",
+                 ["15.7352149655", "43.0714398667", "50.0409572923"], id="NDD-crack"),
+    pytest.param(["quarter", "--case", "DND", "--epsilon", "0.3", "-k", "3"], "hole",
+                 ["31.3668319172", "47.7537968315", "79.0540851608"], id="DND-hole"),
+    pytest.param(["quarter", "--case", "DND", "--epsilon", "1.2", "-k", "3"], "crack",
+                 ["25.2263664737", "42.6327381009", "63.0323035168"], id="DND-crack"),
+    pytest.param(["solve", "--n", "3", "--epsilon", "0.29", "-k", "6"], "hole",
+                 ["26.5606503876", "29.5300305871", "29.5300305871",
+                  "30.8097092047", "36.5091119954", "36.5091119954"], id="n3-hole"),
+    pytest.param(["solve", "--n", "3", "--epsilon", "0.9", "-k", "6"], "crack",
+                 ["12.4597256763", "19.2774827224", "19.2774827224",
+                  "30.4446444084", "31.6099535427", "31.6099535427"], id="n3-crack"),
+])
+def test_eigenvalue_output_is_pinned_on_both_sides(tmp_path, argv, side, lambdas):
+    # lambda cells at M = 40 recorded with a class per side of the r1 ring;
+    # the openings at the smaller epsilon are solved on the hole's side and
+    # those at the larger on the crack's, which the offsets below check
+    code, out = run(tmp_path, *argv, "-M", "40")
+    assert code == 0
+    lines = out.read_text().splitlines()
+    header = dict(l[2:].split(" = ") for l in lines if l.startswith("# ") and " = " in l)
+    rows = [l.split(",") for l in lines if not l.startswith("#")]
+    assert rows[0] == ["epsilon", "sector", "index", "lambda", "residual"]
+    assert [r[3] for r in rows[1:]] == lambdas
+    spec = build_cracked_disk(int(header.get("n", 2)), float(header["epsilon_requested"]),
+                              float(header["r1_requested"]), float(header["r2"]))
+    problems = ([p for p in quarter_problems(spec) if p.quarter_case == header["case"]]
+                if argv[0] == "quarter" else [p for p, _ in reduce_to_sectors(spec)])
+    holes = [eigensolve._Secular(assemble(p, 40)).offset > 0 for p in problems]
+    assert holes == [side == "hole"] * len(problems)
 
 
 def test_asymptotics_with_fit(tmp_path):

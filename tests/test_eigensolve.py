@@ -186,7 +186,7 @@ def test_secular_solve_refuses_factors_that_are_not_positive_definite():
     broken = _with_open(op, factors=dataclasses.replace(f, radial=-f.radial))
     eigensolve._grid_cache.clear()
     with pytest.raises(SolverError, match="open operator has eigenvalue"):
-        eigensolve._grid_spectrum(broken)
+        eigensolve._grid_rows(broken).side(False)
     eigensolve._grid_cache.clear()
 
 
@@ -202,7 +202,7 @@ def test_secular_solve_refuses_an_operator_without_a_node_off_the_ring():
 
 def test_secular_solve_refuses_a_capacitance_block_that_is_not_positive_definite(monkeypatch):
     op = _toy_op("NND", m=10, eps=0.5)
-    spec = eigensolve._grid_spectrum(op)
+    spec = eigensolve._grid_rows(op).side(False)
     monkeypatch.setattr(spec, "g0", -spec.g0)
     with pytest.raises(SolverError, match="capacitance block"):
         lowest_eigenpairs(op, 2)
@@ -220,7 +220,7 @@ def test_grid_cache_under_concurrent_use():
         try:
             for _ in range(5):
                 for op in ops:
-                    poles = eigensolve._grid_spectrum(op).poles
+                    poles = eigensolve._grid_rows(op).side(False).poles
                     if poles.shape != (op.cols.size, op.grid.m - 1 + op.factors.has_center):
                         wrong.append(op.sector.label)
                     if len(eigensolve._grid_cache) > eigensolve._CACHED_GRIDS:
@@ -260,7 +260,8 @@ def test_secular_solve_matches_eigh_on_every_sector(data):
     dtheta = (math.pi / 2 if kind == "quarter" else 2 * math.pi / n) / m
     eps = data.draw(st.sampled_from([0.0, dtheta, math.pi / n]), label="eps")
     op = assemble(_sector(kind, which, n, eps, ring, m), m)
-    oracle = sla.eigh(_symmetrized(op).toarray(), eigvals_only=True, subset_by_index=[0, 2])
+    with one_blas_thread:
+        oracle = sla.eigh(_symmetrized(op).toarray(), eigvals_only=True, subset_by_index=[0, 2])
     sparse = lowest_eigenpairs(op, 3)
     assert np.allclose(sparse.eigenvalues, oracle, rtol=1e-10, atol=0)
 
@@ -276,9 +277,11 @@ def test_open_solve_inverts_every_fully_open_real_grid(data):
     ring = data.draw(st.integers(1, m - 1), label="r1 ring")
     op = assemble(_sector(kind, which, n, math.pi / n, ring, m), m)
     x = np.random.default_rng(7).standard_normal(op.n)
+    eigensolve._grid_cache.clear()
     with one_blas_thread:
         back = open_solve(op, op.matrix @ x)
     assert np.linalg.norm(back - x) <= 1e-11 * np.linalg.norm(x)
+    assert len(eigensolve._grid_rows(op).sides) == 0      # no side of the ring is built
 
 
 def test_asymmetric_symmetrization_raises_on_the_sparse_path():
@@ -402,7 +405,8 @@ def test_count_matches_the_dense_count(sector, data):
     solve = eigensolve._Secular(op)
     sigma = data.draw(st.floats(1.0, 300.0), label="sigma")
     assume(np.abs(solve.spec.sorted - sigma).min() >= 1e-8 * sigma)
-    dense = np.linalg.eigvalsh(_symmetrized(op).toarray())
+    with one_blas_thread:
+        dense = np.linalg.eigvalsh(_symmetrized(op).toarray())
     assert solve.count(sigma) == (dense < sigma).sum()
 
 
@@ -479,7 +483,7 @@ def test_closed_poles_are_the_fully_closed_spectrum(sector, ring):
     d = np.sqrt(op.open.row_weights[keep])
     closed = (sp.diags(d) @ op.open.matrix[keep][:, keep] @ sp.diags(1.0 / d)).toarray()
     dense = np.linalg.eigvalsh((closed + closed.conj().T) / 2)
-    poles = eigensolve._grid_spectrum(op).closed().sorted
+    poles = eigensolve._grid_rows(op).side(True).sorted
     assert poles.size == dense.size
     assert np.allclose(poles, dense, rtol=1e-10, atol=0)
 
@@ -494,7 +498,7 @@ def test_the_closed_table_is_built_once_per_radial_grid(monkeypatch):
     wide = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, 1.2, 0.4356, 1.0))]
     assert all(eigensolve._Secular(op).offset == 0 for op in wide)
     assert len(calls) == 2 * m + 1
-    assert all(eigensolve._grid_spectrum(op)._closed is None for op in wide)
+    assert all(len(eigensolve._grid_rows(op).sides) == 1 for op in wide)   # the open side only
     for eps in (0.2, 0.3):
         narrow = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, eps, 0.4356, 1.0))]
         assert all(eigensolve._Secular(op).offset > 0 for op in narrow)
@@ -796,33 +800,61 @@ def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
     calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
     ops = _quarter_grids(m)
     eigensolve._grid_cache.clear()
-    spectra = [eigensolve._grid_spectrum(op) for op in ops]
+    spectra = [eigensolve._grid_rows(op).side(False) for op in ops]
     assert len(calls) == 2 * m + 1
     # in reverse order, and from several threads at once, the same bits
     eigensolve._grid_cache.clear()
-    backward = [eigensolve._grid_spectrum(op) for op in reversed(ops)][::-1]
+    backward = [eigensolve._grid_rows(op).side(False) for op in reversed(ops)][::-1]
     eigensolve._grid_cache.clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = [None] * len(ops)
+    threaded = [None] * len(ops)
 
-        def build(i):
-            threaded[i] = eigensolve._grid_spectrum(ops[i])
+    def build(i):
+        threaded[i] = eigensolve._grid_rows(ops[i]).side(False)
 
-        workers = [threading.Thread(target=build, args=(i,)) for i in (3, 1, 2, 0)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
+    _in_threads(build, (3, 1, 2, 0))
     eigensolve._grid_cache.clear()
     assert len(calls) == 3 * (2 * m + 1)
     for other in (backward, threaded):
         for a, b in zip(spectra, other):
             assert np.array_equal(a.poles, b.poles)
             assert np.array_equal(a.weights, b.weights)
+    # both sides of the four grids, serially and then from four threads in
+    # reverse order, closed side first: each side's tables are solved once,
+    # 2m+1 tridiagonals open and 2(2m+1) closed, to the same bits
+    serial = [eigensolve._grid_rows(op).side(hole) for op in ops for hole in (False, True)]
+    assert len(calls) == 6 * (2 * m + 1)
+    eigensolve._grid_cache.clear()
+    both = [None] * len(ops)
+
+    def build_both(i):
+        closed = eigensolve._grid_rows(ops[i]).side(True)
+        both[i] = [eigensolve._grid_rows(ops[i]).side(False), closed]
+
+    _in_threads(build_both, (3, 2, 1, 0))
+    assert all(eigensolve._grid_rows(op).side(hole) is side
+               for op, sides in zip(ops, both) for hole, side in zip((False, True), sides))
+    eigensolve._grid_cache.clear()
+    assert len(calls) == 9 * (2 * m + 1)
+    for a, b in zip(serial, [side for sides in both for side in sides]):
+        assert a.hole == b.hole
+        assert np.array_equal(a.poles, b.poles)
+        assert np.array_equal(a.weights, b.weights)
+
+
+def _in_threads(target, args):
+    """target(a) for each a of `args`, one thread each, started in that
+    order, with the interpreter switching threads often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=target, args=(a,)) for a in args]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
 
 
 @pytest.mark.parametrize("m", [8, 9, 24, 25])
