@@ -216,7 +216,7 @@ def _cmd_crossings(args) -> None:
     r1 = _resolve_r1(args)
     spec = build_cracked_disk(args.n, 0.0, r1, args.r2)
     curve = sweep(spec, _epsilon_grid(args), args.grid, args.k, tol=args.tol)
-    events = detect_crossings(curve, args.rank, tol=args.tol)
+    events = detect_crossings(curve, args.rank)
     rows = [[e.epsilon_star, e.lambda_star, e.rank, e.total_multiplicity,
              e.sector_a.label, e.sector_b.label] for e in events]
     _write_csv(args, {"command": "crossings", "n": args.n, "r1_requested": r1,

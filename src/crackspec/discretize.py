@@ -49,7 +49,8 @@ and returns every opening as that operator plus the mask `keep` of its
 unknowns (`AssembledOperator`, which derives the node arrays on `keep`,
 the principal submatrix on `keep` only when it is read, and refuses a mask
 that drops a node off the r1 ring).  `eigensolve` checks each open
-operator once for all of its openings, and applies it to every opening.
+operator and builds its mode rows once for all of its openings, and keeps
+both on the operator (`OpenOperator.derived`), so they go with it.
 """
 
 from __future__ import annotations
@@ -318,7 +319,9 @@ def _sector_factors(problem: SectorProblem, grid: PolarGrid,
 class OpenOperator:
     """The fully open operator of one sector grid: `SectorFactors` on the
     ring nodes, ring by ring, then the center.  Its openings share its
-    arrays, so read-only; `eigensolve` runs its checks once, in `checks`."""
+    arrays, so read-only.  `derived` keeps what `eigensolve` derives from it
+    for all of its openings, each built once: its checks and its mode rows,
+    which live as long as the operator."""
 
     matrix: sp.csr_matrix
     row_weights: np.ndarray   # node weights w: diag(sqrt(w)) A diag(1/sqrt(w)) is Hermitian
@@ -326,7 +329,7 @@ class OpenOperator:
     node_ring: np.ndarray     # per node: ring index i (0 for the center)
     node_col: np.ndarray      # per node: angular index j (-1 for the center)
     factors: SectorFactors
-    checks: GridCache = field(default_factory=lambda: GridCache(None), init=False)
+    derived: GridCache = field(default_factory=lambda: GridCache(None), init=False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,16 +10,17 @@ tests.  Eigenvectors of a complex operator stay complex.
 
 Every opening of a sector is the same fully open tensor-product operator
 (`discretize.SectorFactors`) without its crack nodes F on the r1 ring; the
-rest of the ring is the hole H.  Per grid (`_ModeRows`, cached for at most
-`_CACHED_GRIDS` grids), each angular mode j of the open operator is a
-symmetric tridiagonal T_j = Rs + lam_j diag(D) over the rings.  The angular
+rest of the ring is the hole H.  In its mode rows (`_ModeRows`, built once
+per open operator and kept on it, in `OpenOperator.derived`, so that they
+go with it), each angular mode j of the open operator is a symmetric
+tridiagonal T_j = Rs + lam_j diag(D) over the rings.  The angular
 eigenvalues lam_j = 4 sin^2(theta_j / 2) come from the closed-form
 frequencies theta_j of `SectorFactors.frequency`, so equal frequencies give
-equal lam_j to the bit in every sector.  A side of the ring (`_Side`, built
-on its first use) is the spectrum that one of its capacitance matrices has
-poles at, mode by mode: the eigenvalues of the tridiagonal blocks of T_j
-between its held rows, each with the square of its eigenvector's dot with
-the side's unit row.
+equal lam_j to the bit in every sector.  A side of an r1 ring (`_Side`,
+built on its first use and kept with the mode rows) is the spectrum that
+one of its capacitance matrices has poles at, mode by mode: the eigenvalues
+of the tridiagonal blocks of T_j between its held rows, each with the
+square of its eigenvector's dot with the side's unit row.
 - The open side holds no row of T_j: its poles are the eigenvalues nu_ij of
   the T_j, the open operator's spectrum, and the unit row is the r1 ring's,
   which gives the eigenvectors' ring entries q_ij.  The crack's capacitance
@@ -35,28 +36,30 @@ the side's unit row.
   the Schur complement of T_j - lambda on its r1 row (Proskurowski &
   Widlund, Math. Comp. 30 (1976)).
 T_j depends on the sector only through lam_j, so one table per radial grid
-(m, r2, dtheta and r1 ring, in the same cache) holds each side's poles and
-weights for each lam met, and every mode but the center's bordered one
-takes them from it: the four quarter grids at M share theta = pi j / M
-(NND, DDD) and pi (2j + 1) / (2M) (NDD, DND) and run 2M + 1 tridiagonal
-eigensolves per side, not 4M.  Each opening (`_Secular`) is solved on the
-smaller side, the hole when |H| < |F|: lambda is an eigenvalue exactly when
-that side's matrix, of size at most m x m, is singular (Jacobi's
-complementary minors), and Haynsworth's inertia additivity counts the
-opening's eigenvalues below any sigma, N = #{nu < sigma} - neg(C) =
-#{mu < sigma} + neg(D).  The counts isolate each root between two poles, a
-safeguarded Newton step on the eigenvalue branch of the matrix that
-crosses zero converges it, and after the roots are found the counts
-certify that none was skipped.  An eigenvector is one banded solve over
-the modes' tridiagonals (on the hole, with the ring row held at the hole's
-values) and one angular transform.  A fully open or fully closed grid takes
-the lowest poles and their tridiagonal eigenvectors.  Checked once for all
-its openings, an open operator whose symmetrization residual is out of
-tolerance or whose seeded product misses its factors' raises `SolverError`
-at every sparse solve, as do one that is not positive definite, a
-capacitance block whose Cholesky fails, or a count that contradicts the
-roots.  The solves and the residual certificates apply the open operator,
-so an opening's own matrix is derived only where it is read.
+and r1 ring (`_radial_tables`, the module's one cache, for at most
+`_RADIAL_GRIDS` of them, keyed by the radial rows' values) holds each
+side's poles and weights for each lam met, and every mode but the center's
+bordered one takes them from it: the four quarter grids at M share
+theta = pi j / M (NND, DDD) and pi (2j + 1) / (2M) (NDD, DND) and run
+2M + 1 tridiagonal eigensolves per side, not 4M.  Each opening (`_Secular`)
+is solved on the smaller side, the hole when |H| < |F|: lambda is an
+eigenvalue exactly when that side's matrix, of size at most m x m, is
+singular (Jacobi's complementary minors), and Haynsworth's inertia
+additivity counts the opening's eigenvalues below any sigma,
+N = #{nu < sigma} - neg(C) = #{mu < sigma} + neg(D).  The counts isolate
+each root between two poles, a safeguarded Newton step on the eigenvalue
+branch of the matrix that crosses zero converges it, and after the roots
+are found the counts certify that none was skipped.  An eigenvector is one
+banded solve over the modes' tridiagonals (on the hole, with the ring row
+held at the hole's values) and one angular transform.  On a fully open or
+fully closed grid the side's matrix is empty, and the same path finds
+every root at a pole, with the pole's tridiagonal eigenvectors.  Checked
+once for all its openings, an open operator whose symmetrization residual
+is out of tolerance or whose seeded product misses its factors' raises
+`SolverError` at every sparse solve, as do one that is not positive
+definite, a capacitance block whose Cholesky fails, or a count that
+contradicts the roots.  The solves and the residual certificates apply the
+open operator, so an opening's own matrix is derived only where it is read.
 
 `open_solve` inverts a fully open operator from the same rows, without
 their spectra: the angular transform, one positive-definite tridiagonal
@@ -257,21 +260,23 @@ class _ModeRows:
     symmetric tridiagonal T_j = Rs + lam_j diag(D) over the rings; with a
     center, T_0 is mode 0's `_bordered` problem, center first.  Each T_j is
     kept as a row of `diag` and `off`, all of one length L: with a center,
-    the other modes get a decoupled dummy row in front (`lead`), so that the
-    r1 ring is entry `ring` of every row.  `coupling` is `off` with the rows
+    the other modes get a decoupled dummy row in front (`lead`), so that
+    each ring is one entry of every row.  `coupling` is `off` with the rows
     laid end to end, a zero between two modes, for the banded solves over
-    every mode at once.  `side` builds each side of the r1 ring once, from
-    the table of the radial grid keyed `radial` in the grid cache."""
+    every mode at once.  Nothing here depends on r1: `side` builds each side
+    of each r1 ring once.  In every mode but the bordered one T_j depends on
+    the sector only through lam_j, so `radial`, the bytes of Rs's diagonals
+    and of D, keys the side tables that grids with equal radial rows share."""
 
-    def __init__(self, f: SectorFactors, ring: int, radial: tuple) -> None:
-        self.radial, self.sides = radial, GridCache(None)
+    def __init__(self, f: SectorFactors) -> None:
+        self.sides = GridCache(None)
         v, self.lam = _angular_modes(f)
         self.ang = v
         self.has_center = f.has_center
         rad = _radial(f)
+        self.radial = (rad.diagonal().tobytes(), rad.diagonal(1).tobytes(), f.scale.tobytes())
         lead = int(f.has_center)
         rows = f.r.size + lead
-        self.ring = ring + lead
         self.lead = np.zeros(self.lam.size, dtype=int)
         self.diag = np.ones((self.lam.size, rows))
         self.off = np.zeros((self.lam.size, rows - 1))
@@ -304,9 +309,10 @@ class _ModeRows:
             z[0, 0] = nodes[-1]
         return z
 
-    def side(self, hole: bool) -> _Side:
-        """The open (False) or closed (True) side of this grid, built on its first use."""
-        return self.sides.get((hole,), lambda: _Side(self, hole))
+    def side(self, ring: int, hole: bool) -> _Side:
+        """The open (False) or closed (True) side of the r1 ring `ring`,
+        built on its first use."""
+        return self.sides.get((ring, hole), lambda: _Side(self, ring, hole))
 
     def solve_open(self, rhs: np.ndarray) -> np.ndarray:
         """T_j^-1 rhs[j] for every mode j: one LDL^T solve over the modes'
@@ -328,9 +334,10 @@ class _Side:
 
         phi_j(sigma) = alpha_j + beta sigma + sum_i w_ij / (p_ij - sigma),
 
-    which rise with sigma between poles.  The side holds some rows of every
-    T_j (`held`): the dummy rows, and on the closed side the r1 ring.  The
-    rows between two held rows are a block, a tridiagonal of its own.
+    which rise with sigma between poles.  The r1 ring is row `ring` of
+    every T_j.  The side holds some rows of every T_j (`held`): the dummy
+    rows, and on the closed side the r1 ring.  The rows between two held
+    rows are a block, a tridiagonal of its own.
     `poles[j]` holds the eigenvalues p_ij of mode j's blocks, block by block
     and ascending in each (+inf where it has fewer), and `weights[j]` the
     squares w_ij = (y_ij . unit[j])^2 for their unit eigenvectors y_ij
@@ -349,19 +356,20 @@ class _Side:
     `solve(sigma, unit)` is the mode rows of a vector that the side's
     capacitance matrix maps to zero.  T_j depends on the sector only through
     lam_j, so every mode but the bordered one takes p_ij and w_ij from the
-    table by side and lam of its radial grid (m, r2, dtheta and r1 ring,
-    `_ModeRows.radial`), which every sector on that grid shares: each lam is
-    solved once per side, by whichever thread needs it first, and modes of
-    one frequency share the poles and weights to the bit.  `g0` is
+    table by side and lam of its radial rows and r1 ring (`_ModeRows.radial`
+    and the ring), which every sector on that radial grid shares: each lam
+    is solved once per side, by whichever thread needs it first, and modes
+    of one frequency share the poles and weights to the bit.  `g0` is
     sum_i w_ij / p_ij per mode, on the open side the Green's value g_j(0).
     `sorted` lists the finite poles ascending and `order` their flat
     indices; `values`, `first` and `size` list the distinct poles ascending
     after a pole at 0 with no copies, each with the index in `sorted` of its
     first copy and its number of copies."""
 
-    def __init__(self, rows: _ModeRows, hole: bool) -> None:
+    def __init__(self, rows: _ModeRows, ring: int, hole: bool) -> None:
         self.rows, self.hole = rows, hole
-        shape, r = rows.diag.shape, rows.ring
+        shape = rows.diag.shape
+        self.ring = r = ring - 1 + int(rows.has_center)
         self.held = np.zeros(shape, dtype=bool)
         self.held[rows.lead > 0, 0] = True
         self.held[:, r] = hole
@@ -375,7 +383,7 @@ class _Side:
             self.unit[:, r - 1] = -rows.off[:, r - 1]
         if hole and r + 1 < shape[1]:
             self.unit[:, r + 1] = -rows.off[:, r]
-        radial = _grid_cache.get(rows.radial, lambda: GridCache(None))
+        radial = _radial_tables.get((*rows.radial, ring), lambda: GridCache(None))
         self.poles = np.full(shape, np.inf)
         self.weights = np.zeros(shape)
         for j, lj in enumerate(rows.lam):
@@ -399,7 +407,7 @@ class _Side:
 
     def _blocks(self, j: int):
         """The row ranges of mode j's blocks."""
-        lo, r, end = self.rows.lead[j], self.rows.ring, self.rows.diag.shape[1]
+        lo, r, end = self.rows.lead[j], self.ring, self.rows.diag.shape[1]
         return ((lo, r), (r + 1, end)) if self.hole else ((lo, end),)
 
     def _spectrum(self, j: int):
@@ -444,27 +452,23 @@ class _Side:
         return x.reshape(d.shape)
 
 
-_CACHED_GRIDS = 8
-_grid_cache = GridCache(_CACHED_GRIDS)
+# the side tables of each radial grid and r1 ring, which its sector grids share
+_RADIAL_GRIDS = 8
+_radial_tables = GridCache(_RADIAL_GRIDS)
 
 
 def _grid_rows(op: AssembledOperator) -> _ModeRows:
-    """The mode rows of the operator's open grid, from the bounded cache
-    that every thread shares, as is the table of its radial grid."""
-    p, grid = op.problem, op.grid
-    return _grid_cache.get(
-        (p.kind, p.quarter_case or p.ell, p.geometry.n, grid.m, grid.r1_ring, grid.r2),
-        lambda: _ModeRows(op.factors, grid.r1_ring - 1,
-                          ("radial", grid.m, grid.r2, grid.dtheta, grid.r1_ring)))
+    """The mode rows of the opening's open operator, built once and kept on it."""
+    return op.open.derived.get(("rows",), lambda: _ModeRows(op.open.factors))
 
 
 def open_solve(op: AssembledOperator, b: np.ndarray) -> np.ndarray:
     """A^-1 b for the matrix A of a fully open operator (no crack nodes) with
-    real factors, from its grid's mode rows (`_ModeRows`, in the grid
-    cache): b scaled by sqrt(w) into angular modes, one LDL^T solve over
-    every mode's tridiagonal (`_ModeRows.solve_open`), back to the unknowns,
-    and scaled by 1/sqrt(w).  Raises `SolverError` when a pivot of the solve
-    is not positive: the open operator is then not positive definite."""
+    real factors, from its mode rows (`_ModeRows`): b scaled by sqrt(w) into
+    angular modes, one LDL^T solve over every mode's tridiagonal
+    (`_ModeRows.solve_open`), back to the unknowns, and scaled by 1/sqrt(w).
+    Raises `SolverError` when a pivot of the solve is not positive: the open
+    operator is then not positive definite."""
     if not op.keep.all() or np.iscomplexobj(op.open.matrix) or np.iscomplexobj(b):
         raise ValueError("open_solve takes a fully open real operator and a real vector")
     rows = _grid_rows(op)
@@ -541,18 +545,16 @@ class _Secular:
         if hole is None:
             hole = 2 * int(crack.sum()) > c
         self.rows, self.keep = rows, op.keep
-        g0 = rows.side(False).g0
-        self.spec = rows.side(hole)
+        g0 = rows.side(ring, False).g0
+        self.spec = rows.side(ring, hole)
         vx = rows.ang[~crack if hole else crack]               # the side's columns
-        if vx.shape[0]:
-            try:
-                chol = np.linalg.cholesky((vx * (1 / g0 if hole else g0)) @ vx.conj().T)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    f"the capacitance block of the {'hole' if hole else 'crack'} is not "
-                    "positive definite, which signals an assembly bug") from exc
-            vx = sla.solve_triangular(chol, vx, lower=True)
-        self.vx = vx
+        try:
+            chol = np.linalg.cholesky((vx * (1 / g0 if hole else g0)) @ vx.conj().T)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"the capacitance block of the {'hole' if hole else 'crack'} is not "
+                "positive definite, which signals an assembly bug") from exc
+        self.vx = vx = sla.solve_triangular(chol, vx, lower=True)
         self.vx_h = vx.conj().T
         self.offset = vx.shape[0] if hole else 0
         # N(0) = 0, the opening being positive definite
@@ -563,8 +565,6 @@ class _Secular:
         """N(sigma), the number of the opening's eigenvalues below sigma."""
         spec = self.spec
         below = int(np.searchsorted(spec.sorted, sigma)) + self.offset
-        if self.vx.shape[0] == 0:
-            return below
         phi = (spec.weights / (spec.poles - sigma)).sum(axis=1) + spec.alpha + spec.beta * sigma
         return below - int((np.linalg.eigvalsh((self.vx * phi) @ self.vx_h) < 0).sum())
 
@@ -621,10 +621,6 @@ class _Secular:
             self.limits[s] = (int(self.spec.first[s]) + self.offset - neg, vh[rank:].conj().T)
         return self.limits[s]
 
-    def count_at(self, s: int) -> int:
-        """N just below the distinct pole `values[s]`."""
-        return self.pole(s)[0]
-
     def branch(self, s: int, tau: float, i: int, other: int):
         """The i-th eigenvalue h of `bordered(s, tau, other)`, its slope,
         its unit eigenvector and the largest |eigenvalue|."""
@@ -645,12 +641,12 @@ class _Secular:
         top = spec.sorted[min(t - 1 + f - self.offset, spec.sorted.size - 1)]
         hi = min(int(np.searchsorted(spec.values, top)) + 1, spec.values.size - 1)
         step = 1
-        while lo + step < hi and self.count_at(lo + step) < t:   # gallop, then bisect
+        while lo + step < hi and self.pole(lo + step)[0] < t:   # gallop, then bisect
             lo, step = lo + step, 2 * step
         hi = min(hi, lo + step)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.count_at(mid) >= t:
+            if self.pole(mid)[0] >= t:
                 hi = mid
             else:
                 lo = mid
@@ -776,16 +772,6 @@ class _Secular:
     def lowest(self, k: int):
         """The k lowest eigenvalues and their vectors, certified complete."""
         spec = self.spec
-        if self.vx.shape[0] == 0:
-            # fully open or fully closed: the lowest poles and their
-            # tridiagonal eigenvectors
-            vecs = []
-            for flat in spec.order[:k]:
-                j, i = np.unravel_index(flat, spec.poles.shape)
-                z = np.zeros(spec.poles.shape)
-                z[j] = spec.vector(j, i)
-                vecs.append(self.rows.field(z, self.keep))
-            return spec.sorted[:k].copy(), np.stack(vecs, axis=1)
         lam, vecs, lo = np.empty(k), [], 0
         for t in range(1, k + 1):
             s, other, tau, v, hi = self.root(t, lo)
@@ -855,7 +841,7 @@ def _check_grid(grid_open: OpenOperator) -> bool:
 
 
 def _sparse_path(op: AssembledOperator, k: int):
-    op.open.checks.get((), lambda: _check_grid(op.open))    # once per open operator
+    op.open.derived.get(("checks",), lambda: _check_grid(op.open))    # once per open operator
     lam, x = _Secular(op).lowest(k)
     return lam, x / np.sqrt(op.row_weights)[:, np.newaxis]
 
@@ -893,7 +879,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
             lam, vecs = _sparse_path(op, k)
         residuals = _certify(op, lam, vecs)
     lamscale = np.maximum(1.0, np.abs(lam))
-    if (residuals > tol * lamscale).any():
+    if not (residuals <= tol * lamscale).all():         # a NaN residual fails too
         raise SolverError(
             f"residual certificate failed: max {residuals.max():.3e} "
             f"against tol {tol:.1e}")

@@ -12,9 +12,9 @@ are refined by bisection on re-solves over the angular grid of rays (epsilon
 only takes snapped values, so the bracket bottoms out at one grid step; the
 event stores the final bracket).  Bisection reads one table of sector rows
 keyed by (sector, ray) that starts as the sweep's own rows, so each
-(sector, ray) is solved at most once per curve, at the curve's k, and a sweep
-ray is never solved again.  A crossing through an exact zero of the gap at a
-sweep point is bracketed across that point.
+(sector, ray) is solved at most once per curve, at the curve's k and tol,
+and a sweep ray is never solved again.  A crossing through an exact zero of
+the gap at a sweep point is bracketed across that point.
 
 The `rank` of a crossing labels the eigenvalue by counting distinct
 eigenvalue levels of the merged spectrum strictly below the crossing, at the
@@ -132,6 +132,7 @@ class EigenvalueCurve:
     geometry: CrackedDiskSpec
     m: int
     k: int
+    tol: float                           # the residual certificate bound of every solve
     epsilons: np.ndarray                 # snapped, unique, ascending
     sectors: list[SectorTag]
     values: dict[str, np.ndarray]        # label -> (n_eps, k) distinct values
@@ -176,7 +177,7 @@ def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int,
     for (ie, p), sol in zip(tasks, sols):
         values[p.label][ie] = sol.values
         residuals[p.label][ie] = sol.residuals
-    return EigenvalueCurve(geometry=problems[0].geometry, m=m, k=k,
+    return EigenvalueCurve(geometry=problems[0].geometry, m=m, k=k, tol=tol,
                            epsilons=np.array([grid.eps_at(ray) for ray in rays]),
                            sectors=[p.tag for p in problems], values=values,
                            residuals=residuals, r1=grid.r1)
@@ -236,8 +237,7 @@ def _sign_changes(d: np.ndarray) -> list[tuple[int, int]]:
     return pairs
 
 
-def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
-                     tol: float = 1e-8) -> list[CrossingEvent]:
+def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int) -> list[CrossingEvent]:
     """Locate crossings between curves of different sectors, bisect them down
     to one angular grid step, and annotate rank and total multiplicity.
 
@@ -260,7 +260,7 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int,
     def solve_missing(labels: tuple[str, str], ray: int) -> None:
         missing = [problems[label] for label in labels if (label, ray) not in rows]
         if missing:
-            solved = _run_sweep(missing, [grid.eps_at(ray)], curve.m, curve.k, tol)
+            solved = _run_sweep(missing, [grid.eps_at(ray)], curve.m, curve.k, curve.tol)
             rows.update(((p.label, ray), solved.values[p.label][0]) for p in missing)
 
     events: list[CrossingEvent] = []

@@ -1,11 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from crackspec import capacity, discretize
+from crackspec import capacity, discretize, eigensolve
 from crackspec.eigensolve import SolverError
 from crackspec.capacity import (
     AdditivityResult,
@@ -271,3 +273,21 @@ def test_disk_green_keeps_no_second_copy_of_the_disk():
     assert np.array_equal(alone.row_weights, kept.row_weights)
     assert np.array_equal(alone.node_ring, kept.node_ring)
     assert alone.factors.has_center and kept.center_row == alone.node_ring.size - 1
+
+
+def test_capacity_keeps_no_mode_rows_of_the_disk(monkeypatch):
+    # the disk's mode rows live on its open operator, which `_disk_green`
+    # does not keep: once the potential is solved, none is reachable
+    built = []
+    init = eigensolve._ModeRows.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(eigensolve._ModeRows, "__init__", spy)
+    _disk_green.cache_clear()
+    capacitary_potential(CapacityProblem(R1, R2, FULL, 28))
+    gc.collect()
+    assert len(built) == 1
+    assert built[0]() is None

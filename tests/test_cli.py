@@ -91,6 +91,18 @@ def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_import_loads_no_scipy_module_it_does_not_need(tmp_path):
+    # set-up time: csgraph is imported where nodal domains are counted, and
+    # nothing reads scipy.special or scipy.sparse.linalg
+    src = str(Path(crackspec.__file__).resolve().parents[1])
+    env = {"HOME": str(tmp_path), "PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
+    script = ("import sys, crackspec; print(sorted(m for m in ('scipy.sparse.csgraph', "
+              "'scipy.special', 'scipy.sparse.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("m", ["33", "35"])
 def test_fully_open_opening_is_written_as_pi_over_n(tmp_path, m):
     open_eps = repr(math.pi / 3)

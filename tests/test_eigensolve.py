@@ -65,6 +65,22 @@ def test_residual_certificates_hold():
         assert s.vectors.shape == (_toy_op("DND").n, 4)
 
 
+def test_residual_certificate_refuses_a_zero_vector(monkeypatch):
+    # a zero vector's residual is 0/0, a NaN, which no bound holds
+    op = _toy_op("DND")
+    inner = eigensolve._sparse_path
+
+    def zeroed(op, k):
+        lam, vecs = inner(op, k)
+        vecs[:, 0] = 0.0
+        return lam, vecs
+
+    monkeypatch.setattr(eigensolve, "_sparse_path", zeroed)
+    with pytest.raises(SolverError, match="residual certificate failed"), \
+            np.errstate(invalid="ignore"):
+        lowest_eigenpairs(op, 3)
+
+
 def test_shift_invariance():
     op = _toy_op("NDD", m=12)
     rng = np.random.default_rng(11)
@@ -165,10 +181,8 @@ def test_inverse_refuses_factors_that_are_not_positive_definite():
     op = _toy_op("DND", m=11, eps=math.pi / 2)
     f = op.open.factors
     broken = _with_open(op, factors=dataclasses.replace(f, radial=-f.radial))
-    eigensolve._grid_cache.clear()
     with pytest.raises(SolverError, match="not positive definite \\(pivot"):
         open_solve(broken, np.ones(broken.n))
-    eigensolve._grid_cache.clear()
 
 
 def test_open_solve_refuses_an_opening_and_complex_data():
@@ -184,10 +198,8 @@ def test_secular_solve_refuses_factors_that_are_not_positive_definite():
     op = _toy_op("NDD", m=11)
     f = op.open.factors
     broken = _with_open(op, factors=dataclasses.replace(f, radial=-f.radial))
-    eigensolve._grid_cache.clear()
     with pytest.raises(SolverError, match="open operator has eigenvalue"):
-        eigensolve._grid_rows(broken).side(False)
-    eigensolve._grid_cache.clear()
+        eigensolve._grid_rows(broken).side(broken.grid.r1_ring, False)
 
 
 def test_secular_solve_refuses_an_operator_without_a_node_off_the_ring():
@@ -202,28 +214,33 @@ def test_secular_solve_refuses_an_operator_without_a_node_off_the_ring():
 
 def test_secular_solve_refuses_a_capacitance_block_that_is_not_positive_definite(monkeypatch):
     op = _toy_op("NND", m=10, eps=0.5)
-    spec = eigensolve._grid_rows(op).side(False)
+    spec = eigensolve._grid_rows(op).side(op.grid.r1_ring, False)
     monkeypatch.setattr(spec, "g0", -spec.g0)
     with pytest.raises(SolverError, match="capacitance block"):
         lowest_eigenpairs(op, 2)
 
 
 def test_grid_cache_under_concurrent_use():
-    # more threads than cores, switching often, over more grids than the
-    # cache holds: a lost update would hand a thread another grid's modes,
-    # raise inside the cache or leave it above its bound
-    ops = [_toy_op(case, m=m) for case in QUARTER_CASES for m in (9, 10, 11)]
-    assert len(ops) > eigensolve._CACHED_GRIDS
+    # more threads than cores, switching often, each assembling its own
+    # openings over more open grids and more radial grids (with their r1
+    # rings) than their caches hold: a lost update would hand a thread
+    # another grid's modes, raise inside a cache or leave one above its bound
+    grids = [(case, m, ring) for case in QUARTER_CASES for m in (9, 10, 11) for ring in (2, 4, 6)]
+    assert len({(case, m) for case, m, _ in grids}) > discretize._OPEN_GRIDS
+    assert len({(m, ring) for _, m, ring in grids}) > eigensolve._RADIAL_GRIDS
     wrong = []
 
     def use():
         try:
             for _ in range(5):
-                for op in ops:
-                    poles = eigensolve._grid_rows(op).side(False).poles
-                    if poles.shape != (op.cols.size, op.grid.m - 1 + op.factors.has_center):
+                for case, m, ring in grids:
+                    op = assemble(_sector("quarter", case, 2, 0.9, ring, m), m)
+                    side = eigensolve._grid_rows(op).side(ring, False)
+                    if (side.poles.shape != (op.cols.size, m - 1 + op.factors.has_center)
+                            or side.ring != ring - 1 + op.factors.has_center):
                         wrong.append(op.sector.label)
-                    if len(eigensolve._grid_cache) > eigensolve._CACHED_GRIDS:
+                    if (len(discretize._open_grids) > discretize._OPEN_GRIDS
+                            or len(eigensolve._radial_tables) > eigensolve._RADIAL_GRIDS):
                         wrong.append("over the bound")
         except Exception as exc:  # reported by the assert below
             wrong.append(repr(exc))
@@ -275,9 +292,9 @@ def test_open_solve_inverts_every_fully_open_real_grid(data):
     kind, which, n = data.draw(st.sampled_from(sectors), label="sector")
     m = data.draw(st.integers(8, 40), label="m")
     ring = data.draw(st.integers(1, m - 1), label="r1 ring")
+    discretize._open_grids.clear()          # an open operator with no side built yet
     op = assemble(_sector(kind, which, n, math.pi / n, ring, m), m)
     x = np.random.default_rng(7).standard_normal(op.n)
-    eigensolve._grid_cache.clear()
     with one_blas_thread:
         back = open_solve(op, op.matrix @ x)
     assert np.linalg.norm(back - x) <= 1e-11 * np.linalg.norm(x)
@@ -483,7 +500,7 @@ def test_closed_poles_are_the_fully_closed_spectrum(sector, ring):
     d = np.sqrt(op.open.row_weights[keep])
     closed = (sp.diags(d) @ op.open.matrix[keep][:, keep] @ sp.diags(1.0 / d)).toarray()
     dense = np.linalg.eigvalsh((closed + closed.conj().T) / 2)
-    poles = eigensolve._grid_rows(op).side(True).sorted
+    poles = eigensolve._grid_rows(op).side(op.grid.r1_ring, True).sorted
     assert poles.size == dense.size
     assert np.allclose(poles, dense, rtol=1e-10, atol=0)
 
@@ -494,7 +511,7 @@ def test_the_closed_table_is_built_once_per_radial_grid(monkeypatch):
     # first hole-side openings the closed one, two blocks per mode, once
     m = 24
     calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
-    eigensolve._grid_cache.clear()
+    _clear_grids()
     wide = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, 1.2, 0.4356, 1.0))]
     assert all(eigensolve._Secular(op).offset == 0 for op in wide)
     assert len(calls) == 2 * m + 1
@@ -503,7 +520,6 @@ def test_the_closed_table_is_built_once_per_radial_grid(monkeypatch):
         narrow = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, eps, 0.4356, 1.0))]
         assert all(eigensolve._Secular(op).offset > 0 for op in narrow)
         assert len(calls) == 3 * (2 * m + 1)
-    eigensolve._grid_cache.clear()
 
 
 def test_roots_near_the_closed_spectrum_on_the_paper_ring():
@@ -775,7 +791,17 @@ def test_group_multiplicities_validation():
 # per-grid data built once
 # ---------------------------------------------------------------------------
 
+def _clear_grids():
+    """Drop every cached open operator, with its mode rows and sides, and
+    every side table."""
+    discretize._open_grids.clear()
+    eigensolve._radial_tables.clear()
+
+
 def _quarter_grids(m):
+    """The four quarter grids at m, new: no mode rows, side or side table
+    of theirs is built yet."""
+    _clear_grids()
     spec = build_cracked_disk(2, 0.5, 0.4356, 1.0)
     return [assemble(p, m) for p in quarter_problems(spec)]
 
@@ -792,6 +818,22 @@ def _spy_on_tridiagonal_eigensolves(monkeypatch):
     return calls
 
 
+def test_one_open_operator_serves_every_r1_ring(monkeypatch):
+    # nothing in the mode rows depends on r1: openings of one open operator
+    # at two r1 rings share them, each ring with its own open side
+    calls = []
+    inner = eigensolve._angular_modes
+    monkeypatch.setattr(eigensolve, "_angular_modes", lambda f: calls.append(f) or inner(f))
+    _clear_grids()
+    ops = [assemble(_sector("floquet", 1, 3, 0.9, ring, 16), 16) for ring in (5, 9)]
+    assert ops[0].open is ops[1].open
+    assert [eigensolve._Secular(op).offset for op in ops] == [0, 0]     # crack side
+    assert len(calls) == 1
+    rows = eigensolve._grid_rows(ops[0])
+    assert len(rows.sides) == 2
+    assert [rows.side(ring, False).ring for ring in (5, 9)] == [4, 8]
+
+
 @pytest.mark.parametrize("m", [24, 25])
 def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
     # NND and DDD have the frequencies pi j/m, NDD and DND pi (2j+1)/(2m):
@@ -799,20 +841,19 @@ def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
     # tridiagonals, where one solve per mode and grid would be 4m
     calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
     ops = _quarter_grids(m)
-    eigensolve._grid_cache.clear()
-    spectra = [eigensolve._grid_rows(op).side(False) for op in ops]
+    ring = ops[0].grid.r1_ring
+    spectra = [eigensolve._grid_rows(op).side(ring, False) for op in ops]
     assert len(calls) == 2 * m + 1
     # in reverse order, and from several threads at once, the same bits
-    eigensolve._grid_cache.clear()
-    backward = [eigensolve._grid_rows(op).side(False) for op in reversed(ops)][::-1]
-    eigensolve._grid_cache.clear()
+    ops = _quarter_grids(m)
+    backward = [eigensolve._grid_rows(op).side(ring, False) for op in reversed(ops)][::-1]
+    ops = _quarter_grids(m)
     threaded = [None] * len(ops)
 
     def build(i):
-        threaded[i] = eigensolve._grid_rows(ops[i]).side(False)
+        threaded[i] = eigensolve._grid_rows(ops[i]).side(ring, False)
 
     _in_threads(build, (3, 1, 2, 0))
-    eigensolve._grid_cache.clear()
     assert len(calls) == 3 * (2 * m + 1)
     for other in (backward, threaded):
         for a, b in zip(spectra, other):
@@ -821,19 +862,19 @@ def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
     # both sides of the four grids, serially and then from four threads in
     # reverse order, closed side first: each side's tables are solved once,
     # 2m+1 tridiagonals open and 2(2m+1) closed, to the same bits
-    serial = [eigensolve._grid_rows(op).side(hole) for op in ops for hole in (False, True)]
+    ops = _quarter_grids(m)
+    serial = [eigensolve._grid_rows(op).side(ring, hole) for op in ops for hole in (False, True)]
     assert len(calls) == 6 * (2 * m + 1)
-    eigensolve._grid_cache.clear()
+    ops = _quarter_grids(m)
     both = [None] * len(ops)
 
     def build_both(i):
-        closed = eigensolve._grid_rows(ops[i]).side(True)
-        both[i] = [eigensolve._grid_rows(ops[i]).side(False), closed]
+        closed = eigensolve._grid_rows(ops[i]).side(ring, True)
+        both[i] = [eigensolve._grid_rows(ops[i]).side(ring, False), closed]
 
     _in_threads(build_both, (3, 2, 1, 0))
-    assert all(eigensolve._grid_rows(op).side(hole) is side
+    assert all(eigensolve._grid_rows(op).side(ring, hole) is side
                for op, sides in zip(ops, both) for hole, side in zip((False, True), sides))
-    eigensolve._grid_cache.clear()
     assert len(calls) == 9 * (2 * m + 1)
     for a, b in zip(serial, [side for sides in both for side in sides]):
         assert a.hole == b.hole

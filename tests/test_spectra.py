@@ -344,15 +344,18 @@ def test_sign_changes_break_at_nan_and_ignore_end_zeros():
 
 def test_refinement_solves_each_opening_once(monkeypatch):
     # bisection reads the sweep's rows and solves only rays between them,
-    # each once per sector and at the curve's k
+    # each once per sector and at the curve's k and tol
     from crackspec import spectra
     spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
-    curve = sweep(spec, np.linspace(0.05, math.pi / 3 - 0.02, 6), 24, 3)
+    curve = sweep(spec, np.linspace(0.05, math.pi / 3 - 0.02, 6), 24, 3, tol=1e-7)
+    assert curve.tol == 1e-7
     calls = []
+    tols = []
     solve = spectra.solve_sector
 
     def counting(problem, m, k, *args):
         calls.append((problem.ell, round(problem.geometry.epsilon / curve_dtheta), k))
+        tols.append(args)
         return solve(problem, m, k, *args)
 
     curve_dtheta = (2 * math.pi / 3) / 24
@@ -363,6 +366,7 @@ def test_refinement_solves_each_opening_once(monkeypatch):
     assert len(calls) == len(set(calls))
     assert not [c for c in calls if c[1] in sweep_rays]
     assert {k for _, _, k in calls} == {curve.k}
+    assert set(tols) == {(1e-7,)}
 
 
 def test_detect_crossings_requires_two_points():
