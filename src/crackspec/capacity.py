@@ -3,8 +3,9 @@ Dirichlet-energy minimization.
 
 The capacitary potential solves the discrete Laplace equation with V = 1 on
 the compact K (arcs of the circle r = r1, one grid ring thick) and V = 0 on
-the outer circle.  Grid and stencil are those of the fully open one-sector
-disk (n = 1, ell = 0) of `discretize`: scaled by its node weights,
+the outer circle.  Grid and stencil are those of the open operator of the
+one-sector disk (n = 1, ell = 0, `discretize.open_operator`), which no
+crack cuts: scaled by its node weights,
 L = dr*dtheta*diag(w)*A is the weighted graph Laplacian with conductances
 r_{i+1/2} dtheta/dr on radial edges and dr/(r_i dtheta) on angular edges, so
 
@@ -35,8 +36,8 @@ ring (the center, which every rotation fixes, is g_center * sum(c)).
 
 L and g are cached per snapped grid (r1 ring, r2, m), for at most
 `_CACHED_GRIDS` grids, about 2.3 MB each at m = 180.  g costs no
-factorization: two applies of `eigensolve.open_solve`, one tridiagonal
-solve per angular mode of the open disk operator, one for the solve and one
+factorization: two applies of `eigensolve.open_solve` to the disk's open
+operator, one tridiagonal solve per angular mode, one for the solve and one
 for a step of iterative refinement.  A column that leaves a residual
 ||L g - e||_inf above `_GREEN_BOUND` raises `SolverError`.
 """
@@ -51,7 +52,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .discretize import MIN_CELLS, AssembledOperator, PolarGrid, open_operator
+from .discretize import MIN_CELLS, PolarGrid, open_operator
 from .domain import CrackedDiskSpec, SectorProblem
 from .eigensolve import SolverError, one_blas_thread, open_solve
 
@@ -110,19 +111,18 @@ class CapacityResult:
 
 @functools.lru_cache(maxsize=_CACHED_GRIDS)
 def _disk_green(r1_ring: int, r2: float, m: int):
-    """The weighted Laplacian L of the fully open disk on the m x m grid of
-    radius r2, and its Green's column g = L^-1 e at (ring r1_ring, column 0)."""
+    """The weighted Laplacian L of the open disk operator on the m x m grid
+    of radius r2, and its Green's column g = L^-1 e at (ring r1_ring, column
+    0), from two open solves of that operator."""
     problem = CapacityProblem(r1_ring * r2 / m, r2, (), m)
-    disk = open_operator(problem.disk, m)
-    op = AssembledOperator(problem.grid, problem.disk, disk,
-                           keep=np.ones_like(disk.node_ring, dtype=bool))
+    disk, grid = open_operator(problem.disk, m), problem.grid
     # L = c diag(w) A, so L^-1 b = A^-1 (b / (c w))
-    scale = op.grid.dr * op.grid.dtheta * op.row_weights
-    lap = (sp.diags(scale) @ op.matrix).tocsr()
-    e = np.zeros(op.n)
+    scale = grid.dr * grid.dtheta * disk.row_weights
+    lap = (sp.diags(scale) @ disk.matrix).tocsr()
+    e = np.zeros(scale.size)
     e[(r1_ring - 1) * m] = 1.0
-    g = open_solve(op, e / scale)
-    g += open_solve(op, (e - lap @ g) / scale)  # one step of iterative refinement
+    g = open_solve(disk, e / scale)
+    g += open_solve(disk, (e - lap @ g) / scale)  # one step of iterative refinement
     residual = np.abs(lap @ g - e).max()
     if not residual <= _GREEN_BOUND:
         raise SolverError(

@@ -45,10 +45,10 @@ factors (`SectorFactors`): on the ring nodes A_open = R (x) I + diag(D) (x) T,
 plus the center.  The open operator (`open_operator`) does not depend on r1
 or epsilon, so `assemble` builds it once per sector grid (kind, ell or
 quarter case, n, m, r2), keeps it in a bounded cache (`_OPEN_GRIDS` grids),
-and returns every opening as that operator plus the mask `keep` of its
-unknowns (`AssembledOperator`, which derives the node arrays on `keep`,
-the principal submatrix on `keep` only when it is read, and refuses a mask
-that drops a node off the r1 ring).  `eigensolve` checks each open
+and returns every opening as its sector problem on that operator
+(`AssembledOperator`, which works out its grid, its crack and the mask
+`keep` of its unknowns, the node arrays on `keep`, and the principal
+submatrix on `keep` only when it is read).  `eigensolve` checks each open
 operator and builds its mode rows once for all of its openings, and keeps
 both on the operator (`OpenOperator.derived`), so they go with it.
 """
@@ -77,10 +77,6 @@ __all__ = [
 ]
 
 MIN_CELLS = 8
-
-
-class SolverError(RuntimeError):
-    """Eigensolver failure."""
 
 
 class _Slot:
@@ -334,17 +330,22 @@ class OpenOperator:
 
 @dataclass(frozen=True, eq=False)
 class AssembledOperator:
-    """One opening: its grid's open operator without the crack nodes, where
-    `keep` is False.  The other fields derive from these four, as copies on
-    `keep`, or the open operator's read-only arrays if no node is dropped.
+    """One opening: a sector problem on its grid's open operator, without
+    the crack nodes.  Everything else derives from these two: the grid, m
+    x m with m one more than the open operator's rings; `crack`, per column
+    of `cols`, True on the r1-ring columns at least `PolarGrid.eps_ray`
+    rays from a hole center, none once that ray reaches `open_ray`; `keep`,
+    the open operator's nodes off the crack; and the node arrays, copies on
+    `keep`, or the open operator's read-only arrays if the crack is empty.
     `matrix`, the principal submatrix on `keep`, is derived on its first
     read (`__getattr__`): the solves apply the open operator, and only the
-    dense oracle, `dump_operator` and `capacity` read it."""
+    dense oracle, `dump_operator` and the benchmark's tracer read it."""
 
-    grid: PolarGrid
     problem: SectorProblem
     open: OpenOperator
-    keep: np.ndarray
+    grid: PolarGrid = field(init=False)
+    crack: np.ndarray = field(init=False)
+    keep: np.ndarray = field(init=False)
     matrix: sp.csr_matrix = field(init=False, repr=False)
     n: int = field(init=False)
     row_weights: np.ndarray = field(init=False)
@@ -357,18 +358,23 @@ class AssembledOperator:
     factors: SectorFactors = field(init=False)
 
     def __post_init__(self) -> None:
-        grid_open, keep = self.open, self.keep
-        if not (keep.dtype == bool and keep.shape == grid_open.node_ring.shape
-                and (grid_open.node_ring[~keep] == self.grid.r1_ring).all()):
-            raise SolverError("the operator's unknowns are not its grid's nodes without "
-                              "crack nodes on the r1 ring, which signals an assembly bug")
-        keep.flags.writeable = False
+        grid_open, cols = self.open, self.open.cols
+        grid = PolarGrid.for_problem(self.problem, grid_open.factors.r.size + 1)
+        # crack: r1-ring columns >= e rays from a hole center, `period` columns apart
+        e = grid.eps_ray(self.problem.geometry.epsilon)
+        crack = np.zeros(cols.size, dtype=bool)
+        if e < grid.open_ray:
+            period = round(2 * grid.eps_open / grid.dtheta)
+            crack = np.minimum(cols, period - cols) >= e
+        keep = np.ones_like(grid_open.node_ring, dtype=bool)
+        keep[(grid.r1_ring - 1) * cols.size + np.flatnonzero(crack)] = False
+        crack.flags.writeable = keep.flags.writeable = False
         n = int(keep.sum())
         sel = keep if n < keep.size else slice(None)
         self.__dict__.update(          # frozen: the fields are set once, here
-            n=n, row_weights=grid_open.row_weights[sel], node_ring=grid_open.node_ring[sel],
-            node_col=grid_open.node_col[sel], cols=grid_open.cols.copy(),
-            wrap=self.problem.kind == "floquet", sector=self.problem.tag,
+            grid=grid, crack=crack, keep=keep, n=n, row_weights=grid_open.row_weights[sel],
+            node_ring=grid_open.node_ring[sel], node_col=grid_open.node_col[sel],
+            cols=cols.copy(), wrap=self.problem.kind == "floquet", sector=self.problem.tag,
             center_row=n - 1 if grid_open.factors.has_center else None, factors=grid_open.factors)
 
     def __getattr__(self, name: str):
@@ -439,21 +445,10 @@ _open_grids = GridCache(_OPEN_GRIDS)
 
 
 def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
-    """The opening of a sector problem's m x m grid: its cached open operator and crack mask."""
+    """The opening of a sector problem on its m x m grid's cached open operator."""
     spec = problem.geometry
-    grid = PolarGrid.for_problem(problem, m)
     key = (problem.kind, problem.quarter_case or problem.ell, spec.n, m, spec.r2)
-    grid_open = _open_grids.get(key, lambda: open_operator(problem, m))
-
-    # crack: r1-ring columns >= e rays from a hole center, `period` columns apart
-    e = grid.eps_ray(spec.epsilon)
-    keep = np.ones_like(grid_open.node_ring, dtype=bool)
-    if e < grid.open_ray:
-        cols = grid_open.cols
-        period = round(2 * grid.eps_open / grid.dtheta)
-        crack = np.flatnonzero(np.minimum(cols, period - cols) >= e)
-        keep[(grid.r1_ring - 1) * cols.size + crack] = False
-    return AssembledOperator(grid=grid, problem=problem, open=grid_open, keep=keep)
+    return AssembledOperator(problem, _open_grids.get(key, lambda: open_operator(problem, m)))
 
 
 def dump_operator(op: AssembledOperator, path: str) -> None:

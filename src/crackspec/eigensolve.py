@@ -17,10 +17,11 @@ tridiagonal T_j = Rs + lam_j diag(D) over the rings.  The angular
 eigenvalues lam_j = 4 sin^2(theta_j / 2) come from the closed-form
 frequencies theta_j of `SectorFactors.frequency`, so equal frequencies give
 equal lam_j to the bit in every sector.  A side of an r1 ring (`_Side`,
-built on its first use and kept with the mode rows) is the spectrum that
-one of its capacitance matrices has poles at, mode by mode: the eigenvalues
-of the tridiagonal blocks of T_j between its held rows, each with the
-square of its eigenvector's dot with the side's unit row.
+built on its first use and kept with the mode rows, which keep the last
+`_SIDES`) is the spectrum that one of its capacitance matrices has poles
+at, mode by mode: the eigenvalues of the tridiagonal blocks of T_j between
+its held rows, each with the square of its eigenvector's dot with the
+side's unit row.
 - The open side holds no row of T_j: its poles are the eigenvalues nu_ij of
   the T_j, the open operator's spectrum, and the unit row is the r1 ring's,
   which gives the eigenvectors' ring entries q_ij.  The crack's capacitance
@@ -61,11 +62,11 @@ definite, a capacitance block whose Cholesky fails, or a count that
 contradicts the roots.  The solves and the residual certificates apply the
 open operator, so an opening's own matrix is derived only where it is read.
 
-`open_solve` inverts a fully open operator from the same rows, without
-their spectra: the angular transform, one positive-definite tridiagonal
-solve over every mode, whose pivots prove the open operator positive
-definite, and the transform back.  It gives the Green's column of the
-capacitary potential.
+`open_solve` inverts an open operator (`OpenOperator`) from the same rows,
+without their spectra: the angular transform, one positive-definite
+tridiagonal solve over every mode, whose pivots prove the open operator
+positive definite, and the transform back.  It gives the Green's column of
+the capacitary potential.
 
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||,
 with A v the open operator's product with v on the opening's nodes, and
@@ -96,7 +97,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .discretize import AssembledOperator, GridCache, OpenOperator, SectorFactors, SolverError
+from .discretize import AssembledOperator, GridCache, OpenOperator, SectorFactors
 
 __all__ = ["SolverError", "Spectrum", "open_solve", "lowest_eigenpairs",
            "group_multiplicities"]
@@ -108,6 +109,11 @@ _OPERATOR_TOL = 1e-12       # an open operator's matrix against its factors', re
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 200            # root steps per eigenvalue
 _CLUSTER_GAP = 1e-9         # relative offset of the completeness counts
+_SIDES = 4                  # sides kept per open operator: both sides of two r1 rings
+
+
+class SolverError(RuntimeError):
+    """Eigensolver failure."""
 
 
 def _openblas_thread_controls():
@@ -264,12 +270,13 @@ class _ModeRows:
     each ring is one entry of every row.  `coupling` is `off` with the rows
     laid end to end, a zero between two modes, for the banded solves over
     every mode at once.  Nothing here depends on r1: `side` builds each side
-    of each r1 ring once.  In every mode but the bordered one T_j depends on
-    the sector only through lam_j, so `radial`, the bytes of Rs's diagonals
-    and of D, keys the side tables that grids with equal radial rows share."""
+    of an r1 ring on its first use, and `sides` keeps the last `_SIDES`.
+    In every mode but the bordered one T_j depends on the sector only
+    through lam_j, so `radial`, the bytes of Rs's diagonals and of D, keys
+    the side tables that grids with equal radial rows share."""
 
     def __init__(self, f: SectorFactors) -> None:
-        self.sides = GridCache(None)
+        self.sides = GridCache(_SIDES)
         v, self.lam = _angular_modes(f)
         self.ang = v
         self.has_center = f.has_center
@@ -292,21 +299,18 @@ class _ModeRows:
         e[:, :-1] = self.off
         self.coupling = e.ravel()[:-1]
 
-    def field(self, z: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """The unknowns (open grid nodes on `keep`) of mode coefficients z."""
+    def field(self, z: np.ndarray) -> np.ndarray:
+        """The open grid's nodes of mode coefficients z."""
         x = (z[:, int(self.has_center):].T @ self.ang.T).reshape(-1)
-        return (np.append(x, z[0, 0]) if self.has_center else x)[keep]
+        return np.append(x, z[0, 0]) if self.has_center else x
 
-    def coefficients(self, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """The mode coefficients of the vector of unknowns x: the adjoint of
-        `field`, which is its inverse on a fully open grid."""
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """The mode coefficients of the open grid's nodes x: the inverse of `field`."""
         lead = int(self.has_center)
-        nodes = np.zeros(keep.size, dtype=x.dtype)
-        nodes[keep] = x
         z = np.zeros(self.diag.shape, dtype=np.result_type(x, self.ang))
-        z[:, lead:] = (nodes[:keep.size - lead].reshape(-1, self.ang.shape[0]) @ self.ang.conj()).T
+        z[:, lead:] = (x[:x.size - lead].reshape(-1, self.ang.shape[0]) @ self.ang.conj()).T
         if self.has_center:
-            z[0, 0] = nodes[-1]
+            z[0, 0] = x[-1]
         return z
 
     def side(self, ring: int, hole: bool) -> _Side:
@@ -457,23 +461,23 @@ _RADIAL_GRIDS = 8
 _radial_tables = GridCache(_RADIAL_GRIDS)
 
 
-def _grid_rows(op: AssembledOperator) -> _ModeRows:
-    """The mode rows of the opening's open operator, built once and kept on it."""
-    return op.open.derived.get(("rows",), lambda: _ModeRows(op.open.factors))
+def _grid_rows(grid_open: OpenOperator) -> _ModeRows:
+    """The mode rows of an open operator, built once and kept on it."""
+    return grid_open.derived.get(("rows",), lambda: _ModeRows(grid_open.factors))
 
 
-def open_solve(op: AssembledOperator, b: np.ndarray) -> np.ndarray:
-    """A^-1 b for the matrix A of a fully open operator (no crack nodes) with
-    real factors, from its mode rows (`_ModeRows`): b scaled by sqrt(w) into
-    angular modes, one LDL^T solve over every mode's tridiagonal
-    (`_ModeRows.solve_open`), back to the unknowns, and scaled by 1/sqrt(w).
-    Raises `SolverError` when a pivot of the solve is not positive: the open
-    operator is then not positive definite."""
-    if not op.keep.all() or np.iscomplexobj(op.open.matrix) or np.iscomplexobj(b):
+def open_solve(grid_open: OpenOperator, b: np.ndarray) -> np.ndarray:
+    """A^-1 b for the matrix A of a real open operator, from its mode rows
+    (`_ModeRows`): b scaled by sqrt(w) into angular modes, one LDL^T solve
+    over every mode's tridiagonal (`_ModeRows.solve_open`), back to the
+    nodes, and scaled by 1/sqrt(w).  Raises `SolverError` when a pivot of
+    the solve is not positive: the open operator is then not positive
+    definite."""
+    if np.iscomplexobj(grid_open.matrix) or np.iscomplexobj(b):
         raise ValueError("open_solve takes a fully open real operator and a real vector")
-    rows = _grid_rows(op)
-    d = np.sqrt(op.row_weights)
-    return rows.field(rows.solve_open(rows.coefficients(b * d, op.keep)), op.keep) / d
+    rows = _grid_rows(grid_open)
+    d = np.sqrt(grid_open.row_weights)
+    return rows.field(rows.solve_open(rows.coefficients(b * d))) / d
 
 
 def _check_operator(grid_open: OpenOperator) -> None:
@@ -539,11 +543,9 @@ class _Secular:
     the pole itself."""
 
     def __init__(self, op: AssembledOperator, hole: bool | None = None) -> None:
-        rows = _grid_rows(op)
-        c, ring = op.cols.size, op.grid.r1_ring
-        crack = ~op.keep[(ring - 1) * c:ring * c]
+        rows, ring, crack = _grid_rows(op.open), op.grid.r1_ring, op.crack
         if hole is None:
-            hole = 2 * int(crack.sum()) > c
+            hole = 2 * int(crack.sum()) > crack.size
         self.rows, self.keep = rows, op.keep
         g0 = rows.side(ring, False).g0
         self.spec = rows.side(ring, hole)
@@ -767,7 +769,7 @@ class _Secular:
             z = np.zeros(rhs.shape, dtype=v.dtype)
         for j, y, coef in near:
             z[j] += coef * y
-        return self.rows.field(z, self.keep)
+        return self.rows.field(z)[self.keep]
 
     def lowest(self, k: int):
         """The k lowest eigenvalues and their vectors, certified complete."""

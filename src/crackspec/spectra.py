@@ -154,31 +154,30 @@ def _at(problem: SectorProblem, eps: float) -> SectorProblem:
 def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int,
                tol: float) -> EigenvalueCurve:
     """Solve every problem of `problems` once per ray that an opening of
-    `epsilon_list` is solved on (`PolarGrid.eps_ray`), on a pool of
-    min(4, cores, tasks) threads, each solve on one BLAS thread.  A ray's
-    problem is built from the first requested opening on it.
+    `epsilon_list` is solved on (`PolarGrid.eps_ray`), at the opening
+    reported for that ray (`PolarGrid.eps_at`), on a pool of
+    min(4, cores, tasks) threads, each solve on one BLAS thread.
 
     Returns the curve of those rays at their reported openings, with the k
     sector values and their residual certificates."""
     grid = PolarGrid.for_problem(problems[0], m)
-    first: dict[int, float] = {}
-    for eps in epsilon_list:
-        first.setdefault(grid.eps_ray(eps), eps)
-    if not first:
+    # each request is an opening of the geometry, so one outside [0, pi/n] raises
+    requests = [_at(problems[0], eps).geometry.epsilon for eps in epsilon_list]
+    epsilons = [grid.eps_at(ray) for ray in sorted({grid.eps_ray(eps) for eps in requests})]
+    if not epsilons:
         raise ValueError("epsilon_list must not be empty")
-    rays = sorted(first)
-    tasks = [(ie, _at(p, first[ray])) for ie, ray in enumerate(rays) for p in problems]
+    tasks = [(ie, _at(p, eps)) for ie, eps in enumerate(epsilons) for p in problems]
     workers = min(4, os.cpu_count() or 1, len(tasks))
     # held across the pool, so the BLAS count does not flip between tasks
     with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
         sols = list(pool.map(lambda task: solve_sector(task[1], m, k, tol), tasks))
-    values = {p.label: np.empty((len(rays), k)) for p in problems}
+    values = {p.label: np.empty((len(epsilons), k)) for p in problems}
     residuals = {label: np.empty_like(arr) for label, arr in values.items()}
     for (ie, p), sol in zip(tasks, sols):
         values[p.label][ie] = sol.values
         residuals[p.label][ie] = sol.residuals
     return EigenvalueCurve(geometry=problems[0].geometry, m=m, k=k, tol=tol,
-                           epsilons=np.array([grid.eps_at(ray) for ray in rays]),
+                           epsilons=np.array(epsilons),
                            sectors=[p.tag for p in problems], values=values,
                            residuals=residuals, r1=grid.r1)
 

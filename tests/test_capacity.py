@@ -217,9 +217,9 @@ def test_one_inverse_per_grid(monkeypatch):
     # open solve on its grid
     inner, applies = capacity.open_solve, []
 
-    def counting(op, b):
-        applies.append(op.grid.m)
-        return inner(op, b)
+    def counting(grid_open, b):
+        applies.append(grid_open.cols.size)         # the disk's m columns
+        return inner(grid_open, b)
 
     monkeypatch.setattr(capacity, "open_solve", counting)
     _disk_green.cache_clear()

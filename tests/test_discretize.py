@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from crackspec import specfun
 from crackspec.domain import (
     QUARTER_CASES, build_cracked_disk, quarter_problems, reduce_to_sectors)
-from crackspec.discretize import assemble, dump_operator
+from crackspec.discretize import GridCache, assemble, dump_operator
 from crackspec.eigensolve import lowest_eigenpairs, one_blas_thread
 
 
@@ -310,3 +312,39 @@ def test_assembled_operator_owns_its_arrays():
     # the factors are shared by every opening of the grid, so read-only
     with pytest.raises(ValueError):
         again.factors.radial[0, 0] = 0.0
+
+
+class _SlowKey:
+    """A key part whose hash sleeps a millisecond, releasing the GIL, so
+    that threads interleave between a key's lookup and its insert."""
+
+    def __hash__(self):
+        time.sleep(0.001)
+        return 0
+
+
+def test_grid_cache_builds_a_key_once_for_every_thread():
+    # eight threads ask for one missing key at once.  Its hash sleeps, so
+    # without the cache's lock every thread would look it up missing and
+    # make its own slot; its build sleeps, so without the slot's lock every
+    # thread would build its own data
+    cache, builds, got = GridCache(4), [], [None] * 8
+    key, start = ("key", _SlowKey()), threading.Barrier(8)
+
+    def build():
+        builds.append(object())
+        time.sleep(0.05)
+        return builds[-1]
+
+    def get(i):
+        start.wait()
+        got[i] = cache.get(key, build)
+
+    workers = [threading.Thread(target=get, args=(i,)) for i in range(8)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=30)
+    assert not any(w.is_alive() for w in workers)
+    assert len(builds) == 1
+    assert all(g is builds[0] for g in got)

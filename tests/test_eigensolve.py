@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import importlib
+import itertools
 import math
 import os
 import sys
@@ -98,12 +99,13 @@ def test_eigenvalues_sorted():
 
 
 def test_complex_pair_detection():
-    op = _toy_op(m=10)
+    op = _toy_op(m=10, eps=math.pi / 2)     # fully open: every node is an unknown
     rot = sp.csr_matrix(np.array([[1.0, -2.0], [2.0, 1.0]]))  # eigenvalues 1 +- 2i
     fake_open = dataclasses.replace(op.open, matrix=sp.block_diag([rot] * 5).tocsr(),
                                     row_weights=np.ones(10), node_ring=np.ones(10, dtype=int),
                                     node_col=np.arange(10))
-    fake = dataclasses.replace(op, open=fake_open, keep=np.ones(10, dtype=bool))
+    fake = dataclasses.replace(op, open=fake_open)
+    assert fake.n == 10
     with pytest.raises(SolverError):
         lowest_eigenpairs(fake, 2, method="dense")
 
@@ -182,16 +184,15 @@ def test_inverse_refuses_factors_that_are_not_positive_definite():
     f = op.open.factors
     broken = _with_open(op, factors=dataclasses.replace(f, radial=-f.radial))
     with pytest.raises(SolverError, match="not positive definite \\(pivot"):
-        open_solve(broken, np.ones(broken.n))
+        open_solve(broken.open, np.ones(broken.n))
 
 
-def test_open_solve_refuses_an_opening_and_complex_data():
-    real, opening = _toy_op("DND", m=11, eps=math.pi / 2), _toy_op("DND", m=11)
+def test_open_solve_refuses_complex_data():
+    real = _toy_op("DND", m=11, eps=math.pi / 2)
     complex_op = _coupled_op(eps=math.pi / 3)
-    for op, b in ((opening, np.ones(opening.n)), (complex_op, np.ones(complex_op.n)),
-                  (real, np.ones(real.n) + 0j)):
+    for op, b in ((complex_op, np.ones(complex_op.n)), (real, np.ones(real.n) + 0j)):
         with pytest.raises(ValueError, match="fully open real operator"):
-            open_solve(op, b)
+            open_solve(op.open, b)
 
 
 def test_secular_solve_refuses_factors_that_are_not_positive_definite():
@@ -199,22 +200,12 @@ def test_secular_solve_refuses_factors_that_are_not_positive_definite():
     f = op.open.factors
     broken = _with_open(op, factors=dataclasses.replace(f, radial=-f.radial))
     with pytest.raises(SolverError, match="open operator has eigenvalue"):
-        eigensolve._grid_rows(broken).side(broken.grid.r1_ring, False)
-
-
-def test_secular_solve_refuses_an_operator_without_a_node_off_the_ring():
-    # dropping a ring-1 node keeps every product with the open operator
-    # exact, so only the mask shows that it is not a crack node
-    op = _toy_op("DDD", m=12, eps=0.4)
-    keep = op.keep.copy()
-    keep[0] = False
-    with pytest.raises(SolverError, match="not its grid's nodes without crack nodes"):
-        dataclasses.replace(op, keep=keep)
+        eigensolve._grid_rows(broken.open).side(broken.grid.r1_ring, False)
 
 
 def test_secular_solve_refuses_a_capacitance_block_that_is_not_positive_definite(monkeypatch):
     op = _toy_op("NND", m=10, eps=0.5)
-    spec = eigensolve._grid_rows(op).side(op.grid.r1_ring, False)
+    spec = eigensolve._grid_rows(op.open).side(op.grid.r1_ring, False)
     monkeypatch.setattr(spec, "g0", -spec.g0)
     with pytest.raises(SolverError, match="capacitance block"):
         lowest_eigenpairs(op, 2)
@@ -235,7 +226,7 @@ def test_grid_cache_under_concurrent_use():
             for _ in range(5):
                 for case, m, ring in grids:
                     op = assemble(_sector("quarter", case, 2, 0.9, ring, m), m)
-                    side = eigensolve._grid_rows(op).side(ring, False)
+                    side = eigensolve._grid_rows(op.open).side(ring, False)
                     if (side.poles.shape != (op.cols.size, m - 1 + op.factors.has_center)
                             or side.ring != ring - 1 + op.factors.has_center):
                         wrong.append(op.sector.label)
@@ -296,9 +287,9 @@ def test_open_solve_inverts_every_fully_open_real_grid(data):
     op = assemble(_sector(kind, which, n, math.pi / n, ring, m), m)
     x = np.random.default_rng(7).standard_normal(op.n)
     with one_blas_thread:
-        back = open_solve(op, op.matrix @ x)
+        back = open_solve(op.open, op.matrix @ x)
     assert np.linalg.norm(back - x) <= 1e-11 * np.linalg.norm(x)
-    assert len(eigensolve._grid_rows(op).sides) == 0      # no side of the ring is built
+    assert len(eigensolve._grid_rows(op.open).sides) == 0      # no side of the ring is built
 
 
 def test_asymmetric_symmetrization_raises_on_the_sparse_path():
@@ -383,6 +374,7 @@ def test_an_opening_is_its_open_operator_on_its_mask(sector, grid, opening):
         assert np.array_equal(getattr(op, name), getattr(grid_open, name)[keep])
     assert np.array_equal(op.cols, grid_open.cols)
     assert (grid_open.node_ring[~keep] == op.grid.r1_ring).all()
+    assert np.array_equal(grid_open.node_col[~keep], grid_open.cols[op.crack])
     # the grid's symmetrization residual bounds the opening's
     bound = eigensolve._asymmetry(grid_open.matrix, np.sqrt(grid_open.row_weights),
                                   grid_open.node_ring)
@@ -500,7 +492,7 @@ def test_closed_poles_are_the_fully_closed_spectrum(sector, ring):
     d = np.sqrt(op.open.row_weights[keep])
     closed = (sp.diags(d) @ op.open.matrix[keep][:, keep] @ sp.diags(1.0 / d)).toarray()
     dense = np.linalg.eigvalsh((closed + closed.conj().T) / 2)
-    poles = eigensolve._grid_rows(op).side(op.grid.r1_ring, True).sorted
+    poles = eigensolve._grid_rows(op.open).side(op.grid.r1_ring, True).sorted
     assert poles.size == dense.size
     assert np.allclose(poles, dense, rtol=1e-10, atol=0)
 
@@ -515,7 +507,7 @@ def test_the_closed_table_is_built_once_per_radial_grid(monkeypatch):
     wide = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, 1.2, 0.4356, 1.0))]
     assert all(eigensolve._Secular(op).offset == 0 for op in wide)
     assert len(calls) == 2 * m + 1
-    assert all(len(eigensolve._grid_rows(op).sides) == 1 for op in wide)   # the open side only
+    assert all(len(eigensolve._grid_rows(op.open).sides) == 1 for op in wide)   # the open side only
     for eps in (0.2, 0.3):
         narrow = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, eps, 0.4356, 1.0))]
         assert all(eigensolve._Secular(op).offset > 0 for op in narrow)
@@ -829,9 +821,30 @@ def test_one_open_operator_serves_every_r1_ring(monkeypatch):
     assert ops[0].open is ops[1].open
     assert [eigensolve._Secular(op).offset for op in ops] == [0, 0]     # crack side
     assert len(calls) == 1
-    rows = eigensolve._grid_rows(ops[0])
+    rows = eigensolve._grid_rows(ops[0].open)
     assert len(rows.sides) == 2
     assert [rows.side(ring, False).ring for ring in (5, 9)] == [4, 8]
+
+
+def test_an_r1_scan_keeps_the_sides_of_two_rings():
+    # six r1 rings on one open operator, each solved on both sides of its
+    # ring: the mode rows keep at most four sides, and every opening gives
+    # the eigenvalues of a fresh solve, to the bit
+    m, rings, openings = 16, range(3, 9), (0.3, 0.9)
+    _clear_grids()
+    scanned, ops = [], []
+    for ring in rings:
+        for eps in openings:
+            ops.append(assemble(_sector("floquet", 0, 3, eps, ring, m), m))
+            scanned.append(lowest_eigenpairs(ops[-1], 3).eigenvalues)
+            assert len(eigensolve._grid_rows(ops[-1].open).sides) <= 4
+    assert all(op.open is ops[0].open for op in ops)
+    # the narrow opening is solved on the hole's side, the wide one on the crack's
+    assert [eigensolve._Secular(op).offset > 0 for op in ops[:2]] == [True, False]
+    for (ring, eps), values in zip(itertools.product(rings, openings), scanned):
+        _clear_grids()
+        fresh = lowest_eigenpairs(assemble(_sector("floquet", 0, 3, eps, ring, m), m), 3)
+        assert np.array_equal(fresh.eigenvalues, values)
 
 
 @pytest.mark.parametrize("m", [24, 25])
@@ -842,16 +855,16 @@ def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
     calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
     ops = _quarter_grids(m)
     ring = ops[0].grid.r1_ring
-    spectra = [eigensolve._grid_rows(op).side(ring, False) for op in ops]
+    spectra = [eigensolve._grid_rows(op.open).side(ring, False) for op in ops]
     assert len(calls) == 2 * m + 1
     # in reverse order, and from several threads at once, the same bits
     ops = _quarter_grids(m)
-    backward = [eigensolve._grid_rows(op).side(ring, False) for op in reversed(ops)][::-1]
+    backward = [eigensolve._grid_rows(op.open).side(ring, False) for op in reversed(ops)][::-1]
     ops = _quarter_grids(m)
     threaded = [None] * len(ops)
 
     def build(i):
-        threaded[i] = eigensolve._grid_rows(ops[i]).side(ring, False)
+        threaded[i] = eigensolve._grid_rows(ops[i].open).side(ring, False)
 
     _in_threads(build, (3, 1, 2, 0))
     assert len(calls) == 3 * (2 * m + 1)
@@ -863,17 +876,18 @@ def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
     # reverse order, closed side first: each side's tables are solved once,
     # 2m+1 tridiagonals open and 2(2m+1) closed, to the same bits
     ops = _quarter_grids(m)
-    serial = [eigensolve._grid_rows(op).side(ring, hole) for op in ops for hole in (False, True)]
+    serial = [eigensolve._grid_rows(op.open).side(ring, hole)
+              for op in ops for hole in (False, True)]
     assert len(calls) == 6 * (2 * m + 1)
     ops = _quarter_grids(m)
     both = [None] * len(ops)
 
     def build_both(i):
-        closed = eigensolve._grid_rows(ops[i]).side(ring, True)
-        both[i] = [eigensolve._grid_rows(ops[i]).side(ring, False), closed]
+        closed = eigensolve._grid_rows(ops[i].open).side(ring, True)
+        both[i] = [eigensolve._grid_rows(ops[i].open).side(ring, False), closed]
 
     _in_threads(build_both, (3, 2, 1, 0))
-    assert all(eigensolve._grid_rows(op).side(ring, hole) is side
+    assert all(eigensolve._grid_rows(op.open).side(ring, hole) is side
                for op, sides in zip(ops, both) for hole, side in zip((False, True), sides))
     assert len(calls) == 9 * (2 * m + 1)
     for a, b in zip(serial, [side for sides in both for side in sides]):

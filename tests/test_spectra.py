@@ -226,6 +226,8 @@ def test_sweep_validation():
         sweep(spec, [0.5, 0.3], 24, 2)
     with pytest.raises(ValueError):  # beyond pi/3, even though it snaps to the ray at pi/3
         sweep(spec, [0.5, math.pi / 3 + 0.01], 24, 2)
+    with pytest.raises(ValueError):  # also after a request in range on that ray
+        sweep(spec, [math.pi / 3 - 0.001, math.pi / 3 + 0.01], 24, 2)
 
 
 def test_k_above_a_quarter_of_a_sectors_unknowns_raises():
