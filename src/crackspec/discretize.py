@@ -47,10 +47,13 @@ or epsilon, so `assemble` builds it once per sector grid (kind, ell or
 quarter case, n, m, r2), keeps it in a bounded cache (`_OPEN_GRIDS` grids),
 and returns every opening as its sector problem on that operator
 (`AssembledOperator`, which works out its grid, its crack and the mask
-`keep` of its unknowns, the node arrays on `keep`, and the principal
-submatrix on `keep` only when it is read).  `eigensolve` checks each open
-operator and builds its mode rows once for all of its openings, and keeps
-both on the operator (`OpenOperator.derived`), so they go with it.
+`keep` of its unknowns, and the node arrays on `keep`).  The factors are the
+operator: `eigensolve` checks them and builds its mode rows once per open
+operator for all of its openings, keeps both on the operator
+(`OpenOperator.derived`), so they go with it, and applies the factors for
+its certificates.  The operator as a CSR matrix is scattered from the
+factors only when it is read (`OpenOperator.matrix`, and an opening's
+principal submatrix on `keep`).
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ __all__ = [
     "AssembledOperator",
     "assemble",
     "open_operator",
-    "dump_operator",
 ]
 
 MIN_CELLS = 8
@@ -315,17 +317,26 @@ def _sector_factors(problem: SectorProblem, grid: PolarGrid,
 class OpenOperator:
     """The fully open operator of one sector grid: `SectorFactors` on the
     ring nodes, ring by ring, then the center.  Its openings share its
-    arrays, so read-only.  `derived` keeps what `eigensolve` derives from it
-    for all of its openings, each built once: its checks and its mode rows,
-    which live as long as the operator."""
+    arrays, so read-only.  `matrix`, the factors' operator as a read-only
+    CSR matrix, is scattered from them on its first read (`__getattr__`):
+    the solves apply the factors, and only `capacity`, the tests' dense
+    oracle and the benchmark's tracer read it.  `derived` keeps what
+    `eigensolve` derives from it for all of its openings, each built once:
+    its check and its mode rows, which live as long as the operator."""
 
-    matrix: sp.csr_matrix
     row_weights: np.ndarray   # node weights w: diag(sqrt(w)) A diag(1/sqrt(w)) is Hermitian
     cols: np.ndarray          # angular indices present on the grid
     node_ring: np.ndarray     # per node: ring index i (0 for the center)
     node_col: np.ndarray      # per node: angular index j (-1 for the center)
     factors: SectorFactors
+    matrix: sp.csr_matrix = field(init=False, repr=False)
     derived: GridCache = field(default_factory=lambda: GridCache(None), init=False)
+
+    def __getattr__(self, name: str):
+        if name != "matrix":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["matrix"] = matrix = _scatter(self.factors)
+        return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,9 +348,9 @@ class AssembledOperator:
     rays from a hole center, none once that ray reaches `open_ray`; `keep`,
     the open operator's nodes off the crack; and the node arrays, copies on
     `keep`, or the open operator's read-only arrays if the crack is empty.
-    `matrix`, the principal submatrix on `keep`, is derived on its first
-    read (`__getattr__`): the solves apply the open operator, and only the
-    dense oracle, `dump_operator` and the benchmark's tracer read it."""
+    `matrix`, the principal submatrix on `keep` of the open operator's, is
+    derived on its first read (`__getattr__`), like that one: the solves
+    apply the factors."""
 
     problem: SectorProblem
     open: OpenOperator
@@ -385,20 +396,12 @@ class AssembledOperator:
         return matrix
 
 
-def open_operator(problem: SectorProblem, m: int) -> OpenOperator:
-    """The fully open operator of a sector problem's m x m grid."""
-    grid = PolarGrid.for_problem(problem, m)
-    if problem.kind == "floquet":
-        cols = np.arange(m)
-    else:
-        bc_lo, bc_hi = problem.quarter_case[:2]
-        cols = np.arange(0 if bc_lo == "N" else 1, m + 1 if bc_hi == "N" else m)
-    f = _sector_factors(problem, grid, cols)
-
-    ring, col = np.indices((m - 1, cols.size))     # ring t holds r = (t + 1) * dr
-    n1 = ring.size
-    ids = np.arange(n1).reshape(ring.shape)
-    n = n1 + int(f.has_center)
+def _scatter(f: SectorFactors) -> sp.csr_matrix:
+    """The factors' operator as a read-only CSR matrix: every entry of
+    R (x) I + diag(D) (x) T on the ring nodes, ring by ring, then the
+    center's row and column."""
+    ids = np.arange(f.r.size * f.cell.size).reshape(f.r.size, f.cell.size)
+    n1 = ids.size
     rows: list[np.ndarray] = []
     colix: list[np.ndarray] = []
     vals: list[np.ndarray] = []
@@ -421,10 +424,26 @@ def open_operator(problem: SectorProblem, m: int) -> OpenOperator:
         add(np.array([n1]), np.array([n1]), f.center_diag)
         add(center, first, f.center_out)
 
+    n = n1 + int(f.has_center)
     matrix = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(colix))),
         shape=(n, n)).tocsr()
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
 
+
+def open_operator(problem: SectorProblem, m: int) -> OpenOperator:
+    """The fully open operator of a sector problem's m x m grid."""
+    grid = PolarGrid.for_problem(problem, m)
+    if problem.kind == "floquet":
+        cols = np.arange(m)
+    else:
+        bc_lo, bc_hi = problem.quarter_case[:2]
+        cols = np.arange(0 if bc_lo == "N" else 1, m + 1 if bc_hi == "N" else m)
+    f = _sector_factors(problem, grid, cols)
+
+    ring, col = np.indices((m - 1, cols.size))     # ring t holds r = (t + 1) * dr
     row_weights = f.r[ring.ravel()] * f.cell[col.ravel()]
     node_ring = ring.ravel() + 1
     node_col = cols[col.ravel()]
@@ -432,11 +451,11 @@ def open_operator(problem: SectorProblem, m: int) -> OpenOperator:
         row_weights = np.append(row_weights, f.center_weight)
         node_ring = np.append(node_ring, 0)
         node_col = np.append(node_col, -1)
-    for array in [matrix.data, matrix.indices, matrix.indptr, row_weights, cols, node_ring,
-                  node_col, *(v for v in vars(f).values() if isinstance(v, np.ndarray))]:
+    for array in [row_weights, cols, node_ring, node_col,
+                  *(v for v in vars(f).values() if isinstance(v, np.ndarray))]:
         array.flags.writeable = False
-    return OpenOperator(matrix=matrix, row_weights=row_weights, cols=cols,
-                        node_ring=node_ring, node_col=node_col, factors=f)
+    return OpenOperator(row_weights=row_weights, cols=cols, node_ring=node_ring,
+                        node_col=node_col, factors=f)
 
 
 # the open operator of each sector grid, which does not depend on r1 or epsilon
@@ -450,16 +469,3 @@ def assemble(problem: SectorProblem, m: int) -> AssembledOperator:
     key = (problem.kind, problem.quarter_case or problem.ell, spec.n, m, spec.r2)
     return AssembledOperator(problem, _open_grids.get(key, lambda: open_operator(problem, m)))
 
-
-def dump_operator(op: AssembledOperator, path: str) -> None:
-    """Write the operator as `i j value` text (1-based, matrix-market style);
-    a complex operator writes `i j re im` and says so in the header."""
-    coo = op.matrix.tocoo()
-    is_complex = np.iscomplexobj(coo.data)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"% crackspec operator n={op.n}{' complex' if is_complex else ''}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            if is_complex:
-                fh.write(f"{i + 1} {j + 1} {v.real:.16g} {v.imag:.16g}\n")
-            else:
-                fh.write(f"{i + 1} {j + 1} {v:.16g}\n")

@@ -4,9 +4,9 @@ The discrete operator is non-Hermitian but similar to a Hermitian matrix
 through diag(sqrt(w)) with the node weights carried by the operator: real
 symmetric for the scalar sectors and quarter problems, complex Hermitian for
 the complex Floquet sectors.  There is one solve path, a secular solve on
-the symmetrized matrix S, with the eigenvectors mapped back.  The dense QR
-path (LAPACK *geev*, `method="dense"`) is the independent oracle of the
-tests.  Eigenvectors of a complex operator stay complex.
+the symmetrized matrix S, with the eigenvectors mapped back.  It reads the
+operator only through its one-dimensional factors and never forms its
+matrix.  Eigenvectors of a complex operator stay complex.
 
 Every opening of a sector is the same fully open tensor-product operator
 (`discretize.SectorFactors`) without its crack nodes F on the r1 ring; the
@@ -54,13 +54,16 @@ are found the counts certify that none was skipped.  An eigenvector is one
 banded solve over the modes' tridiagonals (on the hole, with the ring row
 held at the hole's values) and one angular transform.  On a fully open or
 fully closed grid the side's matrix is empty, and the same path finds
-every root at a pole, with the pole's tridiagonal eigenvectors.  Checked
-once for all its openings, an open operator whose symmetrization residual
-is out of tolerance or whose seeded product misses its factors' raises
-`SolverError` at every sparse solve, as do one that is not positive
-definite, a capacitance block whose Cholesky fails, or a count that
-contradicts the roots.  The solves and the residual certificates apply the
-open operator, so an opening's own matrix is derived only where it is read.
+every root at a pole, with the pole's tridiagonal eigenvectors.
+
+The check of an open operator (`_check_grid`) runs once, on its first
+solve, for all of its openings, and on its factors: S is Hermitian when
+r^1/2 R r^-1/2 is symmetric, cell^1/2 T cell^-1/2 Hermitian, the center's
+links into ring 1 and out of it match through its weight, and the node
+weights are r (x) cell and the center's; an opening is a principal
+submatrix of S.  An open operator that fails it raises `SolverError` at
+every solve, as do one that is not positive definite, a capacitance block
+whose Cholesky fails, or a count that contradicts the roots.
 
 `open_solve` inverts an open operator (`OpenOperator`) from the same rows,
 without their spectra: the angular transform, one positive-definite
@@ -69,9 +72,9 @@ positive definite, and the transform back.  It gives the Green's column of
 the capacitary potential.
 
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||,
-with A v the open operator's product with v on the opening's nodes, and
-eigenvalues are accepted only if their
-imaginary part is negligible.
+with A v the open operator's product with v on the opening's nodes, applied
+from the factors (`_apply`): banded, R (x) I + diag(D) (x) T plus the
+center's row and column.
 
 Every solve runs on one BLAS thread: `lowest_eigenpairs`, like
 `capacity.capacitary_potential`, holds `one_blas_thread`, which sets every
@@ -94,7 +97,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .discretize import AssembledOperator, GridCache, OpenOperator, SectorFactors
@@ -102,10 +104,7 @@ from .discretize import AssembledOperator, GridCache, OpenOperator, SectorFactor
 __all__ = ["SolverError", "Spectrum", "open_solve", "lowest_eigenpairs",
            "group_multiplicities"]
 
-_IMAG_TOL = 1e-8            # |Im lambda| <= tol * max(1, |lambda|)
-_ASYM_TOL = 1e-9            # relative symmetrization residual
-_SEED = 20230921            # deterministic vector of the operator checks
-_OPERATOR_TOL = 1e-12       # an open operator's matrix against its factors', relative
+_ASYM_TOL = 1e-9            # relative residual of each part of `_check_grid`
 _EPS = np.finfo(float).eps
 _MAX_STEPS = 200            # root steps per eigenvalue
 _CLUSTER_GAP = 1e-9         # relative offset of the completeness counts
@@ -186,37 +185,43 @@ class Spectrum:
     vectors: np.ndarray
 
 
+def _apply(f: SectorFactors, x: np.ndarray) -> np.ndarray:
+    """A_open x for a vector x, in the operator's field, on the open
+    operator's nodes (ring by ring, then the center): diag(D) (x) T and
+    R (x) I by their bands, plus the center's row and column.  T's product
+    is formed before D scales it, so the angular links of the inner rings,
+    which grow like M^4, act on differences of x instead of cancelling.
+    T's bands are real and only its seam corners carry the Floquet phase,
+    so the bands multiply as reals."""
+    rings, cols = f.r.size, f.cell.size
+    u = x[:rings * cols].reshape(rings, cols)
+    y = u * f.angular.diagonal().real
+    y[:, :-1] += u[:, 1:] * f.angular.diagonal(1).real
+    y[:, 1:] += u[:, :-1] * f.angular.diagonal(-1).real
+    y[:, -1] += f.angular[-1, 0] * u[:, 0]
+    y[:, 0] += f.angular[0, -1] * u[:, -1]
+    y *= f.scale[:, np.newaxis]
+    y += u * f.radial.diagonal()[:, np.newaxis]
+    y[:-1] += u[1:] * f.radial.diagonal(1)[:, np.newaxis]
+    y[1:] += u[:-1] * f.radial.diagonal(-1)[:, np.newaxis]
+    y = y.reshape(-1)
+    if f.has_center:
+        y[:cols] += f.center_in * x[-1]
+        y = np.append(y, f.center_diag * x[-1] + f.center_out @ u[0])
+    return y
+
+
 def _certify(op: AssembledOperator, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """||A v - lam v|| / ||v|| per pair, with A v the open operator's product
-    with v scattered onto `keep`, on the rows of `keep`: the same sums as
-    the opening's own matrix, plus products with zeros."""
-    norms = np.linalg.norm(vecs, axis=0)
-    nodes = np.zeros((op.keep.size, vecs.shape[1]), dtype=vecs.dtype)
-    nodes[op.keep] = vecs
-    res = np.linalg.norm((op.open.matrix @ nodes)[op.keep] - vecs * lam[np.newaxis, :], axis=0)
-    return res / norms
-
-
-def _accept_real(lam: np.ndarray, where: str) -> np.ndarray:
-    bad = np.abs(lam.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(lam))
-    if bad.any():
-        worst = np.abs(lam.imag)[bad].max()
-        raise SolverError(
-            f"{where}: non-real eigenvalue beyond tolerance "
-            f"(max |Im| = {worst:.3e}); this signals an assembly bug")
-    return lam.real
-
-
-def _real_if_real(op: AssembledOperator, vecs: np.ndarray) -> np.ndarray:
-    """Eigenvectors in the field of the operator: real for a real matrix."""
-    return vecs if np.iscomplexobj(op.open.matrix) else np.real(vecs)
-
-
-def _dense_path(op: AssembledOperator, k: int):
-    lam, vecs = sla.eig(op.matrix.toarray())
-    lam = _accept_real(lam, "dense path")
-    order = np.argsort(lam)[:k]
-    return lam[order], _real_if_real(op, vecs[:, order])
+    with v scattered onto `keep`, on the rows of `keep`: the opening's own
+    product, plus products with zeros."""
+    node = np.zeros(op.keep.size, dtype=vecs.dtype)
+    residuals = np.empty(lam.size)
+    for j, (v, lam_j) in enumerate(zip(vecs.T, lam)):
+        node[op.keep] = v
+        r = _apply(op.factors, node)[op.keep] - lam_j * v
+        residuals[j] = np.sqrt(np.vdot(r, r).real / np.vdot(v, v).real)
+    return residuals
 
 
 def _angular_modes(f: SectorFactors):
@@ -473,29 +478,11 @@ def open_solve(grid_open: OpenOperator, b: np.ndarray) -> np.ndarray:
     nodes, and scaled by 1/sqrt(w).  Raises `SolverError` when a pivot of
     the solve is not positive: the open operator is then not positive
     definite."""
-    if np.iscomplexobj(grid_open.matrix) or np.iscomplexobj(b):
+    if np.iscomplexobj(grid_open.factors.angular) or np.iscomplexobj(b):
         raise ValueError("open_solve takes a fully open real operator and a real vector")
     rows = _grid_rows(grid_open)
     d = np.sqrt(grid_open.row_weights)
     return rows.field(rows.solve_open(rows.coefficients(b * d))) / d
-
-
-def _check_operator(grid_open: OpenOperator) -> None:
-    """Raise `SolverError` unless the matrix is its factors' operator on a seeded vector."""
-    f = grid_open.factors
-    x = np.random.default_rng(_SEED).standard_normal(grid_open.node_ring.size)
-    field = x[:f.r.size * f.cell.size].reshape(f.r.size, f.cell.size)
-    y = f.radial @ field + f.scale[:, np.newaxis] * (field @ f.angular.T)
-    want = y.reshape(-1)                    # a view: the center's term lands in it
-    if f.has_center:
-        y[0] += f.center_in * x[-1]
-        want = np.append(want, f.center_diag * x[-1] + f.center_out @ field[0])
-    err = np.linalg.norm(grid_open.matrix @ x - want) / np.linalg.norm(want)
-    if not err <= _OPERATOR_TOL:
-        raise SolverError(
-            f"the operator is not its grid's open operator without crack nodes "
-            f"(relative difference {err:.3e} on a seeded vector), which signals an "
-            "assembly bug")
 
 
 class _Secular:
@@ -801,44 +788,29 @@ class _Secular:
                 f"{lam[-1]:.12g}, where {lam.size} were found")
 
 
-def _asymmetry(matrix: sp.csr_matrix, d: np.ndarray, ring: np.ndarray | None = None) -> float:
-    """max |S - S^H| / max |S| for S = diag(d) A diag(1/d), from A's CSR
-    arrays.  A's CSC arrays are A^T's CSR arrays, on the same pattern when
-    that pattern is symmetric, so each stored entry meets its mirror at the
-    same position; a pattern that is not symmetric is an assembly bug and
-    raises.  Given each node's `ring`, the divisor is b = min over rings k
-    of max |S_pq| over p, q off ring k, so that the value bounds that of any
-    S' without nodes of one ring k (an opening): S' holds every entry off
-    ring k, so max |S'| >= b, and some entries of S - S^H.  A ring off S's
-    largest entry gives that entry, so only its (at most two) rings count."""
-    if not matrix.has_canonical_format:
-        matrix = matrix.copy()
-        matrix.sum_duplicates()
-    mirror = matrix.tocsc()
-    if not (np.array_equal(mirror.indptr, matrix.indptr)
-            and np.array_equal(mirror.indices, matrix.indices)):
-        raise SolverError("symmetrized operator is not Hermitian (an entry without its "
-                          "mirror); this signals an assembly bug")
-    per_row, col = np.diff(matrix.indptr), matrix.indices.astype(np.intp)
-    inv = 1.0 / d
-    s = np.repeat(d, per_row) * matrix.data * inv[col]
-    diff = s - (d[col] * mirror.data * np.repeat(inv, per_row)).conj()
-    size = np.abs(s)
-    scale = size.max()
-    if ring is not None:
-        rows, cols, top = np.repeat(ring, per_row), ring[col], np.argmax(size)
-        scale = min(size[(rows != k) & (cols != k)].max(initial=0.0)
-                    for k in (rows[top], cols[top]))
-    return np.abs(diff).max(initial=0.0) / scale
+def _skew(s: np.ndarray) -> float:
+    """max |S - S^H| / max |S|."""
+    return np.abs(s - s.conj().T).max() / np.abs(s).max()
 
 
 def _check_grid(grid_open: OpenOperator) -> bool:
-    """The checks of an open operator, which cover all of its openings; True if they pass."""
-    asym = _asymmetry(grid_open.matrix, np.sqrt(grid_open.row_weights), grid_open.node_ring)
-    if not asym <= _ASYM_TOL:
-        raise SolverError(f"symmetrized operator is not Hermitian (relative "
-                          f"residual {asym:.3e}); this signals an assembly bug")
-    _check_operator(grid_open)
+    """The check of an open operator, on its factors, which covers all of its
+    openings (principal submatrices of its S); True if it passes."""
+    f = grid_open.factors
+    sr, sc = np.sqrt(f.r), np.sqrt(f.cell)
+    weights = np.outer(f.r, f.cell).ravel()
+    residuals = {"radial factor": _skew(f.radial * sr[:, np.newaxis] / sr),
+                 "angular factor": _skew(f.angular * sc[:, np.newaxis] / sc)}
+    if f.has_center:
+        weights = np.append(weights, f.center_weight)
+        link = np.sqrt(f.r[0] * f.cell / f.center_weight)
+        into, out = f.center_in * link, f.center_out / link
+        residuals["center links"] = np.abs(into - out).max() / np.abs(into).max()
+    residuals["node weights"] = np.abs(grid_open.row_weights / weights - 1).max()
+    for part, residual in residuals.items():
+        if not residual <= _ASYM_TOL:
+            raise SolverError(f"symmetrized operator is not Hermitian (relative residual "
+                              f"{residual:.3e} in its {part}); this signals an assembly bug")
     return True
 
 
@@ -848,8 +820,7 @@ def _sparse_path(op: AssembledOperator, k: int):
     return lam, x / np.sqrt(op.row_weights)[:, np.newaxis]
 
 
-def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
-                      method: str = "sparse") -> Spectrum:
+def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8) -> Spectrum:
     """k smallest eigenvalues of the assembled operator with eigenvectors and
     certified residuals.
 
@@ -860,9 +831,6 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
         Number of eigenpairs, 1 <= k <= n/4.
     tol : float
         Residual certificate bound ||A v - lam v|| / ||v|| per pair (>= 1e-12).
-    method : str
-        "sparse" (the secular solve), or "dense" (QR on the full matrix,
-        the test oracle).
     """
     n = op.n
     if k < 1:
@@ -872,13 +840,8 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8,
                          f"({n} unknowns at M={op.grid.m})")
     if tol < 1e-12:
         raise ValueError(f"tol={tol} below the 1e-12 floor")
-    if method not in ("dense", "sparse"):
-        raise ValueError(f"unknown method {method!r}")
     with one_blas_thread:
-        if method == "dense":
-            lam, vecs = _dense_path(op, k)
-        else:
-            lam, vecs = _sparse_path(op, k)
+        lam, vecs = _sparse_path(op, k)
         residuals = _certify(op, lam, vecs)
     lamscale = np.maximum(1.0, np.abs(lam))
     if not (residuals <= tol * lamscale).all():         # a NaN residual fails too

@@ -37,6 +37,8 @@ from crackspec.spectra import (
     sweep_quarter,
 )
 
+import dense_oracle
+
 M = 180
 R1 = 0.4356
 R2 = 1.0
@@ -190,7 +192,7 @@ def test_criterion_3_ddd_third_mode_convergence():
             for m in (45, 90, 180)]
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
-    dense = lowest_eigenpairs(assemble(problem, 20), 4, method="dense").eigenvalues
+    dense = dense_oracle.lowest_eigenpairs(assemble(problem, 20), 4).eigenvalues
     below = int((dense < 68.89 * 1.005).sum())
     ok = 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0 and below == 2
     _report(3, ok, f"DDD third mode convergence factors {r1:.2f}, {r2:.2f}; "
@@ -346,8 +348,8 @@ def test_criterion_8_dense_vs_iterative():
     for m in (10,):  # n stays under 400
         from crackspec.discretize import assemble
         op = assemble(problem, m)
-    dense = lowest_eigenpairs(op, 6, method="dense").eigenvalues
-    sparse = lowest_eigenpairs(op, 6, method="sparse").eigenvalues
+    dense = dense_oracle.lowest_eigenpairs(op, 6).eigenvalues
+    sparse = lowest_eigenpairs(op, 6).eigenvalues
     rel = float(np.max(np.abs(dense - sparse) / np.abs(dense)))
     _report(8, rel <= 1e-8, f"dense vs shift-invert at n={op.n}: rel {rel:.2e}")
 

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from crackspec import specfun
 from crackspec.domain import (
     QUARTER_CASES, build_cracked_disk, quarter_problems, reduce_to_sectors)
-from crackspec.discretize import GridCache, assemble, dump_operator
+from crackspec.discretize import GridCache, assemble
 from crackspec.eigensolve import lowest_eigenpairs, one_blas_thread
+
+import dense_oracle
 
 
 def _quarter(case, eps=math.pi / 2, m=10, r1=0.4356):
@@ -145,14 +147,14 @@ def test_center_row_structure():
 def test_disk_ground_state_small_grid():
     # full disk through the trivial n=1 sector; 1% window at m=60
     op = _floquet(1, 0, math.pi, 60)
-    lam = lowest_eigenpairs(op, 1, method="sparse").eigenvalues[0]
+    lam = lowest_eigenpairs(op, 1).eigenvalues[0]
     exact = specfun.bessel_zero(0, 1).value ** 2
     assert abs(lam - exact) / exact < 0.01
 
 
 def test_quarter_nnd_endpoint_small_grid():
     op = _quarter("NND", m=45)
-    lam = lowest_eigenpairs(op, 3, method="sparse").eigenvalues
+    lam = lowest_eigenpairs(op, 3).eigenvalues
     exact = [5.7832, 26.3746, 30.4713]
     for a, b in zip(lam, exact):
         assert abs(a - b) / b < 0.01
@@ -172,7 +174,7 @@ def test_grid_convergence_second_order():
 def test_gershgorin_positivity():
     for op in (_quarter("DND", eps=0.8, m=12), _floquet(3, 1, 0.5, 12),
                _floquet(2, 1, 0.3, 12)):
-        lam = lowest_eigenpairs(op, 4, method="dense").eigenvalues
+        lam = dense_oracle.lowest_eigenpairs(op, 4).eigenvalues
         assert (lam > 0).all()
 
 
@@ -180,7 +182,7 @@ def test_floquet_open_sector_matches_disk_harmonics():
     # fully open n=3, ell=1 sector carries the angular orders 1, -2, 4, -5,
     # ... of the disk, each once
     op = _floquet(3, 1, math.pi / 3, 48)
-    lam = lowest_eigenpairs(op, 4, method="sparse").eigenvalues
+    lam = lowest_eigenpairs(op, 4).eigenvalues
     exact = [specfun.bessel_zero(l, k).value ** 2 for l, k in ((1, 1), (2, 1), (1, 2), (4, 1))]
     assert lam == pytest.approx(exact, rel=5e-3)
 
@@ -229,7 +231,7 @@ def test_complex_sector_matches_realified_stack(n, data):
 
 def test_antiperiodic_sector_matches_odd_harmonics():
     op = _floquet(2, 1, math.pi / 2, 48)
-    lam = lowest_eigenpairs(op, 2, method="sparse").eigenvalues
+    lam = lowest_eigenpairs(op, 2).eigenvalues
     j11 = specfun.bessel_zero(1, 1).value ** 2
     assert lam[0] == pytest.approx(j11, rel=5e-3)
     assert lam[1] == pytest.approx(j11, rel=5e-3)  # cos and sin partners
@@ -268,31 +270,6 @@ def test_monotone_in_epsilon(n, data):
     lam1, lam2 = spectra
     top = min(lam1.size, lam2.size)
     assert (lam2[:top] <= lam1[:top] * (1 + 1e-12)).all()
-
-
-def test_dump_operator(tmp_path):
-    op = _quarter("DDD", m=10)
-    path = tmp_path / "op.txt"
-    dump_operator(op, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"% crackspec operator n={op.n}"
-    i, j, v = lines[1].split()
-    assert int(i) >= 1 and int(j) >= 1
-    assert len(lines) - 1 == op.matrix.nnz
-
-
-def test_dump_complex_operator_reads_back(tmp_path):
-    op = _floquet(3, 1, 0.4, 12)
-    path = tmp_path / "op.txt"
-    dump_operator(op, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"% crackspec operator n={op.n} complex"
-    entries = np.array([[float(x) for x in line.split()] for line in lines[1:]])
-    assert entries.shape == (op.matrix.nnz, 4)
-    back = sp.coo_matrix((entries[:, 2] + 1j * entries[:, 3],
-                          (entries[:, 0].astype(int) - 1, entries[:, 1].astype(int) - 1)),
-                         shape=(op.n, op.n))
-    assert abs(back - op.matrix).max() <= 1e-15 * abs(op.matrix).max()
 
 
 def test_assembled_operator_owns_its_arrays():

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from crackspec.eigensolve import (
     one_blas_thread,
     open_solve,
 )
-from crackspec.spectra import sweep
+from crackspec.spectra import solve_sector, sweep
+
+import dense_oracle
 
 
 def _toy_op(case="DDD", m=10, eps=0.9):
@@ -46,21 +49,21 @@ def _with_open(op, **changes):
 
 def test_dense_and_sparse_paths_agree():
     op = _toy_op()  # n < 400
-    dense = lowest_eigenpairs(op, 6, method="dense")
-    sparse = lowest_eigenpairs(op, 6, method="sparse")
+    dense = dense_oracle.lowest_eigenpairs(op, 6)
+    sparse = lowest_eigenpairs(op, 6)
     assert np.allclose(dense.eigenvalues, sparse.eigenvalues, rtol=1e-10, atol=1e-10)
 
 
 def test_matches_dense_brute_force():
     op = _toy_op("NND", m=10, eps=math.pi / 2)
     brute = np.sort(np.linalg.eigvals(op.matrix.toarray()).real)
-    mine = lowest_eigenpairs(op, 5, method="sparse").eigenvalues
+    mine = lowest_eigenpairs(op, 5).eigenvalues
     assert np.allclose(mine, brute[:5], rtol=1e-10, atol=1e-10)
 
 
 def test_residual_certificates_hold():
-    for method in ("dense", "sparse"):
-        s = lowest_eigenpairs(_toy_op("DND"), 4, tol=1e-8, method=method)
+    for solve in (dense_oracle.lowest_eigenpairs, lowest_eigenpairs):
+        s = solve(_toy_op("DND"), 4, tol=1e-8)
         scale = np.maximum(1.0, np.abs(s.eigenvalues))
         assert (s.residuals <= 1e-8 * scale).all()
         assert s.vectors.shape == (_toy_op("DND").n, 4)
@@ -83,13 +86,17 @@ def test_residual_certificate_refuses_a_zero_vector(monkeypatch):
 
 
 def test_shift_invariance():
-    op = _toy_op("NDD", m=12)
+    # R's diagonal and the center's shifted by c shift the operator by c I
+    op = _toy_op("NND", m=12)
     rng = np.random.default_rng(11)
     c = float(rng.uniform(0.5, 5.0))
-    shifted = _with_open(op, matrix=(op.open.matrix + c * sp.identity(op.keep.size)).tocsr())
-    base = lowest_eigenpairs(op, 4, method="dense").eigenvalues
-    moved = lowest_eigenpairs(shifted, 4, method="dense").eigenvalues
-    assert np.allclose(moved, base + c, rtol=0, atol=1e-10)
+    f = op.factors
+    shifted = _with_open(op, factors=dataclasses.replace(
+        f, radial=f.radial + c * np.eye(f.r.size), center_diag=f.center_diag + c))
+    for solve in (dense_oracle.lowest_eigenpairs, lowest_eigenpairs):
+        base = solve(op, 4).eigenvalues
+        moved = solve(shifted, 4).eigenvalues
+        assert np.allclose(moved, base + c, rtol=0, atol=1e-10)
 
 
 def test_eigenvalues_sorted():
@@ -99,15 +106,11 @@ def test_eigenvalues_sorted():
 
 
 def test_complex_pair_detection():
-    op = _toy_op(m=10, eps=math.pi / 2)     # fully open: every node is an unknown
+    # the dense oracle refuses an eigenvalue off the real axis
     rot = sp.csr_matrix(np.array([[1.0, -2.0], [2.0, 1.0]]))  # eigenvalues 1 +- 2i
-    fake_open = dataclasses.replace(op.open, matrix=sp.block_diag([rot] * 5).tocsr(),
-                                    row_weights=np.ones(10), node_ring=np.ones(10, dtype=int),
-                                    node_col=np.arange(10))
-    fake = dataclasses.replace(op, open=fake_open)
-    assert fake.n == 10
-    with pytest.raises(SolverError):
-        lowest_eigenpairs(fake, 2, method="dense")
+    fake = types.SimpleNamespace(matrix=sp.block_diag([rot] * 5).tocsr())
+    with pytest.raises(SolverError, match="non-real eigenvalue"):
+        dense_oracle.lowest_eigenpairs(fake, 2)
 
 
 def test_parameter_validation():
@@ -121,14 +124,12 @@ def test_parameter_validation():
         lowest_eigenpairs(op, op.n // 4 + 1)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, 2, tol=1e-13)
-    with pytest.raises(ValueError):
-        lowest_eigenpairs(op, 2, method="magic")
 
 
 def test_deterministic_repeat():
     op = _toy_op("NND", m=16)
-    a = lowest_eigenpairs(op, 4, method="sparse").eigenvalues
-    b = lowest_eigenpairs(op, 4, method="sparse").eigenvalues
+    a = lowest_eigenpairs(op, 4).eigenvalues
+    b = lowest_eigenpairs(op, 4).eigenvalues
     assert np.array_equal(a, b)
 
 
@@ -139,7 +140,7 @@ def test_annulus_sector_value():
     spec = build_cracked_disk(4, 0.0, 0.4356, 1.0)
     problem = next(p for p, t in reduce_to_sectors(spec) if p.ell == 1)
     op = assemble(problem, 101)
-    s = lowest_eigenpairs(op, 2, method="sparse")
+    s = lowest_eigenpairs(op, 2)
     assert s.eigenvalues[0] == pytest.approx(32.53, rel=5e-3)
     assert s.eigenvalues[1] == pytest.approx(48.78, rel=5e-3)
 
@@ -151,8 +152,8 @@ def _coupled_op(n=3, ell=1, eps=0.4, m=16):
 
 def test_dense_and_sparse_paths_agree_on_complex_operator():
     op = _coupled_op()
-    dense = lowest_eigenpairs(op, 6, method="dense")
-    sparse = lowest_eigenpairs(op, 6, method="sparse")
+    dense = dense_oracle.lowest_eigenpairs(op, 6)
+    sparse = lowest_eigenpairs(op, 6)
     assert np.allclose(dense.eigenvalues, sparse.eigenvalues, rtol=1e-10, atol=1e-10)
     for s in (dense, sparse):
         assert np.iscomplexobj(s.vectors)
@@ -165,16 +166,25 @@ def _symmetrized(op):
     return 0.5 * (s + s.conj().T)
 
 
-@pytest.mark.parametrize("op", [_toy_op("NDD", m=12), _coupled_op()],
+@pytest.mark.parametrize("op", [_toy_op("NND", m=12), _coupled_op()],
                          ids=["real", "complex"])
 def test_operator_check_refuses_a_shifted_matrix(op):
-    # the secular solve knows the grid's own operator; shifted above
-    # lambda_1 the matrix is another one, and one seeded product shows it
-    lam1 = np.linalg.eigvalsh(_symmetrized(op).toarray())[0]
-    shift = (1.0 + 1e-3) * lam1 * sp.identity(op.keep.size)
-    shifted = _with_open(op, matrix=(op.open.matrix - shift).tocsr())
-    with pytest.raises(SolverError, match="not its grid's open operator"):
-        lowest_eigenpairs(shifted, 2)
+    # the check reads the factors: radii shifted by half a step leave
+    # r^1/2 R r^-1/2 unsymmetric, an entry of T scaled away from its mirror
+    # leaves cell^1/2 T cell^-1/2 non-Hermitian, and a shifted center
+    # weight unmatches the center's links
+    f = op.factors
+    angular = f.angular.copy()
+    angular[2, 3] *= 1.5
+    broken = [(dataclasses.replace(f, r=f.r + f.r[0] / 2), "radial factor"),
+              (dataclasses.replace(f, angular=angular), "angular factor")]
+    if f.has_center:
+        broken.append((dataclasses.replace(f, center_weight=1.5 * f.center_weight),
+                       "center links"))
+    for factors, part in broken:
+        with pytest.raises(SolverError, match=f"symmetrized operator is not Hermitian "
+                                              f"\\(relative residual .* in its {part}\\)"):
+            lowest_eigenpairs(_with_open(op, factors=factors), 2)
 
 
 def test_inverse_refuses_factors_that_are_not_positive_definite():
@@ -297,33 +307,8 @@ def test_asymmetric_symmetrization_raises_on_the_sparse_path():
     weights = op.open.row_weights * np.random.default_rng(5).uniform(0.9, 1.1, op.keep.size)
     skewed = _with_open(op, row_weights=weights)
     with pytest.raises(SolverError, match="symmetrized operator is not Hermitian"):
-        lowest_eigenpairs(skewed, 3, method="sparse")
-    assert lowest_eigenpairs(skewed, 3, method="dense").eigenvalues.size == 3
-
-
-def test_symmetrization_residual_matches_the_sparse_products():
-    # the residual from the CSR arrays against S = diag(d) A diag(1/d) formed
-    # by sparse products, to the bit: real and complex operators, skewed
-    # weights, a shift and duplicate entries; a pattern that is not
-    # symmetric raises
-    def reference(matrix, d):
-        s = sp.diags(d) @ matrix @ sp.diags(1.0 / d)
-        return abs(s - s.conj().T).max() / abs(s).max()
-
-    rng = np.random.default_rng(3)
-    cases = []
-    for op in (_toy_op("NND", m=12), _toy_op("DND", m=13), _coupled_op()):
-        d = np.sqrt(op.row_weights)
-        cases += [(op.matrix, d), (op.matrix, d * rng.uniform(0.9, 1.1, op.n)),
-                  ((op.matrix + 2.5 * sp.identity(op.n)).tocsr(), d)]
-    duplicated = sp.csr_matrix((np.ones(4), [0, 1, 1, 0], [0, 2, 4]), shape=(2, 2))
-    cases.append((duplicated, np.array([1.0, 2.0])))
-    for matrix, d in cases:
-        assert eigensolve._asymmetry(matrix, d) == reference(matrix, d)
-    lopsided = _toy_op("DDD", m=12).matrix.tolil()
-    lopsided[0, 7] = 1e-3
-    with pytest.raises(SolverError, match="an entry without its mirror"):
-        eigensolve._asymmetry(lopsided.tocsr(), np.sqrt(_toy_op("DDD", m=12).row_weights))
+        lowest_eigenpairs(skewed, 3)
+    assert dense_oracle.lowest_eigenpairs(skewed, 3).eigenvalues.size == 3
 
 
 _ALL_SECTORS = ([("quarter", case, 2) for case in QUARTER_CASES]
@@ -345,8 +330,8 @@ def test_sparse_path_matches_dense_oracle(sector, opening, m, ring, k):
     op = assemble(_sector(kind, which, n, opening * math.pi / n,
                           0.4356 * m if ring is None else ring, m), m)
     k = min(k, op.n // 4)
-    dense = lowest_eigenpairs(op, k, method="dense")
-    sparse = lowest_eigenpairs(op, k, method="sparse")
+    dense = dense_oracle.lowest_eigenpairs(op, k)
+    sparse = lowest_eigenpairs(op, k)
     assert np.allclose(sparse.eigenvalues, dense.eigenvalues, rtol=1e-10, atol=0)
     assert (sparse.residuals <= 1e-8 * np.maximum(1.0, sparse.eigenvalues)).all()
 
@@ -375,29 +360,55 @@ def test_an_opening_is_its_open_operator_on_its_mask(sector, grid, opening):
     assert np.array_equal(op.cols, grid_open.cols)
     assert (grid_open.node_ring[~keep] == op.grid.r1_ring).all()
     assert np.array_equal(grid_open.node_col[~keep], grid_open.cols[op.crack])
-    # the grid's symmetrization residual bounds the opening's
-    bound = eigensolve._asymmetry(grid_open.matrix, np.sqrt(grid_open.row_weights),
-                                  grid_open.node_ring)
-    assert eigensolve._asymmetry(op.matrix, np.sqrt(op.row_weights)) <= bound
-    assert bound <= eigensolve._ASYM_TOL
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(op, matrix=want)
 
 
 def test_a_sweep_checks_each_grid_once(monkeypatch):
-    # the symmetrization and seeded checks of a grid's open operator cover
-    # all of its openings: three openings of two sector grids run each twice
-    calls = {"_asymmetry": 0, "_check_operator": 0}
-    for name in calls:
-        def spy(*args, inner=getattr(eigensolve, name), name=name):
-            calls[name] += 1
-            return inner(*args)
+    # the check of a grid's open operator covers all of its openings: three
+    # openings of two sector grids run it twice
+    calls = []
+    inner = eigensolve._check_grid
 
-        monkeypatch.setattr(eigensolve, name, spy)
+    def spy(grid_open):
+        calls.append(grid_open)
+        return inner(grid_open)
+
+    monkeypatch.setattr(eigensolve, "_check_grid", spy)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     discretize._open_grids.clear()
     sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5, 0.9], 16, 2)
-    assert calls == {"_asymmetry": 2, "_check_operator": 2}
+    assert len(calls) == 2 and calls[0] is not calls[1]
+
+
+def test_a_solve_scatters_no_matrix():
+    # the solves and their certificates apply the factors: after a sweep and
+    # a solve, no open operator or opening holds its CSR
+    discretize._open_grids.clear()
+    sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5, math.pi / 3], 16, 2)
+    opening = solve_sector(_sector("quarter", "NND", 2, 0.5, 7, 16), 16, 3).operator
+    grids = [slot.data for slot in discretize._open_grids._slots.values()]
+    assert len(grids) == 3
+    for op in grids + [opening]:
+        assert "matrix" not in vars(op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sector=st.sampled_from(_ALL_SECTORS), grid=_GRIDS, opening=st.floats(0.0, 1.0))
+def test_the_matrix_is_the_apply_of_its_factors(sector, grid, opening):
+    # the CSR scattered from the factors, of the open operator and of an
+    # opening (its principal submatrix), against the factors' banded apply
+    (kind, which, n), (m, ring) = sector, grid
+    op = assemble(_sector(kind, which, n, opening * math.pi / n, ring, m), m)
+    rng = np.random.default_rng(m * ring)
+    x = rng.standard_normal(op.keep.size)
+    if np.iscomplexobj(op.factors.angular):
+        x = x + 1j * rng.standard_normal(x.shape)
+    want = eigensolve._apply(op.factors, x)
+    assert np.linalg.norm(op.open.matrix @ x - want) <= 1e-12 * np.linalg.norm(want)
+    x[~op.keep] = 0.0
+    want = eigensolve._apply(op.factors, x)[op.keep]
+    assert np.linalg.norm(op.matrix @ x[op.keep] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -575,17 +586,16 @@ def _numpy_thread_getter():
 _numpy_get = _numpy_thread_getter()
 
 
-def _spy_on_path(monkeypatch, method, get):
-    """Record the BLAS thread counts each time the solve path of `method` runs."""
-    name = f"_{method}_path"
-    inner = getattr(eigensolve, name)
+def _spy_on(monkeypatch, module, name, get):
+    """Record the BLAS thread counts each time `module.name` runs."""
+    inner = getattr(module, name)
     seen = []
 
-    def spy(op, k):
+    def spy(*args, **kwargs):
         seen.append(get())
-        return inner(op, k)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(eigensolve, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return seen
 
 
@@ -619,9 +629,15 @@ def _spy_on_applies(monkeypatch, get):
 @needs_openblas
 @pytest.mark.parametrize("method", ["sparse", "dense"])
 def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads, method):
-    seen = _spy_on_path(monkeypatch, method, blas_threads)
+    # the secular solve, and the tests' dense oracle (LAPACK geev)
+    if method == "sparse":
+        seen = _spy_on(monkeypatch, eigensolve, "_sparse_path", blas_threads)
+        solve = lowest_eigenpairs
+    else:
+        seen = _spy_on(monkeypatch, dense_oracle.sla, "eig", blas_threads)
+        solve = dense_oracle.lowest_eigenpairs
     eigensolves = _spy_on_eigensolves(monkeypatch, blas_threads)
-    lowest_eigenpairs(_coupled_op(), 3, method=method)
+    solve(_coupled_op(), 3)
     assert seen == [ONE]
     if method == "sparse":  # the capacitance matrices' eigensolves
         assert len(eigensolves) > 5 and all(counts == ONE for counts in eigensolves)
@@ -674,16 +690,18 @@ def test_a_lookup_that_finds_only_scipys_openblas_still_pins_it(monkeypatch, bla
 @needs_openblas
 def test_blas_count_restored_after_a_solver_error(blas_threads):
     op = _toy_op("NDD", m=12)
-    shifted = _with_open(op, matrix=(op.open.matrix - 100.0 * sp.identity(op.keep.size)).tocsr())
-    with pytest.raises(SolverError, match="not its grid's open operator"):
-        lowest_eigenpairs(shifted, 2)
+    f = op.factors
+    angular = f.angular.copy()
+    angular[2, 3] *= 1.5
+    with pytest.raises(SolverError, match="symmetrized operator is not Hermitian"):
+        lowest_eigenpairs(_with_open(op, factors=dataclasses.replace(f, angular=angular)), 2)
     assert blas_threads() == TWO
 
 
 @needs_openblas
 def test_blas_count_restored_after_a_pooled_sweep(monkeypatch, blas_threads):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    seen = _spy_on_path(monkeypatch, "sparse", blas_threads)
+    seen = _spy_on(monkeypatch, eigensolve, "_sparse_path", blas_threads)
     sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5, 0.9], 16, 2)
     assert seen == [ONE] * 6  # 3 openings x 2 sectors
     assert blas_threads() == TWO
