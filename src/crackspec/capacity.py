@@ -34,12 +34,14 @@ every arc set on a grid: the charges come from a Cholesky of the at most
 m x m block G_FF, and V is the circular convolution of g with c along each
 ring (the center, which every rotation fixes, is g_center * sum(c)).
 
-L and g are cached per snapped grid (r1 ring, r2, m), for at most
-`_CACHED_GRIDS` grids, about 2.3 MB each at m = 180.  g costs no
-factorization: two applies of `eigensolve.open_solve` to the disk's open
-operator, one tridiagonal solve per angular mode, one for the solve and one
-for a step of iterative refinement.  A column that leaves a residual
-||L g - e||_inf above `_GREEN_BOUND` raises `SolverError`.
+The method needs only products with L and solves with it, both from the
+disk's factors: L v = c w * A v (c = dr*dtheta, A v by `SectorFactors.apply`)
+and L^-1 by `eigensolve.open_solve`, one tridiagonal solve per angular mode.
+The factors, c w and g are cached per snapped grid (r1 ring, r2, m), for at
+most `_CACHED_GRIDS` grids; g takes two open solves, the second a step of
+iterative refinement.  A column that leaves ||L g - e||_inf above
+`_GREEN_BOUND`, or a harmonicity residual above `_RESIDUAL_BOUND`, raises
+`SolverError`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .discretize import MIN_CELLS, PolarGrid, open_operator
 from .domain import CrackedDiskSpec, SectorProblem
@@ -111,28 +112,27 @@ class CapacityResult:
 
 @functools.lru_cache(maxsize=_CACHED_GRIDS)
 def _disk_green(r1_ring: int, r2: float, m: int):
-    """The weighted Laplacian L of the open disk operator on the m x m grid
-    of radius r2, and its Green's column g = L^-1 e at (ring r1_ring, column
-    0), from two open solves of that operator."""
+    """The factors f of the open disk operator A on the m x m grid of radius
+    r2, the scale c w of its weighted Laplacian L = diag(c w) A, and the
+    Green's column g = L^-1 e at (ring r1_ring, column 0), from two open
+    solves of that operator."""
     problem = CapacityProblem(r1_ring * r2 / m, r2, (), m)
     disk, grid = open_operator(problem.disk, m), problem.grid
+    f = disk.factors
     # L = c diag(w) A, so L^-1 b = A^-1 (b / (c w))
     scale = grid.dr * grid.dtheta * disk.row_weights
-    lap = (sp.diags(scale) @ disk.matrix).tocsr()
     e = np.zeros(scale.size)
     e[(r1_ring - 1) * m] = 1.0
     g = open_solve(disk, e / scale)
-    g += open_solve(disk, (e - lap @ g) / scale)  # one step of iterative refinement
-    residual = np.abs(lap @ g - e).max()
+    g += open_solve(disk, (e - scale * f.apply(g)) / scale)  # one step of iterative refinement
+    residual = np.abs(scale * f.apply(g) - e).max()
     if not residual <= _GREEN_BOUND:
         raise SolverError(
             f"the Green's column leaves residual {residual:.3e} above "
             f"{_GREEN_BOUND:.0e}, which signals an assembly bug")
-    # every caller shares these arrays
-    lap.sort_indices()
-    for shared in (lap.data, lap.indices, lap.indptr, g):
-        shared.flags.writeable = False
-    return lap, g
+    # every caller shares these arrays; the factors' are read-only already
+    scale.flags.writeable = g.flags.writeable = False
+    return f, scale, g
 
 
 def _arc_nodes(problem: CapacityProblem) -> np.ndarray:
@@ -141,15 +141,6 @@ def _arc_nodes(problem: CapacityProblem) -> np.ndarray:
     grid = problem.grid
     cols = np.flatnonzero(grid.ring_mask(problem.arcs))
     return (grid.r1_ring - 1) * problem.m + cols
-
-
-def _energy_system(problem: CapacityProblem):
-    """The weighted graph Laplacian of the disk operator and the mask of the
-    unknowns on the arcs, which carry V = 1."""
-    lap, _ = _disk_green(problem.grid.r1_ring, problem.r2, problem.m)
-    fixed = np.zeros(lap.shape[0], dtype=bool)
-    fixed[_arc_nodes(problem)] = True
-    return lap, fixed
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ def capacitary_potential(problem: CapacityProblem):
                 CapacityResult(0.0, 0.0))
     cols = nodes % m
     with one_blas_thread:
-        lap, g = _disk_green(ring, problem.r2, m)
+        f, scale, g = _disk_green(ring, problem.r2, m)
         rings = g[:-1].reshape(m - 1, m)
         # the ring block of L^-1 is circulant
         g_ff = rings[ring - 1][(cols[:, np.newaxis] - cols) % m]
@@ -182,10 +173,10 @@ def capacitary_potential(problem: CapacityProblem):
         field = np.fft.irfft(np.fft.rfft(rings, axis=1) * np.fft.rfft(charge), n=m, axis=1)
         field[ring - 1, cols] = 1.0
         v = np.append(field, g[-1] * charge.sum())
-        lv = lap @ v
+        lv = scale * f.apply(v)
         residual = float(np.max(np.abs(np.delete(lv, nodes))))
         if residual > _RESIDUAL_BOUND:
-            raise RuntimeError(
+            raise SolverError(
                 f"capacitary solve left harmonicity residual {residual:.3e} "
                 f"above {_RESIDUAL_BOUND:.0e}")
         # np.sum sums pairwise, with a rounding bound that grows like log n

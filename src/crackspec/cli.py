@@ -264,7 +264,9 @@ def _cmd_asymptotics(args) -> None:
 
 
 def _read_curve_csv(path: str):
-    eps, lam = [], []
+    """The (epsilon, lambda) rows of one curve: a file whose `sector` or
+    `index` column holds more than one value holds several, and is refused."""
+    eps, lam, curves = [], [], set()
     with open(path, "r", encoding="utf-8") as fh:
         header, width = None, 0
         for lineno, line in enumerate(fh, 1):
@@ -279,6 +281,7 @@ def _read_curve_csv(path: str):
                 continue
             if len(cells) < width:
                 raise CliError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
+            curves.add(tuple(cells[header[c]] for c in ("sector", "index") if c in header))
             try:
                 eps.append(float(cells[header["epsilon"]]))
                 lam.append(float(cells[header["lambda"]]))
@@ -286,6 +289,9 @@ def _read_curve_csv(path: str):
                 raise CliError(f"{path}:{lineno}: epsilon and lambda must be numbers") from None
     if not eps:
         raise CliError(f"{path}: no data rows")
+    if len(curves) > 1:
+        raise CliError(f"{path}: holds {len(curves)} curves (distinct sector and index "
+                       "values); fit one curve at a time")
     return eps, lam
 
 

@@ -37,23 +37,22 @@ Conventions (all encoded in the assembled matrix, no constraint rows):
 
 The operator is non-Hermitian but similar to a Hermitian matrix (real
 symmetric outside the complex sectors) through diag(sqrt(w)) with the node
-weights w stored on the operator (r_i times the cell, a matched weight for
-the center).
+weights w, r_i times the cell and a matched weight for the center.
 
 The stencil is written once, for the fully open sector, as one-dimensional
 factors (`SectorFactors`): on the ring nodes A_open = R (x) I + diag(D) (x) T,
-plus the center.  The open operator (`open_operator`) does not depend on r1
-or epsilon, so `assemble` builds it once per sector grid (kind, ell or
-quarter case, n, m, r2), keeps it in a bounded cache (`_OPEN_GRIDS` grids),
-and returns every opening as its sector problem on that operator
-(`AssembledOperator`, which works out its grid, its crack and the mask
-`keep` of its unknowns, and the node arrays on `keep`).  The factors are the
-operator: `eigensolve` checks them and builds its mode rows once per open
-operator for all of its openings, keeps both on the operator
-(`OpenOperator.derived`), so they go with it, and applies the factors for
-its certificates.  The operator as a CSR matrix is scattered from the
-factors only when it is read (`OpenOperator.matrix`, and an opening's
-principal submatrix on `keep`).
+plus the center.  The factors are the operator, and this module owns what is
+read from them: their product (`SectorFactors.apply`), which `eigensolve`
+certifies with and `capacity` applies its Laplacian with, and the node
+weights (`OpenOperator.row_weights`).  The open operator (`open_operator`)
+does not depend on r1 or epsilon, so `assemble` builds it once per sector
+grid (kind, ell or quarter case, n, m, r2), keeps it in a bounded cache
+(`_OPEN_GRIDS` grids), and returns every opening as its sector problem on
+that operator (`AssembledOperator`, which works out its grid, its crack,
+the mask `keep` of its unknowns and the node arrays on `keep`).  No solve
+reads a matrix: the CSR matrix (`OpenOperator.matrix`, and an opening's
+principal submatrix on `keep`) is scattered from the factors only when the
+tests' reference or the benchmark's tracer reads it.
 """
 
 from __future__ import annotations
@@ -260,6 +259,31 @@ class SectorFactors:
     center_out: np.ndarray    # the center row's coefficients on ring 1
     center_weight: float      # the center's node weight
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A_open x for a vector x, in the operator's field, on the open
+        operator's nodes (ring by ring, then the center): diag(D) (x) T and
+        R (x) I by their bands, plus the center's row and column.  T's
+        product is formed before D scales it, so the angular links of the
+        inner rings, which grow like M^4, act on differences of x instead of
+        cancelling.  T's bands are real and only its seam corners carry the
+        Floquet phase, so the bands multiply as reals."""
+        rings, cols = self.r.size, self.cell.size
+        u = x[:rings * cols].reshape(rings, cols)
+        y = u * self.angular.diagonal().real
+        y[:, :-1] += u[:, 1:] * self.angular.diagonal(1).real
+        y[:, 1:] += u[:, :-1] * self.angular.diagonal(-1).real
+        y[:, -1] += self.angular[-1, 0] * u[:, 0]
+        y[:, 0] += self.angular[0, -1] * u[:, -1]
+        y *= self.scale[:, np.newaxis]
+        y += u * self.radial.diagonal()[:, np.newaxis]
+        y[:-1] += u[1:] * self.radial.diagonal(1)[:, np.newaxis]
+        y[1:] += u[:-1] * self.radial.diagonal(-1)[:, np.newaxis]
+        y = y.reshape(-1)
+        if self.has_center:
+            y[:cols] += self.center_in * x[-1]
+            y = np.append(y, self.center_diag * x[-1] + self.center_out @ u[0])
+        return y
+
 
 def _sector_factors(problem: SectorProblem, grid: PolarGrid,
                     cols: np.ndarray) -> SectorFactors:
@@ -317,20 +341,28 @@ def _sector_factors(problem: SectorProblem, grid: PolarGrid,
 class OpenOperator:
     """The fully open operator of one sector grid: `SectorFactors` on the
     ring nodes, ring by ring, then the center.  Its openings share its
-    arrays, so read-only.  `matrix`, the factors' operator as a read-only
-    CSR matrix, is scattered from them on its first read (`__getattr__`):
-    the solves apply the factors, and only `capacity`, the tests' dense
-    oracle and the benchmark's tracer read it.  `derived` keeps what
-    `eigensolve` derives from it for all of its openings, each built once:
-    its check and its mode rows, which live as long as the operator."""
+    arrays, so read-only.  `row_weights`, the node weights w, are derived
+    from the factors: r (x) cell on the rings, then the center's.  `matrix`,
+    the factors' operator as a read-only CSR matrix, is scattered from them
+    on its first read (`__getattr__`), by the tests or the benchmark's
+    tracer.  `derived` keeps what `eigensolve` derives from it for all of
+    its openings, built once: its checked mode rows."""
 
-    row_weights: np.ndarray   # node weights w: diag(sqrt(w)) A diag(1/sqrt(w)) is Hermitian
     cols: np.ndarray          # angular indices present on the grid
     node_ring: np.ndarray     # per node: ring index i (0 for the center)
     node_col: np.ndarray      # per node: angular index j (-1 for the center)
     factors: SectorFactors
+    row_weights: np.ndarray = field(init=False)  # diag(sqrt(w)) A diag(1/sqrt(w)) is Hermitian
     matrix: sp.csr_matrix = field(init=False, repr=False)
     derived: GridCache = field(default_factory=lambda: GridCache(None), init=False)
+
+    def __post_init__(self) -> None:
+        f = self.factors
+        weights = np.outer(f.r, f.cell).ravel()
+        if f.has_center:
+            weights = np.append(weights, f.center_weight)
+        weights.flags.writeable = False
+        self.__dict__["row_weights"] = weights     # frozen: the field is set once, here
 
     def __getattr__(self, name: str):
         if name != "matrix":
@@ -444,18 +476,15 @@ def open_operator(problem: SectorProblem, m: int) -> OpenOperator:
     f = _sector_factors(problem, grid, cols)
 
     ring, col = np.indices((m - 1, cols.size))     # ring t holds r = (t + 1) * dr
-    row_weights = f.r[ring.ravel()] * f.cell[col.ravel()]
     node_ring = ring.ravel() + 1
     node_col = cols[col.ravel()]
     if f.has_center:
-        row_weights = np.append(row_weights, f.center_weight)
         node_ring = np.append(node_ring, 0)
         node_col = np.append(node_col, -1)
-    for array in [row_weights, cols, node_ring, node_col,
+    for array in [cols, node_ring, node_col,
                   *(v for v in vars(f).values() if isinstance(v, np.ndarray))]:
         array.flags.writeable = False
-    return OpenOperator(row_weights=row_weights, cols=cols, node_ring=node_ring,
-                        node_col=node_col, factors=f)
+    return OpenOperator(cols=cols, node_ring=node_ring, node_col=node_col, factors=f)
 
 
 # the open operator of each sector grid, which does not depend on r1 or epsilon

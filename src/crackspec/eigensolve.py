@@ -56,25 +56,25 @@ held at the hole's values) and one angular transform.  On a fully open or
 fully closed grid the side's matrix is empty, and the same path finds
 every root at a pole, with the pole's tridiagonal eigenvectors.
 
-The check of an open operator (`_check_grid`) runs once, on its first
-solve, for all of its openings, and on its factors: S is Hermitian when
-r^1/2 R r^-1/2 is symmetric, cell^1/2 T cell^-1/2 Hermitian, the center's
-links into ring 1 and out of it match through its weight, and the node
-weights are r (x) cell and the center's; an opening is a principal
-submatrix of S.  An open operator that fails it raises `SolverError` at
-every solve, as do one that is not positive definite, a capacitance block
-whose Cholesky fails, or a count that contradicts the roots.
+The check of an open operator (`_check_grid`) runs where its mode rows are
+built (`_grid_rows`), once for all of its solves, on its factors: S is
+Hermitian when r^1/2 R r^-1/2 is symmetric, cell^1/2 T cell^-1/2 Hermitian,
+and the center's links into ring 1 and out of it match through its weight;
+an opening is a principal submatrix of S.  An open operator that fails it
+raises `SolverError` at every solve, as do one that is not positive
+definite, a capacitance block whose Cholesky fails, or a count that
+contradicts the roots.
 
-`open_solve` inverts an open operator (`OpenOperator`) from the same rows,
-without their spectra: the angular transform, one positive-definite
-tridiagonal solve over every mode, whose pivots prove the open operator
-positive definite, and the transform back.  It gives the Green's column of
+`open_solve` inverts an open operator (`OpenOperator`) from the same
+checked rows, without their spectra: the angular transform, one
+positive-definite tridiagonal solve over every mode, whose pivots prove the
+open operator positive definite, and the transform back.  It gives the Green's column of
 the capacitary potential.
 
 Every reported pair carries the certificate  ||A v - lambda v|| / ||v||,
 with A v the open operator's product with v on the opening's nodes, applied
-from the factors (`_apply`): banded, R (x) I + diag(D) (x) T plus the
-center's row and column.
+from the factors (`SectorFactors.apply`): banded, R (x) I + diag(D) (x) T
+plus the center's row and column.
 
 Every solve runs on one BLAS thread: `lowest_eigenpairs`, like
 `capacity.capacitary_potential`, holds `one_blas_thread`, which sets every
@@ -185,32 +185,6 @@ class Spectrum:
     vectors: np.ndarray
 
 
-def _apply(f: SectorFactors, x: np.ndarray) -> np.ndarray:
-    """A_open x for a vector x, in the operator's field, on the open
-    operator's nodes (ring by ring, then the center): diag(D) (x) T and
-    R (x) I by their bands, plus the center's row and column.  T's product
-    is formed before D scales it, so the angular links of the inner rings,
-    which grow like M^4, act on differences of x instead of cancelling.
-    T's bands are real and only its seam corners carry the Floquet phase,
-    so the bands multiply as reals."""
-    rings, cols = f.r.size, f.cell.size
-    u = x[:rings * cols].reshape(rings, cols)
-    y = u * f.angular.diagonal().real
-    y[:, :-1] += u[:, 1:] * f.angular.diagonal(1).real
-    y[:, 1:] += u[:, :-1] * f.angular.diagonal(-1).real
-    y[:, -1] += f.angular[-1, 0] * u[:, 0]
-    y[:, 0] += f.angular[0, -1] * u[:, -1]
-    y *= f.scale[:, np.newaxis]
-    y += u * f.radial.diagonal()[:, np.newaxis]
-    y[:-1] += u[1:] * f.radial.diagonal(1)[:, np.newaxis]
-    y[1:] += u[:-1] * f.radial.diagonal(-1)[:, np.newaxis]
-    y = y.reshape(-1)
-    if f.has_center:
-        y[:cols] += f.center_in * x[-1]
-        y = np.append(y, f.center_diag * x[-1] + f.center_out @ u[0])
-    return y
-
-
 def _certify(op: AssembledOperator, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """||A v - lam v|| / ||v|| per pair, with A v the open operator's product
     with v scattered onto `keep`, on the rows of `keep`: the opening's own
@@ -219,7 +193,7 @@ def _certify(op: AssembledOperator, lam: np.ndarray, vecs: np.ndarray) -> np.nda
     residuals = np.empty(lam.size)
     for j, (v, lam_j) in enumerate(zip(vecs.T, lam)):
         node[op.keep] = v
-        r = _apply(op.factors, node)[op.keep] - lam_j * v
+        r = op.factors.apply(node)[op.keep] - lam_j * v
         residuals[j] = np.sqrt(np.vdot(r, r).real / np.vdot(v, v).real)
     return residuals
 
@@ -466,9 +440,32 @@ _RADIAL_GRIDS = 8
 _radial_tables = GridCache(_RADIAL_GRIDS)
 
 
+def _skew(s: np.ndarray) -> float:
+    """max |S - S^H| / max |S|."""
+    return np.abs(s - s.conj().T).max() / np.abs(s).max()
+
+
+def _check_grid(f: SectorFactors) -> SectorFactors:
+    """The check of an open operator, on its factors, which covers all of its
+    openings (principal submatrices of its S); returns the factors."""
+    sr, sc = np.sqrt(f.r), np.sqrt(f.cell)
+    residuals = {"radial factor": _skew(f.radial * sr[:, np.newaxis] / sr),
+                 "angular factor": _skew(f.angular * sc[:, np.newaxis] / sc)}
+    if f.has_center:
+        link = np.sqrt(f.r[0] * f.cell / f.center_weight)
+        into, out = f.center_in * link, f.center_out / link
+        residuals["center links"] = np.abs(into - out).max() / np.abs(into).max()
+    for part, residual in residuals.items():
+        if not residual <= _ASYM_TOL:
+            raise SolverError(f"symmetrized operator is not Hermitian (relative residual "
+                              f"{residual:.3e} in its {part}); this signals an assembly bug")
+    return f
+
+
 def _grid_rows(grid_open: OpenOperator) -> _ModeRows:
-    """The mode rows of an open operator, built once and kept on it."""
-    return grid_open.derived.get(("rows",), lambda: _ModeRows(grid_open.factors))
+    """The mode rows of an open operator's checked factors, built once and
+    kept on it."""
+    return grid_open.derived.get(("rows",), lambda: _ModeRows(_check_grid(grid_open.factors)))
 
 
 def open_solve(grid_open: OpenOperator, b: np.ndarray) -> np.ndarray:
@@ -788,38 +785,6 @@ class _Secular:
                 f"{lam[-1]:.12g}, where {lam.size} were found")
 
 
-def _skew(s: np.ndarray) -> float:
-    """max |S - S^H| / max |S|."""
-    return np.abs(s - s.conj().T).max() / np.abs(s).max()
-
-
-def _check_grid(grid_open: OpenOperator) -> bool:
-    """The check of an open operator, on its factors, which covers all of its
-    openings (principal submatrices of its S); True if it passes."""
-    f = grid_open.factors
-    sr, sc = np.sqrt(f.r), np.sqrt(f.cell)
-    weights = np.outer(f.r, f.cell).ravel()
-    residuals = {"radial factor": _skew(f.radial * sr[:, np.newaxis] / sr),
-                 "angular factor": _skew(f.angular * sc[:, np.newaxis] / sc)}
-    if f.has_center:
-        weights = np.append(weights, f.center_weight)
-        link = np.sqrt(f.r[0] * f.cell / f.center_weight)
-        into, out = f.center_in * link, f.center_out / link
-        residuals["center links"] = np.abs(into - out).max() / np.abs(into).max()
-    residuals["node weights"] = np.abs(grid_open.row_weights / weights - 1).max()
-    for part, residual in residuals.items():
-        if not residual <= _ASYM_TOL:
-            raise SolverError(f"symmetrized operator is not Hermitian (relative residual "
-                              f"{residual:.3e} in its {part}); this signals an assembly bug")
-    return True
-
-
-def _sparse_path(op: AssembledOperator, k: int):
-    op.open.derived.get(("checks",), lambda: _check_grid(op.open))    # once per open operator
-    lam, x = _Secular(op).lowest(k)
-    return lam, x / np.sqrt(op.row_weights)[:, np.newaxis]
-
-
 def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8) -> Spectrum:
     """k smallest eigenvalues of the assembled operator with eigenvectors and
     certified residuals.
@@ -841,7 +806,8 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8) -> Spect
     if tol < 1e-12:
         raise ValueError(f"tol={tol} below the 1e-12 floor")
     with one_blas_thread:
-        lam, vecs = _sparse_path(op, k)
+        lam, x = _Secular(op).lowest(k)
+        vecs = x / np.sqrt(op.row_weights)[:, np.newaxis]
         residuals = _certify(op, lam, vecs)
     lamscale = np.maximum(1.0, np.abs(lam))
     if not (residuals <= tol * lamscale).all():         # a NaN residual fails too

@@ -168,14 +168,18 @@ def _run_sweep(problems: list[SectorProblem], epsilon_list, m: int, k: int,
         raise ValueError("epsilon_list must not be empty")
     tasks = [(ie, _at(p, eps)) for ie, eps in enumerate(epsilons) for p in problems]
     workers = min(4, os.cpu_count() or 1, len(tasks))
+
+    def solve(task):    # only the numbers outlive the task, not its eigenvectors
+        sol = solve_sector(task[1], m, k, tol)
+        return sol.values, sol.residuals
+
     # held across the pool, so the BLAS count does not flip between tasks
     with one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
-        sols = list(pool.map(lambda task: solve_sector(task[1], m, k, tol), tasks))
+        sols = list(pool.map(solve, tasks))
     values = {p.label: np.empty((len(epsilons), k)) for p in problems}
     residuals = {label: np.empty_like(arr) for label, arr in values.items()}
-    for (ie, p), sol in zip(tasks, sols):
-        values[p.label][ie] = sol.values
-        residuals[p.label][ie] = sol.residuals
+    for (ie, p), (vals, res) in zip(tasks, sols):
+        values[p.label][ie], residuals[p.label][ie] = vals, res
     return EigenvalueCurve(geometry=problems[0].geometry, m=m, k=k, tol=tol,
                            epsilons=np.array(epsilons),
                            sectors=[p.tag for p in problems], values=values,

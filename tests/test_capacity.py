@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -12,14 +13,27 @@ from crackspec.eigensolve import SolverError
 from crackspec.capacity import (
     AdditivityResult,
     CapacityProblem,
+    _arc_nodes,
     _disk_green,
-    _energy_system,
     additivity_ratio,
     capacitary_potential,
 )
+from crackspec.domain import build_cracked_disk
+from crackspec.spectra import sweep
 
 FULL = ((0.0, 2 * math.pi),)
 R1, R2 = 0.4356, 1.0
+
+
+def _energy_system(prob):
+    """The tests' reference for the weighted graph Laplacian of the disk,
+    L = dr*dtheta*diag(w)*A with A the disk's open operator as a CSR matrix,
+    and the mask of the unknowns on the arcs, which carry V = 1."""
+    disk, grid = discretize.open_operator(prob.disk, prob.m), prob.grid
+    lap = (sp.diags(grid.dr * grid.dtheta * disk.row_weights) @ disk.matrix).tocsr()
+    fixed = np.zeros(lap.shape[0], dtype=bool)
+    fixed[_arc_nodes(prob)] = True
+    return lap, fixed
 
 
 def test_full_circle_matches_log_formula():
@@ -182,8 +196,10 @@ def test_green_column_matches_direct_elimination(m, arcs, extra):
 def test_green_columns_are_rotations_of_the_cached_one(m):
     # the circulant ring block rests on this: the unit charge at column f
     # gives the cached column rotated by f columns, on every ring
-    ring = CapacityProblem(R1, R2, FULL, m).grid.r1_ring
-    lap, g = _disk_green(ring, R2, m)
+    prob = CapacityProblem(R1, R2, FULL, m)
+    ring = prob.grid.r1_ring
+    lap, _ = _energy_system(prob)
+    g = _disk_green(ring, R2, m)[2]
     lu = spla.splu(lap.tocsc())
     cols = np.arange(m)
     on_ring = (ring - 1) * m + cols
@@ -257,8 +273,8 @@ def test_green_column_refuses_a_residual_above_its_bound(monkeypatch):
 
 
 def test_disk_green_keeps_no_second_copy_of_the_disk():
-    # `_disk_green` keeps its own Laplacian, so the open disk operator it
-    # assembles from is not left in the assembly cache
+    # `_disk_green` keeps the disk's factors, not its open operator, and the
+    # operator it builds is not left in the assembly cache
     discretize._open_grids.clear()
     _disk_green.cache_clear()
     capacitary_potential(CapacityProblem(R1, R2, FULL, 26))
@@ -291,3 +307,37 @@ def test_capacity_keeps_no_mode_rows_of_the_disk(monkeypatch):
     gc.collect()
     assert len(built) == 1
     assert built[0]() is None
+
+
+def test_capacity_and_a_sweep_scatter_no_matrix(monkeypatch):
+    # both apply the factors: no CSR is scattered on either path
+    scattered = []
+    inner = discretize._scatter
+    monkeypatch.setattr(discretize, "_scatter",
+                        lambda f: scattered.append(f) or inner(f))
+    discretize._open_grids.clear()
+    _disk_green.cache_clear()
+    capacitary_potential(CapacityProblem(R1, R2, ((0.3, 1.9),), 24))
+    sweep(build_cracked_disk(3, 0.0, R1, R2), [0.2, 0.5], 16, 2)
+    assert scattered == []
+    _disk_green.cache_clear()
+
+
+def test_capacity_checks_its_disk_operator_once(monkeypatch):
+    # the check runs where the disk's mode rows are built, once for both of
+    # the Green's column's open solves
+    checked = []
+    inner = eigensolve._check_grid
+
+    def spy(f):
+        checked.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(eigensolve, "_check_grid", spy)
+    _disk_green.cache_clear()
+    prob = CapacityProblem(R1, R2, FULL, 24)
+    capacitary_potential(prob)
+    additivity_ratio(R1, R2, 0.2, 24)
+    assert len(checked) == 1
+    assert checked[0] is _disk_green(prob.grid.r1_ring, R2, 24)[0]
+    _disk_green.cache_clear()

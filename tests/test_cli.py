@@ -329,6 +329,15 @@ def test_exit_code_solver_failure(monkeypatch):
     assert climod.main(["disk-ref", "--radius", "1", "--count", "1"]) == 2
 
 
+def test_capacity_failure_exits_2(monkeypatch, capsys):
+    # a harmonicity residual above its bound is a solver failure, not a traceback
+    from crackspec import capacity
+    monkeypatch.setattr(capacity, "_RESIDUAL_BOUND", -1.0)
+    assert main(["capacity", "--r1", "0.4356", "--delta-list", "0.2", "-M", "24"]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "harmonicity residual" in err
+
+
 def test_config_equals_form_is_read(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("count = 3\n")
@@ -387,6 +396,25 @@ def test_k_above_a_quarter_of_a_sectors_unknowns_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "k=40" in captured.err
+
+
+def test_asymptotics_fit_refuses_several_curves(tmp_path, capsys):
+    # a sweep CSV holds a curve per sector and index: one fit takes one
+    curve = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "2", "--r1", "0.4356", "-M", "48", "-k", "2",
+                 "--steps", "20", "--eps-min", "1.2", "--eps-max", "1.5707",
+                 "--output", str(curve)]) == 0
+    assert main(["asymptotics", "--case", "NND", "--r1", "0.4356",
+                 "--fit", str(curve)]) == 1
+    err = capsys.readouterr().err
+    assert "holds 4 curves (distinct sector and index values)" in err
+    # one sector and index of it is one curve, which fits
+    rows = curve.read_text().splitlines()
+    header = next(i for i, row in enumerate(rows) if row.startswith("epsilon,"))
+    one = [row for row in rows[header + 1:] if ",ell=0,1," in row]
+    curve.write_text("\n".join(rows[:header + 1] + one) + "\n")
+    assert main(["asymptotics", "--case", "NND", "--r1", "0.4356",
+                 "--fit", str(curve)]) == 0
 
 
 @pytest.mark.parametrize("body,line", [

@@ -72,14 +72,14 @@ def test_residual_certificates_hold():
 def test_residual_certificate_refuses_a_zero_vector(monkeypatch):
     # a zero vector's residual is 0/0, a NaN, which no bound holds
     op = _toy_op("DND")
-    inner = eigensolve._sparse_path
+    inner = eigensolve._Secular.lowest
 
-    def zeroed(op, k):
-        lam, vecs = inner(op, k)
+    def zeroed(secular, k):
+        lam, vecs = inner(secular, k)
         vecs[:, 0] = 0.0
         return lam, vecs
 
-    monkeypatch.setattr(eigensolve, "_sparse_path", zeroed)
+    monkeypatch.setattr(eigensolve._Secular, "lowest", zeroed)
     with pytest.raises(SolverError, match="residual certificate failed"), \
             np.errstate(invalid="ignore"):
         lowest_eigenpairs(op, 3)
@@ -197,6 +197,19 @@ def test_inverse_refuses_factors_that_are_not_positive_definite():
         open_solve(broken.open, np.ones(broken.n))
 
 
+def test_open_solve_refuses_factors_that_fail_the_check():
+    # the check runs where the mode rows are built, so an open solve, which
+    # takes T's spectrum in closed form and never reads T, refuses T too
+    op = _toy_op("DND", m=11, eps=math.pi / 2)
+    f = op.open.factors
+    angular = f.angular.copy()
+    angular[2, 3] *= 1.5
+    broken = _with_open(op, factors=dataclasses.replace(f, angular=angular))
+    with pytest.raises(SolverError, match="symmetrized operator is not Hermitian "
+                                          "\\(relative residual .* in its angular factor\\)"):
+        open_solve(broken.open, np.ones(broken.n))
+
+
 def test_open_solve_refuses_complex_data():
     real = _toy_op("DND", m=11, eps=math.pi / 2)
     complex_op = _coupled_op(eps=math.pi / 3)
@@ -302,15 +315,6 @@ def test_open_solve_inverts_every_fully_open_real_grid(data):
     assert len(eigensolve._grid_rows(op.open).sides) == 0      # no side of the ring is built
 
 
-def test_asymmetric_symmetrization_raises_on_the_sparse_path():
-    op = _toy_op("DND", m=12)
-    weights = op.open.row_weights * np.random.default_rng(5).uniform(0.9, 1.1, op.keep.size)
-    skewed = _with_open(op, row_weights=weights)
-    with pytest.raises(SolverError, match="symmetrized operator is not Hermitian"):
-        lowest_eigenpairs(skewed, 3)
-    assert dense_oracle.lowest_eigenpairs(skewed, 3).eigenvalues.size == 3
-
-
 _ALL_SECTORS = ([("quarter", case, 2) for case in QUARTER_CASES]
                 + [("floquet", ell, n) for n in range(1, 7) for ell in range(n // 2 + 1)])
 
@@ -404,10 +408,10 @@ def test_the_matrix_is_the_apply_of_its_factors(sector, grid, opening):
     x = rng.standard_normal(op.keep.size)
     if np.iscomplexobj(op.factors.angular):
         x = x + 1j * rng.standard_normal(x.shape)
-    want = eigensolve._apply(op.factors, x)
+    want = op.factors.apply(x)
     assert np.linalg.norm(op.open.matrix @ x - want) <= 1e-12 * np.linalg.norm(want)
     x[~op.keep] = 0.0
-    want = eigensolve._apply(op.factors, x)[op.keep]
+    want = op.factors.apply(x)[op.keep]
     assert np.linalg.norm(op.matrix @ x[op.keep] - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -587,7 +591,8 @@ _numpy_get = _numpy_thread_getter()
 
 
 def _spy_on(monkeypatch, module, name, get):
-    """Record the BLAS thread counts each time `module.name` runs."""
+    """Record the BLAS thread counts each time `module.name` runs (a
+    module's function or a class's method)."""
     inner = getattr(module, name)
     seen = []
 
@@ -631,7 +636,7 @@ def _spy_on_applies(monkeypatch, get):
 def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads, method):
     # the secular solve, and the tests' dense oracle (LAPACK geev)
     if method == "sparse":
-        seen = _spy_on(monkeypatch, eigensolve, "_sparse_path", blas_threads)
+        seen = _spy_on(monkeypatch, eigensolve._Secular, "lowest", blas_threads)
         solve = lowest_eigenpairs
     else:
         seen = _spy_on(monkeypatch, dense_oracle.sla, "eig", blas_threads)
@@ -701,7 +706,7 @@ def test_blas_count_restored_after_a_solver_error(blas_threads):
 @needs_openblas
 def test_blas_count_restored_after_a_pooled_sweep(monkeypatch, blas_threads):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    seen = _spy_on(monkeypatch, eigensolve, "_sparse_path", blas_threads)
+    seen = _spy_on(monkeypatch, eigensolve._Secular, "lowest", blas_threads)
     sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5, 0.9], 16, 2)
     assert seen == [ONE] * 6  # 3 openings x 2 sectors
     assert blas_threads() == TWO

@@ -7,10 +7,9 @@ columns are computed here from the requested values, independently of
 
 import math
 
-import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from crackspec.capacity import CapacityProblem, _energy_system
+from crackspec.capacity import CapacityProblem, _arc_nodes
 from crackspec.discretize import assemble
 from crackspec.domain import (
     QUARTER_CASES, build_cracked_disk, quarter_problems, reduce_to_sectors)
@@ -109,7 +108,6 @@ def test_capacity_fixed_nodes(case):
     for a, b in arcs:
         expected |= {j % m for j in range(round(a / dtheta), round(b / dtheta) + 1)}
     ring = problem.grid.r1_ring
-    _, fixed = _energy_system(problem)
     # the fully open disk numbers its unknowns ring by ring, center last
-    got = {int(i) - (ring - 1) * m for i in np.nonzero(fixed)[0]}
+    got = {int(i) - (ring - 1) * m for i in _arc_nodes(problem)}
     assert got == expected

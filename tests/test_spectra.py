@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -216,6 +218,26 @@ def test_sector_solves_share_the_pool(monkeypatch):
     flight["max"] = 0
     solve_full_spectrum(build_cracked_disk(3, 0.5, 0.4356, 1.0), 24, 4)
     assert flight["max"] >= 2
+
+
+def test_a_sweep_keeps_no_solve_past_its_task(monkeypatch):
+    # a sweep reads only each solve's values and residuals: on one worker,
+    # the eigenvectors of every earlier solve are gone when the next starts
+    from crackspec import spectra
+    solve = spectra.solve_sector
+    solved, alive = [], []
+
+    def watched(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in solved))
+        sol = solve(*args)
+        solved.append(weakref.ref(sol.spectrum))
+        return sol
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(spectra, "solve_sector", watched)
+    sweep(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.2, 0.5, 0.9], 16, 2)
+    assert alive == [0] * 6     # 3 openings x 2 sectors
 
 
 def test_sweep_validation():
