@@ -11,7 +11,7 @@ on the tensor grid r_i = i*dr (dr = r2/m), theta_j = j*dtheta
                 + (u_{i+1,j} - u_{i-1,j}) / (2 r_i dr)
                 + (u_{i,j+1} - 2 u_{i,j} + u_{i,j-1}) / (r_i dtheta)^2 ].
 
-Conventions (all encoded in the assembled matrix, no constraint rows):
+Conventions (all encoded in the factors, no constraint rows):
 
 * Dirichlet nodes (outer circle i=m, crack nodes on the snapped r1 ring,
   Dirichlet rays of quarter problems) are eliminated; their stencil
@@ -41,18 +41,19 @@ weights w, r_i times the cell and a matched weight for the center.
 
 The stencil is written once, for the fully open sector, as one-dimensional
 factors (`SectorFactors`): on the ring nodes A_open = R (x) I + diag(D) (x) T,
-plus the center.  The factors are the operator, and this module owns what is
-read from them: their product (`SectorFactors.apply`), which `eigensolve`
-certifies with and `capacity` applies its Laplacian with, and the node
-weights (`OpenOperator.row_weights`).  The open operator (`open_operator`)
-does not depend on r1 or epsilon, so `assemble` builds it once per sector
-grid (kind, ell or quarter case, n, m, r2), keeps it in a bounded cache
-(`_OPEN_GRIDS` grids), and returns every opening as its sector problem on
-that operator (`AssembledOperator`, which works out its grid, its crack,
-the mask `keep` of its unknowns and the node arrays on `keep`).  No solve
-reads a matrix: the CSR matrix (`OpenOperator.matrix`, and an opening's
-principal submatrix on `keep`) is scattered from the factors only when the
-tests' reference or the benchmark's tracer reads it.
+plus the center, with R and T kept as their bands, O(m) numbers each.  The
+factors are the operator, and this module owns what is read from them:
+their product (`SectorFactors.apply`), which `eigensolve` certifies with and
+`capacity` applies its Laplacian with, and the node weights
+(`OpenOperator.row_weights`).  The open operator (`open_operator`) does not
+depend on r1 or epsilon, so `assemble` builds it once per sector grid (kind,
+ell or quarter case, n, m, r2), keeps it in a bounded cache (`_OPEN_GRIDS`
+grids), and returns every opening as its sector problem on that operator
+(`AssembledOperator`, which works out its grid, its crack, the mask `keep`
+of its unknowns and the node arrays on `keep`).  No solve reads a matrix:
+the CSR matrix (`OpenOperator.matrix`, and an opening's principal submatrix
+on `keep`) is scattered from the bands only when the tests' reference or
+the benchmark's tracer reads it.
 """
 
 from __future__ import annotations
@@ -232,9 +233,13 @@ class SectorFactors:
         A_open = R (x) I + diag(D) (x) T,
 
     with R the radial second difference over rings 1..m-1 (Dirichlet at
-    r = 0 and r = r2), D = 1/(r_i dtheta)^2 and T the angular matrix: 2 on
-    the diagonal, -1/cell[j] off it in row j, and the seam phase for a
-    Floquet sector.  The node weights are r_i cell_j.  The center, when
+    r = 0 and r = r2), D = 1/(r_i dtheta)^2 and T the angular second
+    difference: 2 on the diagonal, -1/cell[j] off it in row j, and the seam
+    phase for a Floquet sector.  Each factor X of size n is kept as the
+    data the stencil defines, its three bands, periodic: rows 0, 1 and 2
+    hold X[j, j-1], X[j, j] and X[j, j+1], indices mod n.  R's wrapped
+    entries R[0, -1] and R[-1, 0] are 0; T's are its seam corners, 0 on a
+    quarter grid.  The node weights are r_i cell_j.  The center, when
     present, is one more unknown: ring-1 rows see it through `center_in`,
     and its row is `center_diag` on itself and `center_out` on ring 1.
 
@@ -247,9 +252,9 @@ class SectorFactors:
     1..m-1 on two Dirichlet rays) or pi (2k + 1) / (2m), k = 0..m-1, on
     mixed rays."""
 
-    radial: np.ndarray        # R, (m-1) x (m-1)
+    radial: np.ndarray        # R's bands, 3 x (m-1)
     scale: np.ndarray         # D, per ring
-    angular: np.ndarray       # T, one row and column per entry of `cols`
+    angular: np.ndarray       # T's bands, 3 x (entries of `cols`)
     frequency: np.ndarray     # per eigenvalue of T, ascending: (p, q), theta = pi p / q
     r: np.ndarray             # ring radii r_1..r_{m-1}
     cell: np.ndarray          # per column: 1, or 0.5 on a Neumann ray
@@ -265,19 +270,21 @@ class SectorFactors:
         R (x) I by their bands, plus the center's row and column.  T's
         product is formed before D scales it, so the angular links of the
         inner rings, which grow like M^4, act on differences of x instead of
-        cancelling.  T's bands are real and only its seam corners carry the
-        Floquet phase, so the bands multiply as reals."""
+        cancelling.  Only T's seam corners carry the Floquet phase, so the
+        rest of its bands multiply as reals."""
         rings, cols = self.r.size, self.cell.size
         u = x[:rings * cols].reshape(rings, cols)
-        y = u * self.angular.diagonal().real
-        y[:, :-1] += u[:, 1:] * self.angular.diagonal(1).real
-        y[:, 1:] += u[:, :-1] * self.angular.diagonal(-1).real
-        y[:, -1] += self.angular[-1, 0] * u[:, 0]
-        y[:, 0] += self.angular[0, -1] * u[:, -1]
+        t_in, t_diag, t_out = self.angular
+        y = u * t_diag.real
+        y[:, :-1] += u[:, 1:] * t_out[:-1].real
+        y[:, 1:] += u[:, :-1] * t_in[1:].real
+        y[:, -1] += t_out[-1] * u[:, 0]
+        y[:, 0] += t_in[0] * u[:, -1]
         y *= self.scale[:, np.newaxis]
-        y += u * self.radial.diagonal()[:, np.newaxis]
-        y[:-1] += u[1:] * self.radial.diagonal(1)[:, np.newaxis]
-        y[1:] += u[:-1] * self.radial.diagonal(-1)[:, np.newaxis]
+        r_in, r_diag, r_out = self.radial[:, :, np.newaxis]
+        y += u * r_diag
+        y[:-1] += u[1:] * r_out[:-1]
+        y[1:] += u[:-1] * r_in[1:]
         y = y.reshape(-1)
         if self.has_center:
             y[:cols] += self.center_in * x[-1]
@@ -311,7 +318,8 @@ def _sector_factors(problem: SectorProblem, grid: PolarGrid,
     ri = dr * np.arange(1, m)
     c_out = -(1.0 / dr**2 + 1.0 / (2.0 * ri * dr))
     c_in = -(1.0 / dr**2 - 1.0 / (2.0 * ri * dr))
-    radial = np.diag(np.full(m - 1, 2.0 / dr**2)) + np.diag(c_out[:-1], 1) + np.diag(c_in[1:], -1)
+    radial = np.stack([c_in, np.full(m - 1, 2.0 / dr**2), c_out])
+    radial[0, 0] = radial[2, -1] = 0.0          # no ring past r = 0 or r = r2
 
     # a link out of a half cell is doubled, which is its mirror ghost
     # u_{i,-1} = u_{i,1}
@@ -320,13 +328,11 @@ def _sector_factors(problem: SectorProblem, grid: PolarGrid,
         phase = cmath.exp(2j * math.pi * problem.ell / problem.geometry.n)
     else:
         phase = 1.0 if problem.ell == 0 else -1.0
-    angular = np.diag(np.full(cols.size, 2.0, dtype=complex if problem.weight == 2 else float))
-    angular += np.diag(off[:-1], 1) + np.diag(off[1:], -1)
-    if problem.kind == "floquet":
-        # seam: column m-1 sees exp(i*alpha) times column 0, and column 0
-        # sees exp(-i*alpha) times column m-1
-        angular[-1, 0] = -phase
-        angular[0, -1] = -np.conj(phase)
+    angular = np.array([off, np.full(cols.size, 2.0), off], dtype=type(phase))  # complex or real
+    # seam: column m-1 sees exp(i*alpha) times column 0, and column 0 sees
+    # exp(-i*alpha) times column m-1; a quarter grid has none
+    seam = problem.kind == "floquet"
+    angular[2, -1], angular[0, 0] = (-phase, -np.conj(phase)) if seam else (0.0, 0.0)
 
     # the center row is the polar regularity stencil over the ring-1
     # average with cell weights
@@ -428,38 +434,27 @@ class AssembledOperator:
         return matrix
 
 
+def band_matrix(bands: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix of the nonzero entries of a factor's bands, in the
+    layout of `SectorFactors`."""
+    n = bands.shape[1]
+    row = np.broadcast_to(np.arange(n), bands.shape)
+    col = (row + np.arange(-1, 2)[:, np.newaxis]) % n
+    matrix = sp.csr_matrix((bands.ravel(), (row.ravel(), col.ravel())), shape=(n, n))
+    matrix.eliminate_zeros()
+    return matrix
+
+
 def _scatter(f: SectorFactors) -> sp.csr_matrix:
-    """The factors' operator as a read-only CSR matrix: every entry of
-    R (x) I + diag(D) (x) T on the ring nodes, ring by ring, then the
-    center's row and column."""
-    ids = np.arange(f.r.size * f.cell.size).reshape(f.r.size, f.cell.size)
-    n1 = ids.size
-    rows: list[np.ndarray] = []
-    colix: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add(a, b, v):
-        rows.append(a.ravel())
-        colix.append(b.ravel())
-        vals.append(np.broadcast_to(v, a.shape).ravel())
-
-    # R (x) I + diag(D) (x) T
-    tp, tq = np.nonzero(f.radial)
-    add(ids[tp], ids[tq], f.radial[tp, tq][:, np.newaxis])
-    jp, jq = np.nonzero(f.angular)
-    add(ids[:, jp], ids[:, jq], f.scale[:, np.newaxis] * f.angular[jp, jq])
-
-    if f.has_center:
-        first = ids[0, :]
-        center = np.full(first.size, n1)
-        add(first, center, f.center_in)
-        add(np.array([n1]), np.array([n1]), f.center_diag)
-        add(center, first, f.center_out)
-
-    n = n1 + int(f.has_center)
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(colix))),
-        shape=(n, n)).tocsr()
+    """The factors' operator as a read-only CSR matrix: R (x) I + diag(D) (x)
+    T on the ring nodes, ring by ring, then the center's row and column."""
+    matrix = (sp.kron(band_matrix(f.radial), sp.identity(f.cell.size))
+              + sp.kron(sp.diags(f.scale), band_matrix(f.angular)))
+    if f.has_center:            # its column and row: center_in and center_out on ring 1
+        into, out = np.zeros((2, matrix.shape[0]))
+        into[:f.cell.size], out[:f.cell.size] = f.center_in, f.center_out
+        matrix = sp.bmat([[matrix, into[:, np.newaxis]], [out[np.newaxis], [[f.center_diag]]]])
+    matrix = matrix.tocsr()
     for array in (matrix.data, matrix.indices, matrix.indptr):
         array.flags.writeable = False
     return matrix

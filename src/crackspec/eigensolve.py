@@ -57,13 +57,13 @@ fully closed grid the side's matrix is empty, and the same path finds
 every root at a pole, with the pole's tridiagonal eigenvectors.
 
 The check of an open operator (`_check_grid`) runs where its mode rows are
-built (`_grid_rows`), once for all of its solves, on its factors: S is
-Hermitian when r^1/2 R r^-1/2 is symmetric, cell^1/2 T cell^-1/2 Hermitian,
-and the center's links into ring 1 and out of it match through its weight;
-an opening is a principal submatrix of S.  An open operator that fails it
-raises `SolverError` at every solve, as do one that is not positive
-definite, a capacitance block whose Cholesky fails, or a count that
-contradicts the roots.
+built (`_grid_rows`), once for all of its solves, on its factors' bands,
+and symmetrizes them for the rows: S is Hermitian when r^1/2 R r^-1/2 is
+symmetric, cell^1/2 T cell^-1/2 Hermitian, and the center's links into
+ring 1 and out of it match through its weight; an opening is a principal
+submatrix of S.  An open operator that fails it raises `SolverError` at
+every solve, as do one that is not positive definite, a capacitance block
+whose Cholesky fails, or a count that contradicts the roots.
 
 `open_solve` inverts an open operator (`OpenOperator`) from the same
 checked rows, without their spectra: the angular transform, one
@@ -94,12 +94,13 @@ import importlib
 import itertools
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .discretize import AssembledOperator, GridCache, OpenOperator, SectorFactors
+from .discretize import AssembledOperator, GridCache, OpenOperator, SectorFactors, band_matrix
 
 __all__ = ["SolverError", "Spectrum", "open_solve", "lowest_eigenpairs",
            "group_multiplicities"]
@@ -198,17 +199,56 @@ def _certify(op: AssembledOperator, lam: np.ndarray, vecs: np.ndarray) -> np.nda
     return residuals
 
 
-def _angular_modes(f: SectorFactors):
+class _Symmetrized(NamedTuple):
+    """The symmetrized parts of an open operator's factors, from `_check_grid`."""
+
+    factors: SectorFactors
+    radial: np.ndarray          # Rs, the Hermitian part of r^1/2 R r^-1/2, in R's bands
+    angular: np.ndarray         # Ts, that of cell^1/2 T cell^-1/2, in T's bands
+    link: np.ndarray | None     # S's links between the center and ring 1
+    residuals: dict             # the relative asymmetry of each part
+
+
+def _check_grid(f: SectorFactors) -> _Symmetrized:
+    """The check of an open operator, on its factors, which covers all of its
+    openings (principal submatrices of its S), and the one place they are
+    symmetrized.  Each factor scaled to X = s F s^-1 by the square roots s
+    of its weights (r for R, cell for T) splits on its bands into (X + X^H)/2
+    and max |X - X^H| / max |X|, and the center's links into ring 1 and out
+    of it into their mean and relative mismatch; `_ASYM_TOL` bounds each."""
+    def hermitian(bands, weights):
+        s = np.sqrt(weights)
+        x = bands * s / np.stack([np.roll(s, 1), s, np.roll(s, -1)])
+        xh = np.stack([np.roll(x[2], 1), x[1], np.roll(x[0], -1)]).conj()
+        return (x + xh) / 2, np.abs(x - xh).max() / np.abs(x).max()
+
+    (rs, rad_res), (ts, ang_res) = hermitian(f.radial, f.r), hermitian(f.angular, f.cell)
+    residuals = {"radial factor": rad_res, "angular factor": ang_res}
+    link = None
+    if f.has_center:
+        into = f.center_in * np.sqrt(f.r[0] * f.cell / f.center_weight)
+        out = f.center_out * np.sqrt(f.center_weight / (f.r[0] * f.cell))
+        link = (into + out) / 2
+        residuals["center links"] = np.abs(into - out).max() / np.abs(into).max()
+    for part, residual in residuals.items():
+        if not residual <= _ASYM_TOL:
+            raise SolverError(f"symmetrized operator is not Hermitian (relative residual "
+                              f"{residual:.3e} in its {part}); this signals an assembly bug")
+    return _Symmetrized(f, rs, ts, link, residuals)
+
+
+def _angular_modes(sym: _Symmetrized):
     """The unit eigenvectors v (columns) of the symmetrized angular factor
-    Ts = cell^1/2 T cell^-1/2 and their eigenvalues lam = 4 sin^2(theta/2)
-    from the closed-form frequencies of `SectorFactors.frequency`: exact to
+    Ts of `_check_grid`, formed here from its bands as a dense matrix for
+    its eigh, and their eigenvalues lam = 4 sin^2(theta/2) from the
+    closed-form frequencies of `SectorFactors.frequency`: exact to
     round-off, also where eigh would give a small lam only to eps * ||Ts||,
     and equal to the bit for equal frequencies in every sector.  The center,
     when present, couples to the constant mode sqrt(cell) alone: mode 0 is
     exactly that (lam = 0), and the others are exactly orthogonal to it."""
+    f = sym.factors
+    _, v = sla.eigh(band_matrix(sym.angular).toarray())
     sc = np.sqrt(f.cell)
-    ang = f.angular * sc[:, np.newaxis] / sc
-    _, v = sla.eigh((ang + ang.conj().T) / 2)
     if f.has_center:
         v[:, 0] = sc / np.sqrt(f.cell.sum())
         v[:, 1:] -= v[:, :1] * (v[:, :1] * v[:, 1:]).sum(axis=0)
@@ -217,63 +257,45 @@ def _angular_modes(f: SectorFactors):
     return v, 4 * np.sin(np.pi * p / (2 * q)) ** 2
 
 
-def _radial(f: SectorFactors) -> np.ndarray:
-    """The symmetrized radial factor Rs = r^1/2 R r^-1/2."""
-    sr = np.sqrt(f.r)
-    rad = f.radial * sr[:, np.newaxis] / sr
-    return (rad + rad.T) / 2
-
-
-def _bordered(f: SectorFactors, v0: np.ndarray, rad: np.ndarray) -> np.ndarray:
-    """The radial problem of the constant angular mode v0 with the center
-    bordered in first: S on (center, ring-1 node j), from both of its
-    triangles, projected on v0."""
-    link = (f.center_in * np.sqrt(f.r[0] * f.cell / f.center_weight)
-            + f.center_out * np.sqrt(f.center_weight / (f.r[0] * f.cell))) / 2
-    bordered = np.zeros((f.r.size + 1, f.r.size + 1))
-    bordered[0, 0] = f.center_diag
-    bordered[0, 1] = bordered[1, 0] = (v0 * link).sum()
-    bordered[1:, 1:] = rad                     # lam[0] = 0
-    return bordered
-
-
 class _ModeRows:
     """The open operator of one sector grid, angular mode by angular mode.
 
     In the angular modes v_j of `_angular_modes` (the columns of `ang`) the
     symmetrized open operator is S = sum_j T_j (x) v_j v_j^H, with the
-    symmetric tridiagonal T_j = Rs + lam_j diag(D) over the rings; with a
-    center, T_0 is mode 0's `_bordered` problem, center first.  Each T_j is
-    kept as a row of `diag` and `off`, all of one length L: with a center,
+    symmetric tridiagonal T_j = Rs + lam_j diag(D) over the rings, from the
+    bands of `_check_grid`; with a center, T_0 has the center bordered in
+    first, linked to ring 1 by S's links projected on v_0.  Each T_j is kept
+    as a row of `diag` and `off`, all of one length L: with a center,
     the other modes get a decoupled dummy row in front (`lead`), so that
     each ring is one entry of every row.  `coupling` is `off` with the rows
     laid end to end, a zero between two modes, for the banded solves over
     every mode at once.  Nothing here depends on r1: `side` builds each side
     of an r1 ring on its first use, and `sides` keeps the last `_SIDES`.
     In every mode but the bordered one T_j depends on the sector only
-    through lam_j, so `radial`, the bytes of Rs's diagonals and of D, keys
+    through lam_j, so `radial`, the bytes of Rs's bands and of D, keys
     the side tables that grids with equal radial rows share."""
 
-    def __init__(self, f: SectorFactors) -> None:
+    def __init__(self, sym: _Symmetrized) -> None:
         self.sides = GridCache(_SIDES)
-        v, self.lam = _angular_modes(f)
+        v, self.lam = _angular_modes(sym)
         self.ang = v
+        f = sym.factors
         self.has_center = f.has_center
-        rad = _radial(f)
-        self.radial = (rad.diagonal().tobytes(), rad.diagonal(1).tobytes(), f.scale.tobytes())
+        rad, rad_off = sym.radial[1], sym.radial[2, :-1]
+        self.radial = (rad.tobytes(), rad_off.tobytes(), f.scale.tobytes())
         lead = int(f.has_center)
         rows = f.r.size + lead
         self.lead = np.zeros(self.lam.size, dtype=int)
         self.diag = np.ones((self.lam.size, rows))
         self.off = np.zeros((self.lam.size, rows - 1))
         for j, lj in enumerate(self.lam):
-            if f.has_center and j == 0:
-                t = _bordered(f, v[:, 0], rad)
-                self.diag[j], self.off[j] = t.diagonal(), t.diagonal(1)
+            if f.has_center and j == 0:                 # lam[0] = 0
+                self.diag[j] = np.append(f.center_diag, rad)
+                self.off[j] = np.append((v[:, 0] * sym.link).sum(), rad_off)
             else:
                 self.lead[j] = lead
-                self.diag[j, lead:] = rad.diagonal() + lj * f.scale
-                self.off[j, lead:] = rad.diagonal(1)
+                self.diag[j, lead:] = rad + lj * f.scale
+                self.off[j, lead:] = rad_off
         e = np.zeros(self.diag.shape)
         e[:, :-1] = self.off
         self.coupling = e.ravel()[:-1]
@@ -438,28 +460,6 @@ class _Side:
 # the side tables of each radial grid and r1 ring, which its sector grids share
 _RADIAL_GRIDS = 8
 _radial_tables = GridCache(_RADIAL_GRIDS)
-
-
-def _skew(s: np.ndarray) -> float:
-    """max |S - S^H| / max |S|."""
-    return np.abs(s - s.conj().T).max() / np.abs(s).max()
-
-
-def _check_grid(f: SectorFactors) -> SectorFactors:
-    """The check of an open operator, on its factors, which covers all of its
-    openings (principal submatrices of its S); returns the factors."""
-    sr, sc = np.sqrt(f.r), np.sqrt(f.cell)
-    residuals = {"radial factor": _skew(f.radial * sr[:, np.newaxis] / sr),
-                 "angular factor": _skew(f.angular * sc[:, np.newaxis] / sc)}
-    if f.has_center:
-        link = np.sqrt(f.r[0] * f.cell / f.center_weight)
-        into, out = f.center_in * link, f.center_out / link
-        residuals["center links"] = np.abs(into - out).max() / np.abs(into).max()
-    for part, residual in residuals.items():
-        if not residual <= _ASYM_TOL:
-            raise SolverError(f"symmetrized operator is not Hermitian (relative residual "
-                              f"{residual:.3e} in its {part}); this signals an assembly bug")
-    return f
 
 
 def _grid_rows(grid_open: OpenOperator) -> _ModeRows:
@@ -795,7 +795,8 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8) -> Spect
     k : int
         Number of eigenpairs, 1 <= k <= n/4.
     tol : float
-        Residual certificate bound ||A v - lam v|| / ||v|| per pair (>= 1e-12).
+        Residual certificate bound ||A v - lam v|| / ||v|| per pair: a finite
+        number >= 1e-12.
     """
     n = op.n
     if k < 1:
@@ -803,8 +804,8 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-8) -> Spect
     if k > max(1, n // 4):
         raise ValueError(f"k={k} above n/4 = {max(1, n // 4)} for sector {op.sector.label} "
                          f"({n} unknowns at M={op.grid.m})")
-    if tol < 1e-12:
-        raise ValueError(f"tol={tol} below the 1e-12 floor")
+    if not 1e-12 <= tol < np.inf:                       # NaN fails too
+        raise ValueError(f"tol={tol} is not a finite number at or above the 1e-12 floor")
     with one_blas_thread:
         lam, x = _Secular(op).lowest(k)
         vecs = x / np.sqrt(op.row_weights)[:, np.newaxis]

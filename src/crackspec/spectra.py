@@ -203,9 +203,13 @@ def sweep(spec: CrackedDiskSpec, epsilon_list, m: int, k: int,
 def sweep_quarter(spec: CrackedDiskSpec, cases, epsilon_list, m: int, k: int,
                   tol: float = 1e-8):
     """Quarter-disk eigenvalue curves (n = 2): the snapped epsilon grid plus
-    a dict case -> (n_eps, k)."""
-    problems = [p for c in cases for p in quarter_problems(spec) if p.quarter_case == c]
-    curve = _run_sweep(problems, epsilon_list, m, k, tol)
+    a dict case -> (n_eps, k).  A repeated case is solved once."""
+    known = {p.quarter_case: p for p in quarter_problems(spec)}
+    cases = list(dict.fromkeys(cases))
+    unknown = ", ".join(repr(c) for c in cases if c not in known)
+    if unknown:
+        raise ValueError(f"unknown quarter cases {unknown}; the cases are {', '.join(known)}")
+    curve = _run_sweep([known[c] for c in cases], epsilon_list, m, k, tol)
     return curve.epsilons, curve.values
 
 

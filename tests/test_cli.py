@@ -312,6 +312,28 @@ def test_exit_code_validation():
     assert main(["quarter", "--case", "QQQ", "--epsilon", "0.3"]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_a_tol_that_is_not_finite_exits_1(tol, capsys):
+    # NaN had failed every certificate (exit 2), and inf had certified any residual
+    assert main(["solve", "--n", "3", "--epsilon", "0.3", "-M", "24", "-k", "2",
+                 "--tol", tol]) == 1
+    assert f"validation error: tol={tol} is not a finite number" in capsys.readouterr().err
+
+
+def test_fully_open_nnd_at_m480_passes_the_certificate(tmp_path):
+    # the open NND quarter at M = 480 had failed the unchanged 1e-8
+    # certificate (residual 1.455e-07) while the inner rings' angular links
+    # cancelled in the product; with T's product formed before D scales it
+    # the largest residual is 5.985e-08, 1.96e-9 relative
+    code, out = run(tmp_path, "quarter", "--case", "NND", "--epsilon", "1.5707963267948966",
+                    "-M", "480", "-k", "3")
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if line and not line.startswith("#")][1:]
+    assert [row[2] for row in rows] == ["1", "2", "3"]
+    assert all(float(row[4]) <= 1e-8 * float(row[3]) for row in rows)
+
+
 def test_exit_code_io_error(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["disk-ref", "--radius", "1", "--count", "1",

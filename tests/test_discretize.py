@@ -286,9 +286,10 @@ def test_assembled_operator_owns_its_arrays():
     assert np.array_equal(again.matrix.indices, before.indices)
     assert again.row_weights.min() > 0 and again.node_ring.max() == 11
     assert again.cols[0] == 0 and again.cols[-1] == 11
-    # the factors are shared by every opening of the grid, so read-only
-    with pytest.raises(ValueError):
-        again.factors.radial[0, 0] = 0.0
+    # the factors' bands are shared by every opening of the grid, so read-only
+    for bands in (again.factors.radial, again.factors.angular):
+        with pytest.raises(ValueError):
+            bands[1, 0] = 0.0
 
 
 class _SlowKey:

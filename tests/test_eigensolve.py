@@ -47,6 +47,21 @@ def _with_open(op, **changes):
     return dataclasses.replace(op, open=dataclasses.replace(op.open, **changes))
 
 
+def _dense(bands):
+    """The matrix X of a factor's periodic bands: X[j, j-1], X[j, j] and
+    X[j, j+1], indices mod n, scattered into zeros."""
+    n = bands.shape[1]
+    x, j = np.zeros((n, n), dtype=bands.dtype), np.arange(n)
+    for band in range(3):
+        x[j, (j + band - 1) % n] += bands[band]
+    return x
+
+
+def _skew(x):
+    """max |X - X^H| / max |X|."""
+    return np.abs(x - x.conj().T).max() / np.abs(x).max()
+
+
 def test_dense_and_sparse_paths_agree():
     op = _toy_op()  # n < 400
     dense = dense_oracle.lowest_eigenpairs(op, 6)
@@ -86,13 +101,15 @@ def test_residual_certificate_refuses_a_zero_vector(monkeypatch):
 
 
 def test_shift_invariance():
-    # R's diagonal and the center's shifted by c shift the operator by c I
+    # R's diagonal band and the center's shifted by c shift the operator by c I
     op = _toy_op("NND", m=12)
     rng = np.random.default_rng(11)
     c = float(rng.uniform(0.5, 5.0))
     f = op.factors
+    radial = f.radial.copy()
+    radial[1] += c
     shifted = _with_open(op, factors=dataclasses.replace(
-        f, radial=f.radial + c * np.eye(f.r.size), center_diag=f.center_diag + c))
+        f, radial=radial, center_diag=f.center_diag + c))
     for solve in (dense_oracle.lowest_eigenpairs, lowest_eigenpairs):
         base = solve(op, 4).eigenvalues
         moved = solve(shifted, 4).eigenvalues
@@ -122,8 +139,9 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match=rf"k={op.n // 4 + 1} above n/4 = {op.n // 4} "
                                          rf"for sector DDD \({op.n} unknowns at M=10\)"):
         lowest_eigenpairs(op, op.n // 4 + 1)
-    with pytest.raises(ValueError):
-        lowest_eigenpairs(op, 2, tol=1e-13)
+    for tol in (1e-13, math.nan, math.inf):
+        with pytest.raises(ValueError, match="not a finite number at or above the 1e-12 floor"):
+            lowest_eigenpairs(op, 2, tol=tol)
 
 
 def test_deterministic_repeat():
@@ -169,13 +187,13 @@ def _symmetrized(op):
 @pytest.mark.parametrize("op", [_toy_op("NND", m=12), _coupled_op()],
                          ids=["real", "complex"])
 def test_operator_check_refuses_a_shifted_matrix(op):
-    # the check reads the factors: radii shifted by half a step leave
+    # the check reads the factors' bands: radii shifted by half a step leave
     # r^1/2 R r^-1/2 unsymmetric, an entry of T scaled away from its mirror
     # leaves cell^1/2 T cell^-1/2 non-Hermitian, and a shifted center
     # weight unmatches the center's links
     f = op.factors
     angular = f.angular.copy()
-    angular[2, 3] *= 1.5
+    angular[2, 2] *= 1.5                # T[2, 3], on T's upper band
     broken = [(dataclasses.replace(f, r=f.r + f.r[0] / 2), "radial factor"),
               (dataclasses.replace(f, angular=angular), "angular factor")]
     if f.has_center:
@@ -203,7 +221,7 @@ def test_open_solve_refuses_factors_that_fail_the_check():
     op = _toy_op("DND", m=11, eps=math.pi / 2)
     f = op.open.factors
     angular = f.angular.copy()
-    angular[2, 3] *= 1.5
+    angular[2, 2] *= 1.5                # T[2, 3], on T's upper band
     broken = _with_open(op, factors=dataclasses.replace(f, angular=angular))
     with pytest.raises(SolverError, match="symmetrized operator is not Hermitian "
                                           "\\(relative residual .* in its angular factor\\)"):
@@ -413,6 +431,49 @@ def test_the_matrix_is_the_apply_of_its_factors(sector, grid, opening):
     x[~op.keep] = 0.0
     want = op.factors.apply(x)[op.keep]
     assert np.linalg.norm(op.matrix @ x[op.keep] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sector=st.sampled_from(_ALL_SECTORS), grid=_GRIDS, seed=st.integers(0, 2**32 - 1))
+def test_the_check_symmetrizes_on_the_bands(sector, grid, seed):
+    # the check's residuals and symmetrized bands against the dense
+    # reference on the factors scattered into matrices: max |X - X^H| /
+    # max |X| and (X + X^H)/2 of X = s F s^-1, to the bit.  Each band entry
+    # is moved by 1e-12 relative, so that the residuals are not round-off
+    # alone and still pass; the center's links against the symmetrized CSR
+    (kind, which, n), (m, ring) = sector, grid
+    op = assemble(_sector(kind, which, n, 0.5 * math.pi / n, ring, m), m)
+    rng = np.random.default_rng(seed)
+    f = dataclasses.replace(op.factors, **{
+        name: bands * (1 + 1e-12 * rng.standard_normal(bands.shape))
+        for name, bands in (("radial", op.factors.radial), ("angular", op.factors.angular))})
+    sym = eigensolve._check_grid(f)
+    assert sym.factors is f
+    for part, bands, weights, got in (("radial factor", f.radial, f.r, sym.radial),
+                                      ("angular factor", f.angular, f.cell, sym.angular)):
+        s = np.sqrt(weights)
+        x = _dense(bands) * s[:, np.newaxis] / s
+        assert sym.residuals[part] == _skew(x) > 0
+        assert got.shape == bands.shape and got.dtype == bands.dtype
+        assert np.array_equal(_dense(got), (x + x.conj().T) / 2)
+    assert (sym.link is None) == (not f.has_center) == ("center links" not in sym.residuals)
+    if f.has_center:
+        ring1 = _symmetrized(op.open).toarray()[-1, :f.cell.size]
+        assert np.allclose(sym.link, ring1, rtol=1e-14, atol=0)
+        assert sym.residuals["center links"] <= 1e-15
+
+
+@pytest.mark.parametrize("m", [24, 25])
+@pytest.mark.parametrize("sector", _ALL_SECTORS)
+def test_the_factors_hold_their_bands(sector, m):
+    # no array of an open operator's factors is a matrix: each holds at
+    # most three entries per column of the grid, m + 1 columns on a quarter
+    # grid with two Neumann rays
+    kind, which, n = sector
+    f = discretize.open_operator(_sector(kind, which, n, 0.5, m // 2, m), m).factors
+    sizes = {name: a.size for name, a in vars(f).items() if isinstance(a, np.ndarray)}
+    assert max(sizes.values()) <= 3 * (m + 1), sizes
+    assert f.radial.shape == (3, m - 1) and f.angular.shape == (3, f.cell.size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -697,7 +758,7 @@ def test_blas_count_restored_after_a_solver_error(blas_threads):
     op = _toy_op("NDD", m=12)
     f = op.factors
     angular = f.angular.copy()
-    angular[2, 3] *= 1.5
+    angular[2, 2] *= 1.5                # T[2, 3], on T's upper band
     with pytest.raises(SolverError, match="symmetrized operator is not Hermitian"):
         lowest_eigenpairs(_with_open(op, factors=dataclasses.replace(f, angular=angular)), 2)
     assert blas_threads() == TWO
@@ -943,9 +1004,9 @@ def test_closed_form_angular_eigenvalues(sector, m):
     # gives exactly 0
     kind, which, n = sector
     f = assemble(_sector(kind, which, n, 0.0, m // 2, m), m).factors
-    _, lam = eigensolve._angular_modes(f)
+    _, lam = eigensolve._angular_modes(eigensolve._check_grid(f))
     sc = np.sqrt(f.cell)
-    ang = f.angular * sc[:, np.newaxis] / sc
+    ang = _dense(f.angular) * sc[:, np.newaxis] / sc
     dense = np.linalg.eigvalsh((ang + ang.conj().T) / 2)
     assert np.abs(lam - dense).max() <= 1e-13 * dense.max()
     zero = f.frequency[:, 0] == 0

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from crackspec import specfun
+from crackspec import specfun, spectra
 from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
 from crackspec.discretize import assemble
 from crackspec.spectra import (
@@ -570,9 +570,23 @@ def test_ndd_dnd_gap_requires_n2():
         ndd_dnd_gap(build_cracked_disk(3, 0.0, 0.4356, 1.0), [0.5], 24)
 
 
-def test_sweep_quarter_cases():
+def test_sweep_quarter_cases(monkeypatch):
     spec = build_cracked_disk(2, 0.0, 0.4356, 1.0)
     eps, by_case = sweep_quarter(spec, ("NND", "DDD"), [0.7, 1.2], 24, 2)
     assert set(by_case) == {"NND", "DDD"}
     assert by_case["NND"].shape == (2, 2)
     assert (by_case["DDD"][:, 0] > by_case["NND"][:, 0]).all()
+    # a repeated case is solved once; each unknown case is named, and a
+    # case string iterates as its letters, which are no cases
+    solved = []
+    inner = spectra.solve_sector
+    monkeypatch.setattr(spectra, "solve_sector",
+                        lambda problem, *args: solved.append(problem.quarter_case)
+                        or inner(problem, *args))
+    eps, by_case = sweep_quarter(spec, ["NDD", "NDD"], [0.7, 1.2], 24, 2)
+    assert list(by_case) == ["NDD"] and solved == ["NDD", "NDD"]    # two openings
+    for cases, unknown in ((["NDD", "ndd", "XYZ"], "'ndd', 'XYZ'"), ("NDD", "'N', 'D'"),
+                           (["ABC"], "'ABC'")):
+        with pytest.raises(ValueError, match=f"^unknown quarter cases {unknown}; "
+                                             "the cases are NND, DDD, NDD, DND$"):
+            sweep_quarter(spec, cases, [0.7], 24, 2)
