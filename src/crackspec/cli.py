@@ -283,10 +283,13 @@ def _read_curve_csv(path: str):
                 raise CliError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
             curves.add(tuple(cells[header[c]] for c in ("sector", "index") if c in header))
             try:
-                eps.append(float(cells[header["epsilon"]]))
-                lam.append(float(cells[header["lambda"]]))
+                e, v = float(cells[header["epsilon"]]), float(cells[header["lambda"]])
             except ValueError:
-                raise CliError(f"{path}:{lineno}: epsilon and lambda must be numbers") from None
+                e = v = math.nan
+            if not (math.isfinite(e) and math.isfinite(v)):
+                raise CliError(f"{path}:{lineno}: epsilon and lambda must be finite numbers")
+            eps.append(e)
+            lam.append(v)
     if not eps:
         raise CliError(f"{path}: no data rows")
     if len(curves) > 1:

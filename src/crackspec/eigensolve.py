@@ -54,7 +54,11 @@ are found the counts certify that none was skipped.  An eigenvector is one
 banded solve over the modes' tridiagonals (on the hole, with the ring row
 held at the hole's values) and one angular transform.  On a fully open or
 fully closed grid the side's matrix is empty, and the same path finds
-every root at a pole, with the pole's tridiagonal eigenvectors.
+every root at a pole, with the pole's tridiagonal eigenvectors.  The side's
+matrix is scaled by congruence to +-I at 0 with the side's own mode
+functions at 0: phi_j(0) = g_j(0) on the crack, and -1/g_j(0), from the
+closed poles alone, on the hole.  So an opening builds and reads only the
+side it is solved on.
 
 The check of an open operator (`_check_grid`) runs where its mode rows are
 built (`_grid_rows`), once for all of its solves, on its factors' bands,
@@ -364,8 +368,9 @@ class _Side:
     table by side and lam of its radial rows and r1 ring (`_ModeRows.radial`
     and the ring), which every sector on that radial grid shares: each lam
     is solved once per side, by whichever thread needs it first, and modes
-    of one frequency share the poles and weights to the bit.  `g0` is
-    sum_i w_ij / p_ij per mode, on the open side the Green's value g_j(0).
+    of one frequency share the poles and weights to the bit.  `phi0` is
+    phi_j(0) = alpha_j + sum_i w_ij / p_ij per mode, g_j(0) on the open side
+    and -1/g_j(0) on the closed one: all that an opening's congruence reads.
     `sorted` lists the finite poles ascending and `order` their flat
     indices; `values`, `first` and `size` list the distinct poles ascending
     after a pole at 0 with no copies, each with the index in `sorted` of its
@@ -402,7 +407,7 @@ class _Side:
                 f"the {'closed' if hole else 'open'} operator has eigenvalue "
                 f"{self.poles.min():.3e} <= 0; it is not positive definite, which signals "
                 "an assembly bug")
-        self.g0 = (self.weights / self.poles).sum(axis=1)
+        self.phi0 = self.alpha + (self.weights / self.poles).sum(axis=1)
         flat = self.poles.ravel()
         self.order = np.argsort(flat, kind="stable")[:np.isfinite(flat).sum()]
         self.sorted = flat[self.order]
@@ -507,12 +512,13 @@ class _Secular:
     eigenvalues below sigma, with `offset` 0 on the crack and |H| on the
     hole, where N = #{mu_ij < sigma} + neg(D).  Phi is kept congruent to
     |Phi(0)|^-1/2 Phi |Phi(0)|^-1/2, which has the same inertia and roots:
-    |Phi(0)| = V_X diag(g(0)^+-1) V_X^H, from the open side's Green's
-    values g(0) (+ on the crack, - on the hole), is positive definite as a
+    |Phi(0)| = V_X diag(s phi(0)) V_X^H, from the side's own mode functions
+    at 0 (s = +1 on the crack, -1 on the hole), is positive definite as a
     block of the inverse of a positive definite matrix, or of its Schur
-    complement, so
-    Phi(0) = +-I, and the modes that barely move with lambda hold their
-    eigenvalues near +-1, away from the zero that a root's branch crosses.
+    complement, and its Cholesky factor checks that.  So Phi(0) = s I, and
+    the modes that barely move with lambda hold their eigenvalues near s,
+    away from the zero that a root's branch crosses.  An opening reads only
+    the side it is solved on.
     Phi' is positive semidefinite, so between two poles the eigenvalues of
     Phi rise with lambda.  A root is isolated between two adjacent poles
     (the lowest of them the pole 0) by counts at the poles themselves, and
@@ -531,11 +537,10 @@ class _Secular:
         if hole is None:
             hole = 2 * int(crack.sum()) > crack.size
         self.rows, self.keep = rows, op.keep
-        g0 = rows.side(ring, False).g0
-        self.spec = rows.side(ring, hole)
+        self.spec = spec = rows.side(ring, hole)
         vx = rows.ang[~crack if hole else crack]               # the side's columns
         try:
-            chol = np.linalg.cholesky((vx * (1 / g0 if hole else g0)) @ vx.conj().T)
+            chol = np.linalg.cholesky((vx * (-spec.phi0 if hole else spec.phi0)) @ vx.conj().T)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"the capacitance block of the {'hole' if hole else 'crack'} is not "
@@ -824,8 +829,8 @@ def group_multiplicities(values, cluster_tol: float,
     """Cluster adjacent eigenvalues within `cluster_tol` and report
     (mean value, total multiplicity) per cluster; `weights` supplies
     per-entry multiplicities (default 1)."""
-    if cluster_tol <= 0:
-        raise ValueError(f"cluster_tol must be positive, got {cluster_tol!r}")
+    if not 0 < cluster_tol < np.inf:                    # NaN fails too
+        raise ValueError(f"cluster_tol must be a positive finite number, got {cluster_tol!r}")
     vals = np.asarray(values, dtype=float)
     if weights is None:
         weights = np.ones(len(vals), dtype=int)

@@ -19,6 +19,7 @@ squared roots k of the cross-product
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -323,40 +324,23 @@ def disk_spectrum(radius: float, count: int) -> ReferenceSpectrum:
         raise ValueError(f"radius must be positive, got {radius!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    z_top = 4.0
-    while True:
-        lines: list[SpectrumLine] = []
-        ell = 0
-        while True:
-            if ell > MAX_ORDER:
-                raise ValueError(
-                    f"count={count} needs angular orders beyond {MAX_ORDER}")
-            z1 = bessel_zero(ell, 1).value
-            if z1 > z_top:
-                break
-            k = 1
-            while k <= MAX_ZERO_INDEX:
-                z = bessel_zero(ell, k).value
-                if z > z_top:
-                    break
-                lines.append(SpectrumLine((z / radius) ** 2, ell, k, 1 if ell == 0 else 2))
-                k += 1
-            ell += 1
-        lines.sort(key=lambda s: s.value)
-        total = sum(s.multiplicity for s in lines)
-        # all zeros below z_top are enumerated, so the prefix is authoritative
-        cut = []
-        acc = 0
-        for s in lines:
-            if acc >= count:
-                break
-            cut.append(s)
-            acc += s.multiplicity
-        if acc >= count and total >= count:
-            return ReferenceSpectrum(tuple(cut))
-        if z_top > 1e4:
-            raise ValueError(f"count={count} exceeds the supported zero table")
-        z_top *= 1.6
+    # j_{l,k} rises in l and in k, so the least zero not yet taken is the
+    # next zero of an order already started or the first of the next order
+    heap = [(bessel_zero(0, 1).value, 0, 1)]
+    lines: list[SpectrumLine] = []
+    total = 0
+    while total < count:
+        z, ell, k = heapq.heappop(heap)
+        lines.append(SpectrumLine((z / radius) ** 2, ell, k, 1 if ell == 0 else 2))
+        total += lines[-1].multiplicity
+        if k == 1 and ell == MAX_ORDER and total < count:
+            # a later zero may belong to an order above MAX_ORDER
+            raise ValueError(f"count={count} needs angular orders beyond {MAX_ORDER}")
+        if k == 1 and ell < MAX_ORDER:
+            heapq.heappush(heap, (bessel_zero(ell + 1, 1).value, ell + 1, 1))
+        if k < MAX_ZERO_INDEX:
+            heapq.heappush(heap, (bessel_zero(ell, k + 1).value, ell, k + 1))
+    return ReferenceSpectrum(tuple(lines))
 
 
 def _annulus_crossprod(ell: int, r1: float, r2: float, k: float) -> float:

@@ -207,8 +207,9 @@ def sweep_quarter(spec: CrackedDiskSpec, cases, epsilon_list, m: int, k: int,
     known = {p.quarter_case: p for p in quarter_problems(spec)}
     cases = list(dict.fromkeys(cases))
     unknown = ", ".join(repr(c) for c in cases if c not in known)
-    if unknown:
-        raise ValueError(f"unknown quarter cases {unknown}; the cases are {', '.join(known)}")
+    if unknown or not cases:
+        given = f"unknown quarter cases {unknown}" if unknown else "no quarter case given"
+        raise ValueError(f"{given}; the cases are {', '.join(known)}")
     curve = _run_sweep([known[c] for c in cases], epsilon_list, m, k, tol)
     return curve.epsilons, curve.values
 

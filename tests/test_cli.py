@@ -439,6 +439,24 @@ def test_asymptotics_fit_refuses_several_curves(tmp_path, capsys):
                  "--fit", str(curve)]) == 0
 
 
+@pytest.mark.parametrize("column,cell", [(1, "nan"), (1, "inf"), (0, "nan"), (0, "-inf")])
+def test_asymptotics_fit_refuses_a_cell_that_is_not_finite(tmp_path, capsys, column, cell):
+    # one such cell in the fit window had made every fitted coefficient,
+    # ratio and law residual nan, with exit 0
+    from crackspec.asymptotics import model, predict
+    mod = model("DND", 0.4356, 1.0)
+    rows = [[math.pi / 2 - d, predict(mod, math.pi / 2 - d)]
+            for d in (0.3, 0.2, 0.14, 0.1, 0.07, 0.05)]
+    rows[3][column] = cell
+    curve = tmp_path / "curve.csv"
+    curve.write_text("epsilon,lambda\n" + "".join(f"{e},{l}\n" for e, l in rows))
+    assert main(["asymptotics", "--case", "DND", "--r1", "0.4356",
+                 "--fit", str(curve)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{curve}:5: epsilon and lambda must be finite numbers" in err
+
+
 @pytest.mark.parametrize("body,line", [
     ("epsilon,lambda\n1.3,15.0\n1.4\n", 3),        # a short row
     ("epsilon,lambda\n1.3,15.0\n1.4,abc\n", 3),    # a cell that is no number

@@ -245,11 +245,16 @@ def test_secular_solve_refuses_factors_that_are_not_positive_definite():
 
 
 def test_secular_solve_refuses_a_capacitance_block_that_is_not_positive_definite(monkeypatch):
-    op = _toy_op("NND", m=10, eps=0.5)
-    spec = eigensolve._grid_rows(op.open).side(op.grid.r1_ring, False)
-    monkeypatch.setattr(spec, "g0", -spec.g0)
-    with pytest.raises(SolverError, match="capacitance block"):
-        lowest_eigenpairs(op, 2)
+    # the congruence reads phi(0) of the side the opening is solved on, and
+    # its Cholesky factor refuses a phi(0) of the wrong sign: the hole's at
+    # epsilon 0.5, the crack's at 1.2
+    for eps, hole in ((0.5, True), (1.2, False)):
+        op = _toy_op("NND", m=10, eps=eps)
+        assert (eigensolve._Secular(op).offset > 0) == hole
+        spec = eigensolve._grid_rows(op.open).side(op.grid.r1_ring, hole)
+        monkeypatch.setattr(spec, "phi0", -spec.phi0)
+        with pytest.raises(SolverError, match="capacitance block"):
+            lowest_eigenpairs(op, 2)
 
 
 def test_grid_cache_under_concurrent_use():
@@ -359,6 +364,18 @@ def test_sparse_path_matches_dense_oracle(sector, opening, m, ring, k):
 
 
 _GRIDS = st.integers(8, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sector=st.sampled_from(_ALL_SECTORS), grid=_GRIDS)
+def test_the_closed_side_holds_the_open_sides_phi0(sector, grid):
+    # on the closed side phi_j(0) = -1/g_j(0), from the closed poles alone,
+    # so a hole-side opening needs no open side for its congruence
+    (kind, which, n), (m, ring) = sector, grid
+    rows = eigensolve._grid_rows(assemble(_sector(kind, which, n, 0.3, ring, m), m).open)
+    closed, open_ = (rows.side(ring, hole).phi0 for hole in (True, False))
+    assert np.all(open_ > 0)
+    assert np.allclose(-closed, 1 / open_, rtol=1e-11, atol=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -588,6 +605,23 @@ def test_the_closed_table_is_built_once_per_radial_grid(monkeypatch):
         narrow = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, eps, 0.4356, 1.0))]
         assert all(eigensolve._Secular(op).offset > 0 for op in narrow)
         assert len(calls) == 3 * (2 * m + 1)
+
+
+def test_a_hole_side_opening_builds_no_open_side(monkeypatch):
+    # openings solved on the hole's side read the closed side alone: its
+    # table (two blocks per mode, 2(2m+1) tridiagonal eigensolves) and one
+    # side per grid, also through their solves, never the open side
+    m = 24
+    calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
+    _clear_grids()
+    narrow = [assemble(p, m) for eps in (0.2, 0.3)
+              for p in quarter_problems(build_cracked_disk(2, eps, 0.4356, 1.0))]
+    assert all(eigensolve._Secular(op).offset > 0 for op in narrow)
+    assert len(calls) == 2 * (2 * m + 1)
+    for op in narrow:
+        lowest_eigenpairs(op, 2)
+        rows = eigensolve._grid_rows(op.open)
+        assert len(rows.sides) == 1 and rows.side(op.grid.r1_ring, True).hole
 
 
 def test_roots_near_the_closed_spectrum_on_the_paper_ring():
@@ -861,6 +895,10 @@ def test_group_multiplicities_disk_pattern():
 def test_group_multiplicities_validation():
     with pytest.raises(ValueError):
         group_multiplicities([1.0, 2.0], 0.0)
+    # a NaN tolerance had merged every value into one cluster
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="positive finite number"):
+            group_multiplicities([1.0, 2.0, 3.0], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,36 @@ def test_disk_spectrum_validation():
         sf.disk_spectrum(1.0, 0)
 
 
+def test_disk_spectrum_is_the_sorted_zeros():
+    # every zero j_{l,k} below 40, sorted by brute force: each count's
+    # entries are the prefix that first reaches it
+    radius, top = 1.3, 40.0
+    zeros = []
+    for ell in range(sf.MAX_ORDER + 1):
+        for k in range(1, sf.MAX_ZERO_INDEX + 1):
+            z = sf.bessel_zero(ell, k).value
+            if z > top:
+                break
+            zeros.append((z, ell, k))
+    zeros.sort()
+    total = 0
+    for i, (z, ell, k) in enumerate(zeros):
+        mult = 1 if ell == 0 else 2
+        want = [((zz / radius) ** 2, ll, kk) for zz, ll, kk in zeros[:i + 1]]
+        for count in range(total + 1, total + mult + 1):
+            got = sf.disk_spectrum(radius, count).entries
+            assert [(e.value, e.ell, e.k) for e in got] == want
+        total += mult
+    assert total > 300
+
+
+def test_disk_spectrum_refuses_a_count_beyond_its_orders():
+    # once the first zero of order MAX_ORDER is taken, a later zero may
+    # belong to the order above it
+    with pytest.raises(ValueError, match="needs angular orders beyond 64"):
+        sf.disk_spectrum(1.0, 1500)
+
+
 _ANNULUS_TABLE = [(0, 30.46), (1, 32.53), (2, 38.68), (3, 48.78),
                   (4, 62.61), (5, 79.91), (6, 100.39), (7, 123.79), (8, 149.90)]
 

@@ -590,3 +590,5 @@ def test_sweep_quarter_cases(monkeypatch):
         with pytest.raises(ValueError, match=f"^unknown quarter cases {unknown}; "
                                              "the cases are NND, DDD, NDD, DND$"):
             sweep_quarter(spec, cases, [0.7], 24, 2)
+    with pytest.raises(ValueError, match="^no quarter case given; the cases are NND, DDD, NDD, DND$"):
+        sweep_quarter(spec, [], [0.7], 24, 2)
