@@ -53,7 +53,7 @@ grids), and returns every opening as its sector problem on that operator
 of its unknowns and the node arrays on `keep`).  No solve reads a matrix:
 the CSR matrix (`OpenOperator.matrix`, and an opening's principal submatrix
 on `keep`) is scattered from the bands only when the tests' reference or
-the benchmark's tracer reads it.
+the benchmark's tracer reads it, and only then is `scipy.sparse` imported.
 """
 
 from __future__ import annotations
@@ -63,11 +63,14 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import _ANGLE_TOL, SectorProblem, SectorTag
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "PolarGrid",
@@ -434,22 +437,23 @@ class AssembledOperator:
         return matrix
 
 
-def band_matrix(bands: np.ndarray) -> sp.csr_matrix:
-    """The CSR matrix of the nonzero entries of a factor's bands, in the
-    layout of `SectorFactors`."""
+def band_matrix(bands: np.ndarray) -> np.ndarray:
+    """The dense matrix of a factor's bands, in the layout of `SectorFactors`."""
     n = bands.shape[1]
-    row = np.broadcast_to(np.arange(n), bands.shape)
-    col = (row + np.arange(-1, 2)[:, np.newaxis]) % n
-    matrix = sp.csr_matrix((bands.ravel(), (row.ravel(), col.ravel())), shape=(n, n))
-    matrix.eliminate_zeros()
+    rows = np.arange(n)
+    matrix = np.zeros((n, n), dtype=bands.dtype)
+    for offset, band in zip((-1, 0, 1), bands):
+        matrix[rows, (rows + offset) % n] += band
     return matrix
 
 
 def _scatter(f: SectorFactors) -> sp.csr_matrix:
     """The factors' operator as a read-only CSR matrix: R (x) I + diag(D) (x)
     T on the ring nodes, ring by ring, then the center's row and column."""
-    matrix = (sp.kron(band_matrix(f.radial), sp.identity(f.cell.size))
-              + sp.kron(sp.diags(f.scale), band_matrix(f.angular)))
+    import scipy.sparse as sp       # only the tests and the benchmark's tracer read it
+
+    radial, angular = (sp.csr_matrix(band_matrix(bands)) for bands in (f.radial, f.angular))
+    matrix = sp.kron(radial, sp.identity(f.cell.size)) + sp.kron(sp.diags(f.scale), angular)
     if f.has_center:            # its column and row: center_in and center_out on ring 1
         into, out = np.zeros((2, matrix.shape[0]))
         into[:f.cell.size], out[:f.cell.size] = f.center_in, f.center_out

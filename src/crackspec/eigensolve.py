@@ -251,7 +251,7 @@ def _angular_modes(sym: _Symmetrized):
     when present, couples to the constant mode sqrt(cell) alone: mode 0 is
     exactly that (lam = 0), and the others are exactly orthogonal to it."""
     f = sym.factors
-    _, v = sla.eigh(band_matrix(sym.angular).toarray())
+    _, v = sla.eigh(band_matrix(sym.angular))
     sc = np.sqrt(f.cell)
     if f.has_center:
         v[:, 0] = sc / np.sqrt(f.cell.sum())
@@ -550,6 +550,7 @@ class _Secular:
         self.offset = vx.shape[0] if hole else 0
         # N(0) = 0, the opening being positive definite
         self.limits: dict[int, tuple] = {0: (0, np.empty((0, 0)))}
+        self.at_poles: dict[int, np.ndarray] = {}
         self.borders: dict[tuple, tuple] = {}
 
     def count(self, sigma: float) -> int:
@@ -580,6 +581,12 @@ class _Secular:
         b.flat[f * (n + 1)::n + 1] = tau + shift      # T's diagonal
         return b, (r / den).sum(axis=1) + spec.beta
 
+    def at_pole(self, s: int) -> np.ndarray:
+        """`bordered(s, 0.0)`, B at the distinct pole s, built once."""
+        if s not in self.at_poles:
+            self.at_poles[s] = self.bordered(s, 0.0)[0]
+        return self.at_poles[s]
+
     def copies(self, s: int, other: int | None = None):
         """The (mode, index) pairs of the copies of the distinct pole s, then
         of `other`, values[s] minus each one's pole, and the border W and
@@ -603,8 +610,7 @@ class _Secular:
         a, which the side's capacitance matrix does not see; N just above
         the pole is larger by their number."""
         if s not in self.limits:
-            b, _ = self.bordered(s, 0.0)
-            f = self.vx.shape[0]
+            b, f = self.at_pole(s), self.vx.shape[0]
             u, sv, vh = np.linalg.svd(b[:f, f:])
             rank = int((sv > 1e-12 * sv.max(initial=0.0)).sum())
             rest = u[:, rank:]
@@ -658,7 +664,7 @@ class _Secular:
             origin, other, a, b, sides = hi, lo, -half, 0.0, {}
         # first guess: with R held at the origin, B is singular where tau is
         # an eigenvalue of W^H R^-1 W, which is exact for a root at a pole
-        b0, _ = self.bordered(origin, 0.0)
+        b0 = self.at_pole(origin)
         try:
             guess = np.linalg.eigvalsh(b0[:f, f:].conj().T @ np.linalg.solve(b0[:f, :f], b0[:f, f:]))
         except np.linalg.LinAlgError:

@@ -11,10 +11,11 @@ bisection step of crossing refinement all go through it.  Crossing locations
 are refined by bisection on re-solves over the angular grid of rays (epsilon
 only takes snapped values, so the bracket bottoms out at one grid step; the
 event stores the final bracket).  Bisection reads one table of sector rows
-keyed by (sector, ray) that starts as the sweep's own rows, so each
-(sector, ray) is solved at most once per curve, at the curve's k and tol,
-and a sweep ray is never solved again.  A crossing through an exact zero of
-the gap at a sweep point is bracketed across that point.
+keyed by (sector, ray) that starts as the sweep's own rows.  A step solves
+at k one past the larger curve index it compares, and a (sector, ray) again
+only for a bracket that reads past its row; a sweep ray is never solved
+again.  A crossing through an exact zero of the gap at a sweep point is
+bracketed across that point.
 
 The `rank` of a crossing labels the eigenvalue by counting distinct
 eigenvalue levels of the merged spectrum strictly below the crossing, at the
@@ -27,13 +28,13 @@ import cmath
 import dataclasses
 import itertools
 import math
+import numbers
 import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import CrackedDiskSpec, SectorProblem, SectorTag, quarter_problems, reduce_to_sectors
 from .discretize import AssembledOperator, PolarGrid, assemble
@@ -254,6 +255,8 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int) -> list[Cros
     Curves of the same sector never cross transversally and are not compared.
     A curve value that is not finite raises `ValueError`.
     """
+    if not isinstance(rank_of_interest, numbers.Integral) or rank_of_interest < 1:
+        raise ValueError(f"rank_of_interest must be an integer >= 1, got {rank_of_interest!r}")
     if len(curve.epsilons) < 2:
         raise ValueError("need at least two sweep points to detect crossings")
     if not all(np.isfinite(arr).all() for arr in curve.values.values()):
@@ -265,10 +268,12 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int) -> list[Cros
     rows = {(label, ray): arr[ie] for label, arr in curve.values.items()
             for ie, ray in enumerate(rays)}
 
-    def solve_missing(labels: tuple[str, str], ray: int) -> None:
-        missing = [problems[label] for label in labels if (label, ray) not in rows]
+    def solve_missing(labels: tuple[str, str], ray: int, k: int) -> None:
+        # the t-th root depends only on the roots below it, so a row solved
+        # at k agrees with every longer one on its k values
+        missing = [problems[label] for label in labels if len(rows.get((label, ray), ())) < k]
         if missing:
-            solved = _run_sweep(missing, [grid.eps_at(ray)], curve.m, curve.k, curve.tol)
+            solved = _run_sweep(missing, [grid.eps_at(ray)], curve.m, k, curve.tol)
             rows.update(((p.label, ray), solved.values[p.label][0]) for p in missing)
 
     events: list[CrossingEvent] = []
@@ -280,7 +285,7 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int) -> list[Cros
                 lo, hi = rays[t0], rays[t1]
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
-                    solve_missing((sa.label, sb.label), mid)
+                    solve_missing((sa.label, sb.label), mid, max(ca, cb) + 1)
                     if (rows[sa.label, mid][ca] - rows[sb.label, mid][cb] > 0) == (d[t0] > 0):
                         lo = mid
                     else:
@@ -318,14 +323,15 @@ class NodalCount:
 def nodal_domains(field: np.ndarray, wrap: bool) -> NodalCount:
     """Count sign domains of a grid eigenfunction.
 
-    `field` is a 2-D array over (ring, column); NaN marks nodes outside the
-    domain (Dirichlet / eliminated).  Nodes with |u| <= _ZERO_TOL * max|u| act
-    as separators.  Adjacency is 4-neighbor, restricted to equal signs;
-    columns wrap when `wrap` is true.
+    `field` is a real 2-D array over (ring, column); NaN marks nodes outside
+    the domain (Dirichlet / eliminated).  Nodes with |u| <= _ZERO_TOL *
+    max|u| act as separators.  Adjacency is 4-neighbor, restricted to equal
+    signs; columns wrap when `wrap` is true.  Same-sign runs along each row
+    are joined across rows (and the seam) by a union-find (Hoshen-Kopelman).
     """
-    # imported here: csgraph adds about 25 ms that `import crackspec` skips
-    from scipy.sparse.csgraph import connected_components
-
+    if np.ndim(field) != 2 or np.iscomplexobj(field):
+        raise ValueError(f"field must be a real 2-D array, got {np.ndim(field)}-D "
+                         f"of {np.result_type(field)}")
     field = np.asarray(field, dtype=float)
     finite = np.isfinite(field)
     if not finite.any():
@@ -336,22 +342,28 @@ def nodal_domains(field: np.ndarray, wrap: bool) -> NodalCount:
     act = finite & (np.abs(field) > _ZERO_TOL * peak)
     if not act.any():
         raise ValueError("all nodes below the zero threshold: degenerate vector")
-    n_act = int(act.sum())
-    ids = -np.ones(field.shape, dtype=np.int64)
-    ids[act] = np.arange(n_act)
     sgn = np.where(act, np.sign(field), 0.0)   # 0 off the active nodes
-    heads, tails = [], []
-    neighbours = [(np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])]
+    # a run starts at every active node whose left neighbour has another sign
+    start = act.copy()
+    start[:, 1:] &= sgn[:, 1:] != sgn[:, :-1]
+    runs = int(start.sum())
+    run = np.cumsum(start).reshape(field.shape) - 1      # each active node's run
+    neighbours = [(np.s_[:-1, :], np.s_[1:, :])]
     if wrap:
         neighbours.append((np.s_[:, -1], np.s_[:, 0]))
-    for a, b in neighbours:
-        linked = (sgn[a] != 0.0) & (sgn[a] == sgn[b])
-        heads.append(ids[a][linked])
-        tails.append(ids[b][linked])
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    graph = sp.coo_matrix((np.ones(heads.size), (heads, tails)), shape=(n_act, n_act))
-    mu, _ = connected_components(graph, directed=False)
-    return NodalCount(mu=int(mu))
+    pairs = np.concatenate([run[a][linked] * runs + run[b][linked] for a, b in neighbours
+                            for linked in [(sgn[a] != 0.0) & (sgn[a] == sgn[b])]])
+    parent, mu = list(range(runs)), runs
+    heads, tails = divmod(np.unique(pairs), runs)
+    for a, b in zip(heads.tolist(), tails.tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            mu -= 1
+    return NodalCount(mu=mu)
 
 
 def sector_field(op: AssembledOperator, vector: np.ndarray) -> np.ndarray:

@@ -92,8 +92,8 @@ def test_solve_output_does_not_depend_on_blas_threads(tmp_path):
 
 
 def test_import_loads_no_scipy_module_it_does_not_need(tmp_path):
-    # set-up time: csgraph is imported where nodal domains are counted, and
-    # nothing reads scipy.special or scipy.sparse.linalg
+    # set-up time: nodal domains are counted without csgraph, and nothing
+    # reads scipy.special or scipy.sparse.linalg
     src = str(Path(crackspec.__file__).resolve().parents[1])
     env = {"HOME": str(tmp_path), "PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
     script = ("import sys, crackspec; print(sorted(m for m in ('scipy.sparse.csgraph', "
@@ -101,6 +101,37 @@ def test_import_loads_no_scipy_module_it_does_not_need(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_no_solve_path_loads_scipy_sparse(tmp_path):
+    # the CSR is scattered only for the tests' reference and the benchmark's
+    # tracer: a sweep, its crossings and a nodal count import no scipy.sparse
+    src = str(Path(crackspec.__file__).resolve().parents[1])
+    env = {"HOME": str(tmp_path), "PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
+    script = (
+        "import sys\n"
+        "from crackspec.domain import build_cracked_disk, reduce_to_sectors\n"
+        "from crackspec.spectra import count_nodal_domains, detect_crossings, solve_sector, sweep\n"
+        "spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)\n"
+        "curve = sweep(spec, [0.2, 0.5, 0.9], 24, 3)\n"
+        "detect_crossings(curve, 3)\n"
+        "problem = reduce_to_sectors(build_cracked_disk(3, 0.5, 0.4356, 1.0))[0][0]\n"
+        "sol = solve_sector(problem, 24, 2)\n"
+        "print(count_nodal_domains(sol.operator, sol.spectrum.vectors[:, 1]).mu,\n"
+        "      sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "2 []\n"
+
+
+def test_crossings_rank_below_1_exits_1(tmp_path, capsys):
+    # --rank 0 had refined every bracket and written an empty CSV
+    code, out = run(tmp_path, "crossings", "--n", "3", "--r1", "0.4356", "--steps", "3",
+                    "-M", "16", "-k", "2", "--rank", "0")
+    assert code == 1
+    assert "validation error: rank_of_interest must be an integer >= 1, got 0" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("m", ["33", "35"])

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crackspec import specfun, spectra
 from crackspec.domain import build_cracked_disk, quarter_problems, reduce_to_sectors
@@ -368,7 +370,7 @@ def test_sign_changes_break_at_nan_and_ignore_end_zeros():
 
 def test_refinement_solves_each_opening_once(monkeypatch):
     # bisection reads the sweep's rows and solves only rays between them,
-    # each once per sector and at the curve's k and tol
+    # each once per sector and k, at most at the curve's k, and at its tol
     from crackspec import spectra
     spec = build_cracked_disk(3, 0.0, 0.4356, 1.0)
     curve = sweep(spec, np.linspace(0.05, math.pi / 3 - 0.02, 6), 24, 3, tol=1e-7)
@@ -389,8 +391,44 @@ def test_refinement_solves_each_opening_once(monkeypatch):
     assert events and calls
     assert len(calls) == len(set(calls))
     assert not [c for c in calls if c[1] in sweep_rays]
-    assert {k for _, _, k in calls} == {curve.k}
+    assert {k for _, _, k in calls} <= set(range(1, curve.k + 1))
     assert set(tols) == {(1e-7,)}
+
+
+def test_bisection_solves_only_the_values_it_compares(monkeypatch):
+    # a step solves at k one past the larger curve index it compares, and a
+    # ray again only at a larger k; a root depends only on the roots below
+    # it, so the events are those of bisection at the curve's k, to the bit
+    curve = sweep(build_cracked_disk(4, 0.0, 0.4356, 1.0),
+                  np.linspace(0.02, math.pi / 4, 20), 60, 6)
+    run = spectra._run_sweep
+    solved = {}
+
+    def spy(problems, epsilons, m, k, tol):
+        for p in problems:
+            solved.setdefault((p.label, *epsilons), []).append(k)
+        return run(problems, epsilons, m, k, tol)
+
+    monkeypatch.setattr(spectra, "_run_sweep", spy)
+    events = detect_crossings(curve, 100)           # every bracket's event is kept
+    ks = [k for by_ray in solved.values() for k in by_ray]
+    assert set(ks) <= {max(e.index_a, e.index_b) + 1 for e in events}
+    assert min(ks) < curve.k
+    assert any(len(by_ray) > 1 for by_ray in solved.values())
+    assert all(np.diff(by_ray).min(initial=1) > 0 for by_ray in solved.values())
+    monkeypatch.setattr(spectra, "_run_sweep",
+                        lambda problems, epsilons, m, k, tol: run(problems, epsilons, m,
+                                                                  curve.k, tol))
+    assert detect_crossings(curve, 100) == events
+
+
+@pytest.mark.parametrize("rank", [0, -1, float("nan"), 1.5, "2"])
+def test_detect_crossings_refuses_a_rank_below_1(rank):
+    # a rank of interest below 1 had returned no event after refining every bracket
+    curve, _ = _hand_set_curve([10.0, 9.0, 8.0], [9.5, 9.0, 8.5])
+    with pytest.raises(ValueError, match="rank_of_interest must be an integer >= 1"):
+        detect_crossings(curve, rank)
+    assert len(detect_crossings(curve, np.int64(1))) <= 1
 
 
 def test_detect_crossings_requires_two_points():
@@ -503,6 +541,45 @@ def test_nodal_degenerate_inputs():
         nodal_domains(np.full((3, 3), np.nan), wrap=False)
     with pytest.raises(ValueError):
         nodal_domains(np.zeros((3, 3)), wrap=False)
+
+
+@pytest.mark.parametrize("field", [np.array([1.0, -1.0, 1.0]), np.ones((2, 2, 2)),
+                                   np.array([[1.0, -1.0], [1.0, 1.0]]) * (1 + 1j)])
+def test_nodal_domains_refuses_a_field_that_is_not_real_and_2d(field):
+    # a 1-D field had raised a bare IndexError, and a complex one had been
+    # cast to its real part with only a warning
+    with pytest.raises(ValueError, match="real 2-D array"):
+        nodal_domains(field, wrap=False)
+
+
+_SIGN_FIELDS = hnp.arrays(
+    float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+    elements=st.sampled_from([-2.0, -1.0, -1e-9, 0.0, 1e-9, 0.5, 1.0, 3.0, np.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=_SIGN_FIELDS, wrap=st.booleans())
+@example(field=np.array([[1.0, -1.0, np.nan, 1.0, 1.0, 0.0, -2.0, 1.0]]), wrap=True)
+@example(field=np.array([[1.0], [-1.0], [1.0], [1.0], [np.nan], [1.0]]), wrap=True)
+@example(field=np.array([[1.0], [-1.0], [1.0], [1.0], [np.nan], [1.0]]), wrap=False)
+def test_run_count_matches_flood_fill(field, wrap):
+    # random sign fields with zeros, near-zeros and NaNs, 1 x n and n x 1
+    # included, against the breadth-first reference
+    active = np.isfinite(field) & (np.abs(field) > 1e-6 * np.nanmax(np.abs(field), initial=0.0))
+    if not active.any():
+        with pytest.raises(ValueError):
+            nodal_domains(field, wrap=wrap)
+        return
+    assert nodal_domains(field, wrap=wrap).mu == _nodal_count_by_flood_fill(field, wrap)
+
+
+def test_closed_nodal_lines_count_their_rings():
+    # cos(2.2 pi r) on a polar grid: a disk, a ring of the other sign round
+    # it and an outer ring, each closed across the seam
+    r = np.arange(1, 41) / 41
+    field = np.cos(2.2 * np.pi * r)[:, np.newaxis] * np.ones((1, 60))
+    assert nodal_domains(field, wrap=True).mu == 3
+    assert nodal_domains(field, wrap=False).mu == 3
 
 
 def test_recombined_field_shape():
