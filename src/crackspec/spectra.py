@@ -329,10 +329,10 @@ def nodal_domains(field: np.ndarray, wrap: bool) -> NodalCount:
     signs; columns wrap when `wrap` is true.  Same-sign runs along each row
     are joined across rows (and the seam) by a union-find (Hoshen-Kopelman).
     """
-    if np.ndim(field) != 2 or np.iscomplexobj(field):
-        raise ValueError(f"field must be a real 2-D array, got {np.ndim(field)}-D "
-                         f"of {np.result_type(field)}")
-    field = np.asarray(field, dtype=float)
+    field = np.asarray(field)
+    if field.ndim != 2 or np.iscomplexobj(field):
+        raise ValueError(f"field must be a real 2-D array, got {field.ndim}-D of {field.dtype}")
+    field = field.astype(float, copy=False)
     finite = np.isfinite(field)
     if not finite.any():
         raise ValueError("field has no domain nodes")

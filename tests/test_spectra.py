@@ -543,7 +543,7 @@ def test_nodal_degenerate_inputs():
         nodal_domains(np.zeros((3, 3)), wrap=False)
 
 
-@pytest.mark.parametrize("field", [np.array([1.0, -1.0, 1.0]), np.ones((2, 2, 2)),
+@pytest.mark.parametrize("field", [np.array([1.0, -1.0, 1.0]), [1.0, -1.0], np.ones((2, 2, 2)),
                                    np.array([[1.0, -1.0], [1.0, 1.0]]) * (1 + 1j)])
 def test_nodal_domains_refuses_a_field_that_is_not_real_and_2d(field):
     # a 1-D field had raised a bare IndexError, and a complex one had been
