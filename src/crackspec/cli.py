@@ -30,7 +30,7 @@ from .asymptotics import fit_coefficient, law_competition, model
 from .capacity import additivity_ratio
 from .domain import QUARTER_CASES, build_cracked_disk, quarter_problems
 from .eigensolve import SolverError
-from .spectra import detect_crossings, solve_full_spectrum, solve_sector, sweep
+from .spectra import check_rank, detect_crossings, solve_full_spectrum, solve_sector, sweep
 
 SCHEMA_VERSION = 1
 
@@ -213,6 +213,7 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_crossings(args) -> None:
+    check_rank(args.rank)                   # before the sweep, not after it
     r1 = _resolve_r1(args)
     spec = build_cracked_disk(args.n, 0.0, r1, args.r2)
     curve = sweep(spec, _epsilon_grid(args), args.grid, args.k, tol=args.tol)

@@ -18,10 +18,10 @@ eigenvalues lam_j = 4 sin^2(theta_j / 2) come from the closed-form
 frequencies theta_j of `SectorFactors.frequency`, so equal frequencies give
 equal lam_j to the bit in every sector.  A side of an r1 ring (`_Side`,
 built on its first use and kept with the mode rows, which keep the last
-`_SIDES`) is the spectrum that one of its capacitance matrices has poles
-at, mode by mode: the eigenvalues of the tridiagonal blocks of T_j between
-its held rows, each with the square of its eigenvector's dot with the
-side's unit row.
+`_SIDES`) holds the mode functions of one of its capacitance matrices, mode
+by mode: their poles are the eigenvalues of the tridiagonal blocks of T_j
+between its held rows, each with the square of its eigenvector's dot with
+the side's unit row as its weight.
 - The open side holds no row of T_j: its poles are the eigenvalues nu_ij of
   the T_j, the open operator's spectrum, and the unit row is the r1 ring's,
   which gives the eigenvectors' ring entries q_ij.  The crack's capacitance
@@ -36,13 +36,24 @@ side's unit row.
   block on H of the inverse of the ring block of (S - lambda)^-1, with 1/g_j
   the Schur complement of T_j - lambda on its r1 row (Proskurowski &
   Widlund, Math. Comp. 30 (1976)).
-T_j depends on the sector only through lam_j, so one table per radial grid
-and r1 ring (`_radial_tables`, the module's one cache, for at most
-`_RADIAL_GRIDS` of them, keyed by the radial rows' values) holds each
-side's poles and weights for each lam met, and every mode but the center's
-bordered one takes them from it: the four quarter grids at M share
-theta = pi j / M (NND, DDD) and pi (2j + 1) / (2M) (NDD, DND) and run
-2M + 1 tridiagonal eigensolves per side, not 4M.  Each opening (`_Secular`)
+A side keeps only its near poles, those below a cap, with their weights
+and eigenvectors, and sums all the others per mode as a series of K moments
+(the mode-acceleration correction of structural dynamics; Craig & Kurdila,
+Fundamentals of Structural Dynamics (2006)), which K solves over every mode
+at once give without their eigenvectors.  Only the modes of frequency up to
+about sqrt(cap) have a near pole, so a side costs O(M^2), not the O(M^3) of
+every mode's full spectrum.  The series serves sigma up to a quarter of the
+cap.  The caps form a ladder, `_CAP` times 4 per level, each level its own
+side built from scratch; a solve starts at the lowest level and climbs when
+a root lies above the poles that a level serves, and a count reads the
+lowest level that serves its sigma, so no result depends on which solves
+ran before.  T_j depends on the sector only through lam_j, so one table per
+radial grid and r1 ring (`_radial_tables`, the module's one cache, for at
+most `_RADIAL_GRIDS` of them, keyed by the radial rows' values) holds each
+side's near poles, weights and vectors for each lam and level met, and
+every mode but the center's bordered one takes them from it: the four
+quarter grids at M share theta = pi j / M (NND, DDD) and
+pi (2j + 1) / (2M) (NDD, DND).  Each opening (`_Secular`)
 is solved on the smaller side, the hole when |H| < |F|: lambda is an
 eigenvalue exactly when that side's matrix, of size at most m x m, is
 singular (Jacobi's complementary minors), and Haynsworth's inertia
@@ -114,6 +125,8 @@ _EPS = np.finfo(float).eps
 _MAX_STEPS = 200            # root steps per eigenvalue
 _CLUSTER_GAP = 1e-9         # relative offset of the completeness counts
 _SIDES = 4                  # sides kept per open operator: both sides of two r1 rings
+_CAP = 1024.0               # the near poles' cap of a side's lowest level, x4 per level
+_MOMENTS = 30               # K, the terms of a side's series: exact to 4^-30 up to cap/4
 
 
 class SolverError(RuntimeError):
@@ -273,11 +286,12 @@ class _ModeRows:
     the other modes get a decoupled dummy row in front (`lead`), so that
     each ring is one entry of every row.  `coupling` is `off` with the rows
     laid end to end, a zero between two modes, for the banded solves over
-    every mode at once.  Nothing here depends on r1: `side` builds each side
-    of an r1 ring on its first use, and `sides` keeps the last `_SIDES`.
-    In every mode but the bordered one T_j depends on the sector only
-    through lam_j, so `radial`, the bytes of Rs's bands and of D, keys
-    the side tables that grids with equal radial rows share."""
+    every mode at once.  `top` bounds the eigenvalues of every T_j
+    (Gershgorin).  Nothing here depends on r1: `side` builds each side of an
+    r1 ring, at each level of the cap ladder, on its first use, and `sides`
+    keeps the last `_SIDES`.  In every mode but the bordered one T_j depends
+    on the sector only through lam_j, so `radial`, the bytes of Rs's bands
+    and of D, keys the near poles that grids with equal radial rows share."""
 
     def __init__(self, sym: _Symmetrized) -> None:
         self.sides = GridCache(_SIDES)
@@ -303,6 +317,7 @@ class _ModeRows:
         e = np.zeros(self.diag.shape)
         e[:, :-1] = self.off
         self.coupling = e.ravel()[:-1]
+        self.top = float((self.diag + np.abs(e) + np.abs(np.roll(e, 1, axis=1))).max())
 
     def field(self, z: np.ndarray) -> np.ndarray:
         """The open grid's nodes of mode coefficients z."""
@@ -318,10 +333,17 @@ class _ModeRows:
             z[0, 0] = x[-1]
         return z
 
-    def side(self, ring: int, hole: bool) -> _Side:
-        """The open (False) or closed (True) side of the r1 ring `ring`,
-        built on its first use."""
-        return self.sides.get((ring, hole), lambda: _Side(self, ring, hole))
+    def side(self, ring: int, hole: bool, level: int = 0) -> _Side:
+        """The open (False) or closed (True) side of the r1 ring `ring` at
+        `level` of the cap ladder, built on its first use."""
+        return self.sides.get((ring, hole, level), lambda: _Side(self, ring, hole, level))
+
+    def level(self, sigma: float) -> int:
+        """The lowest level of the cap ladder whose sides serve sigma."""
+        level = 0
+        while _CAP * 4.0 ** level < min(4 * sigma, self.top):
+            level += 1
+        return level
 
     def solve_open(self, rhs: np.ndarray) -> np.ndarray:
         """T_j^-1 rhs[j] for every mode j: one LDL^T solve over the modes'
@@ -336,47 +358,70 @@ class _ModeRows:
         return x.reshape(self.diag.shape)
 
 
+class _Uncovered(Exception):
+    """A root lies above the poles that a side serves: solve on the next
+    level of the cap ladder."""
+
+
 class _Side:
     """One side of the r1 ring of a sector grid, for the capacitance matrix
     of the crack (the open side, `hole` False) or of the hole (the closed
-    side): the poles of its mode functions
+    side), at one level of the cap ladder: the mode functions
 
         phi_j(sigma) = alpha_j + beta sigma + sum_i w_ij / (p_ij - sigma),
 
-    which rise with sigma between poles.  The r1 ring is row `ring` of
-    every T_j.  The side holds some rows of every T_j (`held`): the dummy
-    rows, and on the closed side the r1 ring.  The rows between two held
-    rows are a block, a tridiagonal of its own.
-    `poles[j]` holds the eigenvalues p_ij of mode j's blocks, block by block
+    which rise with sigma between poles, kept as the near poles, those at or
+    below `cap`, and a moment series for all the others,
+
+        phi_j(sigma) = alpha_j + beta sigma + sum_near w_ij / (p_ij - sigma)
+                       + sum_k m_kj sigma^k,   m_kj = sum_far w_ij / p_ij^(k+1)
+
+    (the mode-acceleration correction of structural dynamics; Craig &
+    Kurdila 2006).  The series is exact to (sigma/cap)^K, 4^-30 for the
+    sigma up to `reach` = cap/4 that the side serves; the level-L cap is
+    `_CAP` 4^L, and a level whose cap is above the Gershgorin bound of every
+    T_j (`_ModeRows.top`) holds every pole and no series, and serves every
+    sigma.  The r1 ring is row `ring` of every T_j.  The side holds some
+    rows of every T_j (`held`): the dummy rows, and on the closed side the
+    r1 ring.  The rows between two held rows are a block, a tridiagonal of
+    its own.
+    `poles[j]` holds the near poles p_ij of mode j's blocks, block by block
     and ascending in each (+inf where it has fewer), and `weights[j]` the
     squares w_ij = (y_ij . unit[j])^2 for their unit eigenvectors y_ij
-    (`vector`).
-    - On the open side T_j is one block, so p_ij = nu_ij, the open
+    (`vector`, rows `near` of `vectors`), from the eigensolves of `_near`:
+    a block whose Gershgorin lower bound is above the cap has none, and
+    every mode but the bordered one takes them from the table by side,
+    level and lam of its radial rows and r1 ring (`_ModeRows.radial` and
+    the ring), solved once by whichever thread needs it first.  The moments
+    need no far pole: with P the projection off the near vectors,
+    m_(k-1)j = u_j . (P T_j^-1)^k u_j for the unit row u_j without its held
+    entries, K solves at sigma = 0 over every mode at once (one LDL^T
+    factorization, whose pivots prove the side's blocks positive definite),
+    each projected again; `moments` holds m_kj cap^k, and `slopes` the
+    series of phi_j'.
+    - On the open side T_j is one block, so the p_ij are the nu_ij, the open
       operator's spectrum, and `unit[j]` is the ring's unit row, so w_ij =
       q_ij^2, the squared ring entries: phi_j is the Green's value g_j(sigma)
       = sum_i q_ij^2 / (nu_ij - sigma), with no affine part.
     - On the closed side the blocks are T_j inside and outside the ring, so
-      p_ij = mu_ij, the fully closed spectrum, and `unit[j]` is 1 on the ring
-      and minus the ring's links on the rows next to it: the Schur
-      complement of T_j - sigma on its ring row is 1/g_j(sigma) =
+      the p_ij are the mu_ij, the fully closed spectrum, and `unit[j]` is 1
+      on the ring and minus the ring's links on the rows next to it: the
+      Schur complement of T_j - sigma on its ring row is 1/g_j(sigma) =
       (a_j - sigma) - sum_i w_ij / (mu_ij - sigma), with a_j the ring row's
       diagonal entry, and phi_j = -1/g_j: alpha_j = -a_j and beta = 1.
     `solve` applies (T_j - sigma)^-1 on the blocks, so that
     `solve(sigma, unit)` is the mode rows of a vector that the side's
-    capacitance matrix maps to zero.  T_j depends on the sector only through
-    lam_j, so every mode but the bordered one takes p_ij and w_ij from the
-    table by side and lam of its radial rows and r1 ring (`_ModeRows.radial`
-    and the ring), which every sector on that radial grid shares: each lam
-    is solved once per side, by whichever thread needs it first, and modes
-    of one frequency share the poles and weights to the bit.  `phi0` is
-    phi_j(0) = alpha_j + sum_i w_ij / p_ij per mode, g_j(0) on the open side
+    capacitance matrix maps to zero.  Modes of one frequency have equal T_j
+    and take equal poles, weights and moments.  `phi0` is phi_j(0) =
+    alpha_j + sum_near w_ij / p_ij + m_0j per mode, g_j(0) on the open side
     and -1/g_j(0) on the closed one: all that an opening's congruence reads.
-    `sorted` lists the finite poles ascending and `order` their flat
-    indices; `values`, `first` and `size` list the distinct poles ascending
+    `sorted` lists the near poles ascending and `order` their flat indices;
+    `values`, `first` and `size` list the distinct near poles ascending
     after a pole at 0 with no copies, each with the index in `sorted` of its
-    first copy and its number of copies."""
+    first copy and its number of copies.  #{p < sigma} counts the near
+    poles, which is exact below the cap."""
 
-    def __init__(self, rows: _ModeRows, ring: int, hole: bool) -> None:
+    def __init__(self, rows: _ModeRows, ring: int, hole: bool, level: int) -> None:
         self.rows, self.hole = rows, hole
         shape = rows.diag.shape
         self.ring = r = ring - 1 + int(rows.has_center)
@@ -393,61 +438,108 @@ class _Side:
             self.unit[:, r - 1] = -rows.off[:, r - 1]
         if hole and r + 1 < shape[1]:
             self.unit[:, r + 1] = -rows.off[:, r]
+        self.cap = cap = _CAP * 4.0 ** level
+        full = cap >= rows.top
+        self.reach = np.inf if full else cap / 4
+        # the Gershgorin lower bound of each row of the blocks
+        low = rows.diag - np.abs(links) - np.abs(np.roll(links, 1, axis=1))
+        low[self.held] = np.inf
         radial = _radial_tables.get((*rows.radial, ring), lambda: GridCache(None))
-        self.poles = np.full(shape, np.inf)
-        self.weights = np.zeros(shape)
-        for j, lj in enumerate(rows.lam):
+        near = []
+        for j in np.flatnonzero(low.min(axis=1) <= cap):
             if rows.has_center and j == 0:
-                p, w = self._spectrum(j)
+                p, w, y = self._near(j, low[j])
             else:
-                p, w = radial.get((hole, lj), lambda: self._spectrum(j))
+                p, w, y = radial.get((hole, level, rows.lam[j]), lambda: self._near(j, low[j]))
+            if p.size:
+                near.append((j, p, w, y))
+        width = max((p.size for _, p, _, _ in near), default=0)
+        self.poles = np.full((shape[0], width), np.inf)
+        self.weights = np.zeros((shape[0], width))
+        self.near = np.array([j for j, *_ in near], dtype=int)
+        self.slot = np.full(shape[0], -1)
+        self.slot[self.near] = np.arange(self.near.size)
+        self.vectors = np.zeros((self.near.size, width, shape[1]))
+        for s, (j, p, w, y) in enumerate(near):
             self.poles[j, :p.size], self.weights[j, :p.size] = p, w
-        if not self.poles.min() > 0:
+            self.vectors[s, :p.size, rows.lead[j]:] = y
+        self.vectors.flags.writeable = False
+        if not self.poles.min(initial=np.inf) > 0:
             raise SolverError(
                 f"the {'closed' if hole else 'open'} operator has eigenvalue "
                 f"{self.poles.min():.3e} <= 0; it is not positive definite, which signals "
                 "an assembly bug")
-        self.phi0 = self.alpha + (self.weights / self.poles).sum(axis=1)
+        self.moments = np.empty((0 if full else _MOMENTS, shape[0]))
+        if not full:
+            # T_j at sigma = 0 on the blocks, factored once (LAPACK dpttrf)
+            d, e, info = lapack.dpttrf(np.where(self.held, 1.0, rows.diag).ravel(), self.coupling)
+            if info != 0:
+                raise SolverError(
+                    f"the {'closed' if hole else 'open'} operator is not positive definite "
+                    f"(pivot {info} of its modes' tridiagonals), which signals an assembly bug")
+            x = u = self._project(np.where(self.held, 0.0, self.unit))
+            for k in range(_MOMENTS):
+                x = self._project(lapack.dpttrs(d, e, x.ravel())[0].reshape(shape))
+                self.moments[k] = (u * x).sum(axis=1)
+                x = x * cap
+        self.slopes = self.moments[1:] * (np.arange(1, len(self.moments)) / cap)[:, np.newaxis]
+        self.phi0 = self.alpha + (self.weights / self.poles).sum(axis=1) + self.series(0.0)[0]
         flat = self.poles.ravel()
         self.order = np.argsort(flat, kind="stable")[:np.isfinite(flat).sum()]
         self.sorted = flat[self.order]
         values, first, size = np.unique(self.sorted, return_index=True, return_counts=True)
         self.values, self.first, self.size = (np.append(0, a) for a in (values, first, size))
-        self._vectors: dict[tuple, np.ndarray] = {}
 
     def _blocks(self, j: int):
         """The row ranges of mode j's blocks."""
         lo, r, end = self.rows.lead[j], self.ring, self.rows.diag.shape[1]
         return ((lo, r), (r + 1, end)) if self.hole else ((lo, end),)
 
-    def _spectrum(self, j: int):
-        """(p, w) of mode j."""
-        p, w = [], []
+    def _near(self, j: int, low: np.ndarray):
+        """The near poles p, weights w and unit eigenvectors y of mode j,
+        given the Gershgorin lower bound `low` of each of its rows: y as rows
+        over the mode's rows from `lead` on, 0 off their block, so that
+        grids with and without a center's dummy row share them.  A block
+        whose bound is above the cap has none.  Any other is solved whole
+        (LAPACK's MRRR), so that its near poles and weights are its full
+        spectrum's to the bit; few modes have such a block, those of
+        frequency up to about sqrt(cap)."""
+        lead = self.rows.lead[j]
+        diag, off = self.rows.diag[j], self.rows.off[j]
+        p, w, y = [np.empty(0)], [np.empty(0)], [np.empty((0, diag.size - lead))]
         for lo, hi in self._blocks(j):
-            if hi > lo:
-                e, y = sla.eigh_tridiagonal(self.rows.diag[j, lo:hi], self.rows.off[j, lo:hi - 1])
-                p.append(e)
-                w.append((self.unit[j, lo:hi] @ y) ** 2)
-        return np.concatenate(p), np.concatenate(w)
+            if low[lo:hi].min(initial=np.inf) <= self.cap:
+                e, v = sla.eigh_tridiagonal(diag[lo:hi], off[lo:hi - 1])
+                near = e <= self.cap
+                p.append(e[near])
+                w.append((self.unit[j, lo:hi] @ v[:, near]) ** 2)
+                y.append(np.zeros((near.sum(), diag.size - lead)))
+                y[-1][:, lo - lead:hi - lead] = v[:, near].T
+        return np.concatenate(p), np.concatenate(w), np.concatenate(y)
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """The mode rows x without their components along the near vectors."""
+        if self.near.size:
+            xs = x[self.near]
+            c = np.einsum("nwl,nl->nw", self.vectors, xs)
+            x = x.copy()
+            x[self.near] = xs - np.einsum("nw,nwl->nl", c, self.vectors)
+        return x
+
+    def phi(self, sigma: float) -> np.ndarray:
+        """phi_j(sigma) of every mode."""
+        return ((self.weights / (self.poles - sigma)).sum(axis=1) + self.series(sigma)[0]
+                + self.alpha + self.beta * sigma)
+
+    def series(self, sigma: float):
+        """The far poles' sum and its slope at sigma, for every mode."""
+        powers = (sigma / self.cap) ** np.arange(self.moments.shape[0])
+        return self.moments.T @ powers, self.slopes.T @ powers[:-1]
 
     def vector(self, j: int, i: int) -> np.ndarray:
-        """The unit eigenvector of p_ij as a row of length L, 0 off its
-        block, read-only and kept: the openings of a grid border the same
-        poles."""
-        y = self._vectors.get((j, i))
-        if y is None:
-            k = i
-            for lo, hi in self._blocks(j):
-                if k < hi - lo:
-                    break
-                k -= hi - lo
-            _, v = sla.eigh_tridiagonal(self.rows.diag[j, lo:hi], self.rows.off[j, lo:hi - 1],
-                                        select="i", select_range=(k, k))
-            y = np.zeros(self.rows.diag.shape[1])
-            y[lo:hi] = v[:, 0]
-            y.flags.writeable = False
-            self._vectors[j, i] = y
-        return y
+        """The unit eigenvector of the near pole p_ij as a row of length L,
+        0 off its block, read-only."""
+        return self.vectors[self.slot[j], i]
 
     def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
         """(T_j - sigma)^-1 rhs[j] on the blocks of every mode j, each held
@@ -462,7 +554,7 @@ class _Side:
         return x.reshape(d.shape)
 
 
-# the side tables of each radial grid and r1 ring, which its sector grids share
+# the near poles of each radial grid and r1 ring, which its sector grids share
 _RADIAL_GRIDS = 8
 _radial_tables = GridCache(_RADIAL_GRIDS)
 
@@ -536,9 +628,15 @@ class _Secular:
         rows, ring, crack = _grid_rows(op.open), op.grid.r1_ring, op.crack
         if hole is None:
             hole = 2 * int(crack.sum()) > crack.size
-        self.rows, self.keep = rows, op.keep
-        self.spec = spec = rows.side(ring, hole)
-        vx = rows.ang[~crack if hole else crack]               # the side's columns
+        self.rows, self.ring, self.hole, self.keep = rows, ring, hole, op.keep
+        self.columns = rows.ang[~crack if hole else crack]      # the side's columns
+        self.offset = self.columns.shape[0] if hole else 0
+        self.use(0)
+
+    def use(self, level: int) -> None:
+        """Solve on the side at `level` of the cap ladder, from scratch."""
+        self.level, hole, vx = level, self.hole, self.columns
+        self.spec = spec = self.rows.side(self.ring, hole, level)
         try:
             chol = np.linalg.cholesky((vx * (-spec.phi0 if hole else spec.phi0)) @ vx.conj().T)
         except np.linalg.LinAlgError as exc:
@@ -547,18 +645,20 @@ class _Secular:
                 "positive definite, which signals an assembly bug") from exc
         self.vx = vx = sla.solve_triangular(chol, vx, lower=True)
         self.vx_h = vx.conj().T
-        self.offset = vx.shape[0] if hole else 0
         # N(0) = 0, the opening being positive definite
         self.limits: dict[int, tuple] = {0: (0, np.empty((0, 0)))}
         self.at_poles: dict[int, np.ndarray] = {}
         self.borders: dict[tuple, tuple] = {}
 
     def count(self, sigma: float) -> int:
-        """N(sigma), the number of the opening's eigenvalues below sigma."""
+        """N(sigma), the number of the opening's eigenvalues below sigma, on
+        the side at the lowest level from `level` up that serves sigma: the
+        congruence of any level keeps Phi's inertia."""
         spec = self.spec
+        if not sigma <= spec.reach:
+            spec = self.rows.side(self.ring, self.hole, max(self.level, self.rows.level(sigma)))
         below = int(np.searchsorted(spec.sorted, sigma)) + self.offset
-        phi = (spec.weights / (spec.poles - sigma)).sum(axis=1) + spec.alpha + spec.beta * sigma
-        return below - int((np.linalg.eigvalsh((self.vx * phi) @ self.vx_h) < 0).sum())
+        return below - int((np.linalg.eigvalsh((self.vx * spec.phi(sigma)) @ self.vx_h) < 0).sum())
 
     def bordered(self, s: int, tau: float, other: int | None = None):
         """Phi at sigma = values[s] + tau with the terms of the pole s, and
@@ -573,13 +673,15 @@ class _Secular:
         den = (spec.poles - origin) - tau
         den[j, i] = np.inf
         r = spec.weights / den
+        far, slope = spec.series(origin + tau)
         n = f + j.size
         b = np.zeros((n, n), dtype=self.vx.dtype)
-        b[:f, :f] = (self.vx * (r.sum(axis=1) + (spec.alpha + spec.beta * (origin + tau)))) @ self.vx_h
+        b[:f, :f] = (self.vx * (r.sum(axis=1) + far
+                                + (spec.alpha + spec.beta * (origin + tau)))) @ self.vx_h
         b[:f, f:] = border
         b[f:, :f] = border_h
         b.flat[f * (n + 1)::n + 1] = tau + shift      # T's diagonal
-        return b, (r / den).sum(axis=1) + spec.beta
+        return b, (r / den).sum(axis=1) + slope + spec.beta
 
     def at_pole(self, s: int) -> np.ndarray:
         """`bordered(s, 0.0)`, B at the distinct pole s, built once."""
@@ -633,10 +735,13 @@ class _Secular:
         or None, offset, null vector of B, the pole interval's upper
         index)."""
         spec, f = self.spec, self.vx.shape[0]
-        # the t-th eigenvalue is at most the (t + |F|)-th open pole and the
-        # t-th closed one (interlacing)
-        top = spec.sorted[min(t - 1 + f - self.offset, spec.sorted.size - 1)]
-        hi = min(int(np.searchsorted(spec.values, top)) + 1, spec.values.size - 1)
+        # the poles up to `reach` are served, and the t-th eigenvalue is at
+        # most the (t + |F|)-th open pole and the t-th closed one
+        # (interlacing), when that pole is near
+        served = hi = int(np.searchsorted(spec.values, spec.reach, side="right"))
+        if t - 1 + f - self.offset < spec.sorted.size:
+            top = spec.sorted[t - 1 + f - self.offset]
+            hi = min(hi, int(np.searchsorted(spec.values, top)) + 1)
         step = 1
         while lo + step < hi and self.pole(lo + step)[0] < t:   # gallop, then bisect
             lo, step = lo + step, 2 * step
@@ -652,6 +757,10 @@ class _Secular:
             v = np.zeros(f + null.shape[0], dtype=np.result_type(self.vx, null))
             v[f:] = null[:, t - below - 1]
             return lo, None, 0.0, v, hi
+        if hi == served:                        # above the poles the side serves
+            if spec.reach == np.inf:
+                raise SolverError(f"no pole lies above eigenvalue {t}")
+            raise _Uncovered
         # both poles of the interval are bordered, so B is regular on all of
         # it and the branch of Phi that crosses zero has one index
         i = int(spec.first[hi] + spec.size[hi]) + self.offset - t
@@ -767,16 +876,24 @@ class _Secular:
         return self.rows.field(z)[self.keep]
 
     def lowest(self, k: int):
-        """The k lowest eigenvalues and their vectors, certified complete."""
-        spec = self.spec
-        lam, vecs, lo = np.empty(k), [], 0
-        for t in range(1, k + 1):
-            s, other, tau, v, hi = self.root(t, lo)
-            lam[t - 1] = spec.values[s] + tau
-            vecs.append(self.vector(s, other, tau, v))
-            lo = hi - 1
-        self.certify(lam)
-        return lam, np.stack(vecs, axis=1)
+        """The k lowest eigenvalues and their vectors, certified complete:
+        from the lowest level of the cap ladder up, each level from the
+        first root, until a level serves all k."""
+        if self.level:
+            self.use(0)
+        while True:
+            lam, vecs, lo = np.empty(k), [], 0
+            try:
+                for t in range(1, k + 1):
+                    s, other, tau, v, hi = self.root(t, lo)
+                    lam[t - 1] = self.spec.values[s] + tau
+                    vecs.append(self.vector(s, other, tau, v))
+                    lo = hi - 1
+            except _Uncovered:
+                self.use(self.level + 1)
+                continue
+            self.certify(lam)
+            return lam, np.stack(vecs, axis=1)
 
     def certify(self, lam: np.ndarray) -> None:
         """The completeness certificate: just below each cluster of returned

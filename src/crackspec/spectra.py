@@ -52,6 +52,7 @@ __all__ = [
     "solve_full_spectrum",
     "sweep",
     "sweep_quarter",
+    "check_rank",
     "detect_crossings",
     "nodal_domains",
     "sector_field",
@@ -246,6 +247,13 @@ def _sign_changes(d: np.ndarray) -> list[tuple[int, int]]:
     return pairs
 
 
+def check_rank(rank_of_interest) -> None:
+    """Raise `ValueError` unless `rank_of_interest` is an integer >= 1, the
+    rank that `detect_crossings` takes: a caller checks it before a sweep."""
+    if not isinstance(rank_of_interest, numbers.Integral) or rank_of_interest < 1:
+        raise ValueError(f"rank_of_interest must be an integer >= 1, got {rank_of_interest!r}")
+
+
 def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int) -> list[CrossingEvent]:
     """Locate crossings between curves of different sectors, bisect them down
     to one angular grid step, and annotate rank and total multiplicity.
@@ -255,8 +263,7 @@ def detect_crossings(curve: EigenvalueCurve, rank_of_interest: int) -> list[Cros
     Curves of the same sector never cross transversally and are not compared.
     A curve value that is not finite raises `ValueError`.
     """
-    if not isinstance(rank_of_interest, numbers.Integral) or rank_of_interest < 1:
-        raise ValueError(f"rank_of_interest must be an integer >= 1, got {rank_of_interest!r}")
+    check_rank(rank_of_interest)
     if len(curve.epsilons) < 2:
         raise ValueError("need at least two sweep points to detect crossings")
     if not all(np.isfinite(arr).all() for arr in curve.values.values()):

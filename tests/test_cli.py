@@ -134,6 +134,20 @@ def test_crossings_rank_below_1_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_crossings_refuses_a_rank_below_1_before_it_sweeps(tmp_path, capsys, monkeypatch):
+    # the rank was checked only after the whole sweep, 3.6 s at M = 180
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(crackspec.cli, "sweep", no_sweep)
+    code, out = run(tmp_path, "crossings", "--n", "3", "--r1", "0.4356", "--steps", "30",
+                    "-M", "180", "-k", "6", "--rank", "0")
+    assert code == 1
+    assert "validation error: rank_of_interest must be an integer >= 1, got 0" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("m", ["33", "35"])
 def test_fully_open_opening_is_written_as_pi_over_n(tmp_path, m):
     open_eps = repr(math.pi / 3)

@@ -34,6 +34,7 @@ from crackspec.eigensolve import (
 from crackspec.spectra import solve_sector, sweep
 
 import dense_oracle
+import side_oracle
 
 
 def _toy_op(case="DDD", m=10, eps=0.9):
@@ -273,7 +274,9 @@ def test_grid_cache_under_concurrent_use():
                 for case, m, ring in grids:
                     op = assemble(_sector("quarter", case, 2, 0.9, ring, m), m)
                     side = eigensolve._grid_rows(op.open).side(ring, False)
-                    if (side.poles.shape != (op.cols.size, m - 1 + op.factors.has_center)
+                    rows = m - 1 + op.factors.has_center
+                    if (side.poles.shape[0] != op.cols.size or side.unit.shape != (op.cols.size, rows)
+                            or side.vectors.shape[2] != rows
                             or side.ring != ring - 1 + op.factors.has_center):
                         wrong.append(op.sector.label)
                     if (len(discretize._open_grids) > discretize._OPEN_GRIDS
@@ -577,7 +580,9 @@ def test_both_sides_agree(sector, grid, opening, data):
 @pytest.mark.parametrize("ring", [1, 5, 11])
 def test_closed_poles_are_the_fully_closed_spectrum(sector, ring):
     # the closed side's poles against a dense solve of the open operator
-    # without every r1-ring node (the opening at epsilon = 0)
+    # without every r1-ring node (the opening at epsilon = 0): its near
+    # poles are that spectrum up to its cap, and the full table of the
+    # test's oracle is all of it
     kind, which, n = sector
     m = 12
     op = assemble(_sector(kind, which, n, 0.3, ring, m), m)
@@ -585,43 +590,55 @@ def test_closed_poles_are_the_fully_closed_spectrum(sector, ring):
     d = np.sqrt(op.open.row_weights[keep])
     closed = (sp.diags(d) @ op.open.matrix[keep][:, keep] @ sp.diags(1.0 / d)).toarray()
     dense = np.linalg.eigvalsh((closed + closed.conj().T) / 2)
-    poles = eigensolve._grid_rows(op.open).side(op.grid.r1_ring, True).sorted
+    side = eigensolve._grid_rows(op.open).side(op.grid.r1_ring, True)
+    assert side.sorted.size == (dense <= side.cap).sum() < dense.size
+    assert np.allclose(side.sorted, dense[:side.sorted.size], rtol=1e-10, atol=0)
+    table = side_oracle.full_table(side)[0]
+    poles = np.sort(table[np.isfinite(table)])
     assert poles.size == dense.size
     assert np.allclose(poles, dense, rtol=1e-10, atol=0)
 
 
 def test_the_closed_table_is_built_once_per_radial_grid(monkeypatch):
     # the four quarter grids share one radial grid: a crack-side opening
-    # builds only the open table (2m+1 tridiagonal eigensolves), and the
-    # first hole-side openings the closed one, two blocks per mode, once
+    # builds only the open side, whose near eigensolves solve each block
+    # (one per lam, and the center's bordered mode) once for every grid,
+    # and the first hole-side openings the closed one, two blocks per mode,
+    # once
     m = 24
     calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
     _clear_grids()
     wide = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, 1.2, 0.4356, 1.0))]
     assert all(eigensolve._Secular(op).offset == 0 for op in wide)
-    assert len(calls) == 2 * m + 1
+    assert len(set(calls)) == len(calls) < sum(_near_modes(op, False) for op in wide)
     assert all(len(eigensolve._grid_rows(op.open).sides) == 1 for op in wide)   # the open side only
+    opened, closed = len(calls), []
     for eps in (0.2, 0.3):
         narrow = [assemble(p, m) for p in quarter_problems(build_cracked_disk(2, eps, 0.4356, 1.0))]
         assert all(eigensolve._Secular(op).offset > 0 for op in narrow)
-        assert len(calls) == 3 * (2 * m + 1)
+        closed.append(len(calls) - opened)
+    assert closed[0] == closed[1] > 0 and len(set(calls)) == len(calls)
+    assert closed[0] < sum(_near_modes(op, True) for op in narrow)
 
 
 def test_a_hole_side_opening_builds_no_open_side(monkeypatch):
     # openings solved on the hole's side read the closed side alone: its
-    # table (two blocks per mode, 2(2m+1) tridiagonal eigensolves) and one
-    # side per grid, also through their solves, never the open side
+    # near eigensolves (at most two blocks per lam) and one side per grid,
+    # also through their solves, which read the near vectors it keeps and
+    # solve no tridiagonal eigenproblem, never the open side
     m = 24
     calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
     _clear_grids()
     narrow = [assemble(p, m) for eps in (0.2, 0.3)
               for p in quarter_problems(build_cracked_disk(2, eps, 0.4356, 1.0))]
     assert all(eigensolve._Secular(op).offset > 0 for op in narrow)
-    assert len(calls) == 2 * (2 * m + 1)
+    closed = len(calls)
+    assert len(set(calls)) == closed
     for op in narrow:
         lowest_eigenpairs(op, 2)
         rows = eigensolve._grid_rows(op.open)
         assert len(rows.sides) == 1 and rows.side(op.grid.r1_ring, True).hole
+    assert len(calls) == closed
 
 
 def test_roots_near_the_closed_spectrum_on_the_paper_ring():
@@ -648,6 +665,104 @@ def test_roots_near_the_closed_spectrum_on_the_paper_ring():
     crack = eigensolve._Secular(op, hole=False)
     with one_blas_thread:
         assert np.allclose(crack.lowest(3)[0], spec.eigenvalues, rtol=1e-10, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# a side's near poles and moment series, and the cap ladder
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(sector=st.sampled_from(_ALL_SECTORS), grid=_GRIDS.filter(lambda g: g[0] <= 32),
+       hole=st.booleans(), level=st.integers(0, 1), data=st.data())
+def test_a_side_matches_its_full_table(sector, grid, hole, level, data):
+    # against the full table of the test's oracle: the near poles and
+    # weights are the table's up to the cap, to the bit (one LAPACK path),
+    # phi0 is its sum at 0, the series and its slope are its far poles'
+    # sums, and every count is the dense count, across the sigma that the
+    # side serves
+    (kind, which, n), (m, ring) = sector, grid
+    op = assemble(_sector(kind, which, n, 0.3, ring, m), m)
+    side = eigensolve._grid_rows(op.open).side(op.grid.r1_ring, hole, level)
+    poles, weights = side_oracle.full_table(side)
+    assume(not (np.abs(poles / side.cap - 1) < 1e-9).any())
+    near = poles <= side.cap
+    for j in range(poles.shape[0]):
+        got = np.isfinite(side.poles[j])
+        assert np.array_equal(side.poles[j, got], poles[j, near[j]])
+        assert np.array_equal(side.weights[j, got], weights[j, near[j]])
+    phi0, slope0 = side_oracle.phi(side, (poles, weights), 0.0)
+    scale, slope_scale = np.abs(phi0).max(), np.abs(slope0).max()
+    assert np.abs(side.phi0 - phi0).max() <= 1e-13 * scale
+    far = (np.where(near, np.inf, poles), np.where(near, 0.0, weights))
+    solve = eigensolve._Secular(op, hole=hole)
+    solve.use(level)
+    with one_blas_thread:
+        dense = np.linalg.eigvalsh(_symmetrized(op).toarray())
+    for _ in range(3):
+        sigma = data.draw(st.floats(0.0, min(side.reach, side.cap)), label="sigma")
+        series, slope = side.series(sigma)
+        far_phi, far_slope = side_oracle.phi(side, far, sigma)
+        assert np.abs(series - (far_phi - side.alpha - side.beta * sigma)).max() <= 1e-13 * scale
+        assert np.abs(slope - (far_slope - side.beta)).max() <= 1e-13 * slope_scale
+        terms = side.weights / (side.poles - sigma)
+        assert np.array_equal(side.phi(sigma), terms.sum(axis=1) + series
+                              + side.alpha + side.beta * sigma)
+        if np.abs(np.concatenate([poles.ravel(), dense]) - sigma).min() >= 1e-8 * sigma:
+            assert solve.count(sigma) == (dense < sigma).sum()
+
+
+@pytest.mark.parametrize("sector", [("quarter", "NND", 2), ("quarter", "DND", 2),
+                                    ("floquet", 0, 3), ("floquet", 1, 3), ("floquet", 3, 6)])
+@pytest.mark.parametrize("m", [12, 16])
+def test_counts_and_roots_far_above_the_first_cap(sector, m):
+    # counts between the opening's eigenvalues up to about 5000, on both
+    # sides, each on the side of the ladder's lowest level that serves it,
+    # and a solve whose roots climb the ladder, against the dense spectrum
+    kind, which, n = sector
+    op = assemble(_sector(kind, which, n, 0.3, m // 2, m), m)
+    with one_blas_thread:
+        dense = np.linalg.eigvalsh(_symmetrized(op).toarray())
+    rows, ring = eigensolve._grid_rows(op.open), op.grid.r1_ring
+    gaps = np.flatnonzero((dense[:-1] > 300) & (dense[1:] < 5000))
+    for hole in (False, True):
+        solve = eigensolve._Secular(op, hole=hole)
+        for i in gaps[::max(1, gaps.size // 12)]:
+            sigma = (dense[i] + dense[i + 1]) / 2
+            assert solve.count(sigma) == i + 1
+            assert rows.side(ring, hole, rows.level(sigma)).reach >= sigma > solve.spec.reach
+        assert solve.level == 0
+    k = op.n // 4
+    spectrum = lowest_eigenpairs(op, k)
+    assert spectrum.eigenvalues[-1] > eigensolve._CAP / 4
+    assert np.allclose(spectrum.eigenvalues, dense[:k], rtol=1e-10, atol=0)
+    assert any(level > 0 for _, _, level in rows.sides._slots)
+
+
+def test_a_cached_side_gives_the_same_bits_whichever_solve_ran_first():
+    # on one open operator, a k = 1 solve, a k = 6 solve, a solve whose
+    # roots climb the ladder and a count far above the first cap, in every
+    # order from an empty cache: each gives the same bits, and so does every
+    # side they build
+    m = 12
+
+    def opening():
+        return assemble(_sector("floquet", 0, 6, 0.3, 6, m), m)
+
+    jobs = [lambda op: lowest_eigenpairs(op, 1), lambda op: lowest_eigenpairs(op, 6),
+            lambda op: lowest_eigenpairs(op, op.n // 4),
+            lambda op: eigensolve._Secular(op).count(3000.0)]
+    runs = []
+    for order in itertools.permutations(range(len(jobs))):
+        _clear_grids()
+        op = opening()
+        out = [None] * len(jobs)
+        for i in order:
+            out[i] = jobs[i](op)
+        sides = eigensolve._grid_rows(op.open).sides._slots
+        runs.append(([(s.eigenvalues.tobytes(), s.vectors.tobytes()) for s in out[:3]], out[3],
+                     {key: _side_data(slot.data) for key, slot in sides.items()}))
+    assert {level for _, _, level in runs[0][2]} == {0, 1, 2}
+    assert all(run == runs[0] for run in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -907,29 +1022,36 @@ def test_group_multiplicities_validation():
 
 def _clear_grids():
     """Drop every cached open operator, with its mode rows and sides, and
-    every side table."""
+    every table of near poles."""
     discretize._open_grids.clear()
     eigensolve._radial_tables.clear()
 
 
 def _quarter_grids(m):
-    """The four quarter grids at m, new: no mode rows, side or side table
-    of theirs is built yet."""
+    """The four quarter grids at m, new: no mode rows, side or table of
+    near poles of theirs is built yet."""
     _clear_grids()
     spec = build_cracked_disk(2, 0.5, 0.4356, 1.0)
     return [assemble(p, m) for p in quarter_problems(spec)]
 
 
 def _spy_on_tridiagonal_eigensolves(monkeypatch):
+    """The bytes of each tridiagonal solved for its eigenpairs from now on."""
     inner = sla.eigh_tridiagonal
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append(args[0].size)
+        calls.append(args[0].tobytes() + args[1].tobytes())
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(sla, "eigh_tridiagonal", spy)
     return calls
+
+
+def _near_modes(op, hole):
+    """The number of modes with a near pole on one side of op's ring."""
+    side = eigensolve._grid_rows(op.open).side(op.grid.r1_ring, hole)
+    return side.near.size
 
 
 def test_one_open_operator_serves_every_r1_ring(monkeypatch):
@@ -969,16 +1091,33 @@ def test_an_r1_scan_keeps_the_sides_of_two_rings():
         assert np.array_equal(fresh.eigenvalues, values)
 
 
+def _side_data(side):
+    """Per mode: the near poles, their weights and the moments, as bytes."""
+    return [(p[np.isfinite(p)].tobytes(), w[np.isfinite(p)].tobytes(), mom.tobytes())
+            for p, w, mom in zip(side.poles, side.weights, side.moments.T)]
+
+
 @pytest.mark.parametrize("m", [24, 25])
 def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
     # NND and DDD have the frequencies pi j/m, NDD and DND pi (2j+1)/(2m):
-    # the four grids solve m+1 (NND, the center's mode among them) plus m
-    # tridiagonals, where one solve per mode and grid would be 4m
+    # the four grids solve the near blocks of each lam once (and NND's
+    # center mode), where one solve per near mode and grid would be more,
+    # and every mode of one frequency has the same near poles and weights
+    # to the bit in every grid, and the same moments in its grid (a grid
+    # with a center sums them over one more row)
     calls = _spy_on_tridiagonal_eigensolves(monkeypatch)
     ops = _quarter_grids(m)
     ring = ops[0].grid.r1_ring
     spectra = [eigensolve._grid_rows(op.open).side(ring, False) for op in ops]
-    assert len(calls) == 2 * m + 1
+    solved = len(calls)
+    assert len(set(calls)) == solved < sum(side.near.size for side in spectra)
+    near, moments = {}, {}
+    for side in spectra:
+        rows = side.rows
+        for j, (lam, (p, w, mom)) in enumerate(zip(rows.lam, _side_data(side))):
+            if not (rows.has_center and j == 0):
+                assert near.setdefault(lam, (p, w)) == (p, w)
+                assert moments.setdefault((rows.has_center, lam), mom) == mom
     # in reverse order, and from several threads at once, the same bits
     ops = _quarter_grids(m)
     backward = [eigensolve._grid_rows(op.open).side(ring, False) for op in reversed(ops)][::-1]
@@ -989,18 +1128,18 @@ def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
         threaded[i] = eigensolve._grid_rows(ops[i].open).side(ring, False)
 
     _in_threads(build, (3, 1, 2, 0))
-    assert len(calls) == 3 * (2 * m + 1)
+    assert len(calls) == 3 * solved
     for other in (backward, threaded):
         for a, b in zip(spectra, other):
-            assert np.array_equal(a.poles, b.poles)
-            assert np.array_equal(a.weights, b.weights)
+            assert _side_data(a) == _side_data(b)
+            assert np.array_equal(a.vectors, b.vectors)
     # both sides of the four grids, serially and then from four threads in
-    # reverse order, closed side first: each side's tables are solved once,
-    # 2m+1 tridiagonals open and 2(2m+1) closed, to the same bits
+    # reverse order, closed side first: each side's blocks are solved once,
+    # to the same bits
     ops = _quarter_grids(m)
     serial = [eigensolve._grid_rows(op.open).side(ring, hole)
               for op in ops for hole in (False, True)]
-    assert len(calls) == 6 * (2 * m + 1)
+    both_sides = len(calls) - 3 * solved
     ops = _quarter_grids(m)
     both = [None] * len(ops)
 
@@ -1011,11 +1150,11 @@ def test_quarter_grids_share_their_radial_spectra(monkeypatch, m):
     _in_threads(build_both, (3, 2, 1, 0))
     assert all(eigensolve._grid_rows(op.open).side(ring, hole) is side
                for op, sides in zip(ops, both) for hole, side in zip((False, True), sides))
-    assert len(calls) == 9 * (2 * m + 1)
+    assert len(calls) == 3 * solved + 2 * both_sides
+    assert len(set(calls)) == both_sides
     for a, b in zip(serial, [side for sides in both for side in sides]):
         assert a.hole == b.hole
-        assert np.array_equal(a.poles, b.poles)
-        assert np.array_equal(a.weights, b.weights)
+        assert _side_data(a) == _side_data(b)
 
 
 def _in_threads(target, args):
