@@ -301,7 +301,10 @@ def _read_curve_csv(path: str):
 
 def _cmd_capacity(args) -> None:
     r1 = _resolve_r1(args)
-    deltas = [float(x) for x in args.delta_list.split(",") if x.strip()]
+    items = [x.strip() for x in args.delta_list.split(",")]
+    if not all(items):
+        raise CliError(f"--delta-list {args.delta_list!r} is empty or has an empty item")
+    deltas = [float(x) for x in items]
     rows = []
     for d in deltas:
         a = additivity_ratio(r1, args.r2, d, args.grid)

@@ -268,31 +268,40 @@ class SectorFactors:
     center_weight: float      # the center's node weight
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A_open x for a vector x, in the operator's field, on the open
-        operator's nodes (ring by ring, then the center): diag(D) (x) T and
-        R (x) I by their bands, plus the center's row and column.  T's
-        product is formed before D scales it, so the angular links of the
-        inner rings, which grow like M^4, act on differences of x instead of
-        cancelling.  Only T's seam corners carry the Floquet phase, so the
-        rest of its bands multiply as reals."""
+        """A_open x for a vector x, or for each column of a block x of shape
+        (nodes, k), in the operator's field, on the open operator's nodes
+        (ring by ring, then the center): diag(D) (x) T and R (x) I by their
+        bands, plus the center's row and column.  T's product is formed
+        before D scales it, so the angular links of the inner rings, which
+        grow like M^4, act on differences of x instead of cancelling.  Only
+        T's seam corners carry the Floquet phase, so the rest of its bands
+        multiply as reals.  A block is taken as its k rows x^T, each one
+        contiguous, and gets the same band operations broadcast over them
+        and one dot product each for the center's row, so each column's
+        product is the bits of its own."""
         rings, cols = self.r.size, self.cell.size
-        u = x[:rings * cols].reshape(rings, cols)
+        xt = np.ascontiguousarray(x.T)
+        lead = xt.shape[:-1]
+        u = xt[..., :rings * cols].reshape(*lead, rings, cols)
         t_in, t_diag, t_out = self.angular
         y = u * t_diag.real
-        y[:, :-1] += u[:, 1:] * t_out[:-1].real
-        y[:, 1:] += u[:, :-1] * t_in[1:].real
-        y[:, -1] += t_out[-1] * u[:, 0]
-        y[:, 0] += t_in[0] * u[:, -1]
+        y[..., :-1] += u[..., 1:] * t_out[:-1].real
+        y[..., 1:] += u[..., :-1] * t_in[1:].real
+        y[..., -1] += t_out[-1] * u[..., 0]
+        y[..., 0] += t_in[0] * u[..., -1]
         y *= self.scale[:, np.newaxis]
         r_in, r_diag, r_out = self.radial[:, :, np.newaxis]
         y += u * r_diag
-        y[:-1] += u[1:] * r_out[:-1]
-        y[1:] += u[:-1] * r_in[1:]
-        y = y.reshape(-1)
+        y[..., :-1, :] += u[..., 1:, :] * r_out[:-1]
+        y[..., 1:, :] += u[..., :-1, :] * r_in[1:]
+        y = y.reshape(*lead, rings * cols)
         if self.has_center:
-            y[:cols] += self.center_in * x[-1]
-            y = np.append(y, self.center_diag * x[-1] + self.center_out @ u[0])
-        return y
+            center = xt[..., -1:]
+            y[..., :cols] += self.center_in * center
+            ring1 = [self.center_out @ v for v in u[..., 0, :].reshape(-1, cols)]
+            y = np.concatenate([y, self.center_diag * center
+                                + np.reshape(ring1, center.shape)], axis=-1)
+        return y.T
 
 
 def _sector_factors(problem: SectorProblem, grid: PolarGrid,

@@ -6,7 +6,9 @@ symmetric for the scalar sectors and quarter problems, complex Hermitian for
 the complex Floquet sectors.  There is one solve path, a secular solve on
 the symmetrized matrix S, with the eigenvectors mapped back.  It reads the
 operator only through its one-dimensional factors and never forms its
-matrix.  Eigenvectors of a complex operator stay complex.
+matrix.  Every matrix of its root step is real, also in a complex sector;
+only the eigenvectors of a complex operator, mapped back to its nodes, are
+complex.
 
 Every opening of a sector is the same fully open tensor-product operator
 (`discretize.SectorFactors`) without its crack nodes F on the r1 ring; the
@@ -69,7 +71,20 @@ every root at a pole, with the pole's tridiagonal eigenvectors.  The side's
 matrix is scaled by congruence to +-I at 0 with the side's own mode
 functions at 0: phi_j(0) = g_j(0) on the crack, and -1/g_j(0), from the
 closed poles alone, on the hole.  So an opening builds and reads only the
-side it is solved on.
+side it is solved on.  A count reads the inertia of the side's matrix from
+its LDL^T factorization (LAPACK dsytrf), and a Newton step the one
+eigenpair it steps on (LAPACK dsyevr).
+
+A complex Floquet sector commutes with the antiunitary J = R o conj, with R
+the reflection of its columns about the hole center (`_reflect`): the
+reflection maps the seam phase alpha to -alpha and conjugation maps it
+back.  Its angular modes are taken with J v = v (`_angular_modes`), checked
+once per grid, and its crack and hole are symmetric about the hole center,
+so with Q = P+ + i P-, P+- = (I +- R)/2, the side's rows of the modes are
+real in the basis Q: Q^H V_X = Re V_X + Im V_X, once the row of column 0,
+which J maps to itself with the seam phase, is taken times exp(i alpha/2).
+Q is unitary, so the side's capacitance matrix in that basis, real
+symmetric, has the same inertia and roots.
 
 The check of an open operator (`_check_grid`) runs where its mode rows are
 built (`_grid_rows`), once for all of its solves, on its factors' bands,
@@ -95,11 +110,13 @@ Every solve runs on one BLAS thread: `lowest_eigenpairs`, like
 `capacity.capacitary_potential`, holds `one_blas_thread`, which sets every
 OpenBLAS in the process to one thread while any solve is inside and restores
 each library's count when the last one leaves.  Those are scipy's (the
-tridiagonal eigensolves and solves) and numpy's (the capacitance matrices'
-eigensolves, which release the GIL, and every `@`).  The sweep's thread pool
-is then the only parallelism, OpenBLAS threads do not spin against it, and
-the result does not depend on the machine's core count.  A library that is
-not OpenBLAS is left as it is.
+tridiagonal eigensolves and solves, and the capacitance matrices' dsyevr
+and dsytrf, all through its f2py wrappers, which hold the GIL) and numpy's
+(the small eigh, eigvalsh, solve and svd of first guesses, pole limits and
+polish, which release it, and every `@`).  The sweep's thread pool is then
+the only parallelism, OpenBLAS threads do not spin against it, and the
+result does not depend on the machine's core count.  A library that is not
+OpenBLAS is left as it is.
 """
 
 from __future__ import annotations
@@ -127,6 +144,8 @@ _CLUSTER_GAP = 1e-9         # relative offset of the completeness counts
 _SIDES = 4                  # sides kept per open operator: both sides of two r1 rings
 _CAP = 1024.0               # the near poles' cap of a side's lowest level, x4 per level
 _MOMENTS = 30               # K, the terms of a side's series: exact to 4^-30 up to cap/4
+_BLOCK_BYTES = 1 << 16      # the largest vector that `_certify` takes in a block with
+                            # the others: past it, one product per vector ran faster
 
 
 class SolverError(RuntimeError):
@@ -206,14 +225,23 @@ class Spectrum:
 def _certify(op: AssembledOperator, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """||A v - lam v|| / ||v|| per pair, with A v the open operator's product
     with v scattered onto `keep`, on the rows of `keep`: the opening's own
-    product, plus products with zeros."""
-    node = np.zeros(op.keep.size, dtype=vecs.dtype)
-    residuals = np.empty(lam.size)
-    for j, (v, lam_j) in enumerate(zip(vecs.T, lam)):
-        node[op.keep] = v
-        r = op.factors.apply(node)[op.keep] - lam_j * v
-        residuals[j] = np.sqrt(np.vdot(r, r).real / np.vdot(v, v).real)
-    return residuals
+    product, plus products with zeros.  Vectors of at most `_BLOCK_BYTES`
+    go in one product, as the columns of a block laid out pair by pair,
+    which the product reads and returns without a copy, so that the
+    product's fixed cost is paid once; larger ones go one by one, whose
+    memory traffic then costs more than that.  Each norm is a dot product of
+    its own, so a residual is the bits of its pair's own product."""
+    per = lam.size if op.keep.size * vecs.itemsize <= _BLOCK_BYTES else 1
+    keep = np.flatnonzero(op.keep)
+    node = np.zeros((per, op.keep.size), dtype=vecs.dtype)
+    residuals = []
+    for lo in range(0, lam.size, per):
+        v = vecs[:, lo:lo + per].T
+        node[:, keep] = v
+        r = op.factors.apply(node.T).T.take(keep, axis=1) - v * lam[lo:lo + per, np.newaxis]
+        residuals += [np.sqrt(np.vdot(rj, rj).real / np.vdot(vj, vj).real)
+                      for rj, vj in zip(r, v)]
+    return np.array(residuals)
 
 
 class _Symmetrized(NamedTuple):
@@ -254,6 +282,24 @@ def _check_grid(f: SectorFactors) -> _Symmetrized:
     return _Symmetrized(f, rs, ts, link, residuals)
 
 
+def _seam(sym: _Symmetrized):
+    """exp(i alpha), the Floquet phase of a complex sector's seam (T's
+    forward seam corner is -exp(i alpha)), or None on a real grid."""
+    return -sym.angular[2, -1] if np.iscomplexobj(sym.angular) else None
+
+
+def _reflect(v: np.ndarray, seam: complex) -> np.ndarray:
+    """J v for each column v of `v`, with J the antiunitary reflection of a
+    complex sector's columns about the hole center at column 0, (J v)(c) =
+    conj v((m - c) mod m), and the seam phase on column 0, (J v)(0) =
+    exp(-i alpha) conj v(0): the reflection theta -> -theta maps the phase
+    alpha to -alpha and conjugation maps it back, so J commutes with T and
+    with the sector operator, and J^2 = 1."""
+    w = v[-np.arange(v.shape[0])].conj()
+    w[0] *= np.conj(seam)
+    return w
+
+
 def _angular_modes(sym: _Symmetrized):
     """The unit eigenvectors v (columns) of the symmetrized angular factor
     Ts of `_check_grid`, formed here from its bands as a dense matrix for
@@ -262,9 +308,15 @@ def _angular_modes(sym: _Symmetrized):
     round-off, also where eigh would give a small lam only to eps * ||Ts||,
     and equal to the bit for equal frequencies in every sector.  The center,
     when present, couples to the constant mode sqrt(cell) alone: mode 0 is
-    exactly that (lam = 0), and the others are exactly orthogonal to it."""
+    exactly that (lam = 0), and the others are exactly orthogonal to it.
+    A complex sector's frequencies are distinct, so J of `_reflect` maps
+    each mode to itself times a phase exp(i phi) = v^H J v, and the mode
+    taken times exp(i phi / 2) is reflection-real: J v = v."""
     f = sym.factors
     _, v = sla.eigh(band_matrix(sym.angular))
+    seam = _seam(sym)
+    if seam is not None:
+        v = v * np.sqrt((v.conj() * _reflect(v, seam)).sum(axis=0))
     sc = np.sqrt(f.cell)
     if f.has_center:
         v[:, 0] = sc / np.sqrt(f.cell.sum())
@@ -291,12 +343,23 @@ class _ModeRows:
     r1 ring, at each level of the cap ladder, on its first use, and `sides`
     keeps the last `_SIDES`.  In every mode but the bordered one T_j depends
     on the sector only through lam_j, so `radial`, the bytes of Rs's bands
-    and of D, keys the near poles that grids with equal radial rows share."""
+    and of D, keys the near poles that grids with equal radial rows share.
+    A complex sector keeps its seam phase exp(i alpha) as `seam` (None on
+    a real grid), and its modes must be reflection-real, J v = v to
+    `_ASYM_TOL`, or it raises `SolverError`: that gives its openings their
+    real basis."""
 
     def __init__(self, sym: _Symmetrized) -> None:
         self.sides = GridCache(_SIDES)
         v, self.lam = _angular_modes(sym)
         self.ang = v
+        self.seam = _seam(sym)
+        if self.seam is not None:
+            residual = np.abs(_reflect(v, self.seam) - v).max()
+            if not residual <= _ASYM_TOL:
+                raise SolverError(
+                    f"the angular modes of a complex sector are not reflection-real "
+                    f"(|J v - v| up to {residual:.3e}), which signals an assembly bug")
         f = sym.factors
         self.has_center = f.has_center
         rad, rad_off = sym.radial[1], sym.radial[2, :-1]
@@ -579,6 +642,24 @@ def open_solve(grid_open: OpenOperator, b: np.ndarray) -> np.ndarray:
     return rows.field(rows.solve_open(rows.coefficients(b * d))) / d
 
 
+def _negatives(a: np.ndarray) -> int:
+    """neg(a), the number of negative eigenvalues of a real symmetric
+    matrix, from its LDL^T factorization with Bunch-Kaufman pivoting (LAPACK
+    dsytrf; Bunch & Kaufman, Math. Comp. 31 (1977)): by Sylvester's law of
+    inertia a has the inertia of D.  A 1 x 1 block (a positive pivot index)
+    counts by its sign.  A 2 x 2 block (two equal negative ones) has exactly
+    one negative eigenvalue: the pivoting takes one only when
+    |d_11 d_22| < alpha^2 d_21^2, with alpha = (1 + sqrt 17)/8 < 1, so its
+    determinant is negative."""
+    if a.size == 0:
+        return 0
+    ldu, piv, info = lapack.dsytrf(a, lower=1)
+    if info < 0:
+        raise SolverError(f"the LDL^T factorization of a capacitance matrix failed "
+                          f"(LAPACK dsytrf info {info})")
+    return int((ldu.diagonal()[piv > 0] < 0).sum() + (piv < 0).sum() // 2)
+
+
 class _Secular:
     """The lowest eigenpairs of one opening as the roots of the capacitance
     matrix of one side of the r1 ring (`_Side`).
@@ -589,9 +670,14 @@ class _Secular:
     the rows of V = `_ModeRows.ang` on the side's columns X, its capacitance
     matrix is
 
-        Phi(sigma) = V_X diag(phi(sigma)) V_X^H:
+        Phi(sigma) = V_X diag(phi(sigma)) V_X^H,
 
-    on the crack (the open side) the block C of (S - sigma)^-1 on F
+    taken as W diag(phi(sigma)) W^T in the real basis W (`basis`): V_X on a
+    real grid, and Q^H V_X = Re V_X + Im V_X in a complex sector, after the
+    row of column 0, if the side holds it, is taken times exp(i alpha/2).
+    A side of a complex sector that is not symmetric about the hole center
+    has no such basis and raises `SolverError`.  Phi is, on the crack (the
+    open side), the block C of (S - sigma)^-1 on F
     (Buzbee, Dorr, George & Golub); on the hole (the closed side) -D, with D
     the block on H of the ring's Schur complement of S - sigma, the inverse
     of the ring block of (S - sigma)^-1 (Proskurowski & Widlund).  Away from
@@ -604,7 +690,7 @@ class _Secular:
     eigenvalues below sigma, with `offset` 0 on the crack and |H| on the
     hole, where N = #{mu_ij < sigma} + neg(D).  Phi is kept congruent to
     |Phi(0)|^-1/2 Phi |Phi(0)|^-1/2, which has the same inertia and roots:
-    |Phi(0)| = V_X diag(s phi(0)) V_X^H, from the side's own mode functions
+    |Phi(0)| = W diag(s phi(0)) W^T, from the side's own mode functions
     at 0 (s = +1 on the crack, -1 on the hole), is positive definite as a
     block of the inverse of a positive definite matrix, or of its Schur
     complement, and its Cholesky factor checks that.  So Phi(0) = s I, and
@@ -629,22 +715,31 @@ class _Secular:
         if hole is None:
             hole = 2 * int(crack.sum()) > crack.size
         self.rows, self.ring, self.hole, self.keep = rows, ring, hole, op.keep
-        self.columns = rows.ang[~crack if hole else crack]      # the side's columns
-        self.offset = self.columns.shape[0] if hole else 0
+        side = ~crack if hole else crack
+        basis = rows.ang[side]                  # V_X, the modes on the side's columns
+        if rows.seam is not None:
+            if not np.array_equal(side, side[-np.arange(side.size)]):
+                raise SolverError(
+                    f"the {'hole' if hole else 'crack'} of a complex sector is not symmetric "
+                    "about the hole center, so its capacitance matrix has no real form")
+            if side[0]:
+                basis[0] *= np.sqrt(rows.seam)
+            basis = basis.real + basis.imag
+        self.basis = basis
+        self.offset = basis.shape[0] if hole else 0
         self.use(0)
 
     def use(self, level: int) -> None:
         """Solve on the side at `level` of the cap ladder, from scratch."""
-        self.level, hole, vx = level, self.hole, self.columns
+        self.level, hole, w = level, self.hole, self.basis
         self.spec = spec = self.rows.side(self.ring, hole, level)
         try:
-            chol = np.linalg.cholesky((vx * (-spec.phi0 if hole else spec.phi0)) @ vx.conj().T)
+            chol = np.linalg.cholesky((w * (-spec.phi0 if hole else spec.phi0)) @ w.T)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"the capacitance block of the {'hole' if hole else 'crack'} is not "
                 "positive definite, which signals an assembly bug") from exc
-        self.vx = vx = sla.solve_triangular(chol, vx, lower=True)
-        self.vx_h = vx.conj().T
+        self.vx = sla.solve_triangular(chol, w, lower=True)
         # N(0) = 0, the opening being positive definite
         self.limits: dict[int, tuple] = {0: (0, np.empty((0, 0)))}
         self.at_poles: dict[int, np.ndarray] = {}
@@ -658,7 +753,7 @@ class _Secular:
         if not sigma <= spec.reach:
             spec = self.rows.side(self.ring, self.hole, max(self.level, self.rows.level(sigma)))
         below = int(np.searchsorted(spec.sorted, sigma)) + self.offset
-        return below - int((np.linalg.eigvalsh((self.vx * spec.phi(sigma)) @ self.vx_h) < 0).sum())
+        return below - _negatives((self.vx * spec.phi(sigma)) @ self.vx.T)
 
     def bordered(self, s: int, tau: float, other: int | None = None):
         """Phi at sigma = values[s] + tau with the terms of the pole s, and
@@ -668,18 +763,18 @@ class _Secular:
         neg(B) = neg(Phi) plus the number of copies above sigma, and B has
         no 1/(p - sigma).  Also returns R's phi'."""
         spec, f = self.spec, self.vx.shape[0]
-        j, i, shift, border, border_h = self.copies(s, other)
+        j, i, shift, border = self.copies(s, other)
         origin = float(spec.values[s])
         den = (spec.poles - origin) - tau
         den[j, i] = np.inf
         r = spec.weights / den
         far, slope = spec.series(origin + tau)
         n = f + j.size
-        b = np.zeros((n, n), dtype=self.vx.dtype)
+        b = np.zeros((n, n))
         b[:f, :f] = (self.vx * (r.sum(axis=1) + far
-                                + (spec.alpha + spec.beta * (origin + tau)))) @ self.vx_h
+                                + (spec.alpha + spec.beta * (origin + tau)))) @ self.vx.T
         b[:f, f:] = border
-        b[f:, :f] = border_h
+        b[f:, :f] = border.T
         b.flat[f * (n + 1)::n + 1] = tau + shift      # T's diagonal
         return b, (r / den).sum(axis=1) + slope + spec.beta
 
@@ -691,16 +786,15 @@ class _Secular:
 
     def copies(self, s: int, other: int | None = None):
         """The (mode, index) pairs of the copies of the distinct pole s, then
-        of `other`, values[s] minus each one's pole, and the border W and
-        W^H of `bordered`, kept per pair."""
+        of `other`, values[s] minus each one's pole, and the border W of
+        `bordered`, kept per pair."""
         if (s, other) not in self.borders:
             spec = self.spec
             flat = np.concatenate([spec.order[spec.first[p]:spec.first[p] + spec.size[p]]
                                    for p in ([s] if other is None else [s, other])])
             j, i = np.unravel_index(flat, spec.poles.shape)
             border = self.vx[:, j] * np.sqrt(spec.weights[j, i])
-            self.borders[s, other] = (j, i, spec.values[s] - spec.poles[j, i], border,
-                                      border.conj().T)
+            self.borders[s, other] = (j, i, spec.values[s] - spec.poles[j, i], border)
         return self.borders[s, other]
 
     def pole(self, s: int):
@@ -716,18 +810,23 @@ class _Secular:
             u, sv, vh = np.linalg.svd(b[:f, f:])
             rank = int((sv > 1e-12 * sv.max(initial=0.0)).sum())
             rest = u[:, rank:]
-            neg = int((np.linalg.eigvalsh(rest.conj().T @ b[:f, :f] @ rest) < 0).sum())
-            self.limits[s] = (int(self.spec.first[s]) + self.offset - neg, vh[rank:].conj().T)
+            neg = _negatives(rest.T @ b[:f, :f] @ rest)
+            self.limits[s] = (int(self.spec.first[s]) + self.offset - neg, vh[rank:].T)
         return self.limits[s]
 
     def branch(self, s: int, tau: float, i: int, other: int):
         """The i-th eigenvalue h of `bordered(s, tau, other)`, its slope,
-        its unit eigenvector and the largest |eigenvalue|."""
+        its unit eigenvector, and ||B||_inf, a bound on B's spectral
+        radius: one eigenpair, LAPACK's MRRR (dsyevr) alone (Dhillon &
+        Parlett, Linear Algebra Appl. 387 (2004))."""
         b, dg = self.bordered(s, tau, other)
-        h, v = np.linalg.eigh(b)
-        f, v = self.vx.shape[0], v[:, i]
-        dh = (dg * np.abs(self.vx_h @ v[:f]) ** 2).sum() + (np.abs(v[f:]) ** 2).sum()
-        return tau, h[i], dh, v, max(-h[0], h[-1])
+        h, v, _, _, info = lapack.dsyevr(b, range="I", il=i + 1, iu=i + 1, lower=1)
+        if info != 0:
+            raise SolverError(f"the eigensolve of a bordered capacitance matrix failed "
+                              f"(LAPACK dsyevr info {info})")
+        f, v = self.vx.shape[0], v[:, 0]
+        dh = (dg * (self.vx.T @ v[:f]) ** 2).sum() + (v[f:] ** 2).sum()
+        return tau, h[0], dh, v, np.abs(b).sum(axis=1).max()
 
     def root(self, t: int, lo: int):
         """The t-th lowest eigenvalue, given a distinct pole `values[lo]`
@@ -754,7 +853,7 @@ class _Secular:
                 lo = mid
         below, null = self.pole(lo)
         if t <= below + null.shape[1]:          # at the pole itself
-            v = np.zeros(f + null.shape[0], dtype=np.result_type(self.vx, null))
+            v = np.zeros(f + null.shape[0])
             v[f:] = null[:, t - below - 1]
             return lo, None, 0.0, v, hi
         if hi == served:                        # above the poles the side serves
@@ -775,7 +874,7 @@ class _Secular:
         # an eigenvalue of W^H R^-1 W, which is exact for a root at a pole
         b0 = self.at_pole(origin)
         try:
-            guess = np.linalg.eigvalsh(b0[:f, f:].conj().T @ np.linalg.solve(b0[:f, :f], b0[:f, f:]))
+            guess = np.linalg.eigvalsh(b0[:f, f:].T @ np.linalg.solve(b0[:f, :f], b0[:f, f:]))
         except np.linalg.LinAlgError:
             guess = np.empty(0)
         inside = guess[(a < guess) & (guess < b)]
@@ -833,10 +932,10 @@ class _Secular:
                 x = np.linalg.solve(b0[:f, :f], b0[:f, f:])
             except np.linalg.LinAlgError:
                 break
-            kappa, z = np.linalg.eigh(b0[f:, f:] - b0[:f, f:].conj().T @ x)
+            kappa, z = np.linalg.eigh(b0[f:, f:] - b0[:f, f:].T @ x)
             near = np.argmin(np.abs(kappa))
             x = x @ z[:, near]
-            new = tau - kappa[near] / (1 + (dg * np.abs(self.vx_h @ x) ** 2).sum())
+            new = tau - kappa[near] / (1 + (dg * (self.vx.T @ x) ** 2).sum())
             if not abs(new - start) <= 16 * noise + 4 * _EPS * abs(start):
                 break
             done = abs(new - tau) <= 4 * _EPS * abs(tau)
@@ -848,8 +947,10 @@ class _Secular:
     def vector(self, s: int, other: int | None, tau: float, v: np.ndarray) -> np.ndarray:
         """The eigenvector at sigma = values[s] + tau for the null vector
         [c; y] of `bordered(s, tau, other)`: with the side's ring values
-        xi = V_X^H c of each mode, the mode rows xi_j (T_j - sigma)^-1 unit[j]
-        (`_Side`), one banded solve, then the angular transform.  On the
+        xi = vx^T c of each mode (vx the basis W after the congruence; real,
+        in a complex sector too, whose modes are reflection-real), the mode
+        rows xi_j (T_j - sigma)^-1 unit[j] (`_Side`), one banded solve, then
+        the angular transform, the one complex step.  On the
         crack that is (S - sigma)^-1 E_F c; on the hole it holds the ring at
         the hole's values and solves the rows off the ring.  The terms of
         the bordered poles come apart from the solve: by B's second row, the
@@ -868,9 +969,9 @@ class _Secular:
             z = spec.solve(spec.values[s] + tau, rhs)
             for j, y, _ in near:
                 z[j] -= (y @ z[j]) * y
-            z = z * (self.vx_h @ v[:f])[:, np.newaxis]
+            z = z * (self.vx.T @ v[:f])[:, np.newaxis]
         else:
-            z = np.zeros(rhs.shape, dtype=v.dtype)
+            z = np.zeros(rhs.shape)
         for j, y, coef in near:
             z[j] += coef * y
         return self.rows.field(z)[self.keep]

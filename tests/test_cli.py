@@ -208,6 +208,17 @@ def test_capacity_command(tmp_path):
     assert 0.0 < float(rows[0][4]) <= 1.0
 
 
+@pytest.mark.parametrize("deltas", ["", "0.4,,0.2"], ids=["empty-list", "empty-item"])
+def test_capacity_refuses_an_empty_delta(tmp_path, capsys, deltas):
+    # an empty list had written a header and no rows with exit 0, and an
+    # empty item had been dropped
+    code, out = run(tmp_path, "capacity", "--r1", "0.4356", "--delta-list", deltas, "-M", "24")
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"--delta-list {deltas!r} is empty or has an empty item" in err
+
+
 @pytest.mark.parametrize("m, rows", [
     ("24", ["0.4,5.4345242933,3.2265998132,3.2265998132,0.842144146767",
             "0.2,4.42830355977,2.52461896312,2.52461896312,0.87702414195",

@@ -439,7 +439,8 @@ def test_a_solve_scatters_no_matrix():
 @given(sector=st.sampled_from(_ALL_SECTORS), grid=_GRIDS, opening=st.floats(0.0, 1.0))
 def test_the_matrix_is_the_apply_of_its_factors(sector, grid, opening):
     # the CSR scattered from the factors, of the open operator and of an
-    # opening (its principal submatrix), against the factors' banded apply
+    # opening (its principal submatrix), against the factors' banded apply;
+    # a block's product, in either layout, is each column's to the bit
     (kind, which, n), (m, ring) = sector, grid
     op = assemble(_sector(kind, which, n, opening * math.pi / n, ring, m), m)
     rng = np.random.default_rng(m * ring)
@@ -448,6 +449,12 @@ def test_the_matrix_is_the_apply_of_its_factors(sector, grid, opening):
         x = x + 1j * rng.standard_normal(x.shape)
     want = op.factors.apply(x)
     assert np.linalg.norm(op.open.matrix @ x - want) <= 1e-12 * np.linalg.norm(want)
+    block = np.stack([x, 3 * x, rng.standard_normal(x.shape) * x], axis=1)
+    for b in (block, np.ascontiguousarray(block.T).T):
+        got = op.factors.apply(b)
+        assert got.shape == b.shape
+        assert all(got[:, j].tobytes() == op.factors.apply(b[:, j].copy()).tobytes()
+                   for j in range(b.shape[1]))
     x[~op.keep] = 0.0
     want = op.factors.apply(x)[op.keep]
     assert np.linalg.norm(op.matrix @ x[op.keep] - want) <= 1e-12 * np.linalg.norm(want)
@@ -815,15 +822,18 @@ def _spy_on(monkeypatch, module, name, get):
 
 
 def _spy_on_eigensolves(monkeypatch, get):
-    """Record the BLAS thread counts at each small Hermitian eigensolve of
-    the secular path, which runs on numpy's LAPACK."""
+    """Record the BLAS thread counts at each small eigensolve and LDL^T
+    factorization of the secular path's root step: scipy's LAPACK dsyevr
+    (one eigenpair per Newton step) and dsytrf (every count), and numpy's
+    eigh and eigvalsh (first guesses and polish)."""
     seen = []
-    for name in ("eigh", "eigvalsh"):
-        def spy(a, *args, inner=getattr(np.linalg, name), **kwargs):
+    for module, name in ((eigensolve.lapack, "dsyevr"), (eigensolve.lapack, "dsytrf"),
+                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        def spy(a, *args, inner=getattr(module, name), **kwargs):
             seen.append(get())
             return inner(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return seen
 
 
@@ -1189,3 +1199,116 @@ def test_closed_form_angular_eigenvalues(sector, m):
     zero = f.frequency[:, 0] == 0
     assert (lam[zero] == 0).all()
     assert zero.sum() == (which in (0, "NND"))     # the constant mode
+
+
+# ---------------------------------------------------------------------------
+# real arithmetic in the root step: inertia from LDL^T, reflection-real
+# complex sectors
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 40), zero_diagonal=st.booleans(), data=st.data())
+def test_the_inertia_count_is_the_dense_count(size, zero_diagonal, data):
+    # a = Q diag(d) Q^T with |d_i| >= 1e-8 max |d|; with a zero diagonal,
+    # [[0, X], [X^T, 0]] with X = U diag(s) V^T, whose eigenvalues are +-s,
+    # every pivot of the LDL^T factorization is a 2 x 2 block
+    half = max(1, size // 2)
+    width = 2 * half if zero_diagonal else size
+    exponents = data.draw(st.lists(st.floats(-8.0, 0.0), min_size=width, max_size=width),
+                          label="log10 |d|")
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=width, max_size=width),
+                      label="signs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = np.array(signs) * 10.0 ** np.array(exponents)
+    if zero_diagonal:
+        u, v = (np.linalg.qr(rng.standard_normal((half, half)))[0] for _ in range(2))
+        x = (u * np.abs(d[:half])) @ v.T
+        a = np.block([[np.zeros((half, half)), x], [x.T, np.zeros((half, half))]])
+    else:
+        q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        a = (q * d) @ q.T
+    a = (a + a.T) / 2
+    if zero_diagonal:
+        assert (np.abs(np.diagonal(a)) == 0).all()
+        assert (sla.lapack.dsytrf(a, lower=1)[1] < 0).all()
+    assert eigensolve._negatives(a) == (np.linalg.eigvalsh(a) < 0).sum()
+
+
+@pytest.mark.parametrize("sector, eps, m", [(("floquet", 0, 3), 0.29, 60),
+                                            (("floquet", 0, 3), 0.8, 61),
+                                            (("quarter", "NND", 2), 0.3, 40)])
+@pytest.mark.parametrize("hole", [False, True])
+def test_the_inertia_count_at_the_poles_of_a_real_solve(sector, eps, m, hole):
+    # the bordered matrix at a pole has a zero block for the border's copies,
+    # so its factorization takes 2 x 2 pivots, and its count, and that of
+    # `pole`'s block on the border's complement, is the dense count
+    kind, which, n = sector
+    op = assemble(_sector(kind, which, n, eps, round(0.4356 * m), m), m)
+    solve = eigensolve._Secular(op, hole=hole)
+    f = solve.vx.shape[0]
+    checked = 0
+    for s in range(1, min(40, solve.spec.values.size)):
+        b = solve.at_pole(s)
+        u, sv, _ = np.linalg.svd(b[:f, f:])
+        rest = u[:, (sv > 1e-12 * sv.max(initial=0.0)).sum():]
+        for a in (b, rest.T @ b[:f, :f] @ rest):
+            lam = np.linalg.eigvalsh(a)
+            if a.size and np.abs(lam).min() > 1e-12 * np.abs(lam).max():
+                assert eigensolve._negatives(a) == (lam < 0).sum()
+                checked += 1
+    assert checked > 30
+
+
+@pytest.mark.parametrize("m", [60, 61])
+@pytest.mark.parametrize("hole", [False, True])
+def test_complex_sectors_solve_in_real_arithmetic(m, hole):
+    # n = 3, ell = 1: every matrix of the root step is real on either side,
+    # and only the eigenvectors, mapped back to the grid, are complex
+    op = assemble(_sector("floquet", 1, 3, 0.3, round(0.4356 * m), m), m)
+    solve = eigensolve._Secular(op, hole=hole)
+    assert solve.vx.dtype == np.float64
+    assert solve.bordered(1, 0.5)[0].dtype == np.float64
+    with one_blas_thread:
+        lam, vecs = solve.lowest(4)
+    assert np.iscomplexobj(vecs)
+    oracle = lowest_eigenpairs(op, 4)
+    assert np.allclose(lam, oracle.eigenvalues, rtol=1e-10, atol=0)
+
+
+def test_the_reflection_check_refuses_modes_with_a_random_phase(monkeypatch):
+    # a complex sector's modes must satisfy J v = v; any other phase of a
+    # column leaves its capacitance matrices complex
+    inner = eigensolve._angular_modes
+    rng = np.random.default_rng(3)
+
+    def rephased(sym):
+        v, lam = inner(sym)
+        return v * np.exp(2j * np.pi * rng.uniform(size=v.shape[1])), lam
+
+    monkeypatch.setattr(eigensolve, "_angular_modes", rephased)
+    _clear_grids()
+    op = _coupled_op(m=24)
+    with pytest.raises(SolverError, match="not reflection-real"):
+        lowest_eigenpairs(op, 2)
+    _clear_grids()
+
+
+@pytest.mark.parametrize("hole", [False, True])
+def test_a_side_that_is_not_symmetric_about_the_hole_center_is_refused(hole):
+    op = _coupled_op(m=24)
+    crack = op.crack.copy()
+    crack[np.flatnonzero(crack)[0]] = False         # one side of the hole only
+    lopsided = types.SimpleNamespace(open=op.open, grid=op.grid, crack=crack, keep=op.keep)
+    with pytest.raises(SolverError, match="not symmetric about the hole center"):
+        eigensolve._Secular(lopsided, hole=hole)
+
+
+def test_every_crack_is_symmetric_about_the_hole_center():
+    # each opening of every Floquet sector, n = 2 to 6, at even and odd m
+    for n, m in itertools.product(range(2, 7), (24, 25, 60, 61)):
+        for ell in range(n // 2 + 1):
+            dtheta = 2 * math.pi / n / m
+            for ray in range(m // 2 + 2):
+                eps = min(ray * dtheta, math.pi / n)
+                crack = assemble(_sector("floquet", ell, n, eps, m // 2, m), m).crack
+                assert np.array_equal(crack, crack[-np.arange(m)])
